@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check lint lint-fix lint-fix-dry lint-baseline lint-sarif lint-graph kernelcheck test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean perfgate perfgate-static perfgate-manifest
+.PHONY: all build vet check lint lint-fix lint-fix-dry lint-sarif lint-graph test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean perfgate perfgate-static perfgate-manifest
 
 all: build vet lint test
 
@@ -19,10 +19,10 @@ vet:
 
 # Project-specific invariants (determinism, telemetry cardinality, context
 # propagation, resource leaks, ...); exits nonzero on any unsuppressed
-# finding at warn severity or above that is not absorbed by the committed
-# baseline.
+# finding at warn severity or above. The only waiver is an inline
+# `//lint:ignore check reason`.
 lint:
-	$(GO) run ./cmd/spatial-lint -baseline .lint-baseline.json ./...
+	$(GO) run ./cmd/spatial-lint ./...
 
 # Apply every mechanical fix the analyzers propose (defer cancel(),
 # clock injection, defer unlock). Use `-diff` via lint-fix-dry to
@@ -33,26 +33,15 @@ lint-fix:
 lint-fix-dry:
 	$(GO) run ./cmd/spatial-lint -diff ./...
 
-# Re-snapshot the baseline: absorbs all current unsuppressed findings so
-# CI gates only on regressions. Review the diff before committing.
-lint-baseline:
-	$(GO) run ./cmd/spatial-lint -write-baseline -baseline .lint-baseline.json ./...
-
 # Export the run as SARIF 2.1.0 (lint.sarif) for code-scanning UIs; the
 # exit code still gates exactly like `make lint`.
 lint-sarif:
-	$(GO) run ./cmd/spatial-lint -baseline .lint-baseline.json -sarif lint.sarif ./...
+	$(GO) run ./cmd/spatial-lint -sarif lint.sarif ./...
 
 # Dump the whole-module interprocedural call graph as Graphviz DOT:
 # render with `dot -Tsvg callgraph.dot -o callgraph.svg`.
 lint-graph:
-	$(GO) run ./cmd/spatial-lint -baseline .lint-baseline.json -graph callgraph.dot ./...
-
-# Kernel-shape subset only (bounds-provable, pointer-chase, hot-indirect,
-# map-order-leak): the fast sweep over the serving hot set. Same
-# directives and baseline as the full suite.
-kernelcheck:
-	$(GO) run ./cmd/spatial-kernelcheck -baseline .lint-baseline.json ./...
+	$(GO) run ./cmd/spatial-lint -graph callgraph.dot ./...
 
 test:
 	$(GO) test ./...
@@ -75,14 +64,13 @@ race-stress:
 
 # Serving-path benchmarks, recorded: runs the serial-vs-batched serving
 # benchmarks with enough repetitions for the perfgate comparator's
-# Mann-Whitney test, writes the parsed results to BENCH_serving.json, and
-# appends a commit-stamped entry to BENCH_trajectory.json (commit both so
-# throughput history travels with the code).
+# Mann-Whitney test and writes the parsed results to BENCH_serving.json,
+# perfgate's alloc/op and 128-client-ratio guard. The trajectory of
+# record is `go run ./bench -record/-compare`, not this file.
 BENCH_COUNT ?= 6
 bench:
 	$(GO) test -bench=Serving -benchmem -count=$(BENCH_COUNT) -run='^$$' ./internal/serving/ \
-		| $(GO) run ./cmd/spatial-benchjson -out BENCH_serving.json \
-			-trajectory BENCH_trajectory.json -commit $$(git rev-parse --short HEAD)
+		| $(GO) run ./cmd/spatial-benchjson -out BENCH_serving.json
 
 # Perf verification, both halves: the static compiler-diagnostics gate
 # (hot-set functions vs .perf-manifest.json contracts) plus a fresh
@@ -134,10 +122,10 @@ fuzz:
 
 # Regenerate every paper table/figure (~15 min single-CPU).
 experiments:
-	$(GO) run ./cmd/spatial-bench -exp all -json results_full.json
+	$(GO) run ./cmd/spatial-experiments -exp all -json results_full.json
 
 experiments-quick:
-	$(GO) run ./cmd/spatial-bench -exp all -quick
+	$(GO) run ./cmd/spatial-experiments -exp all -quick
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -6,7 +6,7 @@
 //	go test -bench=. -benchmem
 //
 // Full-size experiment runs (paper-scale datasets and sweeps) are driven
-// by cmd/spatial-bench instead.
+// by cmd/spatial-experiments instead.
 package repro
 
 import (

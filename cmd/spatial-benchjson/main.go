@@ -5,8 +5,7 @@
 // Usage:
 //
 //	go test -bench=Serving -benchmem -run='^$' ./internal/serving/ |
-//	  spatial-benchjson -out BENCH_serving.json \
-//	    -trajectory BENCH_trajectory.json -commit "$(git rev-parse --short HEAD)"
+//	  spatial-benchjson -out BENCH_serving.json
 //
 // The raw benchmark lines are echoed to stderr so the terminal still
 // shows progress while the JSON goes to the file. Parsing is strict: a
@@ -14,19 +13,12 @@
 // writes nothing, so a truncated run can never silently replace the
 // committed baseline with a partial document. Lines without -benchmem
 // columns parse fine.
-//
-// With -trajectory, the run is also appended to the named history file
-// stamped with goos/goarch/cpu and the -commit/-date provenance, so the
-// throughput trajectory across PRs is a committed, diffable artifact
-// (re-runs at the same commit on the same machine replace their entry
-// instead of duplicating it).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/benchfmt"
 )
@@ -41,9 +33,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("spatial-benchjson", flag.ContinueOnError)
 	out := fs.String("out", "", "output file (default stdout)")
-	trajectory := fs.String("trajectory", "", "append the run to this committed history file")
-	commit := fs.String("commit", "", "commit stamp for the trajectory entry (e.g. git rev-parse --short HEAD)")
-	date := fs.String("date", "", "date stamp for the trajectory entry (default today, YYYY-MM-DD)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,25 +47,8 @@ func run(args []string) error {
 		return err
 	}
 	if *out == "" {
-		if _, err := os.Stdout.Write(buf); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		_, err = os.Stdout.Write(buf)
 		return err
 	}
-
-	if *trajectory != "" {
-		tr, err := benchfmt.LoadTrajectory(*trajectory)
-		if err != nil {
-			return err
-		}
-		when := *date
-		if when == "" {
-			when = time.Now().UTC().Format("2006-01-02")
-		}
-		if err := tr.Append(*trajectory, doc, *commit, when); err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.WriteFile(*out, buf, 0o644)
 }

@@ -1,13 +1,13 @@
-// Command spatial-bench regenerates the paper's tables and figures.
+// Command spatial-experiments regenerates the paper's tables and figures.
 //
 // Usage:
 //
-//	spatial-bench -exp fig6            # one experiment
-//	spatial-bench -exp all             # everything, in paper order
-//	spatial-bench -exp fig8c -quick    # reduced-size run
-//	spatial-bench -exp uc2-fgsm -json out.json
-//	spatial-bench -exp ext               # extension experiments
-//	spatial-bench -list                  # known ids
+//	spatial-experiments -exp fig6            # one experiment
+//	spatial-experiments -exp all             # everything, in paper order
+//	spatial-experiments -exp fig8c -quick    # reduced-size run
+//	spatial-experiments -exp uc2-fgsm -json out.json
+//	spatial-experiments -exp ext               # extension experiments
+//	spatial-experiments -list                  # known ids
 //
 // Known experiment ids: uc1-baseline, fig6, fig6-shap, uc2-baseline,
 // uc2-fgsm, fig7-shap, fig7, fig8b, fig8c, fig8d, taxonomy.
@@ -37,13 +37,13 @@ var extOrder = []string{"ext-defense", "ext-privacy", "ext-federated"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "spatial-bench:", err)
+		fmt.Fprintln(os.Stderr, "spatial-experiments:", err)
 		os.Exit(1)
 	}
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("spatial-bench", flag.ContinueOnError)
+	fs := flag.NewFlagSet("spatial-experiments", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id, comma-separated list, or 'all'")
 	quick := fs.Bool("quick", false, "reduced-size run")
 	seed := fs.Int64("seed", 1, "random seed")

@@ -6,12 +6,9 @@
 // unchecked I/O errors on the server edges, the flow-sensitive
 // checks (lock balance, response-body and context-cancel leaks,
 // wall-clock bypasses, append aliasing) built on the CFG dataflow
-// engine, the interprocedural checks (lock-order cycles, taint
-// paths into filesystem sinks, hot-path allocations) built on the
-// whole-module call graph and its per-function summaries, and the
-// kernel-shape checks (bounds-provable, pointer-chase, hot-indirect,
-// map-order-leak) built on the SSA + value-range layer — also
-// runnable alone, fast, as spatial-kernelcheck.
+// engine, and the interprocedural checks (lock-order cycles, taint
+// paths into filesystem sinks, map-order leaks, the four race checks)
+// built on the whole-module call graph and its per-function summaries.
 //
 // Usage:
 //
@@ -19,10 +16,9 @@
 //
 // Patterns default to "./...". Exit status is 0 when no gating findings
 // exist, 1 when findings remain, 2 on usage or load errors. A finding
-// gates the run when it is unsuppressed, not absorbed by the baseline
-// file, and at least -fail-on severe.
+// gates the run when it is unsuppressed and at least -fail-on severe.
 //
-// Suppress an individual finding inline with
+// The only waiver is inline:
 //
 //	//lint:ignore check-name reason
 //
@@ -32,11 +28,8 @@
 // -fix applies the mechanical fixes some findings carry (insert `defer
 // cancel()`, swap time.Now() for the injected clock, defer an unpaired
 // Unlock); -diff prints those fixes as a unified diff without writing.
-// -write-baseline records the current findings into the baseline file so
-// a new check can land as error without blocking CI on legacy debt;
-// -baseline-prune drops entries no current finding consumes. -sarif
-// exports the run as SARIF 2.1.0 for CI annotation, and -graph dumps
-// the interprocedural call graph as Graphviz DOT.
+// -sarif exports the run as SARIF 2.1.0 for CI annotation, and -graph
+// dumps the interprocedural call graph as Graphviz DOT.
 package main
 
 import (
@@ -57,13 +50,10 @@ func main() {
 		dir        = flag.String("dir", ".", "directory patterns are resolved against")
 		tests      = flag.Bool("tests", true, "also analyze test files (checks opt in individually)")
 		failOn     = flag.String("fail-on", "warn", "minimum severity that fails the run: error, warn, or info")
-		baseline   = flag.String("baseline", ".lint-baseline.json", "baseline file of accepted findings (missing file = empty)")
-		writeBase  = flag.Bool("write-baseline", false, "rewrite the baseline file from the current findings and exit")
 		fix        = flag.Bool("fix", false, "apply the mechanical fixes carried by findings")
 		diff       = flag.Bool("diff", false, "print the fixes as a diff without writing files")
 		sarifOut   = flag.String("sarif", "", "write the run as SARIF 2.1.0 to this file (\"-\" for stdout)")
 		graphOut   = flag.String("graph", "", "write the call graph as Graphviz DOT to this file (\"-\" for stdout)")
-		pruneBase  = flag.Bool("baseline-prune", false, "rewrite the baseline without entries that absorb no current finding")
 	)
 	flag.Parse()
 
@@ -127,40 +117,6 @@ func main() {
 		fail(err)
 	}
 
-	if *writeBase {
-		b := lint.BaselineFrom(res)
-		if err := b.Write(*baseline); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "spatial-lint: wrote %d entries to %s\n", len(b.Entries), *baseline)
-		return
-	}
-
-	base, err := lint.LoadBaseline(*baseline)
-	if err != nil {
-		fail(err)
-	}
-	res.ApplyBaseline(base)
-
-	// Stale entries are budget a regression could silently spend: report
-	// them on every run, rewrite the file when asked.
-	if stale := res.StaleBaseline(base); len(stale) > 0 {
-		if *pruneBase {
-			pruned := base.Prune(stale)
-			if err := pruned.Write(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "spatial-lint: pruned %d stale entries from %s (%d remain)\n",
-				len(stale), *baseline, len(pruned.Entries))
-		} else {
-			for _, e := range stale {
-				fmt.Fprintf(os.Stderr, "spatial-lint: stale baseline entry (no current finding): %s %s %q\n",
-					e.Check, e.File, e.Message)
-			}
-			fmt.Fprintf(os.Stderr, "spatial-lint: %d stale baseline entries; rerun with -baseline-prune to drop them\n", len(stale))
-		}
-	}
-
 	if *sarifOut != "" {
 		sw, closeSarif := openOut(*sarifOut)
 		if err := res.WriteSARIF(sw); err != nil {
@@ -199,14 +155,11 @@ func main() {
 		out := struct {
 			Findings   []lint.Finding `json:"findings"`
 			Suppressed int            `json:"suppressed"`
-			Baselined  int            `json:"baselined"`
 			Packages   int            `json:"packages"`
-		}{res.Findings, 0, 0, res.Packages}
+		}{res.Findings, 0, res.Packages}
 		for _, f := range res.Findings {
 			if f.Suppressed {
 				out.Suppressed++
-			} else if f.Baselined {
-				out.Baselined++
 			}
 		}
 		enc := json.NewEncoder(os.Stdout)
@@ -215,29 +168,23 @@ func main() {
 			fail(err)
 		}
 	} else {
-		nSupp, nBase := 0, 0
+		nSupp := 0
 		for _, f := range res.Findings {
-			switch {
-			case f.Suppressed:
+			if f.Suppressed {
 				nSupp++
 				if *suppressed {
 					fmt.Printf("%s (suppressed: %s)\n", f, f.SuppressReason)
 				}
-			case f.Baselined:
-				nBase++
-				if *suppressed {
-					fmt.Printf("%s (baselined)\n", f)
-				}
-			default:
-				fixable := ""
-				if len(f.Edits) > 0 {
-					fixable = " [fixable: rerun with -fix]"
-				}
-				fmt.Printf("%s%s\n", f, fixable)
+				continue
 			}
+			fixable := ""
+			if len(f.Edits) > 0 {
+				fixable = " [fixable: rerun with -fix]"
+			}
+			fmt.Printf("%s%s\n", f, fixable)
 		}
-		fmt.Fprintf(os.Stderr, "spatial-lint: %d packages, %d gating findings (%d suppressed, %d baselined)\n",
-			res.Packages, len(gating), nSupp, nBase)
+		fmt.Fprintf(os.Stderr, "spatial-lint: %d packages, %d gating findings (%d suppressed)\n",
+			res.Packages, len(gating), nSupp)
 	}
 	if len(gating) > 0 {
 		os.Exit(1)

@@ -110,49 +110,3 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal("marshal is not deterministic across a round trip")
 	}
 }
-
-func TestTrajectoryAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
-	doc, err := ParseStream(strings.NewReader(goodRun), io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr, err := LoadTrajectory(path) // missing file -> empty history
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Append(path, doc, "abc1234", "2026-08-09"); err != nil {
-		t.Fatal(err)
-	}
-	// Same commit + machine re-run replaces rather than duplicates.
-	tr, err = LoadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Append(path, doc, "abc1234", "2026-08-09"); err != nil {
-		t.Fatal(err)
-	}
-	// A new commit appends.
-	tr, err = LoadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Append(path, doc, "def5678", "2026-08-10"); err != nil {
-		t.Fatal(err)
-	}
-
-	final, err := LoadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(final.Entries) != 2 {
-		t.Fatalf("got %d entries, want 2 (dedup same-commit, append new)", len(final.Entries))
-	}
-	if final.Entries[0].Commit != "abc1234" || final.Entries[1].Commit != "def5678" {
-		t.Fatalf("bad commit stamps: %+v", final.Entries)
-	}
-	if final.Entries[0].Goos != "linux" || final.Entries[0].CPU == "" {
-		t.Fatalf("machine stamp lost: %+v", final.Entries[0])
-	}
-}

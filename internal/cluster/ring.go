@@ -110,7 +110,6 @@ func (r *Ring) succ(h uint64) int {
 	lo, hi := 0, len(r.vnodes)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		//lint:ignore bounds-provable the binary-search invariant lo <= mid < hi <= len is relational, beyond interval reasoning; sort.Search carries the same check
 		if r.vnodes[mid].hash < h {
 			lo = mid + 1
 		} else {
@@ -167,7 +166,6 @@ func (r *Ring) Walk(key string, visit func(replica int) bool) {
 		}
 		seen[v.replica] = true
 		visited++
-		//lint:ignore hot-indirect the caller-supplied predicate is Walk's API; the loop exists to drive it
 		if !visit(int(v.replica)) {
 			return
 		}

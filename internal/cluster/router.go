@@ -105,7 +105,6 @@ func (c *Cluster) Predict(ctx context.Context, ref string, instances [][]float64
 			c.met.reroutes.Inc()
 		}
 		m.load.Add(n)
-		//lint:ignore hot-indirect the backend interface is the replica boundary (in-process vs remote); one dispatch per routed batch, not per instance
 		probs, classes, err := m.backend.Predict(ctx, ref, instances)
 		m.load.Add(-n)
 		if err != nil && errors.Is(err, ErrReplicaDown) {

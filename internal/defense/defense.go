@@ -183,7 +183,6 @@ func (e *VotingEnsemble) PredictProba(x []float64) []float64 {
 	}
 	acc := make([]float64, e.classes)
 	for _, m := range e.Members {
-		//lint:ignore hot-indirect member models are heterogeneous by construction (that is the ensemble's defense); the dispatch is the design
 		p := m.PredictProba(x)
 		// Reslice hint: members were fitted on the same class count, so
 		// each row is acc-length; accumulate through the pinned view.

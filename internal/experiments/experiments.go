@@ -2,7 +2,7 @@
 // evaluation (§VI-§VII): the use-case-1 poisoning study (Fig. 6), the
 // use-case-2 evasion/poisoning study (Fig. 7), and the capacity-load study
 // (Fig. 8). Each experiment returns structured results and can print the
-// same rows/series the paper reports. cmd/spatial-bench is the CLI entry
+// same rows/series the paper reports. cmd/spatial-experiments is the CLI entry
 // point; bench_test.go wraps the same code in testing.B benchmarks.
 package experiments
 

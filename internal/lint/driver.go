@@ -16,7 +16,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerAppendAlias,
 		AnalyzerAtomicMix,
 		AnalyzerBodyLeak,
-		AnalyzerBoundsProvable,
 		AnalyzerChanDeadlock,
 		AnalyzerUnguardedField,
 		AnalyzerWgMisuse,
@@ -24,13 +23,10 @@ func Analyzers() []*Analyzer {
 		AnalyzerCtxPropagation,
 		AnalyzerFloatEq,
 		AnalyzerGoroutineLeak,
-		AnalyzerHotIndirect,
-		AnalyzerHotPathAlloc,
 		AnalyzerLockBalance,
 		AnalyzerLockOrder,
 		AnalyzerMapOrderLeak,
 		AnalyzerNondeterminism,
-		AnalyzerPointerChase,
 		AnalyzerTaintPath,
 		AnalyzerTelemetryCardinality,
 		AnalyzerUncheckedErr,
@@ -65,15 +61,12 @@ func (r *Result) Unsuppressed() []Finding {
 	return out
 }
 
-// Gating returns the findings that should fail a run: unsuppressed, not
-// absorbed by the baseline, and at least min severe.
+// Gating returns the findings that should fail a run: unsuppressed and
+// at least min severe.
 func (r *Result) Gating(min Severity) []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
-		if f.Suppressed || f.Baselined {
-			continue
-		}
-		if !f.Severity.AtLeast(min) {
+		if f.Suppressed || !f.Severity.AtLeast(min) {
 			continue
 		}
 		out = append(out, f)
@@ -96,27 +89,28 @@ type Options struct {
 	Graph io.Writer
 }
 
-// Run loads the packages matched by patterns (resolved against dir) and
-// runs the given analyzers (the full suite when nil) with test packages
-// included. File paths in findings are reported relative to dir when
-// possible.
-func Run(dir string, patterns []string, analyzers []*Analyzer) (*Result, error) {
-	return RunOpts(dir, Options{Patterns: patterns, Analyzers: analyzers, Tests: true})
-}
-
-// RunOpts is Run with full control over loading and analyzer selection.
-// Packages are analyzed in parallel, one goroutine per package over the
-// loader's shared type-check cache.
+// RunOpts loads the packages matched by opts.Patterns (resolved against
+// dir) and analyzes them: one Loader.Load followed by one Analyze.
 func RunOpts(dir string, opts Options) (*Result, error) {
-	fullSuite := opts.Analyzers == nil
-	analyzers := opts.Analyzers
-	if fullSuite {
-		analyzers = Analyzers()
-	}
 	loader := &Loader{Dir: dir, Tests: opts.Tests}
 	pkgs, err := loader.Load(opts.Patterns)
 	if err != nil {
 		return nil, err
+	}
+	return Analyze(loader, pkgs, opts.Analyzers, opts.Graph)
+}
+
+// Analyze runs the given analyzers (the full suite when nil) over
+// packages already loaded by loader, and writes the call graph to graph
+// when it is non-nil. It reads the packages without changing them, so
+// one load can serve any number of Analyze calls. File paths in findings
+// are reported relative to the loader's directory when possible.
+// Packages are analyzed in parallel, one goroutine per package over the
+// loader's shared type-check cache.
+func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, graph io.Writer) (*Result, error) {
+	fullSuite := analyzers == nil
+	if fullSuite {
+		analyzers = Analyzers()
 	}
 	res := &Result{Packages: len(pkgs)}
 
@@ -125,7 +119,7 @@ func RunOpts(dir string, opts Options) (*Result, error) {
 	// forced here, before the parallel phase, so per-package analyzers
 	// read them without synchronization.
 	var prog *Program
-	needsProgram := opts.Graph != nil
+	needsProgram := graph != nil
 	for _, a := range analyzers {
 		if a.Run == nil || a.NeedsProgram {
 			needsProgram = true
@@ -134,8 +128,8 @@ func RunOpts(dir string, opts Options) (*Result, error) {
 	if needsProgram {
 		prog = BuildProgram(loader.Fset(), pkgs)
 		prog.EnsureSummaries()
-		if opts.Graph != nil {
-			if err := prog.WriteDOT(opts.Graph); err != nil {
+		if graph != nil {
+			if err := prog.WriteDOT(graph); err != nil {
 				return nil, err
 			}
 		}

@@ -16,15 +16,7 @@ func TestTypeCheckOncePerPackage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; run without -short")
 	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := &Loader{Dir: root, Tests: true}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := loadModule(t)
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}
@@ -52,15 +44,7 @@ func TestLoadsExternalTestPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; run without -short")
 	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader := &Loader{Dir: root, Tests: true}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModule(t)
 	var sawRootBench, sawInPackageTest bool
 	for _, p := range pkgs {
 		if p.Path == "repro" && p.IsTest {
@@ -87,7 +71,7 @@ func BenchmarkFullRepoRun(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(root, []string{"./..."}, nil); err != nil {
+		if _, err := RunOpts(root, Options{Tests: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,15 +80,7 @@ func BenchmarkFullRepoRun(b *testing.B) {
 // BenchmarkAnalyzeOnly isolates the analysis half: one load, then
 // repeated analyzer passes over the cached packages.
 func BenchmarkAnalyzeOnly(b *testing.B) {
-	root, err := ModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	loader := &Loader{Dir: root, Tests: true}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		b.Fatal(err)
-	}
+	loader, pkgs := loadModule(b)
 	analyzers := Analyzers()
 	prog := BuildProgram(loader.Fset(), pkgs)
 	prog.EnsureSummaries()
@@ -118,17 +94,18 @@ func BenchmarkAnalyzeOnly(b *testing.B) {
 }
 
 // TestRepeatedRunsByteIdentical pins emission determinism end to end:
-// two independent loads and runs over the corpus must serialize to the
-// same bytes, JSON and SARIF both. Parallel package analysis, map-keyed
-// caches, and analyzer registration order all feed this — any of them
-// leaking iteration order shows up here as a diff.
+// two independent loads and runs over the corpus (the shared load and a
+// fresh one) must serialize to the same bytes, JSON and SARIF both.
+// Parallel package analysis, map-keyed caches, and analyzer
+// registration order all feed this — any of them leaking iteration
+// order shows up here as a diff.
 func TestRepeatedRunsByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two module loads are slow; run without -short")
+		t.Skip("a second corpus load is slow; run without -short")
 	}
-	emit := func() (jsonBytes, sarifBytes []byte) {
+	emit := func(loader *Loader, pkgs []*Package) (jsonBytes, sarifBytes []byte) {
 		t.Helper()
-		res, err := Run(".", []string{"./testdata/src/..."}, nil)
+		res, err := Analyze(loader, pkgs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +119,13 @@ func TestRepeatedRunsByteIdentical(t *testing.T) {
 		}
 		return jsonBytes, buf.Bytes()
 	}
-	j1, s1 := emit()
-	j2, s2 := emit()
+	j1, s1 := emit(loadCorpus(t))
+	fresh := &Loader{Dir: ".", Tests: true}
+	freshPkgs, err := fresh.Load([]string{"./testdata/src/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, s2 := emit(fresh, freshPkgs)
 	if !bytes.Equal(j1, j2) {
 		t.Error("JSON output differs between identical runs")
 	}

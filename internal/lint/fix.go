@@ -24,8 +24,8 @@ type FilePatch struct {
 }
 
 // BuildPatches folds the Edits carried by findings into per-file
-// patches. dir anchors relative finding paths. Suppressed and baselined
-// findings keep their defects by choice, so their edits are not applied.
+// patches. dir anchors relative finding paths. Suppressed findings
+// keep their defects by choice, so their edits are not applied.
 // Overlapping edits are applied last-position-first; a later edit
 // overlapping one already applied is skipped rather than guessed at.
 func BuildPatches(dir string, findings []Finding) ([]*FilePatch, error) {
@@ -35,7 +35,7 @@ func BuildPatches(dir string, findings []Finding) ([]*FilePatch, error) {
 	}
 	byFile := make(map[string][]edit)
 	for _, f := range findings {
-		if f.Suppressed || f.Baselined || len(f.Edits) == 0 {
+		if f.Suppressed || len(f.Edits) == 0 {
 			continue
 		}
 		for _, e := range f.Edits {

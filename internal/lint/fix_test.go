@@ -86,59 +86,6 @@ func TestFixRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBaselineRoundTrip writes a baseline from a dirty result and checks
-// it absorbs exactly those findings on the next run, entry for entry.
-func TestBaselineRoundTrip(t *testing.T) {
-	res := &Result{Findings: []Finding{
-		{Check: "body-leak", Severity: SeverityError, File: "a.go", Line: 10, Message: "m1"},
-		{Check: "body-leak", Severity: SeverityError, File: "a.go", Line: 30, Message: "m1"},
-		{Check: "wall-clock", Severity: SeverityWarn, File: "b.go", Line: 5, Message: "m2", Suppressed: true},
-	}}
-	b := BaselineFrom(res)
-	if len(b.Entries) != 2 {
-		t.Fatalf("baseline entries = %d, want 2 (suppressed excluded)", len(b.Entries))
-	}
-
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := b.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Entries) != 2 {
-		t.Fatalf("loaded entries = %d, want 2", len(loaded.Entries))
-	}
-
-	// Same findings: all absorbed, nothing gates.
-	res.ApplyBaseline(loaded)
-	if g := res.Gating(SeverityWarn); len(g) != 0 {
-		t.Fatalf("gating after baseline = %v, want none", g)
-	}
-
-	// A third occurrence of the same fingerprint exceeds the budget and
-	// gates again.
-	res2 := &Result{Findings: []Finding{
-		{Check: "body-leak", Severity: SeverityError, File: "a.go", Line: 10, Message: "m1"},
-		{Check: "body-leak", Severity: SeverityError, File: "a.go", Line: 30, Message: "m1"},
-		{Check: "body-leak", Severity: SeverityError, File: "a.go", Line: 50, Message: "m1"},
-	}}
-	res2.ApplyBaseline(loaded)
-	if g := res2.Gating(SeverityWarn); len(g) != 1 {
-		t.Fatalf("gating with surplus finding = %d, want 1", len(g))
-	}
-
-	// Missing baseline file is an empty baseline, not an error.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Entries) != 0 {
-		t.Fatalf("missing baseline loaded %d entries", len(empty.Entries))
-	}
-}
-
 // TestSeverityGating pins the severity lattice the -fail-on flag selects
 // from.
 func TestSeverityGating(t *testing.T) {

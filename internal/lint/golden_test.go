@@ -7,8 +7,51 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// sharedLoad is one Loader.Load whose packages several tests analyze.
+// Type-checking from source (the standard library included) dominates
+// this package's test time and Analyze never changes what it reads, so
+// the corpus and the whole module are each loaded once per test binary.
+type sharedLoad struct {
+	once   sync.Once
+	loader *Loader
+	pkgs   []*Package
+	err    error
+}
+
+func (s *sharedLoad) load(t testing.TB, dir, pattern string) (*Loader, []*Package) {
+	t.Helper()
+	s.once.Do(func() {
+		s.loader = &Loader{Dir: dir, Tests: true}
+		s.pkgs, s.err = s.loader.Load([]string{pattern})
+	})
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.loader, s.pkgs
+}
+
+var corpusLoad, moduleLoad sharedLoad
+
+// loadCorpus returns the golden corpus, loaded once.
+func loadCorpus(t testing.TB) (*Loader, []*Package) {
+	t.Helper()
+	return corpusLoad.load(t, ".", "./testdata/src/...")
+}
+
+// loadModule returns the whole module with its test packages, loaded
+// once.
+func loadModule(t testing.TB) (*Loader, []*Package) {
+	t.Helper()
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return moduleLoad.load(t, root, "./...")
+}
 
 // want is one expectation parsed from a corpus `// want "regexp"`
 // comment: the named line must produce a finding whose message matches.
@@ -65,7 +108,8 @@ func collectWants(t *testing.T, root string) []*want {
 // requires an exact match between findings and want comments: every
 // want must be hit, and every unsuppressed finding must be wanted.
 func TestCorpusGolden(t *testing.T) {
-	res, err := Run(".", []string{"./testdata/src/..."}, nil)
+	loader, pkgs := loadCorpus(t)
+	res, err := Analyze(loader, pkgs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +167,15 @@ func TestCorpusGolden(t *testing.T) {
 
 // TestCorpusPerCheck re-runs each analyzer alone over the corpus and
 // requires it to produce at least one finding, so an analyzer that
-// silently dies cannot hide behind the others.
+// silently dies cannot hide behind the others. Each run is its own
+// Analyze — its own Program, built only if this analyzer asks for one —
+// so a check that silently leans on another's setup still fails here.
 func TestCorpusPerCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("six separate module loads are slow; run without -short")
-	}
+	loader, pkgs := loadCorpus(t)
 	for _, a := range Analyzers() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			res, err := Run(".", []string{"./testdata/src/..."}, []*Analyzer{a})
+			res, err := Analyze(loader, pkgs, []*Analyzer{a}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,39 +195,20 @@ func TestCorpusPerCheck(t *testing.T) {
 }
 
 // TestRepoTreeIsLintClean is the self-check gate: the real tree must
-// have zero unsuppressed findings, i.e. `make lint` passes. Skipped in
-// -short mode because it type-checks the whole module from source.
+// have zero unsuppressed findings at any severity, i.e. `make lint`
+// passes even with -fail-on info. Skipped in -short mode because it
+// type-checks the whole module from source.
 func TestRepoTreeIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; run without -short")
 	}
-	root, err := ModuleRoot(".")
+	loader, pkgs := loadModule(t)
+	res, err := Analyze(loader, pkgs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(root, []string{"./..."}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(filepath.Join(root, ".lint-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.ApplyBaseline(base)
 	for _, f := range res.Gating(SeverityInfo) {
 		t.Errorf("unsuppressed finding: %s", f.String())
-	}
-	// Every baseline entry must still absorb a live finding: stale
-	// entries are budget a regression could silently spend.
-	for _, e := range res.StaleBaseline(base) {
-		t.Errorf("stale baseline entry: %s %s %q", e.Check, e.File, e.Message)
-	}
-	// The baseline is for justified info-level debt only; error- and
-	// warn-severity findings must be fixed, not absorbed.
-	for _, f := range res.Findings {
-		if f.Baselined && f.Severity != SeverityInfo {
-			t.Errorf("baseline absorbs a %s-severity finding (only info may be waived): %s", f.Severity, f.String())
-		}
 	}
 	if res.Packages < 20 {
 		t.Errorf("analyzed %d packages, expected the whole module (>= 20)", res.Packages)

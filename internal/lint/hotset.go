@@ -6,12 +6,11 @@ import (
 	"strings"
 )
 
-// This file is the exported hot-set surface of the call graph. The
-// hotpath-alloc check was its first consumer; internal/perfgate is the
-// second: it maps the compiler's optimization diagnostics (escape
-// analysis, inlining, bounds-check elimination) onto the functions that
-// actually run per served instance, so performance contracts gate only
-// where regressions cost throughput.
+// This file is the exported hot-set surface of the call graph. Its one
+// consumer is internal/perfgate, which maps the compiler's optimization
+// diagnostics (escape analysis, inlining, bounds-check elimination) onto
+// the functions that actually run per served instance, so performance
+// contracts gate only where regressions cost throughput.
 
 // HotSet is the serving-reachability closure of the call graph: every
 // function reachable from a set of entry points, with per-iteration
@@ -99,12 +98,12 @@ func (p *Program) HotSet(isEntry func(*Node) bool) *HotSet {
 func (n *Node) FullName() string { return n.full }
 
 // ServingEntry is the default entry-point predicate: exported Predict*
-// declarations in serving-tier packages (and the hotpath-alloc corpus).
+// declarations in serving-tier packages.
 func ServingEntry(n *Node) bool {
 	if n.Decl == nil {
 		return false
 	}
-	if !pathHasAny(n.Pkg.Path, "serving", "hotpathalloc") {
+	if !pathHasAny(n.Pkg.Path, "serving") {
 		return false
 	}
 	name := n.Decl.Name.Name

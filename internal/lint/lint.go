@@ -84,9 +84,6 @@ type Finding struct {
 	// SuppressReason carries the directive's justification.
 	Suppressed     bool   `json:"suppressed,omitempty"`
 	SuppressReason string `json:"suppressReason,omitempty"`
-	// Baselined marks findings matched by the committed baseline file:
-	// known legacy debt that is tracked but does not gate CI.
-	Baselined bool `json:"baselined,omitempty"`
 	// Edits, when non-empty, is a mechanical fix applied by `-fix`.
 	Edits []Edit `json:"edits,omitempty"`
 }
@@ -125,7 +122,7 @@ type Analyzer struct {
 	// RunProgram, when set, runs once over the whole-module Program
 	// (call graph + summaries) instead of per package. The driver maps
 	// its findings back into the owning packages so suppression
-	// directives and baselines apply uniformly.
+	// directives apply uniformly.
 	RunProgram func(*ProgramPass)
 	// NeedsProgram requests that the driver build the Program and expose
 	// it as Pass.Prog even for per-package analyzers (ctx-leak and

@@ -5,24 +5,24 @@ import (
 	"go/types"
 )
 
-// AnalyzerMapOrderLeak protects the byte-identical artifacts on the
-// observability side of the repo — scenario scorecards, cluster status
-// JSON, perfgate reports, telemetry snapshots — from map iteration
-// order. It flags ranging over a map where the iteration can reach
-// serialized output: a direct print/write/encode in the range body, or
-// an append into a variable that the function never sorts afterwards.
-// It complements the nondeterminism check, which owns the seed-critical
-// numeric packages; the exemption here is per-variable (the appended
-// slice itself must be sorted), which catches the
-// "sorted the keys, serialized the values" near-miss.
+// AnalyzerMapOrderLeak protects the byte-identical artifacts of the
+// repo — scenario scorecards, cluster status JSON, perfgate reports,
+// telemetry snapshots, and the fixed-seed tables of the seed-critical
+// numeric packages — from map iteration order. It flags ranging over a
+// map where the iteration can reach serialized output: a direct
+// print/write/encode in the range body, or an append into a variable
+// that the function never sorts afterwards. The exemption is
+// per-variable (the appended slice itself must be sorted), which
+// catches the "sorted the keys, serialized the values" near-miss.
 var AnalyzerMapOrderLeak = &Analyzer{
 	Name:     "map-order-leak",
-	Doc:      "flags map iteration whose order can reach serialized output in artifact-writing packages",
+	Doc:      "flags map iteration whose order can reach serialized output in artifact-writing and seed-critical packages",
 	Severity: SeverityError,
 	AppliesTo: func(path string) bool {
 		return pathHasAny(path, "internal/scenario", "internal/cluster", "internal/serving",
 			"internal/perfgate", "internal/gateway", "internal/telemetry", "internal/benchfmt",
-			"internal/audit", "internal/dashboard")
+			"internal/audit", "internal/dashboard",
+			"internal/ml", "internal/mat", "internal/experiments", "internal/datagen")
 	},
 	Run: runMapOrderLeak,
 }

@@ -4,15 +4,16 @@ import (
 	"go/ast"
 )
 
-// AnalyzerNondeterminism flags nondeterminism sources inside the
+// AnalyzerNondeterminism flags unreproducible math/rand use inside the
 // seed-critical packages (ml, mat, experiments, datagen) whose outputs
 // reproduce the paper's Tables IV-VII. A fixed-seed run must produce
-// bit-identical tables, so wall-clock reads, the process-global math/rand
-// source, time-derived seeds, and map-iteration-order-dependent output
-// all break the evaluation silently.
+// bit-identical tables, so the process-global source and time-derived
+// seeds break the evaluation silently. The other two nondeterminism
+// sources have their own owners in the same packages: wall-clock for
+// time.Now, map-order-leak for map iteration order.
 var AnalyzerNondeterminism = &Analyzer{
 	Name: "nondeterminism",
-	Doc:  "flags time.Now, global/time-seeded math/rand, and map-order-dependent output in seed-critical packages",
+	Doc:  "flags global and time-seeded math/rand use in seed-critical packages",
 	AppliesTo: func(path string) bool {
 		return pathHasAny(path, "internal/ml", "internal/mat", "internal/experiments", "internal/datagen")
 	},
@@ -22,46 +23,33 @@ var AnalyzerNondeterminism = &Analyzer{
 func runNondeterminism(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkNondetCall(p, n)
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkMapRangeOrder(p, n)
-				}
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkNondetCall(p, call)
 			}
 			return true
 		})
 	}
 }
 
-// checkNondetCall flags wall-clock reads and unseeded / time-seeded
-// math/rand use.
+// checkNondetCall flags unseeded / time-seeded math/rand use.
 func checkNondetCall(p *Pass, call *ast.CallExpr) {
 	path, name, ok := p.PkgFunc(call)
-	if !ok {
+	if !ok || (path != "math/rand" && path != "math/rand/v2") {
 		return
 	}
-	switch path {
-	case "time":
-		if name == "Now" {
-			p.Reportf(call.Pos(), "time.Now() in a seed-critical package; inject the timestamp (or a clock) so fixed-seed runs reproduce")
+	switch name {
+	case "New":
+		// rand.New(src) is the sanctioned construction — the source
+		// itself is checked when it is rand.NewSource(...).
+	case "NewSource":
+		if len(call.Args) == 1 && containsTimeNow(p, call.Args[0]) {
+			p.Reportf(call.Pos(), "rand.NewSource seeded from time.Now(); thread an explicit seed so runs reproduce")
 		}
-	case "math/rand", "math/rand/v2":
-		switch name {
-		case "New":
-			// rand.New(src) is the sanctioned construction — the source
-			// itself is checked when it is rand.NewSource(...).
-		case "NewSource":
-			if len(call.Args) == 1 && containsTimeNow(p, call.Args[0]) {
-				p.Reportf(call.Pos(), "rand.NewSource seeded from time.Now(); thread an explicit seed so runs reproduce")
-			}
-		default:
-			// Any other package-level rand call (Int, Float64, Perm,
-			// Shuffle, Seed, ...) hits the shared global source whose
-			// sequence depends on every other caller in the process.
-			p.Reportf(call.Pos(), "math/rand.%s uses the process-global source; use a rand.New(rand.NewSource(seed)) instance instead", name)
-		}
+	default:
+		// Any other package-level rand call (Int, Float64, Perm,
+		// Shuffle, Seed, ...) hits the shared global source whose
+		// sequence depends on every other caller in the process.
+		p.Reportf(call.Pos(), "math/rand.%s uses the process-global source; use a rand.New(rand.NewSource(seed)) instance instead", name)
 	}
 }
 
@@ -76,81 +64,6 @@ func containsTimeNow(p *Pass, e ast.Expr) bool {
 			}
 		}
 		return !found
-	})
-	return found
-}
-
-// checkMapRangeOrder flags map-range loops whose bodies build output
-// (append, Print, Write) inside functions that never sort, i.e. the
-// iteration order leaks into the result. Functions that call sort.* or
-// slices.Sort* anywhere are exempt: the dominant repo idiom is
-// "collect keys, then sort" which is deterministic.
-func checkMapRangeOrder(p *Pass, fn *ast.FuncDecl) {
-	if functionSorts(p, fn) {
-		return
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		t := p.TypeOf(rng.X)
-		if t == nil {
-			return true
-		}
-		if !isMapType(t) {
-			return true
-		}
-		if buildsOutput(p, rng.Body) {
-			p.Reportf(rng.Pos(), "map iteration order leaks into output (no sort.* call in this function); sort keys first or collect-then-sort")
-		}
-		return true
-	})
-}
-
-// functionSorts reports whether fn calls any sort.* or slices.Sort*
-// function.
-func functionSorts(p *Pass, fn *ast.FuncDecl) bool {
-	sorts := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if path, name, ok := p.PkgFunc(call); ok {
-			if path == "sort" || (path == "slices" && len(name) >= 4 && name[:4] == "Sort") {
-				sorts = true
-			}
-		}
-		return !sorts
-	})
-	return sorts
-}
-
-// buildsOutput reports whether the block grows a slice, prints, or
-// writes — the shapes through which iteration order becomes observable.
-func buildsOutput(p *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if ident, isIdent := call.Fun.(*ast.Ident); isIdent && ident.Name == "append" {
-			found = true
-			return false
-		}
-		if path, name, ok := p.PkgFunc(call); ok && path == "fmt" &&
-			(name == "Print" || name == "Println" || name == "Printf" ||
-				name == "Fprint" || name == "Fprintln" || name == "Fprintf") {
-			found = true
-			return false
-		}
-		if _, name, ok := p.MethodCall(call); ok && (name == "Write" || name == "WriteString" || name == "WriteByte") {
-			found = true
-			return false
-		}
-		return true
 	})
 	return found
 }

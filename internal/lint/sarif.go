@@ -162,12 +162,6 @@ func (r *Result) WriteSARIF(w io.Writer) error {
 				Justification: f.SuppressReason,
 			})
 		}
-		if f.Baselined {
-			res.Suppressions = append(res.Suppressions, sarifSuppression{
-				Kind:          "external",
-				Justification: "accepted in .lint-baseline.json",
-			})
-		}
 		results = append(results, res)
 	}
 

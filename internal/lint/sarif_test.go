@@ -13,7 +13,7 @@ import (
 func TestWriteSARIFShape(t *testing.T) {
 	res := &Result{Findings: []Finding{
 		{Check: "lock-order", Severity: SeverityError, File: "internal/serving/serving.go", Line: 42, Col: 3, Message: "deadlock"},
-		{Check: "hotpath-alloc", Severity: SeverityInfo, File: "internal/ml/mlp.go", Line: 7, Message: "make on the hot path", Baselined: true},
+		{Check: "lint-directive", Severity: SeverityInfo, File: "internal/ml/mlp.go", Line: 7, Message: "stale directive"},
 		{Check: "taint-path", Severity: SeverityError, File: "internal/gateway/gateway.go", Line: 9, Col: 2, Message: "tainted", Suppressed: true, SuppressReason: "admin only"},
 	}}
 	var buf bytes.Buffer
@@ -112,15 +112,15 @@ func TestWriteSARIFShape(t *testing.T) {
 		t.Errorf("uri = %q", first.Locations[0].PhysicalLocation.ArtifactLocation.URI)
 	}
 
-	baselined := run.Results[1]
-	if baselined.Level != "note" {
-		t.Errorf("info severity mapped to %q, want note", baselined.Level)
+	info := run.Results[1]
+	if info.Level != "note" {
+		t.Errorf("info severity mapped to %q, want note", info.Level)
 	}
-	if baselined.Locations[0].PhysicalLocation.Region.StartColumn != 1 {
-		t.Errorf("zero column not clamped to 1: %+v", baselined.Locations[0].PhysicalLocation.Region)
+	if info.Locations[0].PhysicalLocation.Region.StartColumn != 1 {
+		t.Errorf("zero column not clamped to 1: %+v", info.Locations[0].PhysicalLocation.Region)
 	}
-	if len(baselined.Suppressions) != 1 || baselined.Suppressions[0].Kind != "external" {
-		t.Errorf("baselined finding suppressions: %+v", baselined.Suppressions)
+	if len(info.Suppressions) != 0 {
+		t.Errorf("unwaived finding carries suppressions: %+v", info.Suppressions)
 	}
 
 	waived := run.Results[2]

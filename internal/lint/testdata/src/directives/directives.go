@@ -3,16 +3,21 @@
 // finding, and must not suppress anything.
 package directives
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
 // BadWaiver omits the mandatory reason, so the directive is rejected
 // and the time.Now finding survives.
 func BadWaiver() time.Time {
-	//lint:ignore nondeterminism
-	return time.Now() // want "time.Now\(\) in a seed-critical package" "time.Now bypasses internal/clock"
+	//lint:ignore wall-clock
+	return time.Now() // want "time.Now bypasses internal/clock"
 }
 
-// GoodWaiver is well-formed for contrast; nothing reported.
-func GoodWaiver() time.Time {
-	return time.Now() //lint:ignore nondeterminism,wall-clock corpus demo of a complete directive
+// GoodWaiver is well-formed for contrast, and waives two checks (the
+// time-derived seed and the clock read) in one directive; nothing
+// reported.
+func GoodWaiver() rand.Source {
+	return rand.NewSource(time.Now().UnixNano()) //lint:ignore nondeterminism,wall-clock corpus demo of a complete directive
 }

@@ -1,8 +1,6 @@
 // Package maporderleak is spatial-lint golden-corpus input for the
 // map-order-leak analyzer: map iteration whose order can reach
-// serialized output. The overlapping nondeterminism findings on the
-// range headers are part of the golden expectations — the two checks
-// meet here by design (per-variable vs per-function exemption).
+// serialized output.
 package maporderleak
 
 import (
@@ -13,7 +11,7 @@ import (
 
 // Dump serializes straight out of the map range.
 func Dump(w *strings.Builder, m map[string]int) {
-	for k, v := range m { // want "map iteration order leaks into output"
+	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v) // want "map iteration order reaches serialized output"
 	}
 }
@@ -21,7 +19,7 @@ func Dump(w *strings.Builder, m map[string]int) {
 // Collect appends keys it never sorts.
 func Collect(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want "map iteration order leaks into output"
+	for k := range m {
 		keys = append(keys, k) // want "map iteration appends to a slice never sorted"
 	}
 	return keys
@@ -38,7 +36,7 @@ func CollectSorted(m map[string]int) []string {
 }
 
 // NearMiss sorts the keys but appends the values in map order: the
-// per-variable check catches what a per-function exemption would not.
+// exemption is per variable, so sorting a neighbour does not help.
 func NearMiss(m map[string]int) ([]string, []int) {
 	var keys []string
 	var vals []int
@@ -53,7 +51,7 @@ func NearMiss(m map[string]int) ([]string, []int) {
 // Debug emits an intentionally unordered dump behind a reasoned
 // suppression.
 func Debug(m map[string]int) {
-	for k, v := range m { // want "map iteration order leaks into output"
+	for k, v := range m {
 		//lint:ignore map-order-leak debug-only dump; order is explicitly unspecified here
 		fmt.Printf("%s=%d\n", k, v)
 	}

@@ -1,8 +1,6 @@
 // Package wallclock is spatial-lint golden-corpus input for the
 // wall-clock analyzer: direct time.* calls must route through
-// internal/clock in the scoped packages. The nondeterminism analyzer
-// also fires on time.Now here (the corpus runs every check), so those
-// lines carry both expectations.
+// internal/clock in the scoped packages.
 package wallclock
 
 import (
@@ -14,7 +12,7 @@ import (
 // stamp reads the wall clock directly; fixable because the file imports
 // internal/clock.
 func stamp() time.Time {
-	return time.Now() // want "time.Now bypasses internal/clock" "time.Now\(\) in a seed-critical package"
+	return time.Now() // want "time.Now bypasses internal/clock"
 }
 
 // snooze uses a timer with no Clock equivalent; flagged without a fix.
@@ -45,5 +43,5 @@ func defaultTicker() *ticker {
 
 // waived shows the suppression syntax for the wall-clock check itself.
 func waived() time.Time {
-	return time.Now() //lint:ignore wall-clock,nondeterminism boot stamp, printed once and never compared
+	return time.Now() //lint:ignore wall-clock boot stamp, printed once and never compared
 }

@@ -30,7 +30,6 @@ func PredictProbaAll(c Classifier, X [][]float64) [][]float64 {
 	}
 	out := make([][]float64, len(X))
 	for i, x := range X {
-		//lint:ignore hot-indirect this fallback exists for models without a batch kernel; the dispatch is the contract
 		out[i] = c.PredictProba(x)
 	}
 	return out

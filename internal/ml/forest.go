@@ -225,7 +225,6 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 	k := f.classes
 	leaves := f.leafDistributions()
 	leaves = leaves[:len(f.Members)]
-	//lint:ignore hotpath-alloc the result row is returned; the caller owns it
 	acc := make([]float64, k)
 	for m, t := range f.Members {
 		nodes := t.Nodes

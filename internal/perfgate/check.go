@@ -8,9 +8,8 @@ import (
 // Violation is one broken contract.
 type Violation struct {
 	// Kind classifies the break: "must-inline", "param-escape",
-	// "loop-alloc", "bounds-check", "bounds-provable", "pointer-chase",
-	// "missing-contract", "stale-contract", "toolchain" (report-only),
-	// "bounds-xval" (report-only).
+	// "loop-alloc", "bounds-check", "missing-contract", "stale-contract",
+	// "toolchain" (report-only).
 	Kind string `json:"kind"`
 	Func string `json:"func"`
 	File string `json:"file,omitempty"`
@@ -143,33 +142,6 @@ func checkOne(c *Contract, o Observation) []Violation {
 			v.Message += fmt.Sprintf("; first at %s:%d", d.File, d.Line)
 		}
 		out = append(out, v)
-	}
-	k := p.Kernel
-	if c.BoundsProvable {
-		switch {
-		case k.UnprovenIndexes > 0:
-			out = append(out, Violation{
-				Kind: "bounds-provable", Func: p.Name, File: p.File, Line: p.DeclLine, Gating: true,
-				Message: fmt.Sprintf("%d of %d data-loop index(es) no longer provable by the value-range analysis (contract: all provable); spatial-kernelcheck names the sites and the reslice-hint remedy", k.UnprovenIndexes, k.LoopIndexes),
-			})
-		case k.LoopIndexes > 0 && len(o.LoopBounds) > 0:
-			// Cross-validation, advisory by design: our interval prover
-			// and gc's bounds-check elimination answer the same question
-			// with different machinery. When we prove every index but gc
-			// kept a check, that is a BCE gap (or a prover optimism) worth
-			// a look — not a contract regression.
-			d := o.LoopBounds[0]
-			out = append(out, Violation{
-				Kind: "bounds-xval", Func: p.Name, File: p.File, Line: d.Line, Gating: false,
-				Message: fmt.Sprintf("value-range analysis proves all %d data-loop index(es) but the compiler kept %d bounds check(s), first at %s:%d — static proof and gc BCE disagree", k.LoopIndexes, len(o.LoopBounds), d.File, d.Line),
-			})
-		}
-	}
-	if c.ChaseFree && k.PointerChases > 0 {
-		out = append(out, Violation{
-			Kind: "pointer-chase", Func: p.Name, File: p.File, Line: p.DeclLine, Gating: true,
-			Message: fmt.Sprintf("%d load-dependent load(s) appeared in the data loops (contract: chase-free) — a cache miss per iteration; flatten the traversal or regenerate after review", k.PointerChases),
-		})
 	}
 	return out
 }

@@ -51,16 +51,6 @@ type Contract struct {
 	// Zero is the common (and strictest) promise for kernels.
 	MaxLoopAllocs   int `json:"maxLoopAllocs"`
 	MaxBoundsChecks int `json:"maxBoundsChecks"`
-	// BoundsProvable promises the SSA + value-range analysis (the layer
-	// behind spatial-kernelcheck) proved every non-load-derived index in
-	// the function's data loops within bounds; ChaseFree promises those
-	// loops perform no load-dependent loads (linked traversals,
-	// nested-slice element loads). Observation sets each only when the
-	// function has the corresponding work to promise about — indexes for
-	// BoundsProvable, data loops for ChaseFree — and a later build that
-	// breaks either fails the static gate before any benchmark moves.
-	BoundsProvable bool `json:"boundsProvable,omitempty"`
-	ChaseFree      bool `json:"chaseFree,omitempty"`
 }
 
 // AllocBudget is one predict path's allocation ceiling, asserted by
@@ -127,9 +117,6 @@ func Generate(obs []Observation, toolchain string, prev *Manifest) *Manifest {
 		if o.CanInline {
 			c.Inline = "must"
 		}
-		k := o.Profile.Kernel
-		c.BoundsProvable = k.LoopIndexes > 0 && k.UnprovenIndexes == 0
-		c.ChaseFree = len(o.Profile.Loops) > 0 && k.PointerChases == 0
 		var clean []string
 		escaping := make(map[string]bool, len(o.EscapingParams))
 		for _, p := range o.EscapingParams {

@@ -149,54 +149,6 @@ func TestCheckManifestViolations(t *testing.T) {
 	}
 }
 
-func TestCheckManifestKernelContracts(t *testing.T) {
-	provable := fixtureProfiles()
-	provable[0].Kernel = lint.KernelFacts{LoopIndexes: 3}
-	obs := Observe(provable, fixtureDiags())
-	m := Generate(obs, "go1.24.0", nil)
-	c := m.Functions["repro/internal/ml.Kernel"]
-	if c == nil || !c.BoundsProvable || !c.ChaseFree {
-		t.Fatalf("kernel contract should promise boundsProvable+chaseFree: %+v", c)
-	}
-	if h := m.Functions["repro/internal/ml.Helper"]; h == nil || h.BoundsProvable || h.ChaseFree {
-		t.Fatalf("helper (no loops, no indexes) must promise neither: %+v", h)
-	}
-
-	// The fresh check gates clean but carries the advisory
-	// cross-validation: the range analysis proves all three indexes while
-	// gc kept two checks in the loop — a disagreement worth a look.
-	vs := CheckManifest(m, obs, "go1.24.0")
-	if Gating(vs) != 0 {
-		t.Fatalf("fresh manifest should gate clean, got %+v", vs)
-	}
-	xval := 0
-	for _, v := range vs {
-		if v.Kind == "bounds-xval" {
-			xval++
-			if v.Gating {
-				t.Fatalf("bounds-xval must stay advisory: %+v", v)
-			}
-		}
-	}
-	if xval != 1 {
-		t.Fatalf("want one bounds-xval advisory, got %+v", vs)
-	}
-
-	// Regressions: one index loses its proof, two chases appear.
-	broken := fixtureProfiles()
-	broken[0].Kernel = lint.KernelFacts{LoopIndexes: 3, UnprovenIndexes: 1, PointerChases: 2}
-	vs = CheckManifest(m, Observe(broken, fixtureDiags()), "go1.24.0")
-	kinds := map[string]int{}
-	for _, v := range vs {
-		if v.Gating {
-			kinds[v.Kind]++
-		}
-	}
-	if kinds["bounds-provable"] != 1 || kinds["pointer-chase"] != 1 {
-		t.Fatalf("want bounds-provable+pointer-chase gates, got %v (%+v)", kinds, vs)
-	}
-}
-
 func TestCheckManifestMissingAndStale(t *testing.T) {
 	obs := Observe(fixtureProfiles(), fixtureDiags())
 	m := Generate(obs, "go1.24.0", nil)

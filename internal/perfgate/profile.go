@@ -38,12 +38,6 @@ type FuncProfile struct {
 	Entry   string
 	// PkgPath is the import path the function lives in.
 	PkgPath string
-	// Kernel summarizes the SSA + value-range shape of the body's data
-	// loops — how many index expressions they carry, how many of those
-	// the analysis could not prove in bounds, and how many load-dependent
-	// loads (pointer chases) they perform. These static facts back the
-	// manifest's boundsProvable/chaseFree contract kinds.
-	Kernel lint.KernelFacts
 }
 
 // DefaultEntry is the gate's entry predicate: the serving tier's
@@ -122,7 +116,6 @@ func BuildProfiles(modRoot string, opts ProfileOptions) ([]FuncProfile, error) {
 			PerIter:  hf.PerIter,
 			Entry:    hf.Entry.Name,
 			PkgPath:  n.Pkg.Path,
-			Kernel:   prog.KernelReport(n),
 		}
 		out = append(out, p)
 	}

@@ -57,15 +57,6 @@ func TestBuildProfilesSelf(t *testing.T) {
 		if len(p.Params) == 0 {
 			t.Errorf("%s: no params recorded", want)
 		}
-		// The batch kernels were brought to kernel grade by the self-run:
-		// every index proven, no pointer chases. The profile must carry
-		// those facts so Generate can promise them.
-		if p.Kernel.LoopIndexes == 0 {
-			t.Errorf("%s: no data-loop indexes recorded in kernel facts", want)
-		}
-		if p.Kernel.UnprovenIndexes != 0 || p.Kernel.PointerChases != 0 {
-			t.Errorf("%s: kernel facts show regressions: %+v", want, p.Kernel)
-		}
 	}
 
 	// Out-of-scope hot functions (telemetry, registry) must be excluded.

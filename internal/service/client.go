@@ -24,7 +24,9 @@ import (
 type Client struct {
 	// BaseURL is the service root, e.g. "http://gw:8000/shap".
 	BaseURL string
-	// HTTP is the underlying client; http.DefaultClient when nil.
+	// HTTP is the underlying client. When nil a shared client with a
+	// 30 s timeout is used — never http.DefaultClient, which has none,
+	// so one hung gateway would hang a sensor collection forever.
 	HTTP *http.Client
 	// APIKey, when set, is sent as the X-API-Key header (the gateway's
 	// auth middleware).
@@ -144,11 +146,14 @@ func (p *RetryPolicy) assess(method string, resp *http.Response, err error) (boo
 	return method == http.MethodGet && resp.StatusCode >= 500, 0
 }
 
+// defaultHTTPClient serves every Client that did not inject its own.
+var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	return http.DefaultClient
+	return defaultHTTPClient
 }
 
 // roundTrip sends one logical request, replaying it per the retry policy,

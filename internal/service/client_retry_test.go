@@ -109,3 +109,21 @@ func TestClientDoesNotRetryFailedPOST(t *testing.T) {
 		t.Fatalf("attempts %d, want 1 (POST 500 must not retry)", got)
 	}
 }
+
+// TestClientDefaultHTTPTimeout: a Client without an injected HTTP client
+// must NOT fall back to http.DefaultClient (no timeout — one hung gateway
+// hangs a sensor collection forever); the shared fallback carries a
+// timeout, and an injected client is used as-is.
+func TestClientDefaultHTTPTimeout(t *testing.T) {
+	got := (&Client{}).httpClient()
+	if got == http.DefaultClient {
+		t.Fatal("fallback client is http.DefaultClient")
+	}
+	if got.Timeout <= 0 {
+		t.Fatalf("fallback timeout %v, want positive", got.Timeout)
+	}
+	injected := &http.Client{}
+	if (&Client{HTTP: injected}).httpClient() != injected {
+		t.Fatal("injected client not used")
+	}
+}
