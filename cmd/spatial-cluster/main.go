@@ -15,18 +15,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -35,6 +31,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -131,22 +128,12 @@ func serve(n int, addr string, heartbeat time.Duration) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
 	mux.Handle("/metrics", tel.Handler())
-	srv := &http.Server{Addr: addr, Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("cluster coordinator on http://%s (%d replicas; /predict, /cluster/status, /cluster/promote, /cluster/rollback, /metrics)\n", addr, n)
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
+	var servers wire.Servers
+	if _, err := servers.Listen(addr, mux); err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
+	fmt.Printf("cluster coordinator on http://%s (%d replicas; /predict, /cluster/status, /cluster/promote, /cluster/rollback, /metrics)\n", addr, n)
+	return servers.Wait(context.Background())
 }
 
 // smokeArtifact is the status JSON the CI step uploads.
@@ -179,50 +166,49 @@ func runSmoke(n int, outPath string) error {
 	c.Start()
 	defer c.Stop()
 
-	// Coordinator listener.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// The coordinator, and the real gateway in front of it. The gateway
+	// stops first at teardown: it owns the connections into the coordinator.
+	gw := gateway.New(gateway.Config{HealthInterval: 100 * time.Millisecond})
+	var servers wire.Servers
+	defer func() {
+		shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		// The verdict is already decided; a loopback server that failed to
+		// drain in a second was closed, which is all teardown needs.
+		_ = servers.Shutdown(shutCtx, gw.Stop)
+	}()
+	coordURL, err := servers.Listen("127.0.0.1:0", c.Handler())
 	if err != nil {
 		return err
 	}
-	coordSrv := &http.Server{Handler: c.Handler()}
-	coordErr := make(chan error, 1)
-	go func() { coordErr <- coordSrv.Serve(ln) }()
-	defer func() {
-		_ = coordSrv.Close()
-		<-coordErr // join (always http.ErrServerClosed after Close)
-	}()
-	coordURL := "http://" + ln.Addr().String()
-
-	// Real gateway in front of the coordinator.
-	gw := gateway.New(gateway.Config{HealthInterval: 100 * time.Millisecond})
 	if err := gw.AddRoute("/ml", gateway.LeastConnections, coordURL); err != nil {
 		return err
 	}
 	gw.Start()
-	defer gw.Stop()
-	gwLn, err := net.Listen("tcp", "127.0.0.1:0")
+	gwURL, err := servers.Listen("127.0.0.1:0", gw)
 	if err != nil {
 		return err
 	}
-	gwSrv := &http.Server{Handler: gw}
-	gwErr := make(chan error, 1)
-	go func() { gwErr <- gwSrv.Serve(gwLn) }()
-	defer func() {
-		_ = gwSrv.Close()
-		<-gwErr // join (always http.ErrServerClosed after Close)
-	}()
-	gwURL := "http://" + gwLn.Addr().String()
-	client := &http.Client{Timeout: 10 * time.Second}
+	// post sends one request through the gateway and reports the answer's
+	// HTTP status; only a failure to get any answer is an error.
+	post := func(path string, in any) (int, string, error) {
+		err := wire.Do(context.Background(), nil, http.MethodPost, gwURL+path, nil, in, nil)
+		var status *wire.StatusError
+		switch {
+		case err == nil:
+			return http.StatusOK, "", nil
+		case errors.As(err, &status):
+			return status.Status, status.Message, nil
+		default:
+			return 0, "", err
+		}
+	}
 
 	art := smokeArtifact{Replicas: n, Codes: make(map[string]int)}
 	fail := func(format string, a ...any) { art.Failures = append(art.Failures, fmt.Sprintf(format, a...)) }
 
 	// Cluster-wide atomic promote to version 2, through the gateway.
-	promoteBody, err := json.Marshal(map[string]any{"name": "demo", "version": 2})
-	if err != nil {
-		return err
-	}
-	code, raw, err := post(client, gwURL+"/ml/cluster/promote", promoteBody)
+	code, raw, err := post("/ml/cluster/promote", serving.PromoteRequest{Name: "demo", Version: 2})
 	if err != nil {
 		return err
 	}
@@ -241,15 +227,11 @@ func runSmoke(n int, outPath string) error {
 
 	// Predict burst through the gateway: every request must come back
 	// 200 or 429 (shed); any 5xx is a failover bug.
-	instances := [][]float64{{2.1, 0.0}, {-2.2, 0.3}}
-	predictBody, err := json.Marshal(map[string]any{"modelId": "demo", "instances": instances})
-	if err != nil {
-		return err
-	}
+	predict := serving.PredictRequest{ModelID: "demo", Instances: [][]float64{{2.1, 0.0}, {-2.2, 0.3}}}
 	const burst = 200
 	art.Requests = burst
 	for i := 0; i < burst; i++ {
-		code, raw, err := post(client, gwURL+"/ml/predict", predictBody)
+		code, raw, err := post("/ml/predict", predict)
 		if err != nil {
 			fail("predict %d: %v", i, err)
 			continue
@@ -290,22 +272,4 @@ func runSmoke(n int, outPath string) error {
 		return fmt.Errorf("cluster smoke failed (%d failures)", len(art.Failures))
 	}
 	return nil
-}
-
-// post runs one JSON POST and returns the status code and body.
-func post(client *http.Client, url string, body []byte) (int, string, error) {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	defer func() {
-		if err := resp.Body.Close(); err != nil {
-			return
-		}
-	}()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return resp.StatusCode, "", err
-	}
-	return resp.StatusCode, buf.String(), nil
 }

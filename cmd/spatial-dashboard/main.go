@@ -11,13 +11,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/dashboard"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -35,23 +32,10 @@ func run(args []string) error {
 		return err
 	}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: dashboard.NewServer(dashboard.NewStore(*capacity)),
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("dashboard on http://%s (ingest at POST /api/readings, scrape /metrics, spans at /traces)\n", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
+	var servers wire.Servers
+	if _, err := servers.Listen(*addr, dashboard.NewServer(dashboard.NewStore(*capacity))); err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
+	fmt.Printf("dashboard on http://%s (ingest at POST /api/readings, scrape /metrics, spans at /traces)\n", *addr)
+	return servers.Wait(context.Background())
 }

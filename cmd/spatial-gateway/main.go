@@ -14,14 +14,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/wire"
 )
 
 // stringList collects repeatable flags.
@@ -83,23 +81,11 @@ func run(args []string) error {
 		}
 		fmt.Printf("route %s -> %s\n", prefix, backends)
 	}
-	gw.Start()
-	defer gw.Stop()
-
-	srv := &http.Server{Addr: *addr, Handler: gw}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("gateway listening on http://%s (Prometheus exposition at /metrics, spans at /traces, route JSON at /gateway/metrics)\n", *addr)
-		errCh <- srv.ListenAndServe()
-	}()
-	select {
-	case err := <-errCh:
+	var servers wire.Servers
+	if _, err := servers.Listen(*addr, gw); err != nil {
 		return err
-	case <-ctx.Done():
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutCtx)
+	gw.Start()
+	fmt.Printf("gateway listening on http://%s (Prometheus exposition at /metrics, spans at /traces, route JSON at /gateway/metrics)\n", *addr)
+	return servers.Wait(context.Background(), gw.Stop)
 }

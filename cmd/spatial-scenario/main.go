@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sensor"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -192,45 +192,43 @@ func runLive(ctx context.Context, sc scenario.Scenario) (*scenario.Record, error
 	// as a request for /).
 	model := stream.Model()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(predictResponse{Class: ml.Predict(model, req.Features)}); err != nil {
-			// The client went away mid-write; nothing to answer.
-			return
-		}
-	})
+	mux.HandleFunc("/", wire.Handle(func(_ context.Context, req *predictRequest) (predictResponse, error) {
+		return predictResponse{Class: ml.Predict(model, req.Features)}, nil
+	}))
 
-	svcURL, svcClose, err := serve(mux)
+	// One lifecycle for the three loopback servers. The gateway stops
+	// first at teardown: it owns the pooled connections into the proxy.
+	reg := telemetry.NewRegistry()
+	gw := gateway.New(gateway.Config{Telemetry: reg})
+	var servers wire.Servers
+	defer func() {
+		shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
+		defer cancel()
+		// The record is already built; a loopback server that failed to
+		// drain in a second was closed, which is all teardown needs.
+		_ = servers.Shutdown(shutCtx, gw.Stop)
+	}()
+	svcURL, err := servers.Listen("127.0.0.1:0", mux)
 	if err != nil {
 		return nil, err
 	}
-	defer svcClose()
 
 	chaos, err := scenario.NewChaosProxy(svcURL, clock.Real(), sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	chaosURL, chaosClose, err := serve(chaos)
+	chaosURL, err := servers.Listen("127.0.0.1:0", chaos)
 	if err != nil {
 		return nil, err
 	}
-	defer chaosClose()
 
-	reg := telemetry.NewRegistry()
-	gw := gateway.New(gateway.Config{Telemetry: reg})
 	if err := gw.AddRoute("/predict", gateway.RoundRobin, chaosURL); err != nil {
 		return nil, err
 	}
-	gwURL, gwClose, err := serve(gw)
+	gwURL, err := servers.Listen("127.0.0.1:0", gw)
 	if err != nil {
 		return nil, err
 	}
-	defer gwClose()
 
 	body, err := json.Marshal(predictRequest{Features: stream.Reference().X[0]})
 	if err != nil {
@@ -258,21 +256,4 @@ func runLive(ctx context.Context, sc scenario.Scenario) (*scenario.Record, error
 		Sensors:   mgr,
 		Telemetry: reg,
 	})
-}
-
-// serve mounts a handler on an ephemeral loopback listener and returns
-// its base URL plus a closer.
-func serve(h http.Handler) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	closer := func() {
-		_ = srv.Close()
-		<-errCh // join the serve goroutine (always http.ErrServerClosed after Close)
-	}
-	return "http://" + ln.Addr().String(), closer, nil
 }

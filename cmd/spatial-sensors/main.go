@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/sensor"
 	"repro/internal/service"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -144,18 +144,13 @@ func run(args []string) error {
 		return err
 	}
 
-	var metricsSrv *http.Server
-	metricsDone := make(chan struct{})
+	var servers wire.Servers
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
-		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: mux}
-		go func() {
-			defer close(metricsDone)
-			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "spatial-sensors: metrics server:", err)
-			}
-		}()
+		if _, err := servers.Listen(*metricsAddr, mux); err != nil {
+			return fmt.Errorf("metrics server: %w", err)
+		}
 		fmt.Printf("sensor metrics on http://%s/metrics\n", *metricsAddr)
 	}
 
@@ -164,14 +159,7 @@ func run(args []string) error {
 	}
 	fmt.Printf("sensors running every %v against %s; publishing to %s (ctrl-c to stop)\n",
 		*interval, *gatewayURL, *dashboardURL)
-	<-ctx.Done()
-	manager.Stop()
-	if metricsSrv != nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = metricsSrv.Shutdown(shutCtx)
-		<-metricsDone
-	}
+	err = servers.Wait(ctx, manager.Stop)
 	fmt.Println("sensors stopped")
-	return nil
+	return err
 }

@@ -19,12 +19,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"sync"
-	"syscall"
-	"time"
 
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -64,50 +61,22 @@ func run(args []string) error {
 		{"drift", *driftAddr, service.NewDriftService()},
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var (
-		servers []*http.Server
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		srvErr  error
-	)
+	var servers wire.Servers
 	started := 0
 	for _, e := range entries {
 		if e.addr == "" {
 			continue
 		}
-		srv := &http.Server{Addr: e.addr, Handler: e.handler}
-		servers = append(servers, srv)
+		if _, err := servers.Listen(e.addr, e.handler); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
 		started++
-		fmt.Printf("starting %s on http://%s (scrape /metrics, spans at /traces)\n", e.name, e.addr)
-		wg.Add(1)
-		go func(name string, srv *http.Server) {
-			defer wg.Done()
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				mu.Lock()
-				if srvErr == nil {
-					srvErr = fmt.Errorf("%s: %w", name, err)
-				}
-				mu.Unlock()
-				stop()
-			}
-		}(e.name, srv)
+		fmt.Printf("started %s on http://%s (scrape /metrics, spans at /traces)\n", e.name, e.addr)
 	}
 	if started == 0 {
 		return errors.New("no services enabled")
 	}
-
-	<-ctx.Done()
-	fmt.Println("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, srv := range servers {
-		_ = srv.Shutdown(shutCtx)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return srvErr
+	err := servers.Wait(context.Background())
+	fmt.Println("stopped")
+	return err
 }

@@ -2,22 +2,23 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // ErrReplicaDown is returned by backends whose replica is unreachable
 // (killed process, refused connection, transport failure). The router
 // treats it as a failover signal: the member is marked down immediately
 // and the request reroutes to the next ring candidate, without waiting
-// for the heartbeat sweep to notice.
-var ErrReplicaDown = errors.New("cluster: replica down")
+// for the heartbeat sweep to notice. The sentinel itself lives in the
+// wire package, beside the status table that maps it to 503.
+var ErrReplicaDown = wire.ErrReplicaDown
 
 // ErrNoReplicas is returned when no up, non-draining replica can take a
 // request. Servers surface it as 503.
-var ErrNoReplicas = errors.New("cluster: no replica available")
+var ErrNoReplicas = wire.ErrNoReplicas
 
 // HeartbeatInfo is one replica's self-report, polled by the cluster on
 // the heartbeat interval and folded into membership state.

@@ -1,16 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // The replica's wire boundary. Replica.Handler serves the Backend
@@ -19,29 +18,14 @@ import (
 // ones (one process per replica) behind the same Backend interface.
 //
 // Typed serving errors survive the boundary through the `kind` field of
-// the error envelope: an overload shed on the replica reconstructs as a
-// *serving.OverloadedError at the coordinator, an unknown reference as
-// serving.ErrNotFound, so the router and HTTP error mapping behave
-// identically in both modes.
+// wire's error envelope: an overload shed on the replica reconstructs as
+// a *serving.OverloadedError at the coordinator, an unknown reference as
+// serving.ErrNotFound, a killed replica behind a still-running HTTP
+// server as ErrReplicaDown, so the router and HTTP error mapping behave
+// identically in both modes. /replica/predict speaks the serving tier's
+// own PredictRequest/PredictResponse through the shared predict handler.
 
-// replicaError is the wire error envelope.
-type replicaError struct {
-	Error        string `json:"error"`
-	Kind         string `json:"kind,omitempty"` // "overloaded" | "notfound" | "down" | ""
-	RetryAfterMs int64  `json:"retryAfterMs,omitempty"`
-}
-
-// wire shapes for the backend methods.
-type wirePredictReq struct {
-	Ref       string      `json:"ref"`
-	Instances [][]float64 `json:"instances"`
-}
-
-type wirePredictResp struct {
-	Probs   [][]float64 `json:"probs"`
-	Classes []int       `json:"classes"`
-}
-
+// wire shapes for the remaining backend methods.
 type wirePushReq struct {
 	Name string `json:"name"`
 	Algo string `json:"algo"`
@@ -60,129 +44,63 @@ type wireTxnReq struct {
 	Txn string `json:"txn"`
 }
 
+// replicaErr places a backend error in wire's status table: typed errors
+// (shed, not found, down, closed) keep their own rows; anything else is a
+// refusal the coordinator treats as divergence — 409, not the 422 an
+// untagged error would get, and never a tag over "down", which the
+// coordinator must still see as a failover signal.
+func replicaErr(err error) error {
+	if errors.Is(err, ErrReplicaDown) || errors.Is(err, serving.ErrClosed) {
+		return err
+	}
+	return wire.Conflict(err)
+}
+
+// serveGet answers a bodiless GET with fn's result.
+func serveGet[T any](fn func(context.Context) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := fn(r.Context())
+		if err != nil {
+			wire.WriteError(w, replicaErr(err))
+			return
+		}
+		wire.Write(w, http.StatusOK, v)
+	}
+}
+
+// txnState is the answer to a prepare, commit or abort.
+func txnState(txn, state string, err error) (map[string]string, error) {
+	return map[string]string{"txn": txn, "state": state}, replicaErr(err)
+}
+
 // Handler exposes the replica's Backend surface over HTTP under
-// /replica/*, plus /healthz and the serving runtime's /metrics when its
-// telemetry registry is wanted elsewhere.
+// /replica/*, plus /healthz.
 func (rp *Replica) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replica/heartbeat", rp.handleHeartbeat)
-	mux.HandleFunc("POST /replica/predict", rp.handlePredict)
-	mux.HandleFunc("POST /replica/push", rp.handlePush)
-	mux.HandleFunc("GET /replica/aliases", rp.handleAliases)
-	mux.HandleFunc("POST /replica/prepare", rp.handlePrepare)
-	mux.HandleFunc("POST /replica/commit", rp.handleCommit)
-	mux.HandleFunc("POST /replica/abort", rp.handleAbort)
+	mux.HandleFunc("GET /replica/heartbeat", serveGet(rp.Heartbeat))
+	mux.HandleFunc("GET /replica/aliases", serveGet(rp.Aliases))
+	mux.HandleFunc("POST /replica/predict", wire.PredictHandler(func(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
+		probs, classes, err := rp.Predict(ctx, ref, instances)
+		return probs, classes, replicaErr(err)
+	}))
+	mux.HandleFunc("POST /replica/push", wire.Handle(func(ctx context.Context, req *wirePushReq) (serving.Ref, error) {
+		ref, err := rp.Push(ctx, req.Name, req.Algo, req.Blob)
+		return ref, replicaErr(err)
+	}))
+	mux.HandleFunc("POST /replica/prepare", wire.Handle(func(ctx context.Context, req *wirePrepareReq) (map[string]string, error) {
+		ttl := time.Duration(req.TTLMs) * time.Millisecond
+		return txnState(req.Txn, "prepared", rp.Prepare(ctx, req.Txn, req.Name, req.Version, req.ID, ttl))
+	}))
+	mux.HandleFunc("POST /replica/commit", wire.Handle(func(ctx context.Context, req *wireTxnReq) (map[string]string, error) {
+		return txnState(req.Txn, "committed", rp.Commit(ctx, req.Txn))
+	}))
+	mux.HandleFunc("POST /replica/abort", wire.Handle(func(ctx context.Context, req *wireTxnReq) (map[string]string, error) {
+		return txnState(req.Txn, "aborted", rp.Abort(ctx, req.Txn))
+	}))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "replica": rp.id})
+		wire.Write(w, http.StatusOK, map[string]string{"status": "ok", "replica": rp.id})
 	})
 	return mux
-}
-
-// writeReplicaError maps backend errors onto the wire envelope. A killed
-// replica behind a still-running HTTP server answers 503/kind=down so
-// the client backend converts it back to ErrReplicaDown.
-func writeReplicaError(w http.ResponseWriter, err error) {
-	var over *serving.OverloadedError
-	switch {
-	case errors.As(err, &over):
-		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-		writeJSON(w, http.StatusTooManyRequests, replicaError{
-			Error: err.Error(), Kind: "overloaded", RetryAfterMs: over.RetryAfter.Milliseconds(),
-		})
-	case errors.Is(err, serving.ErrNotFound):
-		writeJSON(w, http.StatusNotFound, replicaError{Error: err.Error(), Kind: "notfound"})
-	case errors.Is(err, ErrReplicaDown), errors.Is(err, serving.ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, replicaError{Error: err.Error(), Kind: "down"})
-	default:
-		writeJSON(w, http.StatusConflict, replicaError{Error: err.Error()})
-	}
-}
-
-func (rp *Replica) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	info, err := rp.Heartbeat(r.Context())
-	if err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (rp *Replica) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req wirePredictReq
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	probs, classes, err := rp.Predict(r.Context(), req.Ref, req.Instances)
-	if err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wirePredictResp{Probs: probs, Classes: classes})
-}
-
-func (rp *Replica) handlePush(w http.ResponseWriter, r *http.Request) {
-	var req wirePushReq
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ref, err := rp.Push(r.Context(), req.Name, req.Algo, req.Blob)
-	if err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ref)
-}
-
-func (rp *Replica) handleAliases(w http.ResponseWriter, r *http.Request) {
-	aliases, err := rp.Aliases(r.Context())
-	if err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, aliases)
-}
-
-func (rp *Replica) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req wirePrepareReq
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	err := rp.Prepare(r.Context(), req.Txn, req.Name, req.Version, req.ID,
-		time.Duration(req.TTLMs)*time.Millisecond)
-	if err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"txn": req.Txn, "state": "prepared"})
-}
-
-func (rp *Replica) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req wireTxnReq
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := rp.Commit(r.Context(), req.Txn); err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"txn": req.Txn, "state": "committed"})
-}
-
-func (rp *Replica) handleAbort(w http.ResponseWriter, r *http.Request) {
-	var req wireTxnReq
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := rp.Abort(r.Context(), req.Txn); err != nil {
-		writeReplicaError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"txn": req.Txn, "state": "aborted"})
 }
 
 // HTTPBackend implements Backend against a remote replica's Handler.
@@ -196,76 +114,35 @@ type HTTPBackend struct {
 }
 
 // NewHTTPBackend builds a backend for the replica with the given stable
-// ID served at baseURL. client may be nil; a dedicated client with a
-// sane timeout is used (never http.DefaultClient, which has none).
+// ID served at baseURL. client may be nil; wire.DefaultClient (30 s
+// timeout, never the timeout-less http.DefaultClient) is used then.
 func NewHTTPBackend(id, baseURL string, client *http.Client) *HTTPBackend {
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
 	return &HTTPBackend{id: id, base: baseURL, client: client}
 }
 
 // ID implements Backend.
 func (b *HTTPBackend) ID() string { return b.id }
 
-// do runs one round trip and decodes the response into out (when
-// non-nil), converting error envelopes back into typed errors.
+// do runs one wire round trip, which hands error envelopes back as the
+// typed errors they were written from.
 func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("cluster: marshal %s: %w", path, err)
-		}
-		body = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.base+path, body)
-	if err != nil {
-		return fmt.Errorf("cluster: build %s: %w", path, err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
+	err := wire.Do(ctx, b.client, method, b.base+path, nil, in, out)
+	var transport *url.Error
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &transport):
 		// Transport-level failure: the process is gone or unreachable.
 		return fmt.Errorf("replica %s: %s: %v: %w", b.id, path, err, ErrReplicaDown)
-	}
-	defer func() {
-		if cerr := resp.Body.Close(); cerr != nil {
-			return
-		}
-	}()
-	if resp.StatusCode == http.StatusOK {
-		if out == nil {
-			_, err := io.Copy(io.Discard, resp.Body)
-			return err
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	var envelope replicaError
-	if derr := json.NewDecoder(resp.Body).Decode(&envelope); derr != nil || envelope.Error == "" {
-		return fmt.Errorf("replica %s: %s: http %d", b.id, path, resp.StatusCode)
-	}
-	switch envelope.Kind {
-	case "overloaded":
-		return &serving.OverloadedError{
-			Ref:        path,
-			RetryAfter: time.Duration(envelope.RetryAfterMs) * time.Millisecond,
-		}
-	case "notfound":
-		return fmt.Errorf("replica %s: %s: %w", b.id, envelope.Error, serving.ErrNotFound)
-	case "down":
-		return fmt.Errorf("replica %s: %s: %w", b.id, envelope.Error, ErrReplicaDown)
 	default:
-		return fmt.Errorf("replica %s: %s", b.id, envelope.Error)
+		return fmt.Errorf("replica %s: %s: %w", b.id, path, err)
 	}
 }
 
 // Predict implements Backend.
 func (b *HTTPBackend) Predict(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
-	var resp wirePredictResp
-	err := b.do(ctx, http.MethodPost, "/replica/predict", wirePredictReq{Ref: ref, Instances: instances}, &resp)
+	var resp serving.PredictResponse
+	err := b.do(ctx, http.MethodPost, "/replica/predict", serving.PredictRequest{ModelID: ref, Instances: instances}, &resp)
 	if err != nil {
 		// Give the reconstructed overload error its real model ref.
 		var over *serving.OverloadedError

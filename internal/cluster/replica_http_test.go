@@ -3,11 +3,15 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // TestHTTPBackendRoundTrip drives the full wire boundary: an HTTP
@@ -130,4 +134,36 @@ func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	if over.Ref != "demo" {
 		t.Fatalf("reconstructed overload ref %q, want demo", over.Ref)
 	}
+}
+
+// TestReplicaPushRefusesOversizedBlob: a push whose declared body is over
+// the wire limit is answered 413 before a byte of the blob is buffered.
+func TestReplicaPushRefusesOversizedBlob(t *testing.T) {
+	rp := NewReplica("replica-big", serving.Config{MaxBatch: 1})
+	defer rp.Close()
+	body := &readCounter{r: strings.NewReader(`{"name":"demo","algo":"lr","blob":"`)}
+	req := httptest.NewRequest("POST", "/replica/push", body)
+	req.ContentLength = wire.MaxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	rp.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized push: status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	if body.n != 0 {
+		t.Fatalf("oversized push: %d bytes of the blob were read before refusing", body.n)
+	}
+	if rp.Runtime().Registry().Len() != 0 {
+		t.Fatal("oversized push registered a model")
+	}
+}
+
+type readCounter struct {
+	r io.Reader
+	n int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }

@@ -1,177 +1,56 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
+	"context"
 	"net/http"
-	"time"
 
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // Handler exposes the cluster over HTTP with the MLService's JSON
-// contracts, so the existing gateway and service.Client talk to a
-// cluster exactly as they talk to a single replica:
+// contracts (the same serving request structs, the same wire handlers),
+// so the existing gateway and service.Client talk to a cluster exactly as
+// they talk to a single replica:
 //
 //	POST /predict          {modelId, instances} -> {classes, probs}
 //	POST /cluster/promote  {name, version}      -> {name, version, id}
 //	POST /cluster/rollback {name}               -> {name, version, id}
 //	GET  /cluster/status                        -> StatusInfo
 //	GET  /healthz
+//
+// Routing and serving errors map through wire's one table: sheds 429 with
+// Retry-After, unknown references 404, an empty tier 503, scoring
+// failures 422, a refused or aborted flip 409.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /predict", c.handlePredict)
-	mux.HandleFunc("POST /cluster/promote", c.handlePromote)
-	mux.HandleFunc("POST /cluster/rollback", c.handleRollback)
-	mux.HandleFunc("GET /cluster/status", c.handleStatus)
+	mux.HandleFunc("POST /predict", wire.PredictHandler(func(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
+		probs, classes, err := c.Predict(ctx, ref, instances)
+		return probs, classes, wire.ModelNotFound(ref, err)
+	}))
+	mux.HandleFunc("POST /cluster/promote", wire.Handle(c.promote))
+	mux.HandleFunc("POST /cluster/rollback", wire.Handle(c.rollback))
+	mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, r *http.Request) {
+		wire.Write(w, http.StatusOK, c.Status())
+	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		wire.Write(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
 
-// predictRequest mirrors service.PredictRequest.
-type predictRequest struct {
-	ModelID   string      `json:"modelId"`
-	Instances [][]float64 `json:"instances"`
-}
-
-// predictResponse mirrors service.PredictResponse.
-type predictResponse struct {
-	Classes []int       `json:"classes"`
-	Probs   [][]float64 `json:"probs"`
-}
-
-// promoteRequest mirrors service.PromoteRequest.
-type promoteRequest struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-}
-
-// rollbackRequest mirrors service.RollbackRequest.
-type rollbackRequest struct {
-	Name string `json:"name"`
-}
-
-// aliasResponse mirrors service.AliasResponse.
-type aliasResponse struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	ID      string `json:"id"`
-}
-
-func (c *Cluster) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	probs, classes, err := c.Predict(r.Context(), req.ModelID, req.Instances)
-	if err != nil {
-		writeClusterPredictError(w, req.ModelID, err)
-		return
-	}
-	if probs == nil {
-		probs, classes = [][]float64{}, []int{}
-	}
-	writeJSON(w, http.StatusOK, predictResponse{Classes: classes, Probs: probs})
-}
-
-// writeClusterPredictError maps routing and serving errors onto HTTP:
-// sheds 429 with Retry-After, unknown references 404, an empty tier 503,
-// scoring failures 422.
-func writeClusterPredictError(w http.ResponseWriter, ref string, err error) {
-	var over *serving.OverloadedError
-	switch {
-	case errors.As(err, &over):
-		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, serving.ErrNotFound):
-		writeError(w, http.StatusNotFound, fmt.Errorf("model %q not found", ref))
-	case errors.Is(err, ErrNoReplicas) || errors.Is(err, ErrReplicaDown):
-		writeError(w, http.StatusServiceUnavailable, err)
-	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
-	}
-}
-
-func (c *Cluster) handlePromote(w http.ResponseWriter, r *http.Request) {
-	var req promoteRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (c *Cluster) promote(_ context.Context, req *serving.PromoteRequest) (resp serving.AliasResponse, err error) {
 	if err := c.PromoteAll(req.Name, req.Version); err != nil {
-		status := http.StatusConflict
-		if errors.Is(err, serving.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
-		return
+		return resp, wire.Conflict(err)
 	}
 	id, err := c.canonical.Resolve(req.Name)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return resp, wire.Tag(wire.ErrInternal, err)
 	}
-	writeJSON(w, http.StatusOK, aliasResponse{Name: req.Name, Version: req.Version, ID: id})
+	return serving.AliasResponse{Name: req.Name, Version: req.Version, ID: id}, nil
 }
 
-func (c *Cluster) handleRollback(w http.ResponseWriter, r *http.Request) {
-	var req rollbackRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (c *Cluster) rollback(_ context.Context, req *serving.RollbackRequest) (serving.AliasResponse, error) {
 	ref, err := c.RollbackAll(req.Name)
-	if err != nil {
-		status := http.StatusConflict
-		if errors.Is(err, serving.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, aliasResponse{Name: ref.Name, Version: ref.Version, ID: ref.ID})
-}
-
-func (c *Cluster) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
-}
-
-// retryAfterSeconds renders a back-off hint as the integer-seconds form
-// of the Retry-After header, rounding sub-second hints up to 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if d%time.Second != 0 || secs < 1 {
-		secs++
-	}
-	return fmt.Sprintf("%d", secs)
-}
-
-// errorBody mirrors the service tier's error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode request: %w", err)
-	}
-	return nil
+	return serving.AliasResponse{Name: ref.Name, Version: ref.Version, ID: ref.ID}, wire.Conflict(err)
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -15,6 +13,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/sensor"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // Options parameterizes a SPATIAL deployment.
@@ -48,8 +47,7 @@ type System struct {
 	Sensors   *sensor.Manager
 
 	mu       sync.Mutex
-	servers  []*http.Server
-	serveWG  sync.WaitGroup
+	servers  wire.Servers
 	deployed bool
 
 	gatewayURL   string
@@ -107,7 +105,7 @@ func (s *System) DeployLocal(ctx context.Context) (gatewayURL, dashboardURL stri
 		{"/drift", s.Drift},
 	}
 	for _, sv := range services {
-		url, err := s.listenAndServeLocked(sv.handler)
+		url, err := s.servers.Listen("127.0.0.1:0", sv.handler)
 		if err != nil {
 			s.shutdownLocked(ctx)
 			return "", "", fmt.Errorf("deploy %s: %w", sv.prefix, err)
@@ -118,12 +116,12 @@ func (s *System) DeployLocal(ctx context.Context) (gatewayURL, dashboardURL stri
 		}
 	}
 
-	gatewayURL, err = s.listenAndServeLocked(s.Gateway)
+	gatewayURL, err = s.servers.Listen("127.0.0.1:0", s.Gateway)
 	if err != nil {
 		s.shutdownLocked(ctx)
 		return "", "", fmt.Errorf("deploy gateway: %w", err)
 	}
-	dashboardURL, err = s.listenAndServeLocked(s.Dashboard)
+	dashboardURL, err = s.servers.Listen("127.0.0.1:0", s.Dashboard)
 	if err != nil {
 		s.shutdownLocked(ctx)
 		return "", "", fmt.Errorf("deploy dashboard: %w", err)
@@ -132,26 +130,6 @@ func (s *System) DeployLocal(ctx context.Context) (gatewayURL, dashboardURL stri
 	s.deployed = true
 	s.gatewayURL, s.dashboardURL = gatewayURL, dashboardURL
 	return gatewayURL, dashboardURL, nil
-}
-
-// listenAndServeLocked starts an HTTP server on a fresh loopback port.
-func (s *System) listenAndServeLocked(h http.Handler) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: h}
-	s.servers = append(s.servers, srv)
-	s.serveWG.Add(1)
-	go func() {
-		defer s.serveWG.Done()
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			// Serve exits on Shutdown; anything else is logged by the
-			// default error logger inside http.Server.
-			_ = err
-		}
-	}()
-	return "http://" + ln.Addr().String(), nil
 }
 
 // ServiceClient returns a typed client for one gateway route (e.g. "/shap").
@@ -229,19 +207,11 @@ func (s *System) Shutdown(ctx context.Context) error {
 	return s.shutdownLocked(ctx)
 }
 
+// shutdownLocked stops the sensors and the gateway first — the gateway
+// owns the pooled connections into the service servers, and closing them
+// is what lets those servers drain at once — then the servers.
 func (s *System) shutdownLocked(ctx context.Context) error {
-	s.Sensors.Stop()
-	s.Gateway.Stop()
-	var firstErr error
-	for _, srv := range s.servers {
-		if err := srv.Shutdown(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.servers = nil
-	// Serve goroutines exit once Shutdown returns; join them so no
-	// loose goroutine outlives the System.
-	s.serveWG.Wait()
+	err := s.servers.Shutdown(ctx, s.Sensors.Stop, s.Gateway.Stop)
 	s.deployed = false
-	return firstErr
+	return err
 }

@@ -3,7 +3,7 @@ package dashboard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"log"
@@ -14,6 +14,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/sensor"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Server is the AI dashboard's HTTP surface. It implements http.Handler.
@@ -94,15 +95,15 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	kind := audit.Kind(r.URL.Query().Get("kind"))
-	writeJSON(w, http.StatusOK, s.trail.Records(kind))
+	wire.Write(w, http.StatusOK, s.trail.Records(kind))
 }
 
 func (s *Server) handleAuditVerify(w http.ResponseWriter, r *http.Request) {
 	if err := s.trail.Verify(); err != nil {
-		writeJSON(w, http.StatusConflict, map[string]any{"ok": false, "error": err.Error()})
+		wire.Write(w, http.StatusConflict, map[string]any{"ok": false, "error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "records": s.trail.Len()})
+	wire.Write(w, http.StatusOK, map[string]any{"ok": true, "records": s.trail.Len()})
 }
 
 // ServeHTTP implements http.Handler. The observability endpoints are
@@ -119,24 +120,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("dashboard: encode response: %v", err)
-	}
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var reading sensor.Reading
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reading); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	if err := wire.Decode(w, r, &reading); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
 	if reading.Sensor == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing sensor name"})
+		wire.WriteError(w, wire.BadRequest(errors.New("missing sensor name")))
 		return
 	}
 	s.store.Add(reading)
@@ -147,40 +138,40 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.trail.Append(kind, reading.Sensor, reading); err != nil {
 		log.Printf("dashboard: audit append: %v", err)
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
+	wire.Write(w, http.StatusAccepted, map[string]string{"status": "accepted"})
 }
 
 func (s *Server) handleSensors(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.store.Sensors())
+	wire.Write(w, http.StatusOK, s.store.Sensors())
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("sensor")
 	if name == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing ?sensor="})
+		wire.WriteError(w, wire.BadRequest(errors.New("missing ?sensor=")))
 		return
 	}
 	n := 0
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid ?n="})
+			wire.WriteError(w, wire.BadRequest(errors.New("invalid ?n=")))
 			return
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, s.store.Series(name, n))
+	wire.Write(w, http.StatusOK, s.store.Series(name, n))
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.Write(w, http.StatusOK, map[string]any{
 		"latest": s.store.Latest(),
 		"alerts": len(s.store.Alerts()),
 	})
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.store.Alerts())
+	wire.Write(w, http.StatusOK, s.store.Alerts())
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -304,7 +295,8 @@ full exposition at <a href="/metrics">/metrics</a>, traces at
 type Client struct {
 	// BaseURL is the dashboard root, e.g. "http://localhost:8088".
 	BaseURL string
-	// HTTP is the underlying client; http.DefaultClient when nil.
+	// HTTP is the underlying client; wire.DefaultClient (30 s timeout)
+	// when nil, so a hung dashboard cannot hang a sensor forever.
 	HTTP *http.Client
 }
 
@@ -312,26 +304,8 @@ var _ sensor.Sink = (*Client)(nil)
 
 // Publish implements sensor.Sink.
 func (c *Client) Publish(ctx context.Context, r sensor.Reading) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("marshal reading: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/api/readings", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := c.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
+	if err := wire.Do(ctx, c.HTTP, http.MethodPost, c.BaseURL+"/api/readings", nil, r, nil); err != nil {
 		return fmt.Errorf("publish reading: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("publish reading: status %d", resp.StatusCode)
 	}
 	return nil
 }

@@ -136,6 +136,11 @@ type Gateway struct {
 
 	limiter *rateLimiter
 	keys    map[string]struct{}
+	// transport is the gateway's own connection pool (the default
+	// transport's settings), shared by every reverse proxy and the health
+	// checker, so Stop can close its idle connections: a server being
+	// shut down would otherwise wait out the ones dialed and never used.
+	transport *http.Transport
 
 	tel     *telemetry.Registry
 	tracer  *telemetry.Tracer
@@ -183,13 +188,18 @@ func New(cfg Config) *Gateway {
 	if clk == nil {
 		clk = clock.Real()
 	}
+	transport := &http.Transport{}
+	if t, ok := http.DefaultTransport.(*http.Transport); ok {
+		transport = t.Clone()
+	}
 	g := &Gateway{
-		cfg:     cfg,
-		clk:     clk,
-		tel:     tel,
-		tracer:  tracer,
-		metricH: tel.Handler(),
-		traceH:  tracer.Handler(),
+		cfg:       cfg,
+		clk:       clk,
+		transport: transport,
+		tel:       tel,
+		tracer:    tracer,
+		metricH:   tel.Handler(),
+		traceH:    tracer.Handler(),
 		reqVec: tel.Counter("spatial_gateway_requests_total",
 			"Requests handled by the gateway, per route.", "route"),
 		errVec: tel.Counter("spatial_gateway_errors_total",
@@ -263,6 +273,7 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 		u := &upstream{target: target}
 		u.healthy.Store(true) // optimistic until the first health check
 		proxy := httputil.NewSingleHostReverseProxy(target)
+		proxy.Transport = g.transport
 		proxy.ModifyResponse = func(resp *http.Response) error {
 			// The gateway already stamped X-Trace-Id on the client
 			// response; drop the upstream's echo so the header is
@@ -636,7 +647,7 @@ func (g *Gateway) Start() {
 		if probeTimeout < 3*time.Second {
 			probeTimeout = 3 * time.Second
 		}
-		client := &http.Client{Timeout: probeTimeout}
+		client := &http.Client{Timeout: probeTimeout, Transport: g.transport}
 		for {
 			select {
 			case <-ticker.C():
@@ -648,15 +659,16 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Stop terminates the health checker and waits for it to exit. It is safe
-// to call multiple times, and safe to call even if Start was never called
-// (the health goroutine simply never ran).
+// Stop terminates the health checker, waits for it to exit, and closes
+// the gateway's idle upstream connections. It is safe to call multiple
+// times, and safe to call even if Start was never called (the health
+// goroutine simply never ran).
 func (g *Gateway) Stop() {
 	g.stopOnce.Do(func() { close(g.stop) })
-	if !g.started.Load() {
-		return
+	if g.started.Load() {
+		<-g.done
 	}
-	<-g.done
+	g.transport.CloseIdleConnections()
 }
 
 func (g *Gateway) checkHealth(client *http.Client) {

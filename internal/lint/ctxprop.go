@@ -17,7 +17,8 @@ var AnalyzerCtxPropagation = &Analyzer{
 	Name: "ctx-propagation",
 	Doc:  "flags exported serving-tier functions doing HTTP without a context, and http.NewRequest",
 	AppliesTo: func(path string) bool {
-		return pathHasAny(path, "internal/gateway", "internal/service", "internal/serving", "internal/sensor", "internal/dashboard")
+		return pathHasAny(path, "internal/gateway", "internal/service", "internal/serving", "internal/sensor", "internal/dashboard",
+			"internal/cluster", "internal/wire")
 	},
 	Run: runCtxPropagation,
 }

@@ -18,7 +18,8 @@ var AnalyzerUncheckedErr = &Analyzer{
 	Doc:  "flags discarded errors from Close, Write, and json.Encoder.Encode in the server tiers",
 	AppliesTo: func(path string) bool {
 		return pathHasAny(path, "internal/gateway", "internal/service", "internal/serving",
-			"internal/sensor", "internal/dashboard", "internal/loadgen", "internal/telemetry", "/cmd/")
+			"internal/sensor", "internal/dashboard", "internal/loadgen", "internal/telemetry", "/cmd/",
+			"internal/cluster", "internal/wire")
 	},
 	Run: runUncheckedErr,
 }

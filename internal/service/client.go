@@ -1,14 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"net/url"
 	"sync"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/resilience"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // Client is the typed HTTP client the AI sensors and examples use to call
@@ -24,9 +24,8 @@ import (
 type Client struct {
 	// BaseURL is the service root, e.g. "http://gw:8000/shap".
 	BaseURL string
-	// HTTP is the underlying client. When nil a shared client with a
-	// 30 s timeout is used — never http.DefaultClient, which has none,
-	// so one hung gateway would hang a sensor collection forever.
+	// HTTP is the underlying client; wire.DefaultClient (30 s timeout,
+	// never the timeout-less http.DefaultClient) when nil.
 	HTTP *http.Client
 	// APIKey, when set, is sent as the X-API-Key header (the gateway's
 	// auth middleware).
@@ -115,113 +114,49 @@ func (p *RetryPolicy) sleep(ctx context.Context, i int, hint time.Duration) erro
 	}
 }
 
-// retryAfterHint parses a 429's integer-seconds Retry-After header.
-func retryAfterHint(resp *http.Response) time.Duration {
-	if resp == nil {
-		return 0
-	}
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
-}
-
 // assess decides whether an attempt's outcome is retryable and with what
 // back-off hint.
-func (p *RetryPolicy) assess(method string, resp *http.Response, err error) (bool, time.Duration) {
+func (p *RetryPolicy) assess(method string, err error) (bool, time.Duration) {
 	if p == nil {
 		return false, 0
 	}
-	if err != nil {
-		// Network failure: the request may have executed, so only
-		// idempotent GETs retry.
-		return method == http.MethodGet, 0
+	var status *wire.StatusError
+	if !errors.As(err, &status) {
+		// The server was never reached or never answered: the request may
+		// have executed, so only idempotent GETs retry.
+		var transport *url.Error
+		return method == http.MethodGet && errors.As(err, &transport), 0
 	}
-	if resp.StatusCode == http.StatusTooManyRequests {
+	if status.Status == http.StatusTooManyRequests {
 		// Shed before execution — safe to retry any method, honoring
 		// the server's back-off hint.
-		return true, retryAfterHint(resp)
+		return true, status.RetryAfter
 	}
-	return method == http.MethodGet && resp.StatusCode >= 500, 0
+	return method == http.MethodGet && status.Status >= 500, 0
 }
 
-// defaultHTTPClient serves every Client that did not inject its own.
-var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+// do sends in as JSON to path and decodes the answer into out through the
+// one wire round trip (shared 30 s client when HTTP is nil, trace headers
+// from ctx, typed errors back from the envelope), replaying it per the
+// retry policy.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	hdr := http.Header{}
+	if c.APIKey != "" {
+		hdr.Set("X-API-Key", c.APIKey)
 	}
-	return defaultHTTPClient
-}
-
-// roundTrip sends one logical request, replaying it per the retry policy,
-// and returns the final response (caller closes the body).
-func (c *Client) roundTrip(ctx context.Context, method, path string, raw []byte) (*http.Response, error) {
 	attempts := c.Retry.attempts()
 	for i := 0; ; i++ {
-		var body io.Reader
-		if raw != nil {
-			body = bytes.NewReader(raw)
+		err := wire.Do(ctx, c.HTTP, method, c.BaseURL+path, hdr, in, out)
+		if err == nil {
+			return nil
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-		if err != nil {
-			return nil, fmt.Errorf("build request: %w", err)
-		}
-		if raw != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if c.APIKey != "" {
-			req.Header.Set("X-API-Key", c.APIKey)
-		}
-		resp, err := c.httpClient().Do(req)
-		retryable, hint := c.Retry.assess(method, resp, err)
-		if !retryable || i+1 >= attempts {
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", method, path, err)
+		if retryable, hint := c.Retry.assess(method, err); retryable && i+1 < attempts {
+			if err = c.Retry.sleep(ctx, i, hint); err == nil {
+				continue
 			}
-			return resp, nil
 		}
-		if resp != nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-		}
-		if err := c.Retry.sleep(ctx, i, hint); err != nil {
-			return nil, fmt.Errorf("%s %s: %w", method, path, err)
-		}
+		return fmt.Errorf("%s %s: %w", method, path, err)
 	}
-}
-
-// do posts in as JSON to path and decodes the response into out.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var raw []byte
-	if in != nil {
-		var err error
-		raw, err = json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("marshal request: %w", err)
-		}
-	}
-	resp, err := c.roundTrip(ctx, method, path, raw)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode >= 400 {
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err == nil && eb.Error != "" {
-			return fmt.Errorf("%s %s: %s (status %d)", method, path, eb.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("%s %s: status %d", method, path, resp.StatusCode)
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("decode response: %w", err)
-	}
-	return nil
 }
 
 // Train submits a training job to the ML-pipeline service.
@@ -242,17 +177,9 @@ func (c *Client) Predict(ctx context.Context, req PredictRequest) (PredictRespon
 // id accepts every serving-registry reference form ("m0001", "lgbm@2",
 // "sha256:...").
 func (c *Client) FetchModel(ctx context.Context, id string) (ml.Classifier, error) {
-	resp, err := c.roundTrip(ctx, http.MethodGet, "/models/"+id, nil)
-	if err != nil {
+	var raw json.RawMessage
+	if err := c.do(ctx, http.MethodGet, "/models/"+id, nil, &raw); err != nil {
 		return nil, fmt.Errorf("fetch model: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetch model %q: status %d", id, resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("read model body: %w", err)
 	}
 	return ml.UnmarshalModel(raw)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/wire"
 )
 
 // TestClientRetriesShedRequests drives the client against a server that
@@ -115,15 +116,33 @@ func TestClientDoesNotRetryFailedPOST(t *testing.T) {
 // hangs a sensor collection forever); the shared fallback carries a
 // timeout, and an injected client is used as-is.
 func TestClientDefaultHTTPTimeout(t *testing.T) {
-	got := (&Client{}).httpClient()
-	if got == http.DefaultClient {
+	if wire.DefaultClient == http.DefaultClient {
 		t.Fatal("fallback client is http.DefaultClient")
 	}
-	if got.Timeout <= 0 {
-		t.Fatalf("fallback timeout %v, want positive", got.Timeout)
+	if wire.DefaultClient.Timeout <= 0 {
+		t.Fatalf("fallback timeout %v, want positive", wire.DefaultClient.Timeout)
 	}
-	injected := &http.Client{}
-	if (&Client{HTTP: injected}).httpClient() != injected {
+	srv := httptest.NewServer(NewFairnessService())
+	defer srv.Close()
+	var viaInjected atomic.Int64
+	injected := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		viaInjected.Add(1)
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	if _, err := (&Client{BaseURL: srv.URL, HTTP: injected}).Healthz(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if viaInjected.Load() != 1 {
 		t.Fatal("injected client not used")
 	}
+	if _, err := (&Client{BaseURL: srv.URL}).Healthz(context.Background()); err != nil {
+		t.Fatalf("healthz through the shared fallback client: %v", err)
+	}
+	if viaInjected.Load() != 1 {
+		t.Fatal("a Client without HTTP went through another Client's injected one")
+	}
 }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

@@ -2,10 +2,10 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"repro/internal/drift"
+	"repro/internal/wire"
 )
 
 // DriftRequest asks the drift micro-service to compare a live batch
@@ -29,37 +29,24 @@ type DriftService struct{ *base }
 // NewDriftService constructs the service.
 func NewDriftService() *DriftService {
 	s := &DriftService{base: newBase("drift")}
-	s.handle("POST /drift", s.handleDrift)
+	s.handle("POST /drift", wire.Handle(detectDrift))
 	return s
 }
 
-func (s *DriftService) handleDrift(w http.ResponseWriter, r *http.Request) {
-	var req DriftRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ref, err := req.Reference.ToTable()
+func detectDrift(_ context.Context, req *DriftRequest) (rep drift.Report, err error) {
+	ref, err := req.Reference.toTable("reference")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reference table: %w", err))
-		return
+		return rep, err
 	}
-	batch, err := req.Batch.ToTable()
+	batch, err := req.Batch.toTable("batch")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch table: %w", err))
-		return
+		return rep, err
 	}
 	det, err := drift.Fit(ref, req.Alpha, req.PSIThreshold, req.Bins)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return rep, err
 	}
-	rep, err := det.Detect(batch)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	return det.Detect(batch)
 }
 
 // Drift requests a drift report from the drift service.

@@ -1,16 +1,16 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // MLService is the AI-pipeline micro-service: it trains models on uploaded
@@ -58,38 +58,15 @@ type TrainResponse struct {
 	Ref serving.Ref `json:"ref"`
 }
 
-// PredictRequest asks for predictions on raw instances. ModelID accepts
-// every serving-registry reference form: a stored model id ("m0001"), an
-// algorithm alias ("lgbm", "lgbm@2", "lgbm@latest"), or a raw content id
-// ("sha256:...").
-type PredictRequest struct {
-	ModelID   string      `json:"modelId"`
-	Instances [][]float64 `json:"instances"`
-}
-
-// PredictResponse carries argmax classes and full probability rows.
-type PredictResponse struct {
-	Classes []int       `json:"classes"`
-	Probs   [][]float64 `json:"probs"`
-}
-
-// PromoteRequest atomically points an alias at one of its versions.
-type PromoteRequest struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-}
-
-// RollbackRequest restores an alias's previously promoted version.
-type RollbackRequest struct {
-	Name string `json:"name"`
-}
-
-// AliasResponse reports an alias's state after a promote or rollback.
-type AliasResponse struct {
-	Name    string `json:"name"`
-	Version int    `json:"version"`
-	ID      string `json:"id"`
-}
+// The predict, promote and rollback contracts are the serving surface's
+// own (internal/serving), shared with the cluster tier.
+type (
+	PredictRequest  = serving.PredictRequest
+	PredictResponse = serving.PredictResponse
+	PromoteRequest  = serving.PromoteRequest
+	RollbackRequest = serving.RollbackRequest
+	AliasResponse   = serving.AliasResponse
+)
 
 // NewMLService constructs the service. The embedded serving runtime
 // records its telemetry (batch sizes, shed counts, cache churn) into the
@@ -101,13 +78,15 @@ func NewMLService() *MLService {
 		runtime: serving.New(serving.Config{Telemetry: b.tel}),
 		models:  make(map[string]*storedModel),
 	}
-	s.handle("POST /train", s.handleTrain)
-	s.handle("POST /predict", s.handlePredict)
+	s.handle("POST /train", wire.Handle(s.train))
+	s.handle("POST /predict", wire.PredictHandler(s.predict))
 	s.handle("GET /models", s.handleList)
 	s.handle("GET /models/{id}", s.handleGet)
-	s.handle("GET /aliases", s.handleAliases)
-	s.handle("POST /models/promote", s.handlePromote)
-	s.handle("POST /models/rollback", s.handleRollback)
+	s.handle("GET /aliases", func(w http.ResponseWriter, r *http.Request) {
+		wire.Write(w, http.StatusOK, s.runtime.Registry().Aliases())
+	})
+	s.handle("POST /models/promote", wire.Handle(s.promote))
+	s.handle("POST /models/rollback", wire.Handle(s.rollback))
 	return s
 }
 
@@ -118,46 +97,33 @@ func (s *MLService) Runtime() *serving.Runtime { return s.runtime }
 // Close stops the serving runtime's batchers and workers.
 func (s *MLService) Close() { s.runtime.Close() }
 
-func (s *MLService) handleTrain(w http.ResponseWriter, r *http.Request) {
-	var req TrainRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	train, err := req.Train.ToTable()
+func (s *MLService) train(_ context.Context, req *TrainRequest) (resp TrainResponse, err error) {
+	train, err := req.Train.toTable("train")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("train table: %w", err))
-		return
+		return resp, err
 	}
 	model, err := ml.NewByName(req.Algorithm, req.Seed)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, wire.BadRequest(err)
 	}
 	if err := model.Fit(train); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("fit: %w", err))
-		return
+		return resp, fmt.Errorf("fit: %w", err)
 	}
 	evalTable := train
 	if req.Eval != nil {
-		evalTable, err = req.Eval.ToTable()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("eval table: %w", err))
-			return
+		if evalTable, err = req.Eval.toTable("eval"); err != nil {
+			return resp, err
 		}
 	}
 	metrics, err := ml.Evaluate(model, evalTable)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("evaluate: %w", err))
-		return
+		return resp, fmt.Errorf("evaluate: %w", err)
 	}
-
 	id, ref, err := s.register(req.Algorithm, model, metrics)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return resp, wire.Tag(wire.ErrInternal, err)
 	}
-	writeJSON(w, http.StatusOK, TrainResponse{ModelID: id, Metrics: metrics, Ref: ref})
+	return TrainResponse{ModelID: id, Metrics: metrics, Ref: ref}, nil
 }
 
 // register stores a trained model in the serving registry under two
@@ -187,47 +153,12 @@ func (s *MLService) register(algorithm string, model ml.Classifier, metrics ml.M
 	return id, algoRef, nil
 }
 
-func (s *MLService) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	probs, classes, err := s.runtime.Predict(r.Context(), req.ModelID, req.Instances)
-	if err != nil {
-		writePredictError(w, req.ModelID, err)
-		return
-	}
-	if probs == nil {
-		probs, classes = [][]float64{}, []int{}
-	}
-	writeJSON(w, http.StatusOK, PredictResponse{Classes: classes, Probs: probs})
-}
-
-// writePredictError maps serving-runtime errors onto HTTP: shed requests
-// become 429 with a Retry-After back-off hint, unknown references 404,
-// and scoring failures (e.g. a feature-dimension mismatch) 422.
-func writePredictError(w http.ResponseWriter, ref string, err error) {
-	var over *serving.OverloadedError
-	switch {
-	case errors.As(err, &over):
-		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, serving.ErrNotFound):
-		writeError(w, http.StatusNotFound, fmt.Errorf("model %q not found", ref))
-	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
-	}
-}
-
-// retryAfterSeconds renders a back-off hint as the integer-seconds form
-// of the Retry-After header, rounding sub-second hints up to 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if d%time.Second != 0 || secs < 1 {
-		secs++
-	}
-	return fmt.Sprintf("%d", secs)
+// predict scores through the serving runtime; a shed surfaces as 429
+// with a Retry-After hint, an unknown reference as 404, and a scoring
+// failure (e.g. a feature-dimension mismatch) as 422.
+func (s *MLService) predict(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
+	probs, classes, err := s.runtime.Predict(ctx, ref, instances)
+	return probs, classes, wire.ModelNotFound(ref, err)
 }
 
 // modelInfo is the listing entry for one stored model.
@@ -246,7 +177,7 @@ func (s *MLService) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ModelID < infos[j].ModelID })
-	writeJSON(w, http.StatusOK, infos)
+	wire.Write(w, http.StatusOK, infos)
 }
 
 // handleGet returns the serialized model envelope so explainer services
@@ -255,7 +186,7 @@ func (s *MLService) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	blob, _, err := s.runtime.Registry().Blob(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("model %q not found", id))
+		wire.WriteError(w, wire.Tag(serving.ErrNotFound, fmt.Errorf("model %q not found", id)))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -264,49 +195,21 @@ func (s *MLService) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *MLService) handleAliases(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.runtime.Registry().Aliases())
-}
-
-func (s *MLService) handlePromote(w http.ResponseWriter, r *http.Request) {
-	var req PromoteRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *MLService) promote(_ context.Context, req *PromoteRequest) (resp AliasResponse, err error) {
 	reg := s.runtime.Registry()
 	if err := reg.Promote(req.Name, req.Version); err != nil {
-		status := http.StatusConflict
-		if errors.Is(err, serving.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
-		return
+		return resp, wire.Conflict(err)
 	}
 	id, err := reg.Resolve(req.Name)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+		return resp, wire.Tag(wire.ErrInternal, err)
 	}
-	writeJSON(w, http.StatusOK, AliasResponse{Name: req.Name, Version: req.Version, ID: id})
+	return AliasResponse{Name: req.Name, Version: req.Version, ID: id}, nil
 }
 
-func (s *MLService) handleRollback(w http.ResponseWriter, r *http.Request) {
-	var req RollbackRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *MLService) rollback(_ context.Context, req *RollbackRequest) (AliasResponse, error) {
 	ref, err := s.runtime.Registry().Rollback(req.Name)
-	if err != nil {
-		status := http.StatusConflict
-		if errors.Is(err, serving.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AliasResponse{Name: ref.Name, Version: ref.Version, ID: ref.ID})
+	return AliasResponse{Name: ref.Name, Version: ref.Version, ID: ref.ID}, wire.Conflict(err)
 }
 
 // StoreModel registers an externally trained model (e.g. the output of a
@@ -333,10 +236,12 @@ func (s *MLService) Model(ref string) (ml.Classifier, bool) {
 	return m, true
 }
 
-// decodeModel reconstructs a classifier from an inline envelope.
+// decodeModel reconstructs a classifier from an inline envelope; a
+// missing or undecodable one is the request's fault (400).
 func decodeModel(raw json.RawMessage) (ml.Classifier, error) {
 	if len(raw) == 0 {
-		return nil, fmt.Errorf("missing model envelope")
+		return nil, wire.BadRequest(fmt.Errorf("missing model envelope"))
 	}
-	return ml.UnmarshalModel(raw)
+	model, err := ml.UnmarshalModel(raw)
+	return model, wire.BadRequest(err)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/ml"
 	"repro/internal/resilience"
+	"repro/internal/wire"
 )
 
 // PoisonImpactRequest asks for a poisoning resilience report from already-
@@ -36,66 +38,39 @@ type ResilienceService struct{ *base }
 // NewResilienceService constructs the service.
 func NewResilienceService() *ResilienceService {
 	s := &ResilienceService{base: newBase("resilience")}
-	s.handle("POST /impact/poisoning", s.handlePoisoning)
-	s.handle("POST /impact/evasion", s.handleEvasion)
+	s.handle("POST /impact/poisoning", wire.Handle(poisonImpact))
+	s.handle("POST /impact/evasion", wire.Handle(evasionImpact))
 	return s
 }
 
-func (s *ResilienceService) handlePoisoning(w http.ResponseWriter, r *http.Request) {
-	var req PoisonImpactRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rep, err := resilience.Poisoning(req.Baseline, req.Poisoned, req.Rate)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+func poisonImpact(_ context.Context, req *PoisonImpactRequest) (resilience.Report, error) {
+	return resilience.Poisoning(req.Baseline, req.Poisoned, req.Rate)
 }
 
-func (s *ResilienceService) handleEvasion(w http.ResponseWriter, r *http.Request) {
-	var req EvasionImpactRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func evasionImpact(_ context.Context, req *EvasionImpactRequest) (rep resilience.Report, err error) {
 	victim, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return rep, err
 	}
 	surrogateModel := victim
 	if len(req.Surrogate) > 0 {
-		surrogateModel, err = decodeModel(req.Surrogate)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("surrogate: %w", err))
-			return
+		if surrogateModel, err = decodeModel(req.Surrogate); err != nil {
+			return rep, fmt.Errorf("surrogate: %w", err)
 		}
 	}
 	grad, ok := surrogateModel.(ml.GradientClassifier)
 	if !ok {
-		writeError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("model kind %q is not differentiable; provide a differentiable surrogate", surrogateModel.Name()))
-		return
+		return rep, fmt.Errorf("model kind %q is not differentiable; provide a differentiable surrogate", surrogateModel.Name())
 	}
-	clean, err := req.Clean.ToTable()
+	clean, err := req.Clean.toTable("clean")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("clean table: %w", err))
-		return
+		return rep, err
 	}
 	res, err := attack.FGSM(grad, clean, req.Eps)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return rep, err
 	}
-	rep, err := resilience.Evasion(victim, clean, res.Adversarial, res.CraftCost)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+	return resilience.Evasion(victim, clean, res.Adversarial, res.CraftCost)
 }
 
 var _ http.Handler = (*ResilienceService)(nil)

@@ -3,13 +3,13 @@
 // trustworthy-property metric (SHAP, LIME, occlusion sensitivity,
 // resilience). Each service is an http.Handler with a JSON contract, so it
 // can run in its own process behind the API gateway or be mounted in a
-// single process for tests and examples.
+// single process for tests and examples. Every route is a plain function
+// from a request struct to a response struct mounted through wire.Handle;
+// internal/wire owns decoding, the error envelope and the status table.
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"strings"
 	"time"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // TableJSON is the wire form of a labelled dataset.
@@ -39,6 +40,17 @@ func (tj *TableJSON) ToTable() (*dataset.Table, error) {
 	return t, nil
 }
 
+// toTable is ToTable for a request field: a table that fails validation is
+// the request's fault (400), named after the field so the caller can tell
+// which of several tables was bad.
+func (tj *TableJSON) toTable(field string) (*dataset.Table, error) {
+	t, err := tj.ToTable()
+	if err != nil {
+		return nil, wire.BadRequest(fmt.Errorf("%s table: %w", field, err))
+	}
+	return t, nil
+}
+
 // FromTable converts a dataset.Table into its wire form.
 func FromTable(t *dataset.Table) TableJSON {
 	return TableJSON{
@@ -48,36 +60,6 @@ func FromTable(t *dataset.Table) TableJSON {
 		X:            t.X,
 		Y:            t.Y,
 	}
-}
-
-// errorBody is the uniform error envelope of every service.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON writes v with the given status, logging encode failures.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("service: encode response: %v", err)
-	}
-}
-
-// writeError writes the error envelope.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// readJSON decodes the request body into v, rejecting unknown fields so
-// client/server contract drift fails loudly.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode request: %w", err)
-	}
-	return nil
 }
 
 // Health is the payload served on every service's /healthz.
@@ -175,7 +157,7 @@ func newBase(name string) *base {
 		tracer:  tracer,
 	}
 	b.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Health{
+		wire.Write(w, http.StatusOK, Health{
 			Service: b.name,
 			Status:  "ok",
 			UptimeS: int64(b.clk.Since(b.started).Seconds()),
@@ -183,7 +165,7 @@ func newBase(name string) *base {
 	})
 	b.handle("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		req, errs, mean := b.stats.Snapshot()
-		writeJSON(w, http.StatusOK, map[string]any{
+		wire.Write(w, http.StatusOK, map[string]any{
 			"service":       b.name,
 			"requests":      req,
 			"errors":        errs,

@@ -3,11 +3,11 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"repro/internal/fairness"
 	"repro/internal/privacy"
+	"repro/internal/wire"
 )
 
 // FairnessRequest asks the fairness micro-service for a group-fairness
@@ -26,22 +26,12 @@ type FairnessService struct{ *base }
 // NewFairnessService constructs the service.
 func NewFairnessService() *FairnessService {
 	s := &FairnessService{base: newBase("fairness")}
-	s.handle("POST /fairness", s.handleFairness)
+	s.handle("POST /fairness", wire.Handle(evaluateFairness))
 	return s
 }
 
-func (s *FairnessService) handleFairness(w http.ResponseWriter, r *http.Request) {
-	var req FairnessRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rep, err := fairness.Evaluate(req.Pred, req.Truth, req.Group, req.Positive, req.GroupNames)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+func evaluateFairness(_ context.Context, req *FairnessRequest) (fairness.Report, error) {
+	return fairness.Evaluate(req.Pred, req.Truth, req.Group, req.Positive, req.GroupNames)
 }
 
 // MembershipRequest asks the privacy micro-service to run the
@@ -65,40 +55,28 @@ type PrivacyService struct{ *base }
 // NewPrivacyService constructs the service.
 func NewPrivacyService() *PrivacyService {
 	s := &PrivacyService{base: newBase("privacy")}
-	s.handle("POST /membership", s.handleMembership)
+	s.handle("POST /membership", wire.Handle(inferMembership))
 	return s
 }
 
-func (s *PrivacyService) handleMembership(w http.ResponseWriter, r *http.Request) {
-	var req MembershipRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func inferMembership(_ context.Context, req *MembershipRequest) (resp MembershipResponse, err error) {
 	model, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, err
 	}
-	members, err := req.Members.ToTable()
+	members, err := req.Members.toTable("members")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("members table: %w", err))
-		return
+		return resp, err
 	}
-	nonMembers, err := req.NonMembers.ToTable()
+	nonMembers, err := req.NonMembers.toTable("nonMembers")
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("nonMembers table: %w", err))
-		return
+		return resp, err
 	}
 	res, err := privacy.MembershipInference(model, members, nonMembers)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return resp, err
 	}
-	writeJSON(w, http.StatusOK, MembershipResponse{
-		MembershipResult: res,
-		PrivacyScore:     privacy.PrivacyScore(res.Advantage),
-	})
+	return MembershipResponse{MembershipResult: res, PrivacyScore: privacy.PrivacyScore(res.Advantage)}, nil
 }
 
 // Fairness requests a fairness report from the fairness service.

@@ -2,9 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/wire"
 	"repro/internal/xai"
 )
 
@@ -31,20 +33,14 @@ type SHAPService struct{ *base }
 // NewSHAPService constructs the service.
 func NewSHAPService() *SHAPService {
 	s := &SHAPService{base: newBase("shap")}
-	s.handle("POST /explain", s.handleExplain)
+	s.handle("POST /explain", wire.Handle(explainSHAP))
 	return s
 }
 
-func (s *SHAPService) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req SHAPRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func explainSHAP(_ context.Context, req *SHAPRequest) (resp ExplainResponse, err error) {
 	model, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, err
 	}
 	explainer := &xai.KernelSHAP{
 		Model:      model,
@@ -52,12 +48,8 @@ func (s *SHAPService) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Samples:    req.Samples,
 		Seed:       req.Seed,
 	}
-	attr, err := explainer.Explain(req.Instance, req.Class)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Attribution: attr})
+	resp.Attribution, err = explainer.Explain(req.Instance, req.Class)
+	return resp, err
 }
 
 // LIMETabularRequest asks for a tabular LIME explanation.
@@ -89,21 +81,15 @@ type LIMEService struct{ *base }
 // NewLIMEService constructs the service.
 func NewLIMEService() *LIMEService {
 	s := &LIMEService{base: newBase("lime")}
-	s.handle("POST /explain/tabular", s.handleTabular)
-	s.handle("POST /explain/image", s.handleImage)
+	s.handle("POST /explain/tabular", wire.Handle(explainTabular))
+	s.handle("POST /explain/image", wire.Handle(explainImage))
 	return s
 }
 
-func (s *LIMEService) handleTabular(w http.ResponseWriter, r *http.Request) {
-	var req LIMETabularRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func explainTabular(_ context.Context, req *LIMETabularRequest) (resp ExplainResponse, err error) {
 	model, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, err
 	}
 	explainer := &xai.TabularLIME{
 		Model:   model,
@@ -111,24 +97,14 @@ func (s *LIMEService) handleTabular(w http.ResponseWriter, r *http.Request) {
 		Samples: req.Samples,
 		Seed:    req.Seed,
 	}
-	attr, err := explainer.Explain(req.Instance, req.Class)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Attribution: attr})
+	resp.Attribution, err = explainer.Explain(req.Instance, req.Class)
+	return resp, err
 }
 
-func (s *LIMEService) handleImage(w http.ResponseWriter, r *http.Request) {
-	var req LIMEImageRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func explainImage(_ context.Context, req *LIMEImageRequest) (resp ExplainResponse, err error) {
 	model, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, err
 	}
 	explainer := &xai.ImageLIME{
 		Model:   model,
@@ -138,12 +114,8 @@ func (s *LIMEService) handleImage(w http.ResponseWriter, r *http.Request) {
 		Samples: req.Samples,
 		Seed:    req.Seed,
 	}
-	attr, err := explainer.Explain(req.Image, req.Class)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Attribution: attr})
+	resp.Attribution, err = explainer.Explain(req.Image, req.Class)
+	return resp, err
 }
 
 // OcclusionRequest asks for an occlusion-sensitivity heatmap.
@@ -171,21 +143,15 @@ type OcclusionService struct{ *base }
 // NewOcclusionService constructs the service.
 func NewOcclusionService() *OcclusionService {
 	s := &OcclusionService{base: newBase("occlusion")}
-	s.handle("POST /explain", s.handleExplain)
-	s.handle("POST /explain/png", s.handleExplainPNG)
+	s.handle("POST /explain", wire.Handle(occlude))
+	s.handle("POST /explain/png", handleExplainPNG)
 	return s
 }
 
-func (s *OcclusionService) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req OcclusionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func occlude(_ context.Context, req *OcclusionRequest) (resp OcclusionResponse, err error) {
 	model, err := decodeModel(req.Model)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return resp, err
 	}
 	occ := &xai.Occlusion{
 		Model:    model,
@@ -195,45 +161,29 @@ func (s *OcclusionService) handleExplain(w http.ResponseWriter, r *http.Request)
 		Stride:   req.Stride,
 		Baseline: req.Baseline,
 	}
-	heat, err := occ.Explain(req.Image, req.Class)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
+	if resp.Heatmap, err = occ.Explain(req.Image, req.Class); err != nil {
+		return resp, err
 	}
-	cols, rows := occ.HeatmapSize()
-	writeJSON(w, http.StatusOK, OcclusionResponse{Heatmap: heat, Cols: cols, Rows: rows})
+	resp.Cols, resp.Rows = occ.HeatmapSize()
+	return resp, nil
 }
 
 // handleExplainPNG renders the occlusion-sensitivity map as a PNG heatmap
 // — the artifact the AI dashboard embeds for operators.
-func (s *OcclusionService) handleExplainPNG(w http.ResponseWriter, r *http.Request) {
+func handleExplainPNG(w http.ResponseWriter, r *http.Request) {
 	var req OcclusionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := wire.Decode(w, r, &req); err != nil {
+		wire.WriteError(w, err)
 		return
 	}
-	model, err := decodeModel(req.Model)
+	resp, err := occlude(r.Context(), &req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, err)
 		return
 	}
-	occ := &xai.Occlusion{
-		Model:    model,
-		W:        req.W,
-		H:        req.H,
-		Window:   req.Window,
-		Stride:   req.Stride,
-		Baseline: req.Baseline,
-	}
-	heat, err := occ.Explain(req.Image, req.Class)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	cols, rows := occ.HeatmapSize()
 	var buf bytes.Buffer
-	if err := xai.WriteHeatmapPNG(&buf, heat, cols, rows, 8); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+	if err := xai.WriteHeatmapPNG(&buf, resp.Heatmap, resp.Cols, resp.Rows, 8); err != nil {
+		wire.WriteError(w, wire.Tag(wire.ErrInternal, err))
 		return
 	}
 	w.Header().Set("Content-Type", "image/png")
