@@ -1,41 +1,39 @@
 // Command spatial-perfgate verifies the serving hot path's performance
-// contracts. It has two halves, both CI gates:
+// contracts, with the compiler as the witness: harvest gc's own
+// optimization diagnostics (go build -gcflags=<pkg>=-json=0,<dir>),
+// compute the hot set — every function reachable from the serving
+// Predict* entry points, the ml batch kernels and the cluster routing
+// paths, via internal/lint's interprocedural call graph — and check each
+// hot function against its committed .perf-manifest.json contract
+// (must-inline, params must-not-escape, bounded heap allocations and
+// bounds checks inside data loops). A lost optimization fails the build
+// before any benchmark could measure it.
 //
-// Static: harvest the compiler's optimization diagnostics
-// (go build -gcflags=<pkg>=-json=0,<dir>), compute the hot set — every
-// function reachable from the serving Predict* entry points and the ml
-// batch kernels, via internal/lint's interprocedural call graph — and
-// check each hot function against its committed .perf-manifest.json
-// contract (must-inline, params must-not-escape, bounded heap
-// allocations and bounds checks inside data loops). A lost optimization
-// fails the build before any benchmark could measure it.
-//
-// Measured: compare a fresh `make bench` run against the committed
-// BENCH_serving.json baseline with a Mann-Whitney U test (when -count
-// samples permit) and a noise band, gating only on significant
-// regressions past -fail-on, and only when both runs came from the same
-// machine.
+// It runs no benchmark and compares no timings: speed is judged by
+// `go run ./bench` on the parent commit and the change in one session.
 //
 // Usage:
 //
-//	spatial-perfgate -manifest .perf-manifest.json -report perfgate-report.json
-//	spatial-perfgate -write-manifest -manifest .perf-manifest.json
-//	spatial-perfgate -static=false -bench-old BENCH_serving.json -bench-new BENCH_fresh.json
+//	spatial-perfgate -report perfgate-report.json
+//	spatial-perfgate -write-manifest
 //
-// Exit status: 0 when every contract holds and no benchmark regressed,
-// 1 on gate failure, 2 on usage or harness errors.
+// Exit status: 0 when every contract holds, 1 on gate failure, 2 on
+// usage or harness errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/benchfmt"
 	"repro/internal/lint"
 	"repro/internal/perfgate"
 )
+
+// hotPackages are the packages whose diagnostics are harvested and whose
+// hot functions carry contracts: the kernels, the serving runtime and
+// the cluster routing path.
+var hotPackages = []string{"./internal/ml", "./internal/serving", "./internal/mat", "./internal/cluster"}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
@@ -45,126 +43,71 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("spatial-perfgate", flag.ContinueOnError)
 	manifestPath := fs.String("manifest", ".perf-manifest.json", "committed contract file")
 	writeManifest := fs.Bool("write-manifest", false, "regenerate the manifest from the observed state and exit")
-	pkgsFlag := fs.String("pkgs", "./internal/ml,./internal/serving,./internal/mat,./internal/cluster", "comma-separated packages to harvest diagnostics for")
 	reportPath := fs.String("report", "", "write a machine-readable JSON report here")
-	static := fs.Bool("static", true, "run the static contract gate")
-	benchOld := fs.String("bench-old", "", "committed benchmark baseline (BENCH_serving.json)")
-	benchNew := fs.String("bench-new", "", "fresh benchmark run to compare against -bench-old")
-	noise := fs.Float64("noise", 0.05, "relative ns/op band treated as noise")
-	failOn := fs.Float64("fail-on", 0.10, "relative ns/op regression that fails the gate")
-	alpha := fs.Float64("alpha", 0.05, "Mann-Whitney significance level for sample-backed comparisons")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	modRoot, err := lint.ModuleRoot(".")
+	pass, err := gate(*manifestPath, *writeManifest, *reportPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
 		return 2
 	}
-	pkgs := splitList(*pkgsFlag)
-
-	report := &perfgate.Report{Tool: "spatial-perfgate", Pass: true}
-
-	if *static || *writeManifest {
-		if code := runStatic(modRoot, pkgs, *manifestPath, *writeManifest, report); code != 0 {
-			return code
-		}
-		if *writeManifest {
-			return 0
-		}
-	}
-
-	if (*benchOld == "") != (*benchNew == "") {
-		fmt.Fprintln(os.Stderr, "spatial-perfgate: -bench-old and -bench-new must be given together")
-		return 2
-	}
-	if *benchOld != "" {
-		oldDoc, err := benchfmt.Load(*benchOld)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-			return 2
-		}
-		newDoc, err := benchfmt.Load(*benchNew)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-			return 2
-		}
-		opts := perfgate.BenchOptions{Noise: *noise, FailOn: *failOn, Alpha: *alpha}
-		report.Bench = perfgate.CompareBench(oldDoc, newDoc, opts)
-		if report.Bench.Regressions > 0 {
-			report.Pass = false
-		}
-	}
-
-	if *reportPath != "" {
-		if err := report.Write(*reportPath); err != nil {
-			fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-			return 2
-		}
-	}
-	report.Print(os.Stdout)
-	if !report.Pass {
+	if !pass {
 		return 1
 	}
 	return 0
 }
 
-// runStatic harvests diagnostics, profiles the hot set, and either
-// regenerates the manifest or checks it. It fills report in place and
-// returns a nonzero exit code only on harness errors (gate failures are
-// recorded in report.Pass).
-func runStatic(modRoot string, pkgs []string, manifestPath string, write bool, report *perfgate.Report) int {
-	diags, err := perfgate.Harvest(modRoot, pkgs)
+// gate harvests diagnostics, profiles the hot set, and either
+// regenerates the manifest or checks it and reports. The bool is false
+// when a gating contract is violated; the error is a harness failure.
+func gate(manifestPath string, write bool, reportPath string) (bool, error) {
+	modRoot, err := lint.ModuleRoot(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-		return 2
+		return false, err
 	}
-	profiles, err := perfgate.BuildProfiles(modRoot, perfgate.ProfileOptions{Packages: pkgs})
+	diags, err := perfgate.Harvest(modRoot, hotPackages)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-		return 2
+		return false, err
+	}
+	profiles, err := perfgate.BuildProfiles(modRoot, perfgate.ProfileOptions{Packages: hotPackages})
+	if err != nil {
+		return false, err
 	}
 	obs := perfgate.Observe(profiles, diags)
-	report.Toolchain = diags.Toolchain
-	report.Functions = len(obs)
 
 	if write {
 		var prev *perfgate.Manifest
 		if m, err := perfgate.LoadManifest(manifestPath); err == nil {
 			prev = m
 		} else if !os.IsNotExist(err) {
-			fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-			return 2
+			return false, err
 		}
 		m := perfgate.Generate(obs, diags.Toolchain, prev)
 		if err := m.Save(manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "spatial-perfgate:", err)
-			return 2
+			return false, err
 		}
 		fmt.Printf("spatial-perfgate: wrote %s (%d contracts, %s)\n", manifestPath, len(m.Functions), diags.Toolchain)
-		return 0
+		return true, nil
 	}
 
 	manifest, err := perfgate.LoadManifest(manifestPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spatial-perfgate: %v (generate one with -write-manifest)\n", err)
-		return 2
+		return false, fmt.Errorf("%w (generate one with -write-manifest)", err)
 	}
-	report.Contracts = len(manifest.Functions)
-	report.Violations = perfgate.CheckManifest(manifest, obs, diags.Toolchain)
-	if perfgate.Gating(report.Violations) > 0 {
-		report.Pass = false
+	report := &perfgate.Report{
+		Tool:       "spatial-perfgate",
+		Toolchain:  diags.Toolchain,
+		Functions:  len(obs),
+		Contracts:  len(manifest.Functions),
+		Violations: perfgate.CheckManifest(manifest, obs, diags.Toolchain),
 	}
-	return 0
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+	report.Pass = perfgate.Gating(report.Violations) == 0
+	if reportPath != "" {
+		if err := report.Write(reportPath); err != nil {
+			return false, err
 		}
 	}
-	return out
+	report.Print(os.Stdout)
+	return report.Pass, nil
 }

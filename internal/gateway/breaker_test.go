@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -90,5 +91,76 @@ func TestCircuitBreakerReopensAfterFailedProbe(t *testing.T) {
 	}
 	if code, _ := get(t, g, "/svc/x", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("breaker should re-open after failed probe: %d", code)
+	}
+}
+
+// TestUpstreamAbortMidBodyIsAccounted: an upstream that dies after the
+// status line makes ReverseProxy panic with http.ErrAbortHandler instead
+// of returning. Behind a real server the request must still leave the
+// in-flight counts, be counted, and feed the breaker.
+func TestUpstreamAbortMidBodyIsAccounted(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		// Promise 100 bytes, deliver 5.
+		if _, err := buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhello"); err != nil {
+			t.Error(err)
+		}
+		if err := buf.Flush(); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer backend.Close()
+
+	const threshold = 3
+	g := New(Config{BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+	if err := g.AddRoute("/svc", LeastConnections, backend.URL); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g)
+	defer front.Close()
+	defer g.Stop()
+
+	for i := 0; i < threshold; i++ {
+		resp, err := http.Get(front.URL + "/svc/x")
+		if err != nil {
+			continue // the abort may land before the client has the headers
+		}
+		// The connection is torn down only after the handler has unwound,
+		// so the read returns once the gateway's accounting has run.
+		if body, err := io.ReadAll(resp.Body); err == nil {
+			t.Fatalf("request %d: truncated upstream body delivered as complete: %q", i, body)
+		}
+		resp.Body.Close()
+	}
+
+	if v := g.inFlight.Value(); v != 0 {
+		t.Errorf("in-flight gauge = %v after %d aborted requests, want 0", v, threshold)
+	}
+	rm := g.RouteMetrics()[0]
+	if rm.Requests != threshold || rm.Errors != threshold {
+		t.Errorf("requests = %d, errors = %d, want %d each", rm.Requests, rm.Errors, threshold)
+	}
+	up := rm.Upstreams[0]
+	if up.InFlight != 0 {
+		t.Errorf("upstream in-flight = %d, want 0", up.InFlight)
+	}
+	if !up.BreakerOpen {
+		t.Errorf("breaker closed after %d consecutive aborts", threshold)
+	}
+	resp, err := http.Get(front.URL + "/svc/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("request past an open breaker: status %d, want 503", resp.StatusCode)
 	}
 }

@@ -6,10 +6,8 @@
 package gateway
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -49,13 +47,6 @@ type Config struct {
 	// BreakerCooldown is how long an open circuit rejects an upstream
 	// before retrying it (default 5s).
 	BreakerCooldown time.Duration
-	// CacheTTL > 0 enables the response cache: byte-identical GET/POST
-	// requests within the TTL are answered from cache. Safe here because
-	// the metric services are pure functions of the request body; do not
-	// enable in front of stateful endpoints.
-	CacheTTL time.Duration
-	// CacheMaxEntries bounds the cache (default 1024).
-	CacheMaxEntries int
 	// Telemetry is the metric registry the gateway records into; a
 	// private registry (with runtime metrics) is created when nil. The
 	// registry is exposed at /metrics, which bypasses auth and rate
@@ -76,12 +67,6 @@ type upstream struct {
 	target  *url.URL
 	proxy   *httputil.ReverseProxy
 	healthy atomic.Bool
-	// draining marks a backend a coordinated restart is about to stop:
-	// it stays healthy (in-flight requests finish, health checks keep
-	// probing) but pick sends it no new routes while any non-draining
-	// candidate exists. Without this state a cluster rollout closed
-	// connections the balancer was still routing to.
-	draining atomic.Bool
 	// conns counts in-flight requests (least-connections policy).
 	conns atomic.Int64
 	// consecutive proxy failures and the breaker deadline.
@@ -147,16 +132,11 @@ type Gateway struct {
 	metricH http.Handler
 	traceH  http.Handler
 	// telemetry family handles shared across routes.
-	reqVec    *telemetry.CounterVec
-	errVec    *telemetry.CounterVec
-	latVec    *telemetry.HistogramVec
-	inFlight  *telemetry.Gauge
-	cacheHits *telemetry.Counter
-	cacheMiss *telemetry.Counter
-	shed      *telemetry.Counter
-
-	cacheMu sync.Mutex
-	cache   *responseCache
+	reqVec   *telemetry.CounterVec
+	errVec   *telemetry.CounterVec
+	latVec   *telemetry.HistogramVec
+	inFlight *telemetry.Gauge
+	shed     *telemetry.Counter
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -208,10 +188,6 @@ func New(cfg Config) *Gateway {
 			"Gateway request latency in seconds, per route.", nil, "route"),
 		inFlight: tel.Gauge("spatial_gateway_in_flight_requests",
 			"Requests currently traversing the gateway.").With(),
-		cacheHits: tel.Counter("spatial_gateway_cache_hits_total",
-			"Responses served from the gateway response cache.").With(),
-		cacheMiss: tel.Counter("spatial_gateway_cache_misses_total",
-			"Cacheable requests that missed the response cache.").With(),
 		shed: tel.Counter("spatial_gateway_upstream_shed_total",
 			"Proxied requests an upstream shed with 429 (serving admission control); the Retry-After hint passes through to the client.").With(),
 		stop: make(chan struct{}),
@@ -222,10 +198,6 @@ func New(cfg Config) *Gateway {
 		for _, k := range cfg.APIKeys {
 			g.keys[k] = struct{}{}
 		}
-	}
-	if cfg.CacheTTL > 0 {
-		g.cache = newResponseCache(cfg.CacheTTL, cfg.CacheMaxEntries)
-		g.cache.now = clk.Now
 	}
 	if cfg.RatePerSecond > 0 {
 		burst := cfg.Burst
@@ -302,28 +274,6 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 	return nil
 }
 
-// SetDraining marks every upstream with the given target URL as
-// draining (or live again). A cluster coordinator calls this before
-// stopping a replica so the balancer stops routing to it while its
-// in-flight requests finish; it errors if no route knows the backend.
-func (g *Gateway) SetDraining(backend string, draining bool) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	found := false
-	for _, rt := range g.routes {
-		for _, u := range rt.upstreams {
-			if u.target.String() == backend {
-				u.draining.Store(draining)
-				found = true
-			}
-		}
-	}
-	if !found {
-		return fmt.Errorf("gateway: no upstream %q to drain", backend)
-	}
-	return nil
-}
-
 func (g *Gateway) onUpstreamFailure(u *upstream) {
 	if int(u.fails.Add(1)) >= g.cfg.BreakerThreshold {
 		u.openUntil.Store(g.clk.Now().Add(g.cfg.BreakerCooldown).UnixNano())
@@ -344,27 +294,15 @@ func (g *Gateway) match(path string) *route {
 	return nil
 }
 
-// pick selects an available upstream per the route policy. Draining
-// backends are excluded while any non-draining candidate remains; when
-// the whole pool is draining they are used anyway — a degraded route
-// beats a refused one mid-rollout.
+// pick selects an available upstream per the route policy.
 func (g *Gateway) pick(rt *route) *upstream {
 	now := g.clk.Now()
 	threshold := int32(g.cfg.BreakerThreshold)
 	candidates := make([]*upstream, 0, len(rt.upstreams))
-	var drainingOnly []*upstream
 	for _, u := range rt.upstreams {
-		if !u.available(now, threshold) {
-			continue
+		if u.available(now, threshold) {
+			candidates = append(candidates, u)
 		}
-		if u.draining.Load() {
-			drainingOnly = append(drainingOnly, u)
-			continue
-		}
-		candidates = append(candidates, u)
-	}
-	if len(candidates) == 0 {
-		candidates = drainingOnly
 	}
 	if len(candidates) == 0 {
 		return nil
@@ -424,7 +362,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no healthy upstream", http.StatusServiceUnavailable)
 		return
 	}
+	g.forward(w, r, rt, u)
+}
 
+// forward proxies one admitted request to u and accounts for it: route
+// metrics, the breaker's failure streak, and one span.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream) {
 	// Trace propagation: adopt the caller's trace (or mint one), then
 	// hand our fresh span to the upstream as its parent so the gateway
 	// hop and the service hop correlate under one trace ID.
@@ -435,31 +378,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	spanID := telemetry.NewSpanID()
 	w.Header().Set(telemetry.HeaderTraceID, traceID)
-	finish := func(status int, cached bool) {
-		elapsed := g.clk.Since(start)
-		rt.requests.Inc()
-		rt.latency.Observe(elapsed.Seconds())
-		if status >= 500 {
-			rt.errors.Inc()
-		}
-		if status == http.StatusTooManyRequests {
-			g.shed.Inc()
-		}
-		name := "proxy " + rt.prefix
-		if cached {
-			name = "cache " + rt.prefix
-		}
-		g.tracer.Record(telemetry.Span{
-			TraceID:  traceID,
-			SpanID:   spanID,
-			ParentID: parentID,
-			Service:  "gateway",
-			Name:     name,
-			Start:    start,
-			Duration: float64(elapsed.Nanoseconds()) / 1e6,
-			Status:   status,
-		})
-	}
 
 	// Strip the route prefix.
 	r2 := r.Clone(telemetry.ContextWithTrace(r.Context(), traceID, spanID))
@@ -470,78 +388,47 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r2.Header.Set(telemetry.HeaderTraceID, traceID)
 	r2.Header.Set(telemetry.HeaderSpanID, spanID)
 
-	// Response cache: answer byte-identical requests within the TTL
-	// without touching the upstream.
-	var key string
-	cacheable := g.cache != nil && (r.Method == http.MethodGet || r.Method == http.MethodPost)
-	if cacheable {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, "read request body", http.StatusBadRequest)
-			return
-		}
-		r2.Body = io.NopCloser(bytes.NewReader(body))
-		r2.ContentLength = int64(len(body))
-		key = cacheKey(r.Method, r.URL.Path, body)
-		g.cacheMu.Lock()
-		entry, hit := g.cache.get(key)
-		g.cacheMu.Unlock()
-		if hit {
-			g.cacheHits.Inc()
-			if entry.contentType != "" {
-				w.Header().Set("Content-Type", entry.contentType)
-			}
-			w.Header().Set("X-Cache", "hit")
-			w.WriteHeader(entry.status)
-			if _, err := w.Write(entry.body); err != nil {
-				return
-			}
-			finish(entry.status, true)
-			return
-		}
-		g.cacheMiss.Inc()
-	}
-
+	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	g.inFlight.Inc()
 	u.conns.Add(1)
-	var rec interface {
-		http.ResponseWriter
-	}
-	var status *int
-	if cacheable {
-		cr := &cacheRecorder{ResponseWriter: w, status: http.StatusOK}
-		rec = cr
-		status = &cr.status
-		defer func() {
-			if cr.status == http.StatusOK {
-				g.cacheMu.Lock()
-				g.cache.put(&cacheEntry{
-					key:         key,
-					status:      cr.status,
-					contentType: cr.Header().Get("Content-Type"),
-					body:        append([]byte(nil), cr.buf.Bytes()...),
-				})
-				g.cacheMu.Unlock()
-			}
-		}()
-	} else {
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		rec = sr
-		status = &sr.status
-	}
+	// The accounting is deferred because ReverseProxy does not always
+	// return: when the upstream dies mid-body it panics with
+	// http.ErrAbortHandler so that net/http aborts the client connection.
+	// The panic passes through untouched; the request is booked as an
+	// upstream failure and a 502, whatever status line was already sent.
+	aborted := true
+	defer func() {
+		u.conns.Add(-1)
+		g.inFlight.Dec()
+		status := rec.status
+		if aborted {
+			g.onUpstreamFailure(u)
+			status = http.StatusBadGateway
+		} else if status < 500 {
+			u.fails.Store(0)
+		}
+		elapsed := g.clk.Since(start)
+		rt.requests.Inc()
+		rt.latency.Observe(elapsed.Seconds())
+		if status >= 500 {
+			rt.errors.Inc()
+		}
+		if status == http.StatusTooManyRequests {
+			g.shed.Inc()
+		}
+		g.tracer.Record(telemetry.Span{
+			TraceID:  traceID,
+			SpanID:   spanID,
+			ParentID: parentID,
+			Service:  "gateway",
+			Name:     "proxy " + rt.prefix,
+			Start:    start,
+			Duration: float64(elapsed.Nanoseconds()) / 1e6,
+			Status:   status,
+		})
+	}()
 	u.proxy.ServeHTTP(rec, r2)
-	u.conns.Add(-1)
-	g.inFlight.Dec()
-
-	finish(*status, false)
-	if *status < 500 {
-		u.fails.Store(0)
-	}
-}
-
-// CacheStats reports (hits, misses) of the response cache.
-func (g *Gateway) CacheStats() (hits, misses int64) {
-	return int64(g.cacheHits.Value()), int64(g.cacheMiss.Value())
+	aborted = false
 }
 
 // Telemetry exposes the gateway's metric registry (for sharing with other
@@ -581,7 +468,6 @@ type RouteMetric struct {
 type UpstreamStatus struct {
 	URL         string `json:"url"`
 	Healthy     bool   `json:"healthy"`
-	Draining    bool   `json:"draining"`
 	BreakerOpen bool   `json:"breakerOpen"`
 	InFlight    int64  `json:"inFlight"`
 }
@@ -606,7 +492,6 @@ func (g *Gateway) RouteMetrics() []RouteMetric {
 			m.Upstreams = append(m.Upstreams, UpstreamStatus{
 				URL:         u.target.String(),
 				Healthy:     u.healthy.Load(),
-				Draining:    u.draining.Load(),
 				BreakerOpen: u.openUntil.Load() > now,
 				InFlight:    u.conns.Load(),
 			})

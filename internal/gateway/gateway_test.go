@@ -328,55 +328,3 @@ func TestStopWithoutStart(t *testing.T) {
 		t.Fatal("Stop without Start hangs")
 	}
 }
-
-// TestDrainingStopsNewRoutes: a draining upstream receives no new
-// requests while a live peer exists, is used as a last resort when the
-// whole pool drains, and returns to rotation when undrained.
-func TestDrainingStopsNewRoutes(t *testing.T) {
-	a := echoBackend("a")
-	defer a.Close()
-	b := echoBackend("b")
-	defer b.Close()
-	g := New(Config{})
-	if err := g.AddRoute("/svc", LeastConnections, a.URL, b.URL); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetDraining(a.URL, true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		_, body := get(t, g, "/svc/x", nil)
-		if body[:1] != "b" {
-			t.Fatalf("request %d routed to draining upstream: %q", i, body)
-		}
-	}
-	// Whole pool draining: degraded service beats a refused route.
-	if err := g.SetDraining(b.URL, true); err != nil {
-		t.Fatal(err)
-	}
-	if code, _ := get(t, g, "/svc/x", nil); code != http.StatusOK {
-		t.Fatalf("fully draining pool refused the request: %d", code)
-	}
-	// Undrain a: it takes traffic again and the status reflects b.
-	if err := g.SetDraining(a.URL, false); err != nil {
-		t.Fatal(err)
-	}
-	_, body := get(t, g, "/svc/x", nil)
-	if body[:1] != "a" {
-		t.Fatalf("undrained upstream not restored: %q", body)
-	}
-	var drained []string
-	for _, rm := range g.RouteMetrics() {
-		for _, u := range rm.Upstreams {
-			if u.Draining {
-				drained = append(drained, u.URL)
-			}
-		}
-	}
-	if len(drained) != 1 || drained[0] != b.URL {
-		t.Fatalf("status drains %v, want only %s", drained, b.URL)
-	}
-	if err := g.SetDraining("http://127.0.0.1:1/nope", true); err == nil {
-		t.Fatal("draining an unknown backend succeeded")
-	}
-}

@@ -20,7 +20,7 @@ var AnalyzerMapOrderLeak = &Analyzer{
 	Severity: SeverityError,
 	AppliesTo: func(path string) bool {
 		return pathHasAny(path, "internal/scenario", "internal/cluster", "internal/serving",
-			"internal/perfgate", "internal/gateway", "internal/telemetry", "internal/benchfmt",
+			"internal/perfgate", "internal/gateway", "internal/telemetry",
 			"internal/audit", "internal/dashboard",
 			"internal/ml", "internal/mat", "internal/experiments", "internal/datagen")
 	},

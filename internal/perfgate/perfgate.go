@@ -1,9 +1,7 @@
 // Package perfgate verifies the serving hot path's performance
-// contracts statically, from the compiler's own optimization decisions,
-// and gates measured throughput against the committed benchmark
-// baseline.
+// contracts statically, from the compiler's own optimization decisions.
 //
-// The static half harvests the gc compiler's LSP-style JSON diagnostics
+// It harvests the gc compiler's LSP-style JSON diagnostics
 // (`go build -gcflags=<pkg>=-json=0,<dir>`): escape-analysis verdicts,
 // inlining decisions, and surviving bounds checks. It then reuses
 // internal/lint's interprocedural call graph to compute the hot set —
@@ -16,11 +14,8 @@
 // lost inline, a fresh bounds check) fails the build before any
 // benchmark could measure the regression.
 //
-// The measured half is a benchstat-style comparator over the committed
-// BENCH_serving.json snapshot: Mann-Whitney U when both sides carry
-// enough -count samples, a configurable noise threshold otherwise, and
-// machine-identity checks so a laptop run never gates against a CI
-// baseline recorded on different silicon.
+// The package measures nothing: speed is judged by `go run ./bench` on
+// the parent commit and the change in one session (DESIGN §8).
 package perfgate
 
 import (

@@ -18,8 +18,6 @@ type Report struct {
 	Contracts int `json:"contracts,omitempty"`
 	// Violations are the static contract breaks (empty on a clean run).
 	Violations []Violation `json:"violations"`
-	// Bench is the baseline comparison when one ran.
-	Bench *BenchComparison `json:"bench,omitempty"`
 	// Pass is the overall gate verdict.
 	Pass bool `json:"pass"`
 }
@@ -35,9 +33,7 @@ func (r *Report) Write(path string) error {
 
 // Print renders a human summary to w.
 func (r *Report) Print(w io.Writer) {
-	if r.Functions > 0 || r.Contracts > 0 {
-		fmt.Fprintf(w, "perfgate: %d hot-set functions, %d contracts (%s)\n", r.Functions, r.Contracts, r.Toolchain)
-	}
+	fmt.Fprintf(w, "perfgate: %d hot-set functions, %d contracts (%s)\n", r.Functions, r.Contracts, r.Toolchain)
 	for _, v := range r.Violations {
 		tag := "FAIL"
 		if !v.Gating {
@@ -45,44 +41,9 @@ func (r *Report) Print(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %s %s\n", tag, v)
 	}
-	if r.Bench != nil {
-		if !r.Bench.Comparable {
-			fmt.Fprintf(w, "perfgate: bench baseline not comparable: %s\n", r.Bench.Reason)
-		}
-		for _, row := range r.Bench.Rows {
-			switch row.Verdict {
-			case "ok":
-				fmt.Fprintf(w, "  ok   %-34s %10.0f -> %10.0f ns/op (%+.1f%%)\n", row.Name, row.OldNs, row.NewNs, 100*row.Delta)
-			case "new", "vanished":
-				fmt.Fprintf(w, "  %-4s %-34s\n", row.Verdict, row.Name)
-			default:
-				note := row.Note
-				if note != "" {
-					note = " — " + note
-				}
-				p := ""
-				if row.P >= 0 {
-					p = fmt.Sprintf(" p=%.3f", row.P)
-				}
-				fmt.Fprintf(w, "  %-4s %-34s %10.0f -> %10.0f ns/op (%+.1f%%)%s%s\n",
-					verdictTag(row.Verdict), row.Name, row.OldNs, row.NewNs, 100*row.Delta, p, note)
-			}
-		}
-	}
 	if r.Pass {
 		fmt.Fprintln(w, "perfgate: PASS")
 	} else {
 		fmt.Fprintln(w, "perfgate: FAIL")
-	}
-}
-
-func verdictTag(v string) string {
-	switch v {
-	case "regression", "alloc-regression":
-		return "FAIL"
-	case "improved":
-		return "good"
-	default:
-		return "warn"
 	}
 }
