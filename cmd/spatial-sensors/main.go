@@ -44,6 +44,30 @@ func main() {
 	}
 }
 
+// predictSlice is how many holdout rows one predict carries. The serving
+// runtime refuses a request with more rows than its admission watermark
+// (768 by default) outright, and a UC1-size holdout is ≈3.5k windows.
+const predictSlice = 256
+
+// holdoutAccuracy scores the served model on the holdout, a slice of rows
+// at a time.
+func holdoutAccuracy(ctx context.Context, mlc *service.Client, modelID string, test *dataset.Table) (float64, error) {
+	correct := 0
+	for lo := 0; lo < test.Len(); lo += predictSlice {
+		hi := min(lo+predictSlice, test.Len())
+		resp, err := mlc.Predict(ctx, service.PredictRequest{ModelID: modelID, Instances: test.X[lo:hi]})
+		if err != nil {
+			return 0, err
+		}
+		for i, c := range resp.Classes {
+			if c == test.Y[lo+i] {
+				correct++
+			}
+		}
+	}
+	return float64(correct) / float64(test.Len()), nil
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("spatial-sensors", flag.ContinueOnError)
 	gatewayURL := fs.String("gateway", "http://127.0.0.1:8100", "SPATIAL gateway base URL")
@@ -106,17 +130,8 @@ func run(args []string) error {
 		Property: sensor.PropPerformance,
 		Interval: *interval,
 		Collector: sensor.CollectorFunc(func(ctx context.Context) (float64, map[string]float64, error) {
-			resp, err := mlc.Predict(ctx, service.PredictRequest{ModelID: *modelID, Instances: test.X})
-			if err != nil {
-				return 0, nil, err
-			}
-			correct := 0
-			for i, c := range resp.Classes {
-				if c == test.Y[i] {
-					correct++
-				}
-			}
-			return float64(correct) / float64(test.Len()), nil, nil
+			acc, err := holdoutAccuracy(ctx, mlc, *modelID, test)
+			return acc, nil, err
 		}),
 		Threshold: sensor.Threshold{Min: minAccuracy},
 	}); err != nil {

@@ -254,7 +254,7 @@ func serviceCases(t *testing.T) []contractCase {
 	good := service.FromTable(contractTable(1, 40, 2))
 	bad := service.TableJSON{FeatureNames: []string{"f"}, ClassNames: []string{"a"}, X: [][]float64{{1, 2}}, Y: []int{0}}
 	image := []float64{0.9, 0.1, 0.8, 0.2}
-	manyRows := make([][]float64, 800) // past the default shed watermark of 768
+	manyRows := make([][]float64, 800) // more than the default limit of 768 a request
 	for i := range manyRows {
 		manyRows[i] = []float64{2, 0}
 	}
@@ -297,7 +297,7 @@ func serviceCases(t *testing.T) []contractCase {
 	add("ml/predict unknown model", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "nope", Instances: [][]float64{{2, 0}}})
 	add("ml/train ok dt", mlSvc, "POST", "/train", service.TrainRequest{Algorithm: "dt", Train: good, Seed: 1})
 	add("ml/predict dimension mismatch", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "dt", Instances: [][]float64{{}}})
-	add("ml/predict shed", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001", Instances: manyRows})
+	add("ml/predict too many instances", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001", Instances: manyRows})
 	add("ml/predict ok", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "lr@1", Instances: [][]float64{{2, 0}, {-2, 0}}})
 	add("ml/predict no instances", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001"})
 	add("ml/models list", mlSvc, "GET", "/models", nil)
@@ -357,12 +357,12 @@ func serviceCases(t *testing.T) []contractCase {
 	return cases
 }
 
-// clusterCases lists every route of cluster.Handler over healthy, shedding,
-// dead and empty tiers.
+// clusterCases lists every route of cluster.Handler over healthy, narrow
+// (one instance a request), dead and empty tiers.
 func clusterCases(t *testing.T) []contractCase {
 	t.Helper()
 	healthy := newContractTier(t, 3, serving.Config{MaxBatch: 1})
-	shedding := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, RetryAfter: 1500 * time.Millisecond})
+	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1})
 	dead := newContractTier(t, 1, serving.Config{MaxBatch: 1})
 	dead.reps[0].Kill()
 	empty := cluster.New(cluster.Config{Clock: clock.NewFake(time.Unix(0, 0))})
@@ -385,7 +385,7 @@ func clusterCases(t *testing.T) []contractCase {
 	add("/predict dimension mismatch", front, "POST", "/predict", service.PredictRequest{ModelID: "tree", Instances: [][]float64{{}}})
 	add("/predict ok", front, "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
 	add("/predict no instances", front, "POST", "/predict", service.PredictRequest{ModelID: "demo"})
-	add("/predict shed", shedding.c.Handler(), "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
+	add("/predict too many instances", narrow.c.Handler(), "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
 	add("/predict killed replica", dead.c.Handler(), "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
 	add("/predict empty tier", empty.Handler(), "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
 	add("/promote unknown alias", front, "POST", "/cluster/promote", service.PromoteRequest{Name: "nope", Version: 1})
@@ -455,13 +455,13 @@ func TestHTTPContract(t *testing.T) {
 	via("commit unknown txn", func() { _ = hb.Commit(ctx, "t1") })
 	via("abort ok", func() { _ = hb.Abort(ctx, "never-prepared") })
 
-	shed := cluster.NewReplica("replica-shed", serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, RetryAfter: 1500 * time.Millisecond, Clock: fake})
-	t.Cleanup(shed.Close)
-	if _, err := shed.Push(ctx, "demo", "lr", blob); err != nil {
+	narrow := cluster.NewReplica("replica-narrow", serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, Clock: fake})
+	t.Cleanup(narrow.Close)
+	if _, err := narrow.Push(ctx, "demo", "lr", blob); err != nil {
 		t.Fatal(err)
 	}
-	tr.h = shed.Handler()
-	via("predict shed", func() { _, _, _ = hb.Predict(ctx, "demo@1", two) })
+	tr.h = narrow.Handler()
+	via("predict too many instances", func() { _, _, _ = hb.Predict(ctx, "demo@1", two) })
 
 	rp.Kill()
 	tr.h = h

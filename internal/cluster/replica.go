@@ -10,7 +10,7 @@ import (
 	"repro/internal/serving"
 )
 
-// Replica hosts one serving runtime (registry, micro-batcher, worker
+// Replica hosts one serving runtime (registry, batching worker
 // pools, admission control) as a cluster member. It implements Backend
 // directly for in-process topologies; Handler (replica_http.go) exposes
 // the same surface over HTTP for multi-process ones.

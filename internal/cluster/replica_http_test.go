@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,8 +105,9 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPBackendOverloadedRoundTrip reconstructs the shed error with
-// its Retry-After hint across the wire.
+// TestHTTPBackendOverloadedRoundTrip reconstructs both admission answers
+// across the wire: a shed with its Retry-After hint, and the final
+// refusal of a request larger than the line could ever admit.
 func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	rp := NewReplica("replica-shed", serving.Config{
 		MaxBatch:      1,
@@ -122,10 +124,37 @@ func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	defer srv.Close()
 	hb := NewHTTPBackend("replica-shed", srv.URL, srv.Client())
 
-	// Two instances against a watermark of one: shed.
+	// Two instances against a watermark of one: refused for good.
 	_, _, err := hb.Predict(context.Background(), "demo", testInstances)
 	var over *serving.OverloadedError
-	if !errors.As(err, &over) {
+	if !errors.Is(err, serving.ErrTooManyInstances) || errors.As(err, &over) {
+		t.Fatalf("oversized request mapped to %v, want serving.ErrTooManyInstances", err)
+	}
+
+	// One instance at a time from eight callers: the line holds one, so
+	// before long a caller finds it taken and is shed.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	shed := make(chan error, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < cap(shed); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				if _, _, err := hb.Predict(ctx, "demo", testInstances[:1]); err != nil {
+					shed <- err
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(shed) == 0 {
+		t.Fatal("eight concurrent callers were all served for 30 s")
+	}
+	if err := <-shed; !errors.As(err, &over) {
 		t.Fatalf("wire shed mapped to %v, want *serving.OverloadedError", err)
 	}
 	if over.RetryAfter != 750*time.Millisecond {

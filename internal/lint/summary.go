@@ -22,7 +22,7 @@ type LockAcquire struct {
 	// Pos is the acquisition site (in the transitively acquiring function).
 	Pos token.Pos
 	// Via is the call chain from this function to the acquire, "" when
-	// direct ("line" or "line -> runBatcher").
+	// direct ("line" or "line -> runWorker").
 	Via string
 	// Read marks acquisitions that are only ever RLocks.
 	Read bool

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
@@ -28,16 +27,18 @@ func TestScenarioServingShedsUnderOverload(t *testing.T) {
 		y := i % 2
 		_ = tb.Append([]float64{float64(y)*4 - 2 + rng.NormFloat64()*0.4, rng.NormFloat64()}, y)
 	}
-	model := ml.NewLogReg(ml.DefaultLogRegConfig())
+	// A deliberately wide network — a row costs its one worker a few
+	// tenths of a millisecond — plus a 2-instance watermark means most of
+	// the concurrent samples find the line full and are shed.
+	cfg := ml.DefaultMLPConfig()
+	cfg.Hidden, cfg.Epochs = []int{512, 512}, 1
+	model := ml.NewMLP(cfg)
 	if err := model.Fit(tb); err != nil {
 		t.Fatal(err)
 	}
 
-	// A long batching window plus a 2-instance watermark means most of
-	// the concurrent samples find the line full and are shed.
 	rt := serving.New(serving.Config{
 		MaxBatch:      4,
-		MaxWait:       20 * time.Millisecond,
 		Workers:       1,
 		QueueDepth:    8,
 		ShedWatermark: 2,

@@ -2,13 +2,16 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/serving"
 	"repro/internal/wire"
 )
 
@@ -108,6 +111,47 @@ func TestClientDoesNotRetryFailedPOST(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("attempts %d, want 1 (POST 500 must not retry)", got)
+	}
+}
+
+// TestClientDoesNotRetryOversizedPredict: a predict with more rows than an
+// idle ML service could ever admit is answered 413 naming the limit, not
+// 429, so the retrying client gives up after the one attempt; a request
+// of exactly the limit is served.
+func TestClientDoesNotRetryOversizedPredict(t *testing.T) {
+	svc := NewMLService()
+	defer svc.Close()
+	var attempts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		svc.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL, Retry: &RetryPolicy{MaxAttempts: 4, Clock: clock.NewFake(time.Unix(1700000000, 0))}}
+	ctx := context.Background()
+	trained, err := c.Train(ctx, TrainRequest{Algorithm: "lr", Train: FromTable(sepTable(40)), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, 769) // the default watermark is 768
+	for i := range rows {
+		rows[i] = []float64{2, 0}
+	}
+
+	attempts.Store(0)
+	_, err = c.Predict(ctx, PredictRequest{ModelID: trained.ModelID, Instances: rows})
+	var status *wire.StatusError
+	if !errors.As(err, &status) || status.Status != http.StatusRequestEntityTooLarge || !errors.Is(err, serving.ErrTooManyInstances) {
+		t.Fatalf("769 rows: %v, want a 413 that is serving.ErrTooManyInstances", err)
+	}
+	if !strings.Contains(status.Message, "limit 768") {
+		t.Fatalf("message %q does not name the limit", status.Message)
+	}
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("attempts %d, want 1 (a 413 must not retry)", got)
+	}
+	if resp, err := c.Predict(ctx, PredictRequest{ModelID: trained.ModelID, Instances: rows[:768]}); err != nil || len(resp.Classes) != 768 {
+		t.Fatalf("768 rows: %d classes, %v; want served", len(resp.Classes), err)
 	}
 }
 

@@ -94,7 +94,7 @@ func NewMLService() *MLService {
 // pipeline, examples).
 func (s *MLService) Runtime() *serving.Runtime { return s.runtime }
 
-// Close stops the serving runtime's batchers and workers.
+// Close stops the serving runtime's workers.
 func (s *MLService) Close() { s.runtime.Close() }
 
 func (s *MLService) train(_ context.Context, req *TrainRequest) (resp TrainResponse, err error) {

@@ -3,10 +3,12 @@ package serving
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/ml"
 	"repro/internal/telemetry"
 )
 
@@ -40,40 +42,103 @@ func histSeries(t *testing.T, tel *telemetry.Registry, name string) telemetry.Se
 	return telemetry.Series{}
 }
 
-// TestBatcherLatencyBoundFlush pins the exact virtual timeline of a
-// latency-bound flush: one queued instance sits until the fake clock
-// advances by MaxWait, then flushes as a batch of one whose recorded
-// batch latency is exactly MaxWait.
-func TestBatcherLatencyBoundFlush(t *testing.T) {
-	const maxWait = 2 * time.Millisecond
-	rt, fake, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, MaxWait: maxWait, Workers: 1})
+// gated stands in for a line's model so a test decides when a batch may
+// score: each batch announces its rows on entered, then waits for a token
+// on release. It is the only way to hold a worker busy without a timer.
+type gated struct {
+	ml.Classifier
+	entered chan [][]float64
+	release chan struct{}
+}
 
-	type result struct {
-		classes []int
-		err     error
-	}
-	done := make(chan result, 1)
-	go func() {
-		_, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
-		done <- result{classes, err}
-	}()
-
-	// The batcher received the item and armed its MaxWait timer; nothing
-	// flushes until virtual time reaches the deadline.
-	fake.BlockUntil(1)
+func (g *gated) PredictProbaBatch(X [][]float64) [][]float64 {
 	select {
-	case r := <-done:
-		t.Fatalf("flushed before the latency bound: %+v", r)
-	default:
+	case g.entered <- slices.Clone(X): // X is the worker's scratch
+		<-g.release
+	case <-g.release: // opened for good
 	}
+	return ml.PredictProbaAll(g.Classifier, X)
+}
 
-	fake.Advance(maxWait)
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
+// open lets every later batch through unannounced.
+func (g *gated) open() { close(g.release) }
+
+// gate swaps ref's warm model for a gated wrapper of it.
+func gate(rt *Runtime, ref Ref) *gated {
+	reg := rt.Registry()
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	e := reg.entries[ref.ID]
+	g := &gated{Classifier: e.model, entered: make(chan [][]float64), release: make(chan struct{})}
+	e.model = g
+	return g
+}
+
+// queued reports how many instances sit in ref's queue, taken by no
+// worker yet.
+func queued(rt *Runtime, ref Ref) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if ln, ok := rt.lines[ref.ID]; ok {
+		return len(ln.in)
 	}
-	if len(r.classes) != 1 || r.classes[0] != 1 {
-		t.Fatalf("classes %v, want [1]", r.classes)
+	return 0
+}
+
+// queueBehindHeldWorker drives a one-worker line into the busy regime:
+// one instance (x[0] = 0) is held inside the gated classifier, then n
+// single-instance callers are queued one at a time, so queue order is
+// call order and instance i carries x[0] = i. Every caller's error
+// arrives on the returned channel.
+func queueBehindHeldWorker(t *testing.T, rt *Runtime, ref Ref, g *gated, n int) chan error {
+	t.Helper()
+	results := make(chan error, 1+n)
+	for i := 0; i <= n; i++ {
+		go func() {
+			_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{float64(i), 0}})
+			results <- err
+		}()
+		if i == 0 {
+			if held := <-g.entered; len(held) != 1 {
+				t.Fatalf("an idle worker took a batch of %d, want the lone instance", len(held))
+			}
+			continue
+		}
+		for queued(rt, ref) != i {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return results
+}
+
+// nextBatch releases the batch the worker holds and returns the x[0] of
+// every row of the one it takes next.
+func nextBatch(g *gated) []float64 {
+	g.release <- struct{}{}
+	var ids []float64
+	for _, x := range <-g.entered {
+		ids = append(ids, x[0])
+	}
+	return ids
+}
+
+// TestIdleLineScoresAtOnce pins the idle regime: a lone Predict is scored
+// by the worker that receives it with nothing to wait for — it returns
+// although nobody advances the fake clock, no timer was ever armed, and
+// the batch of one records a batch latency of exactly 0.
+func TestIdleLineScoresAtOnce(t *testing.T) {
+	rt, fake, tel, ref := newTestRuntime(t, Config{Workers: 1})
+	start := fake.Now()
+
+	_, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(classes) != 1 || classes[0] != 1 {
+		t.Fatalf("classes %v, want [1]", classes)
+	}
+	if fake.Pending() != 0 || !fake.Now().Equal(start) {
+		t.Fatalf("%d timers armed, virtual time moved %v; want none and 0", fake.Pending(), fake.Now().Sub(start))
 	}
 
 	size := histSeries(t, tel, "spatial_serving_batch_size")
@@ -81,8 +146,8 @@ func TestBatcherLatencyBoundFlush(t *testing.T) {
 		t.Fatalf("batch size count=%d sum=%v, want one batch of one", size.Count, size.Sum)
 	}
 	lat := histSeries(t, tel, "spatial_serving_batch_latency_seconds")
-	if lat.Count != 1 || lat.Sum != maxWait.Seconds() {
-		t.Fatalf("batch latency count=%d sum=%v, want exactly %v", lat.Count, lat.Sum, maxWait.Seconds())
+	if lat.Count != 1 || lat.Sum != 0 {
+		t.Fatalf("batch latency count=%d sum=%v, want exactly 0", lat.Count, lat.Sum)
 	}
 	if metricValue(t, tel, "spatial_serving_predictions_total") != 1 {
 		t.Fatal("predictions counter != 1")
@@ -92,53 +157,69 @@ func TestBatcherLatencyBoundFlush(t *testing.T) {
 	}
 }
 
-// TestBatcherSizeBoundFlush: a Predict carrying MaxBatch instances
-// flushes immediately — zero virtual time passes, so the recorded batch
-// latency is exactly 0 and the batch size exactly MaxBatch.
-func TestBatcherSizeBoundFlush(t *testing.T) {
-	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 3, MaxWait: time.Hour, Workers: 1})
+// TestBusyLineCoalesces pins the busy regime: everything that queued
+// while the single worker was inside the classifier comes out as one
+// batch, in queue order.
+func TestBusyLineCoalesces(t *testing.T) {
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1})
+	g := gate(rt, ref)
+	results := queueBehindHeldWorker(t, rt, ref, g, 5)
 
-	probs, classes, err := rt.Predict(context.Background(), ref.Name,
-		[][]float64{{2, 0}, {-2, 0}, {2, 1}})
-	if err != nil {
-		t.Fatal(err)
+	if got := nextBatch(g); !slices.Equal(got, []float64{1, 2, 3, 4, 5}) {
+		t.Fatalf("batch %v, want the five queued instances in FIFO order", got)
 	}
-	if len(probs) != 3 || len(classes) != 3 {
-		t.Fatalf("got %d probs / %d classes", len(probs), len(classes))
+	g.open()
+	for i := 0; i < 6; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if classes[0] != 1 || classes[1] != 0 || classes[2] != 1 {
-		t.Fatalf("classes %v, want [1 0 1]", classes)
+	size := histSeries(t, tel, "spatial_serving_batch_size")
+	if size.Count != 2 || size.Sum != 6 {
+		t.Fatalf("batch size count=%d sum=%v, want batches of 1 and 5", size.Count, size.Sum)
+	}
+}
+
+// TestBatcherSizeBoundFlush: a worker takes at most MaxBatch instances —
+// MaxBatch + 2 queued behind a busy worker come out as MaxBatch, then 2 —
+// and with no virtual time passing every batch latency is exactly 0.
+func TestBatcherSizeBoundFlush(t *testing.T) {
+	const maxBatch = 3
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: maxBatch, Workers: 1})
+	g := gate(rt, ref)
+	results := queueBehindHeldWorker(t, rt, ref, g, maxBatch+2)
+
+	if got := nextBatch(g); !slices.Equal(got, []float64{1, 2, 3}) {
+		t.Fatalf("first batch %v, want the oldest MaxBatch instances", got)
+	}
+	if got := nextBatch(g); !slices.Equal(got, []float64{4, 5}) {
+		t.Fatalf("second batch %v, want the remaining two", got)
+	}
+	g.open()
+	for i := 0; i < 1+maxBatch+2; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	size := histSeries(t, tel, "spatial_serving_batch_size")
-	if size.Count != 1 || size.Sum != 3 {
-		t.Fatalf("batch size count=%d sum=%v, want one batch of three", size.Count, size.Sum)
+	if size.Count != 3 || size.Sum != 1+maxBatch+2 {
+		t.Fatalf("batch size count=%d sum=%v, want batches of 1, 3 and 2", size.Count, size.Sum)
 	}
 	lat := histSeries(t, tel, "spatial_serving_batch_latency_seconds")
-	if lat.Count != 1 || lat.Sum != 0 {
+	if lat.Count != 3 || lat.Sum != 0 {
 		t.Fatalf("batch latency count=%d sum=%v, want exactly 0 (no virtual time passed)", lat.Count, lat.Sum)
 	}
 }
 
-// TestAdmissionControlSheds fills a line to its watermark and asserts the
-// next request is shed with an *OverloadedError carrying the configured
-// Retry-After, while the queued requests still complete.
+// TestAdmissionControlSheds fills a line to its watermark — one instance
+// held in the classifier, three queued behind it — and asserts the next
+// request is shed with an *OverloadedError carrying the configured
+// Retry-After, while the admitted requests still complete.
 func TestAdmissionControlSheds(t *testing.T) {
-	cfg := Config{MaxBatch: 64, MaxWait: 2 * time.Millisecond, Workers: 1, QueueDepth: 8, ShedWatermark: 4}
-	rt, fake, tel, ref := newTestRuntime(t, cfg)
-
-	results := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}})
-			results <- err
-		}()
-	}
-	// Wait until all four reservations are visible; they sit in the
-	// forming batch because the fake clock never reaches the deadline.
-	for rt.InFlightFor(ref.Name) != 4 {
-		time.Sleep(100 * time.Microsecond)
-	}
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1, QueueDepth: 8, ShedWatermark: 4})
+	g := gate(rt, ref)
+	results := queueBehindHeldWorker(t, rt, ref, g, 3)
 
 	_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{0, 0}})
 	var oe *OverloadedError
@@ -155,19 +236,10 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatal("shed counter != 1")
 	}
 
-	// Drain: release the forming batch and let the queued calls finish.
-	for done := 0; done < 4; {
-		select {
-		case err := <-results:
-			if err != nil {
-				t.Fatal(err)
-			}
-			done++
-		default:
-			if fake.Pending() > 0 {
-				fake.Advance(cfg.MaxWait)
-			}
-			time.Sleep(100 * time.Microsecond)
+	g.open()
+	for i := 0; i < 4; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
 		}
 	}
 	if rt.InFlight() != 0 {
@@ -181,72 +253,67 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 // TestPredictErrors covers the non-batching failure modes.
 func TestPredictErrors(t *testing.T) {
-	rt, fake, _, ref := newTestRuntime(t, Config{Workers: 1})
+	rt, _, tel, ref := newTestRuntime(t, Config{Workers: 1})
+	ctx := context.Background()
 
-	if _, _, err := rt.Predict(context.Background(), "ghost", [][]float64{{0, 0}}); !errors.Is(err, ErrNotFound) {
+	if _, _, err := rt.Predict(ctx, "ghost", [][]float64{{0, 0}}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown ref: %v, want ErrNotFound", err)
 	}
-	if probs, classes, err := rt.Predict(context.Background(), ref.Name, nil); probs != nil || classes != nil || err != nil {
+	if probs, classes, err := rt.Predict(ctx, ref.Name, nil); probs != nil || classes != nil || err != nil {
 		t.Fatal("empty batch should be a no-op")
 	}
 
-	// predictAsync starts a Predict, waits for its batch timer to arm,
-	// then releases it by advancing virtual time past the latency bound.
-	type result struct {
-		classes []int
-		err     error
+	// A request no idle line could admit is refused for good, naming the
+	// limit — not shed with a retry hint; one row fewer is admitted.
+	rows := make([][]float64, 769) // default watermark: 3/4 of 1024
+	for i := range rows {
+		rows[i] = []float64{2, 0}
 	}
-	predictAsync := func(instances [][]float64, ctx context.Context) chan result {
-		out := make(chan result, 1)
-		go func() {
-			_, classes, err := rt.Predict(ctx, ref.Name, instances)
-			out <- result{classes, err}
-		}()
-		fake.BlockUntil(1)
-		return out
+	_, _, err := rt.Predict(ctx, ref.Name, rows)
+	var oe *OverloadedError
+	if !errors.Is(err, ErrTooManyInstances) || errors.As(err, &oe) {
+		t.Fatalf("769 rows on an idle line: %v, want ErrTooManyInstances and no shed", err)
 	}
-	// await advances virtual time whenever a batch timer is pending until
-	// the call completes (a batch may split if the deadline fires while
-	// instances are still queued).
-	await := func(out chan result) result {
-		for {
-			select {
-			case r := <-out:
-				return r
-			default:
-				if fake.Pending() > 0 {
-					fake.Advance(2 * time.Millisecond)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
+	if want := "serving: too many instances in one request: 769, limit 768"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
-
-	// Context cancellation unblocks a waiting Predict.
-	ctx, cancel := context.WithCancel(context.Background())
-	out := predictAsync([][]float64{{2, 0}}, ctx)
-	cancel()
-	if r := <-out; !errors.Is(r.err, context.Canceled) {
-		t.Fatalf("cancelled Predict: %v", r.err)
+	if metricValue(t, tel, "spatial_serving_shed_total") != 0 || rt.InFlight() != 0 {
+		t.Fatal("a refused request must not count as shed or stay in flight")
 	}
-	fake.Advance(2 * time.Millisecond) // flush the abandoned batch
-	for rt.InFlight() != 0 {
-		time.Sleep(100 * time.Microsecond)
+	if probs, _, err := rt.Predict(ctx, ref.Name, rows[:768]); err != nil || len(probs) != 768 {
+		t.Fatalf("a request of exactly the watermark: %d rows, %v; want admitted", len(probs), err)
 	}
 
 	// A prediction panic (dimension mismatch) fails the call, not the
 	// worker: the runtime keeps serving afterwards.
-	if r := await(predictAsync([][]float64{{1, 2, 3, 4, 5}}, context.Background())); r.err == nil {
+	if _, _, err := rt.Predict(ctx, ref.Name, [][]float64{{1, 2, 3, 4, 5}}); err == nil {
 		t.Fatal("dimension mismatch should surface as an error")
 	}
-	r := await(predictAsync([][]float64{{2, 0}, {-2, 0}}, context.Background()))
-	if r.err != nil || r.classes[0] != 1 || r.classes[1] != 0 {
-		t.Fatalf("runtime dead after panic: %+v", r)
+	if _, classes, err := rt.Predict(ctx, ref.Name, [][]float64{{2, 0}, {-2, 0}}); err != nil || classes[0] != 1 || classes[1] != 0 {
+		t.Fatalf("runtime dead after panic: %v %v", classes, err)
+	}
+
+	// Context cancellation unblocks a Predict waiting on a busy worker.
+	g := gate(rt, ref)
+	cctx, cancel := context.WithCancel(ctx)
+	out := make(chan error, 1)
+	go func() {
+		_, _, err := rt.Predict(cctx, ref.Name, [][]float64{{2, 0}})
+		out <- err
+	}()
+	<-g.entered
+	cancel()
+	if err := <-out; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Predict: %v", err)
+	}
+	g.open() // the abandoned batch still scores and leaves the accounts
+	for rt.InFlight() != 0 {
+		time.Sleep(100 * time.Microsecond)
 	}
 
 	rt.Close()
 	rt.Close() // idempotent
-	if _, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}}); !errors.Is(err, ErrClosed) {
+	if _, _, err := rt.Predict(ctx, ref.Name, [][]float64{{2, 0}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("predict after close: %v, want ErrClosed", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -123,7 +122,7 @@ func benchmarkSerial(b *testing.B, m ml.Classifier) {
 // 32 concurrent single-instance Predicts coalesced into micro-batches
 // executed by the tree-major batch kernels.
 func benchmarkBatched(b *testing.B, m ml.Classifier) {
-	rt := New(Config{MaxBatch: benchConcurrency, MaxWait: 400 * time.Microsecond})
+	rt := New(Config{MaxBatch: benchConcurrency})
 	defer rt.Close()
 	ref, err := rt.Registry().Register("bench", m)
 	if err != nil {

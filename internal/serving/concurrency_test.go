@@ -3,7 +3,10 @@ package serving
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +23,6 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 	tel := telemetry.NewRegistry()
 	rt := New(Config{
 		MaxBatch:  8,
-		MaxWait:   200 * time.Microsecond,
 		Workers:   2,
 		WarmBytes: 1, // every cold load evicts: maximum cache churn
 		Telemetry: tel,
@@ -104,5 +106,113 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 	}
 	if metricValue(t, tel, "spatial_serving_predictions_total") == 0 {
 		t.Fatal("no predictions recorded")
+	}
+}
+
+// TestCloseDrains attacks shutdown: Close with instances still queued
+// behind a busy worker and a batch inside execute, then Close with
+// Predicts still arriving. Every call returns exactly one of a full result
+// or ErrClosed — never a partly filled probs — Close returns, and no
+// goroutine of the runtime outlives it. (A stopping worker holds no
+// partly formed batch to strand: it is either blocked on the queue or
+// scoring a batch it will finish delivering.)
+func TestCloseDrains(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const rows = 5 // over MaxBatch, so one call spans several batches
+	x := make([][]float64, rows)
+	for i := range x {
+		x[i] = []float64{2, 0}
+	}
+	type result struct {
+		probs   [][]float64
+		classes []int
+		err     error
+	}
+	check := func(r result) {
+		t.Helper()
+		switch {
+		case r.err == nil:
+			if len(r.probs) != rows || len(r.classes) != rows || slices.ContainsFunc(r.probs, func(p []float64) bool { return p == nil }) {
+				t.Errorf("served call returned a partial result: %v %v", r.probs, r.classes)
+			}
+		case !errors.Is(r.err, ErrClosed):
+			t.Errorf("call failed with %v, want ErrClosed", r.err)
+		case r.probs != nil || r.classes != nil:
+			t.Errorf("closed call still returned data: %v %v", r.probs, r.classes)
+		}
+	}
+
+	// Queued and executing: the first call's first batch is held inside
+	// the classifier, its remaining rows and a whole second call wait in
+	// the queue.
+	rt := New(Config{MaxBatch: 2, Workers: 1})
+	ref, err := rt.Registry().Register("fall", trainedLogReg(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gate(rt, ref)
+	results := make(chan result, 2)
+	predict := func() {
+		probs, classes, err := rt.Predict(context.Background(), ref.Name, x)
+		results <- result{probs, classes, err}
+	}
+	go predict()
+	held := len(<-g.entered) // one or two rows: the caller may still be enqueuing
+	go predict()
+	for queued(rt, ref) != 2*rows-held {
+		time.Sleep(50 * time.Microsecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(closed)
+	}()
+	for i := 0; i < 2; i++ {
+		r := <-results // released by the stop, while the worker is still held
+		if r.err == nil {
+			t.Error("a call whose rows were still queued at Close was served")
+		}
+		check(r)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a worker still inside execute")
+	default:
+	}
+	g.open()
+	<-closed
+
+	// Still arriving: callers hammer the line until Close turns them away.
+	rt = New(Config{MaxBatch: 2, Workers: 2})
+	if _, err := rt.Registry().Register("fall", trainedLogReg(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				probs, classes, err := rt.Predict(context.Background(), "fall", x)
+				check(result{probs, classes, err})
+				if err != nil {
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	for served.Load() < 50 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	rt.Close()
+	wg.Wait()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after both runtimes closed", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,9 +1,9 @@
 // Package serving is the model-serving runtime every SPATIAL service
 // predicts through: a versioned, content-addressed model registry with an
-// LRU warm cache, a per-model dynamic micro-batcher that coalesces
-// concurrent requests under size and latency bounds, per-model worker
-// pools with bounded queues, and admission control that sheds load with a
-// retryable overload error before queueing collapses into latency.
+// LRU warm cache, one bounded queue and one worker pool per model whose
+// workers coalesce whatever queued while they were busy into
+// micro-batches, and admission control that sheds load with a retryable
+// overload error before queueing collapses into latency.
 //
 // The paper's capacity experiments (§VII-B) drive the deployed services
 // with concurrent JMeter traffic; this package replaces the serial
@@ -12,7 +12,7 @@
 // kernels in internal/ml), bounds concurrency to the hardware, and turns
 // overload into fast 429s instead of unbounded queueing.
 //
-// Time is injected via internal/clock so batching deadlines are exact
+// Time is injected via internal/clock so latency measurements are exact
 // virtual timelines under test; telemetry (queue depth, batch size and
 // latency, shed and eviction counters) records into an
 // internal/telemetry registry exposed at /metrics.
@@ -35,21 +35,20 @@ import (
 // Config parameterizes the runtime. The zero value is usable: every
 // field falls back to the documented default.
 type Config struct {
-	// MaxBatch is the micro-batch size bound (default 64): a forming
-	// batch flushes as soon as it holds MaxBatch instances.
+	// MaxBatch is the micro-batch size bound (default 64): a worker takes
+	// at most MaxBatch queued instances into one batch. There is no
+	// latency bound to set: a batch is whatever queued while the workers
+	// were busy, and an idle worker waits for nothing.
 	MaxBatch int
-	// MaxWait is the micro-batch latency bound (default 2ms): a forming
-	// batch flushes when its oldest instance has waited MaxWait, full or
-	// not.
-	MaxWait time.Duration
 	// Workers is the per-model worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the per-model request queue (default 1024).
 	QueueDepth int
-	// ShedWatermark is the in-flight instance count (queued + batching +
-	// executing, per model) beyond which new requests are shed with an
+	// ShedWatermark is the in-flight instance count (queued + executing,
+	// per model) beyond which new requests are shed with an
 	// *OverloadedError (default 3/4 of QueueDepth, clamped to
-	// QueueDepth).
+	// QueueDepth). It is also the most instances one request may carry:
+	// a larger one fails with ErrTooManyInstances.
 	ShedWatermark int
 	// RetryAfter is the client back-off hint carried by shed responses
 	// (default 250ms).
@@ -58,9 +57,9 @@ type Config struct {
 	// (default 128 MiB): cold models deserialize on demand, least
 	// recently used models are evicted back to bytes.
 	WarmBytes int64
-	// Clock is the time source for batching deadlines and latency
-	// measurements; clock.Real() when nil. Tests install a clock.Fake
-	// and assert exact virtual timelines.
+	// Clock is the time source for latency measurements; clock.Real()
+	// when nil. Tests install a clock.Fake and assert exact virtual
+	// timelines.
 	Clock clock.Clock
 	// Telemetry is the metric registry serving metrics record into; a
 	// private registry is created when nil.
@@ -71,9 +70,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -119,6 +115,13 @@ func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("serving: model %s overloaded (%d in flight); retry after %v",
 		e.Ref, e.Depth, e.RetryAfter)
 }
+
+// ErrTooManyInstances is returned (wrapped, with the count and the limit)
+// for a request carrying more instances than ShedWatermark: admission
+// could never take it however idle the line, so unlike a shed it is not
+// retryable — the caller must split the request. Servers surface it as
+// 413.
+var ErrTooManyInstances = errors.New("serving: too many instances in one request")
 
 // ErrClosed is returned by Predict after Close.
 var ErrClosed = errors.New("serving: runtime closed")
@@ -193,12 +196,10 @@ func (c *call) fail(err error) {
 }
 
 // line is the serving pipeline of one content-addressed model: a bounded
-// request queue, a batcher goroutine coalescing it into micro-batches,
-// and a worker pool executing them.
+// request queue and the worker pool that drains it in micro-batches.
 type line struct {
 	id       string
 	in       chan *item
-	work     chan []*item
 	inflight atomic.Int64
 }
 
@@ -213,14 +214,9 @@ func (r *Runtime) line(id string) (*line, error) {
 	if ln, ok := r.lines[id]; ok {
 		return ln, nil
 	}
-	ln := &line{
-		id:   id,
-		in:   make(chan *item, r.cfg.QueueDepth),
-		work: make(chan []*item, r.cfg.Workers),
-	}
+	ln := &line{id: id, in: make(chan *item, r.cfg.QueueDepth)}
 	r.lines[id] = ln
-	r.wg.Add(1 + r.cfg.Workers)
-	go r.runBatcher(ln)
+	r.wg.Add(r.cfg.Workers)
 	for w := 0; w < r.cfg.Workers; w++ {
 		go r.runWorker(ln)
 	}
@@ -238,6 +234,9 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 	}
 	if len(instances) == 0 {
 		return nil, nil, nil
+	}
+	if len(instances) > r.cfg.ShedWatermark {
+		return nil, nil, fmt.Errorf("%w: %d, limit %d", ErrTooManyInstances, len(instances), r.cfg.ShedWatermark)
 	}
 	ln, err := r.line(id)
 	if err != nil {
@@ -291,71 +290,64 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 	return c.probs, ml.ArgmaxAll(c.probs), nil
 }
 
-// runBatcher coalesces a line's queue into micro-batches: flush at
-// MaxBatch instances or when the first instance has waited MaxWait.
-func (r *Runtime) runBatcher(ln *line) {
-	defer r.wg.Done()
-	for {
-		var first *item
+// take appends what is queued right now, up to cap(batch), without
+// blocking.
+func (ln *line) take(batch []*item) []*item {
+	for len(batch) < cap(batch) {
 		select {
-		case first = <-ln.in:
+		case it := <-ln.in:
+			batch = append(batch, it)
 		default:
-			// Queue idle: block until work or shutdown.
-			select {
-			case first = <-ln.in:
-			case <-r.stop:
-				return
-			}
-		}
-		batch := append(make([]*item, 0, r.cfg.MaxBatch), first)
-		deadline := r.clk.After(r.cfg.MaxWait)
-	collect:
-		for len(batch) < r.cfg.MaxBatch {
-			// Drain already-queued items with a cheap non-blocking
-			// receive; fall into the full select (deadline, shutdown)
-			// only when the queue is momentarily empty.
-			select {
-			case it := <-ln.in:
-				batch = append(batch, it)
-				continue
-			default:
-			}
-			select {
-			case it := <-ln.in:
-				batch = append(batch, it)
-			case <-deadline:
-				break collect
-			case <-r.stop:
-				return
-			}
-		}
-		select {
-		case ln.work <- batch:
-		case <-r.stop:
-			return
+			return batch
 		}
 	}
+	return batch
 }
 
-// runWorker executes dispatched batches.
+// runWorker is the whole pipeline stage behind a line's queue: block for
+// the oldest queued instance, take whatever else is queued up to
+// MaxBatch, score it. No deadline is needed — the batch that forms while
+// the workers are busy costs nobody a wait, and an idle worker has
+// nothing to wait for.
 func (r *Runtime) runWorker(ln *line) {
 	defer r.wg.Done()
+	batch := make([]*item, 0, r.cfg.MaxBatch)
+	X := make([][]float64, r.cfg.MaxBatch)
 	for {
 		select {
-		case batch := <-ln.work:
-			r.execute(ln, batch)
+		case first := <-ln.in:
+			batch = ln.take(append(batch[:0], first))
 		case <-r.stop:
 			return
 		}
+		// The send that woke this worker handed it the processor ahead of
+		// every caller that was about to enqueue, so what it sees is one
+		// instance however loaded the line is. Yield to them, and again
+		// for as long as a yield brings more: on an idle processor the
+		// first yield returns at once with nothing and the batch goes as
+		// it is; on a busy one the batch grows until the callers have all
+		// enqueued and are waiting, which is when waiting longer could
+		// gain nothing.
+		for len(batch) < cap(batch) {
+			n := len(batch)
+			runtime.Gosched()
+			if batch = ln.take(batch); len(batch) == n {
+				break
+			}
+		}
+		r.execute(ln, batch, X)
+		// Drop the request rows and calls so an idle line pins none.
+		clear(batch)
+		clear(X[:len(batch)])
 	}
 }
 
 // execute scores one batch and delivers per-item results. A model error
 // (or a prediction panic, e.g. a dimension mismatch) fails every item's
 // call instead of crashing the worker.
-func (r *Runtime) execute(ln *line, batch []*item) {
+func (r *Runtime) execute(ln *line, batch []*item, X [][]float64) {
 	first := batch[0].at
-	probs, err := r.scoreBatch(ln.id, batch)
+	probs, err := r.scoreBatch(ln.id, batch, X)
 	// Accounting precedes delivery: a Predict caller wakes the moment its
 	// result lands, and anything it then reads (in-flight count, batch
 	// histograms) must already reflect this batch.
@@ -380,7 +372,9 @@ func (r *Runtime) execute(ln *line, batch []*item) {
 	}
 }
 
-func (r *Runtime) scoreBatch(id string, batch []*item) (probs [][]float64, err error) {
+// scoreBatch gathers the batch's rows into X (the worker's scratch, at
+// least one slot per item) and scores them.
+func (r *Runtime) scoreBatch(id string, batch []*item, X [][]float64) (probs [][]float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("serving: predict panic: %v", rec)
@@ -390,7 +384,7 @@ func (r *Runtime) scoreBatch(id string, batch []*item) (probs [][]float64, err e
 	if err != nil {
 		return nil, err
 	}
-	X := make([][]float64, len(batch))
+	X = X[:len(batch)]
 	for i, it := range batch {
 		X[i] = it.x
 	}
@@ -425,8 +419,9 @@ func (r *Runtime) InFlightFor(ref string) int {
 	return int(ln.inflight.Load())
 }
 
-// Close stops every batcher and worker and fails pending Predict calls
-// with ErrClosed. It is idempotent.
+// Close stops every worker — one mid-batch finishes and delivers that
+// batch first — and fails the Predict calls still waiting with ErrClosed.
+// It is idempotent.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	if r.closed {

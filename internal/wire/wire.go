@@ -61,6 +61,10 @@ var table = []struct {
 	{"notfound", http.StatusNotFound, serving.ErrNotFound, true},
 	{"badrequest", http.StatusBadRequest, ErrBadRequest, false},
 	{"toolarge", http.StatusRequestEntityTooLarge, ErrTooLarge, false},
+	// More instances than one request may carry: as final as an oversized
+	// body, and typed so the cluster front answers a replica's refusal
+	// with the same 413 instead of a 422.
+	{"toomany", http.StatusRequestEntityTooLarge, serving.ErrTooManyInstances, true},
 	{"conflict", http.StatusConflict, ErrConflict, false},
 	{"internal", http.StatusInternalServerError, ErrInternal, false},
 	{"down", http.StatusServiceUnavailable, ErrReplicaDown, true},
@@ -203,8 +207,8 @@ func PredictHandler(predict func(ctx context.Context, ref string, instances [][]
 
 // StatusError is a non-2xx answer as Do returns it. It unwraps to the
 // typed error the server wrote it from (serving.ErrNotFound,
-// *serving.OverloadedError, ErrReplicaDown, ErrNoReplicas) when the
-// envelope names one.
+// serving.ErrTooManyInstances, *serving.OverloadedError, ErrReplicaDown,
+// ErrNoReplicas) when the envelope names one.
 type StatusError struct {
 	Status  int
 	Kind    string

@@ -40,6 +40,7 @@ func TestErrorTableRoundTrip(t *testing.T) {
 	}{
 		{"decode failure", BadRequest(errors.New("bad")), 400, "badrequest", "", nil},
 		{"oversized body", Tag(ErrTooLarge, errors.New("big")), 413, "toolarge", "", nil},
+		{"too many instances", fmt.Errorf("%w: 769, limit 768", serving.ErrTooManyInstances), 413, "toomany", "", serving.ErrTooManyInstances},
 		{"not found", fmt.Errorf("lookup: %w", serving.ErrNotFound), 404, "notfound", "", serving.ErrNotFound},
 		{"not found beats a conflict tag", Conflict(fmt.Errorf("promote: %w", serving.ErrNotFound)), 404, "notfound", "", serving.ErrNotFound},
 		{"conflict", Conflict(errors.New("no history")), 409, "conflict", "", nil},

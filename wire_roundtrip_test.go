@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,38 @@ import (
 	"repro/internal/service"
 	"repro/internal/serving"
 )
+
+// firstRefusal overloads a tier the only way a caller can: it keeps eight
+// callers predicting at once until the tier refuses one of them, and
+// returns that error.
+func firstRefusal(t *testing.T, predict func() error) error {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	refused := make(chan error, 8)
+	var wg sync.WaitGroup
+	for i := 0; i < cap(refused); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				if err := predict(); err != nil {
+					refused <- err
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-refused:
+		return err
+	default:
+		t.Fatal("eight concurrent callers were all served for 30 s")
+		return nil
+	}
+}
 
 // TestTypedErrorsSurviveTheWire is the round-trip half of the HTTP
 // contract: each typed error a handler writes comes back from
@@ -34,7 +67,7 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 	mlc := &service.Client{BaseURL: mlSrv.URL, HTTP: mlSrv.Client()}
 
 	healthy := newContractTier(t, 2, serving.Config{MaxBatch: 1})
-	shedding := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, RetryAfter: 1500 * time.Millisecond})
+	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, RetryAfter: 1500 * time.Millisecond})
 	dead := newContractTier(t, 1, serving.Config{MaxBatch: 1})
 	dead.reps[0].Kill()
 	empty := cluster.New(cluster.Config{Clock: clock.NewFake(time.Unix(0, 0))})
@@ -44,10 +77,13 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 		return &service.Client{BaseURL: srv.URL, HTTP: srv.Client()}
 	}
 
-	manyRows := make([][]float64, 800) // past the ML service's default shed watermark
+	// 768 rows is the most one request may carry under the ML service's
+	// default watermark: alone it is admitted, beside another it is shed.
+	manyRows := make([][]float64, 769)
 	for i := range manyRows {
 		manyRows[i] = []float64{2, 0}
 	}
+	narrowFront := front(narrow.c)
 	predict := func(c *service.Client, ref string, rows [][]float64) error {
 		_, err := c.Predict(ctx, service.PredictRequest{ModelID: ref, Instances: rows})
 		return err
@@ -74,8 +110,8 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 		err   error
 		after time.Duration
 	}{
-		{"ml predict", predict(mlc, "lr", manyRows), 250 * time.Millisecond},
-		{"cluster predict", predict(front(shedding.c), "demo", two), 1500 * time.Millisecond},
+		{"ml predict", firstRefusal(t, func() error { return predict(mlc, "lr", manyRows[:768]) }), 250 * time.Millisecond},
+		{"cluster predict", firstRefusal(t, func() error { return predict(narrowFront, "demo", two[:1]) }), 1500 * time.Millisecond},
 	}
 	for _, tc := range sheds {
 		var over *serving.OverloadedError
@@ -83,6 +119,18 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 			t.Errorf("%s: %v, want *serving.OverloadedError", tc.name, tc.err)
 		} else if over.RetryAfter != tc.after {
 			t.Errorf("%s: retry hint %v, want the exact %v", tc.name, over.RetryAfter, tc.after)
+		}
+	}
+
+	// A request no idle line could admit is not a shed: a final 413 that
+	// names the limit, typed on both tiers.
+	for name, err := range map[string]error{
+		"ml predict":      predict(mlc, "lr", manyRows),
+		"cluster predict": predict(narrowFront, "demo", two),
+	} {
+		var over *serving.OverloadedError
+		if !errors.Is(err, serving.ErrTooManyInstances) || errors.As(err, &over) {
+			t.Errorf("%s: %v, want serving.ErrTooManyInstances and no shed", name, err)
 		}
 	}
 
