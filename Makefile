@@ -110,6 +110,7 @@ cluster-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzUnmarshalModel -fuzztime 30s ./internal/ml/
+	$(GO) test -fuzz FuzzMLPBatchMatchesSerial -fuzztime 30s ./internal/ml/
 
 # Regenerate every paper table/figure (~15 min single-CPU).
 experiments:

@@ -192,6 +192,21 @@ func contractModel(t *testing.T, seed int64, d int) (ml.Classifier, json.RawMess
 	return m, blob
 }
 
+// contractNN is a three-input network, the model kind that knows its
+// input width and refuses any other.
+func contractNN(t *testing.T) json.RawMessage {
+	t.Helper()
+	nn := ml.NewMLP(ml.MLPConfig{Hidden: []int{4}, LearningRate: 0.05, Momentum: 0.9, Epochs: 5, BatchSize: 16, Seed: 1})
+	if err := nn.Fit(contractTable(1, 60, 3)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.MarshalModel(nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // contractTree is a decision tree, the model kind that refuses a row
 // with too few features.
 func contractTree(t *testing.T) (ml.Classifier, json.RawMessage) {
@@ -250,6 +265,7 @@ func serviceCases(t *testing.T) []contractCase {
 	_, blob2 := contractModel(t, 1, 2)
 	_, blob4 := contractModel(t, 1, 4)
 	_, treeBlob := contractTree(t)
+	nn3 := contractNN(t)
 	garbage := json.RawMessage(`{"kind":"alien","spec":{}}`)
 	good := service.FromTable(contractTable(1, 40, 2))
 	bad := service.TableJSON{FeatureNames: []string{"f"}, ClassNames: []string{"a"}, X: [][]float64{{1, 2}}, Y: []int{0}}
@@ -319,10 +335,12 @@ func serviceCases(t *testing.T) []contractCase {
 	add("shap/explain null model", shap, "POST", "/explain", service.SHAPRequest{Instance: []float64{2, 0}, Background: [][]float64{{0, 0}}})
 	add("shap/explain undecodable model", shap, "POST", "/explain", service.SHAPRequest{Model: garbage, Instance: []float64{2, 0}, Background: [][]float64{{0, 0}}})
 	add("shap/explain dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0, 1}, Class: 1, Background: [][]float64{{0, 0}}})
+	add("shap/explain model dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: nn3, Instance: []float64{2, 0, 1, 1}, Class: 1, Background: [][]float64{{0, 0, 0, 0}}})
 	add("shap/explain ok", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{-2, 0}, {0, 0}}, Samples: 64, Seed: 1})
 	add("lime/tabular missing model", lime, "POST", "/explain/tabular", `{"instance":[2,0],"scale":[1,1]}`)
 	add("lime/tabular undecodable model", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: garbage, Instance: []float64{2, 0}, Scale: []float64{1, 1}})
 	add("lime/tabular dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1}})
+	add("lime/tabular model dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: nn3, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}})
 	add("lime/tabular ok", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 64, Seed: 2})
 	add("lime/image missing model", lime, "POST", "/explain/image", `{"image":[0.9,0.1,0.8,0.2],"w":2,"h":2}`)
 	add("lime/image bad geometry", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, W: 3, H: 2, Patch: 1})

@@ -18,21 +18,11 @@ type perfManifest struct {
 	} `json:"allocBudgets"`
 }
 
-// allocPaths is the fixed set of predict paths this test knows how to
-// measure, keyed exactly as the manifest's allocBudgets section. fit
-// returns the warmed-up measurement closure for the path.
-var allocPaths = map[string]func(f *Forest, g *GBDT, x []float64, batch [][]float64) func(){
-	"forest/serial":  func(f *Forest, _ *GBDT, x []float64, _ [][]float64) func() { return func() { f.PredictProba(x) } },
-	"forest/batched": func(f *Forest, _ *GBDT, _ []float64, b [][]float64) func() { return func() { f.PredictProbaBatch(b) } },
-	"gbdt/serial":    func(_ *Forest, g *GBDT, x []float64, _ [][]float64) func() { return func() { g.PredictProba(x) } },
-	"gbdt/batched":   func(_ *Forest, g *GBDT, _ []float64, b [][]float64) func() { return func() { g.PredictProbaBatch(b) } },
-}
-
 // TestPredictAllocBudgets asserts the serial and batched Forest/GBDT
-// predict paths stay within the allocation ceilings committed in
-// .perf-manifest.json, and that the manifest and this test agree on the
-// path set — a budget without a measurement (or vice versa) fails, so
-// neither side can silently drift.
+// predict paths and the MLP batch kernel stay within the allocation
+// ceilings committed in .perf-manifest.json, and that the manifest and this
+// test agree on the path set — a budget without a measurement (or vice
+// versa) fails, so neither side can silently drift.
 func TestPredictAllocBudgets(t *testing.T) {
 	buf, err := os.ReadFile("../../.perf-manifest.json")
 	if err != nil {
@@ -45,35 +35,54 @@ func TestPredictAllocBudgets(t *testing.T) {
 	if len(m.AllocBudgets) == 0 {
 		t.Fatal("perf manifest has no allocBudgets section")
 	}
-	for key := range m.AllocBudgets {
-		if allocPaths[key] == nil {
-			t.Errorf("manifest budgets %q but this test cannot measure it; teach allocPaths about it", key)
-		}
-	}
 
 	data := blobs(7, 238, 6, 3, 1.5)
 	f := NewForest(ForestConfig{Trees: 20, MaxDepth: 8, MinLeaf: 1, MaxFeatures: -1, Seed: 1})
 	g := NewGBDT(DefaultLightGBMConfig())
-	if err := f.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Fit(data); err != nil {
-		t.Fatal(err)
+	cfg := DefaultMLPConfig()
+	cfg.Epochs = 1
+	n := NewMLP(cfg)
+	for _, c := range []Classifier{f, g, n} {
+		if err := c.Fit(data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	x := data.X[0]
 	batch := data.X[:32]
 	f.PredictProbaBatch(batch) // build the leaf-distribution cache outside the measurement
 
-	for key, mk := range allocPaths {
+	// allocPaths is the fixed set of predict paths this test knows how to
+	// measure, keyed exactly as the manifest's allocBudgets section.
+	allocPaths := map[string]func(){
+		"forest/serial":  func() { f.PredictProba(x) },
+		"forest/batched": func() { f.PredictProbaBatch(batch) },
+		"gbdt/serial":    func() { g.PredictProba(x) },
+		"gbdt/batched":   func() { g.PredictProbaBatch(batch) },
+		"mlp/batched":    func() { n.PredictProbaBatch(batch) },
+	}
+	for key := range m.AllocBudgets {
+		if allocPaths[key] == nil {
+			t.Errorf("manifest budgets %q but this test cannot measure it; teach allocPaths about it", key)
+		}
+	}
+	for key, run := range allocPaths {
 		budget, ok := m.AllocBudgets[key]
 		if !ok {
 			t.Errorf("predict path %q has no allocBudgets entry in .perf-manifest.json", key)
 			continue
 		}
-		got := testing.AllocsPerRun(200, mk(f, g, x, batch))
+		got := testing.AllocsPerRun(200, run)
 		if got > budget.MaxAllocsPerOp {
 			t.Errorf("%s (%s): %v allocs/op exceeds committed budget %v",
 				key, budget.Func, got, budget.MaxAllocsPerOp)
 		}
+	}
+
+	// The MLP kernel's allocations do not depend on the row count: one
+	// row, or several tiles with a ragged last block, cost the same.
+	one := testing.AllocsPerRun(50, func() { n.PredictProbaBatch(data.X[:1]) })
+	all := testing.AllocsPerRun(50, func() { n.PredictProbaBatch(data.X) })
+	if one != all {
+		t.Errorf("mlp/batched: %v allocs for 1 row, %v for %d rows", one, all, data.Len())
 	}
 }

@@ -10,7 +10,9 @@ import (
 // stays hot in cache across the whole batch, and accumulate directly
 // into the output rows instead of allocating a probability slice per
 // tree per instance — the amortization the serving runtime's
-// micro-batching exists to exploit.
+// micro-batching exists to exploit. The MLP blocks over instances instead
+// (four rows against each weight row), overlapping add chains that one row
+// alone must run end to end.
 type BatchPredictor interface {
 	// PredictProbaBatch returns one probability row per instance. The
 	// result rows are owned by the caller.
@@ -20,7 +22,7 @@ type BatchPredictor interface {
 // PredictProbaAll returns class-probability rows for every instance,
 // dispatching to the model's batch kernel when it has one and falling
 // back to the per-instance loop otherwise. It is the single prediction
-// helper shared by the ML service handler and the serving workers.
+// helper shared by the serving workers and the explainers.
 func PredictProbaAll(c Classifier, X [][]float64) [][]float64 {
 	if len(X) == 0 {
 		return nil

@@ -1,20 +1,28 @@
 package ml
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
-// TestBatchKernelsMatchSerial asserts the tree-major batch kernels are
-// bit-identical to the per-instance PredictProba path — the serving
-// batcher swaps one for the other, so any drift would change served
-// predictions depending on traffic shape.
+// TestBatchKernelsMatchSerial asserts the batch kernels are bit-identical
+// to the per-instance PredictProba path — the serving workers and the
+// explainers swap one for the other, so any drift would change answers
+// depending on traffic shape. Batch sizes 1–9 cover every remainder of the
+// MLP kernel's four-row block.
 func TestBatchKernelsMatchSerial(t *testing.T) {
 	data := blobs(7, 238, 6, 3, 1.5)
+	mlp, dnn := DefaultMLPConfig(), DefaultDNNConfig()
+	mlp.Epochs, dnn.Epochs = 5, 5
 	models := []Classifier{
 		NewForest(ForestConfig{Trees: 20, MaxDepth: 8, MinLeaf: 1, MaxFeatures: -1, Seed: 1}),
 		NewGBDT(DefaultLightGBMConfig()),
 		NewGBDT(DefaultXGBoostConfig()),
+		NewMLP(mlp),
+		NewDNN(dnn),
 	}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, data.Len()}
 	for _, m := range models {
 		if err := m.Fit(data); err != nil {
 			t.Fatalf("%s fit: %v", m.Name(), err)
@@ -23,19 +31,65 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s should implement BatchPredictor", m.Name())
 		}
-		got := bp.PredictProbaBatch(data.X)
-		if len(got) != data.Len() {
-			t.Fatalf("%s batch rows %d, want %d", m.Name(), len(got), data.Len())
-		}
-		for i, x := range data.X {
-			want := m.PredictProba(x)
-			for c := range want {
-				if got[i][c] != want[c] {
-					t.Fatalf("%s row %d class %d: batch %v != serial %v",
-						m.Name(), i, c, got[i][c], want[c])
+		for _, n := range sizes {
+			// Start each batch at a different row so the small
+			// batches do not all score the same instances.
+			X := data.X
+			if n < data.Len() {
+				X = data.X[n : 2*n]
+			}
+			got := bp.PredictProbaBatch(X)
+			if len(got) != n {
+				t.Fatalf("%s batch rows %d, want %d", m.Name(), len(got), n)
+			}
+			for i, x := range X {
+				want := m.PredictProba(x)
+				for c := range want {
+					if math.Float64bits(got[i][c]) != math.Float64bits(want[c]) {
+						t.Fatalf("%s batch of %d, row %d class %d: batch %v != serial %v",
+							m.Name(), n, i, c, got[i][c], want[c])
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestMLPRejectsWrongWidth: both MLP forms answer a row that is not as
+// wide as the input layer with a panic carrying an error (the serving
+// runtime maps it to 422), never with a slice-bounds fault or an answer
+// computed from the leading weight columns; a ragged batch fails the same
+// way wherever the ragged row sits.
+func TestMLPRejectsWrongWidth(t *testing.T) {
+	data := blobs(7, 60, 3, 2, 1.0)
+	cfg := DefaultMLPConfig()
+	cfg.Epochs = 2
+	m := NewMLP(cfg)
+	if err := m.Fit(data); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			err, ok := recover().(error)
+			if !ok || !strings.Contains(err.Error(), "want 3") {
+				t.Errorf("%s: recovered %v, want an input-width error", name, err)
+			}
+		}()
+		f()
+	}
+	wide, narrow := []float64{1, 2, 3, 4}, []float64{1, 2}
+	mustPanic("serial wide", func() { m.PredictProba(wide) })
+	mustPanic("serial narrow", func() { m.PredictProba(narrow) })
+	for pos := 0; pos < 6; pos++ {
+		for _, bad := range [][]float64{wide, narrow} {
+			X := append([][]float64(nil), data.X[:6]...)
+			X[pos] = bad
+			mustPanic("batch", func() { m.PredictProbaBatch(X) })
+		}
+	}
+	if got := m.InputDim(); got != 3 {
+		t.Errorf("InputDim = %d, want 3", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -49,5 +51,66 @@ func FuzzUnmarshalModel(f *testing.F) {
 		}()
 		x := make([]float64, 8)
 		_ = model.PredictProba(x)
+	})
+}
+
+// FuzzMLPBatchMatchesSerial attacks the claim the serving workers and the
+// explainers rest on: PredictProbaBatch returns PredictProba's bits, for
+// any geometry (down to one hidden unit), any batch size (every remainder
+// of the four-row block) and any float64 — raw is read eight bytes at a
+// time as bit patterns, so inputs and weights reach NaN, ±Inf, −0 and
+// denormals.
+func FuzzMLPBatchMatchesSerial(f *testing.F) {
+	f.Add(uint8(2), uint8(0), uint8(4), []byte{})
+	f.Add(uint8(20), uint8(0x85), uint8(0xc8), []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00\xbf\xe0\x00\x00\x00\x00\x00\x00"))
+
+	f.Fuzz(func(t *testing.T, dim, hidden, rows uint8, raw []byte) {
+		d, h, n := 1+int(dim%8), 1+int(hidden%9), 1+int(rows%11)
+		cfg := MLPConfig{Hidden: []int{h}, Seed: int64(dim) + 1}
+		if hidden&0x80 != 0 {
+			cfg.Hidden = []int{h, h}
+		}
+		m := NewMLP(cfg)
+		if err := m.Init(d, 2+int(rows>>6)); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, len(raw)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+		}
+		// The first n·d values are the rows (a fixed ramp when raw runs
+		// out); the rest overwrite the leading weights.
+		X := make([][]float64, n)
+		for i := range X {
+			X[i] = make([]float64, d)
+			for j := range X[i] {
+				if k := i*d + j; k < len(vals) {
+					X[i][j] = vals[k]
+				} else {
+					X[i][j] = float64(k%7) - 3
+				}
+			}
+		}
+		if len(vals) > n*d {
+			params := m.Parameters()
+			copy(params, vals[n*d:])
+			if err := m.SetParameters(params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := m.PredictProbaBatch(X)
+		if len(got) != n {
+			t.Fatalf("batch rows %d, want %d", len(got), n)
+		}
+		for i, x := range X {
+			want := m.PredictProba(x)
+			for c := range want {
+				// NaN payloads are not part of the contract.
+				if math.Float64bits(got[i][c]) != math.Float64bits(want[c]) && !(math.IsNaN(got[i][c]) && math.IsNaN(want[c])) {
+					t.Fatalf("%dx%v net, batch of %d, row %d class %d: batch %v != serial %v",
+						d, cfg.Hidden, n, i, c, got[i][c], want[c])
+				}
+			}
+		}
 	})
 }

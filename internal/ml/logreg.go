@@ -141,6 +141,10 @@ func (m *LogReg) logits(x, dst []float64) {
 	}
 }
 
+// InputDim reports the width of the rows the model scores (0 before it is
+// shaped).
+func (m *LogReg) InputDim() int { return m.dim }
+
 // PredictProba implements Classifier.
 func (m *LogReg) PredictProba(x []float64) []float64 {
 	if m.W == nil {

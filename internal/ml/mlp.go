@@ -64,6 +64,7 @@ type MLP struct {
 var (
 	_ Classifier         = (*MLP)(nil)
 	_ GradientClassifier = (*MLP)(nil)
+	_ BatchPredictor     = (*MLP)(nil)
 )
 
 // NewMLP constructs an untrained network; cfg.Hidden must be non-empty.
@@ -207,31 +208,37 @@ func (m *MLP) newDeltas() [][]float64 {
 // forward runs the network, filling acts; the final layer holds softmax
 // probabilities.
 func (m *MLP) forward(x []float64, acts [][]float64) {
-	in := x
-	last := len(m.Weights) - 1
-	// Reslice hints restating the validated geometry (len(acts) ==
-	// len(Weights)+1, one bias row per weight layer, len(out) ==
-	// w.Rows()): the layer bias is read through a flat row instead of a
-	// per-neuron double index, and the indexing is provably in bounds.
+	// Reslice hint restating the validated geometry: len(acts) ==
+	// len(Weights)+1.
 	acts = acts[:len(m.Weights)+1]
-	biases := m.Biases[:len(m.Weights)]
-	for l, w := range m.Weights {
-		out := acts[l+1]
-		bias := biases[l][:len(out)]
-		for r := range out {
-			s := bias[r]
-			row := w.Row(r)[:len(in)]
-			for c, v := range in {
-				s += row[c] * v
-			}
-			if l < last && s < 0 {
-				s *= leakySlope // leaky ReLU avoids dead networks
-			}
-			out[r] = s
-		}
-		in = out
+	in := x
+	for l := range m.Weights {
+		m.layerRow(l, in, acts[l+1])
+		in = acts[l+1]
 	}
-	mat.Softmax(acts[len(acts)-1], acts[len(acts)-1])
+	mat.Softmax(in, in)
+}
+
+// layerRow is layer l for one row, and the arithmetic every other form
+// must reproduce: each output starts from its bias and adds one product
+// per input in ascending order, then takes the leaky ReLU if the layer is
+// hidden. It reads the leading sizes[l] entries of in and writes the
+// leading sizes[l+1] of out.
+func (m *MLP) layerRow(l int, in, out []float64) {
+	w, bias := m.Weights[l], m.Biases[l]
+	hidden := l < len(m.Weights)-1
+	// Reslice hints restating the validated geometry (w is len(bias) ×
+	// sizes[l]), so the indexing below is provably in bounds.
+	in, out = in[:m.sizes[l]], out[:len(bias)]
+	for r, s := range bias {
+		for c, wv := range w.Row(r)[:len(in)] {
+			s += wv * in[c]
+		}
+		if hidden && s < 0 {
+			s *= leakySlope // leaky ReLU avoids dead networks
+		}
+		out[r] = s
+	}
 }
 
 // backward accumulates gradients for one sample into gW/gB. acts must hold
@@ -285,14 +292,136 @@ func (m *MLP) backward(x []float64, y int, acts, deltas [][]float64, gW []*mat.D
 	}
 }
 
+// InputDim reports the width of the rows the network scores (0 before it
+// is shaped).
+func (m *MLP) InputDim() int {
+	if len(m.sizes) == 0 {
+		return 0
+	}
+	return m.sizes[0]
+}
+
+// checkInput panics with an error when x is not exactly as wide as the
+// input layer; unchecked, a wide row is cut to the layer's width and a
+// narrow one fails on a slice bound.
+func (m *MLP) checkInput(x []float64) {
+	if len(x) != m.sizes[0] {
+		panicInputDim(len(x), m.sizes[0])
+	}
+}
+
+// panicInputDim is kept out of line so that the error's boxed operands are
+// not an allocation site inside its callers' row loops.
+//
+//go:noinline
+func panicInputDim(got, want int) {
+	panic(fmt.Errorf("ml: network input has %d features, want %d", got, want))
+}
+
 // PredictProba implements Classifier.
 func (m *MLP) PredictProba(x []float64) []float64 {
 	if len(m.Weights) == 0 {
 		panic(ErrNotTrained)
 	}
+	m.checkInput(x)
 	acts := m.newActivations()
 	m.forward(x, acts)
 	return mat.CloneVec(acts[len(acts)-1])
+}
+
+// mlpTile is how many rows PredictProbaBatch takes through the layers at a
+// time: the two activation buffers hold one tile, whatever the batch.
+const mlpTile = 64
+
+// PredictProbaBatch implements BatchPredictor. It runs the batch through
+// the network a layer at a time, blocked over instances: four rows share
+// each weight row, so the four dot products' add chains overlap where
+// layerRow has one dependent chain per neuron. Every accumulator is still
+// layerRow's own sum — bias first, then one product per input in ascending
+// order — so the rows are bit-identical to PredictProba's (mat.Mul, which
+// adds the bias to a sum started from zero, would round differently).
+// Activations ping-pong between two buffers, so the allocation count does
+// not depend on the batch.
+func (m *MLP) PredictProbaBatch(X [][]float64) [][]float64 {
+	if len(m.Weights) == 0 {
+		panic(ErrNotTrained)
+	}
+	// Every row is checked before any is scored, so a ragged batch fails
+	// the same way whichever row is ragged.
+	for _, x := range X {
+		m.checkInput(x)
+	}
+	out := probaRows(len(X), m.classes)
+	width := 0
+	for _, s := range m.sizes[1 : len(m.sizes)-1] {
+		width = max(width, s)
+	}
+	tile := min(len(X), mlpTile)
+	cur, next := probaRows(tile, width), probaRows(tile, width)
+	last := len(m.Weights) - 1
+	for base := 0; base < len(X); base += tile {
+		end := min(base+tile, len(X))
+		in := X[base:end]
+		for l := 0; l < last; l++ {
+			m.layerBatch(l, in, cur)
+			in, cur, next = cur[:end-base], next, cur
+		}
+		m.layerBatch(last, in, out[base:end])
+	}
+	for _, p := range out {
+		mat.Softmax(p, p)
+	}
+	return out
+}
+
+// layerBatch scores every row of in through layer l into the leading
+// entries of out's rows: four rows at a time, then the rows left over one
+// at a time.
+func (m *MLP) layerBatch(l int, in, out [][]float64) {
+	out = out[:len(in)]
+	i := 0
+	for ; i+4 <= len(in); i += 4 {
+		m.layerBlock(l, (*[4][]float64)(in[i:i+4]), (*[4][]float64)(out[i:i+4]))
+	}
+	for ; i < len(in); i++ {
+		m.layerRow(l, in[i], out[i])
+	}
+}
+
+// layerBlock is the batch kernel: layerRow for four rows at once, one
+// weight row against all four, each of the four sums accumulated exactly
+// as layerRow accumulates its one.
+func (m *MLP) layerBlock(l int, x, o *[4][]float64) {
+	w, bias, cols := m.Weights[l], m.Biases[l], m.sizes[l]
+	hidden := l < len(m.Weights)-1
+	// Reslice hints: inputs are cols wide (checked up front or written by
+	// the previous layer), outputs one per bias.
+	x0, x1, x2, x3 := x[0][:cols], x[1][:cols], x[2][:cols], x[3][:cols]
+	o0, o1, o2, o3 := o[0][:len(bias)], o[1][:len(bias)], o[2][:len(bias)], o[3][:len(bias)]
+	for r, b := range bias {
+		s0, s1, s2, s3 := b, b, b, b
+		for c, wv := range w.Row(r)[:cols] {
+			s0 += wv * x0[c]
+			s1 += wv * x1[c]
+			s2 += wv * x2[c]
+			s3 += wv * x3[c]
+		}
+		if hidden {
+			if s0 < 0 {
+				s0 *= leakySlope
+			}
+			if s1 < 0 {
+				s1 *= leakySlope
+			}
+			if s2 < 0 {
+				s2 *= leakySlope
+			}
+			if s3 < 0 {
+				s3 *= leakySlope
+			}
+		}
+		o0[r], o1[r], o2[r], o3[r] = s0, s1, s2, s3
+	}
 }
 
 // InputGradient implements GradientClassifier: the cross-entropy gradient
@@ -301,6 +430,7 @@ func (m *MLP) InputGradient(x []float64, class int) []float64 {
 	if len(m.Weights) == 0 {
 		panic(ErrNotTrained)
 	}
+	m.checkInput(x)
 	acts := m.newActivations()
 	deltas := m.newDeltas()
 	m.forward(x, acts)

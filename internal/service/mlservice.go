@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -234,14 +233,4 @@ func (s *MLService) Model(ref string) (ml.Classifier, bool) {
 		return nil, false
 	}
 	return m, true
-}
-
-// decodeModel reconstructs a classifier from an inline envelope; a
-// missing or undecodable one is the request's fault (400).
-func decodeModel(raw json.RawMessage) (ml.Classifier, error) {
-	if len(raw) == 0 {
-		return nil, wire.BadRequest(fmt.Errorf("missing model envelope"))
-	}
-	model, err := ml.UnmarshalModel(raw)
-	return model, wire.BadRequest(err)
 }

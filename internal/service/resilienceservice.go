@@ -39,7 +39,7 @@ type ResilienceService struct{ *base }
 func NewResilienceService() *ResilienceService {
 	s := &ResilienceService{base: newBase("resilience")}
 	s.handle("POST /impact/poisoning", wire.Handle(poisonImpact))
-	s.handle("POST /impact/evasion", wire.Handle(evasionImpact))
+	s.handle("POST /impact/evasion", wire.Handle(s.evasionImpact))
 	return s
 }
 
@@ -47,14 +47,14 @@ func poisonImpact(_ context.Context, req *PoisonImpactRequest) (resilience.Repor
 	return resilience.Poisoning(req.Baseline, req.Poisoned, req.Rate)
 }
 
-func evasionImpact(_ context.Context, req *EvasionImpactRequest) (rep resilience.Report, err error) {
-	victim, err := decodeModel(req.Model)
+func (s *ResilienceService) evasionImpact(_ context.Context, req *EvasionImpactRequest) (rep resilience.Report, err error) {
+	victim, err := s.decodeModel(req.Model)
 	if err != nil {
 		return rep, err
 	}
 	surrogateModel := victim
 	if len(req.Surrogate) > 0 {
-		if surrogateModel, err = decodeModel(req.Surrogate); err != nil {
+		if surrogateModel, err = s.decodeModel(req.Surrogate); err != nil {
 			return rep, fmt.Errorf("surrogate: %w", err)
 		}
 	}

@@ -140,6 +140,7 @@ type base struct {
 	started time.Time
 	tel     *telemetry.Registry
 	tracer  *telemetry.Tracer
+	models  *modelCache
 }
 
 func newBase(name string) *base {
@@ -155,6 +156,7 @@ func newBase(name string) *base {
 		started: clk.Now(),
 		tel:     tel,
 		tracer:  tracer,
+		models:  newModelCache(tel),
 	}
 	b.handle("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		wire.Write(w, http.StatusOK, Health{

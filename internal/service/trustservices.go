@@ -55,12 +55,12 @@ type PrivacyService struct{ *base }
 // NewPrivacyService constructs the service.
 func NewPrivacyService() *PrivacyService {
 	s := &PrivacyService{base: newBase("privacy")}
-	s.handle("POST /membership", wire.Handle(inferMembership))
+	s.handle("POST /membership", wire.Handle(s.inferMembership))
 	return s
 }
 
-func inferMembership(_ context.Context, req *MembershipRequest) (resp MembershipResponse, err error) {
-	model, err := decodeModel(req.Model)
+func (s *PrivacyService) inferMembership(_ context.Context, req *MembershipRequest) (resp MembershipResponse, err error) {
+	model, err := s.decodeModel(req.Model)
 	if err != nil {
 		return resp, err
 	}

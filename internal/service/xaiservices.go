@@ -33,12 +33,12 @@ type SHAPService struct{ *base }
 // NewSHAPService constructs the service.
 func NewSHAPService() *SHAPService {
 	s := &SHAPService{base: newBase("shap")}
-	s.handle("POST /explain", wire.Handle(explainSHAP))
+	s.handle("POST /explain", wire.Handle(s.explain))
 	return s
 }
 
-func explainSHAP(_ context.Context, req *SHAPRequest) (resp ExplainResponse, err error) {
-	model, err := decodeModel(req.Model)
+func (s *SHAPService) explain(_ context.Context, req *SHAPRequest) (resp ExplainResponse, err error) {
+	model, err := s.decodeModel(req.Model)
 	if err != nil {
 		return resp, err
 	}
@@ -81,13 +81,13 @@ type LIMEService struct{ *base }
 // NewLIMEService constructs the service.
 func NewLIMEService() *LIMEService {
 	s := &LIMEService{base: newBase("lime")}
-	s.handle("POST /explain/tabular", wire.Handle(explainTabular))
-	s.handle("POST /explain/image", wire.Handle(explainImage))
+	s.handle("POST /explain/tabular", wire.Handle(s.explainTabular))
+	s.handle("POST /explain/image", wire.Handle(s.explainImage))
 	return s
 }
 
-func explainTabular(_ context.Context, req *LIMETabularRequest) (resp ExplainResponse, err error) {
-	model, err := decodeModel(req.Model)
+func (s *LIMEService) explainTabular(_ context.Context, req *LIMETabularRequest) (resp ExplainResponse, err error) {
+	model, err := s.decodeModel(req.Model)
 	if err != nil {
 		return resp, err
 	}
@@ -101,8 +101,8 @@ func explainTabular(_ context.Context, req *LIMETabularRequest) (resp ExplainRes
 	return resp, err
 }
 
-func explainImage(_ context.Context, req *LIMEImageRequest) (resp ExplainResponse, err error) {
-	model, err := decodeModel(req.Model)
+func (s *LIMEService) explainImage(_ context.Context, req *LIMEImageRequest) (resp ExplainResponse, err error) {
+	model, err := s.decodeModel(req.Model)
 	if err != nil {
 		return resp, err
 	}
@@ -143,13 +143,13 @@ type OcclusionService struct{ *base }
 // NewOcclusionService constructs the service.
 func NewOcclusionService() *OcclusionService {
 	s := &OcclusionService{base: newBase("occlusion")}
-	s.handle("POST /explain", wire.Handle(occlude))
-	s.handle("POST /explain/png", handleExplainPNG)
+	s.handle("POST /explain", wire.Handle(s.occlude))
+	s.handle("POST /explain/png", s.handleExplainPNG)
 	return s
 }
 
-func occlude(_ context.Context, req *OcclusionRequest) (resp OcclusionResponse, err error) {
-	model, err := decodeModel(req.Model)
+func (s *OcclusionService) occlude(_ context.Context, req *OcclusionRequest) (resp OcclusionResponse, err error) {
+	model, err := s.decodeModel(req.Model)
 	if err != nil {
 		return resp, err
 	}
@@ -170,13 +170,13 @@ func occlude(_ context.Context, req *OcclusionRequest) (resp OcclusionResponse, 
 
 // handleExplainPNG renders the occlusion-sensitivity map as a PNG heatmap
 // — the artifact the AI dashboard embeds for operators.
-func handleExplainPNG(w http.ResponseWriter, r *http.Request) {
+func (s *OcclusionService) handleExplainPNG(w http.ResponseWriter, r *http.Request) {
 	var req OcclusionRequest
 	if err := wire.Decode(w, r, &req); err != nil {
 		wire.WriteError(w, err)
 		return
 	}
-	resp, err := occlude(r.Context(), &req)
+	resp, err := s.occlude(r.Context(), &req)
 	if err != nil {
 		wire.WriteError(w, err)
 		return

@@ -50,21 +50,10 @@ func (e *ExactSHAP) Explain(x []float64, class int) ([]float64, error) {
 	}
 
 	// Value of every coalition, indexed by bitmask.
-	values := make([]float64, 1<<d)
-	hybrid := make([]float64, d)
-	for mask := 0; mask < 1<<d; mask++ {
-		var total float64
-		for _, b := range e.Background {
-			for j := 0; j < d; j++ {
-				if mask&(1<<j) != 0 {
-					hybrid[j] = x[j]
-				} else {
-					hybrid[j] = b[j]
-				}
-			}
-			total += e.Model.PredictProba(hybrid)[class]
-		}
-		values[mask] = total / float64(len(e.Background))
+	values, err := coalitionValues(e.Model, class, x, e.Background, 1<<d,
+		func(mask, j int) bool { return mask&(1<<j) != 0 })
+	if err != nil {
+		return nil, err
 	}
 
 	// Shapley weights by coalition size: |S|! (d-|S|-1)! / d!.

@@ -66,8 +66,7 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 	design := mat.NewDense(samples, d+1)
 	y := make([]float64, samples)
 	w := make([]float64, samples)
-	pert := make([]float64, d)
-	for i := 0; i < samples; i++ {
+	err := scoreRows(l.Model, class, d, samples, func(i int, pert []float64) {
 		row := design.Row(i)
 		var dist2 float64
 		for j := 0; j < d; j++ {
@@ -81,8 +80,10 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 			dist2 += off * off
 		}
 		row[d] = 1 // intercept
-		y[i] = l.Model.PredictProba(pert)[class]
 		w[i] = math.Exp(-dist2 / (width * width))
+	}, func(i int, p float64) { y[i] = p })
+	if err != nil {
+		return nil, err
 	}
 
 	beta, err := mat.RidgeWLS(design, y, w, lambda)
@@ -155,8 +156,7 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 	design := mat.NewDense(samples, segs+1)
 	y := make([]float64, samples)
 	w := make([]float64, samples)
-	masked := make([]float64, len(x))
-	for i := 0; i < samples; i++ {
+	err := scoreRows(l.Model, class, len(x), samples, func(i int, masked []float64) {
 		row := design.Row(i)
 		on := 0
 		for s := 0; s < segs; s++ {
@@ -178,10 +178,12 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 				}
 			}
 		}
-		y[i] = l.Model.PredictProba(masked)[class]
 		// Cosine-style proximity: masks keeping more segments are
 		// closer to the original image.
 		w[i] = float64(on) / float64(segs)
+	}, func(i int, p float64) { y[i] = p })
+	if err != nil {
+		return nil, err
 	}
 
 	beta, err := mat.RidgeWLS(design, y, w, lambda)

@@ -60,23 +60,15 @@ func (o *Occlusion) Explain(x []float64, class int) ([]float64, error) {
 	if o.W < win || o.H < win {
 		return nil, fmt.Errorf("xai: window %d larger than image %dx%d", win, o.W, o.H)
 	}
-	base := o.Model.PredictProba(x)[class]
 	cols, rows := o.HeatmapSize()
-	out := make([]float64, cols*rows)
-	occluded := make([]float64, len(x))
-	for ry := 0; ry < rows; ry++ {
-		for rx := 0; rx < cols; rx++ {
-			copy(occluded, x)
-			ox, oy := rx*stride, ry*stride
-			for yy := oy; yy < oy+win; yy++ {
-				for xx := ox; xx < ox+win; xx++ {
-					occluded[yy*o.W+xx] = o.Baseline
-				}
+	return occlusionDrops(o.Model, class, x, cols*rows, func(p int, occluded []float64) {
+		ox, oy := p%cols*stride, p/cols*stride
+		for yy := oy; yy < oy+win; yy++ {
+			for xx := ox; xx < ox+win; xx++ {
+				occluded[yy*o.W+xx] = o.Baseline
 			}
-			out[ry*cols+rx] = base - o.Model.PredictProba(occluded)[class]
 		}
-	}
-	return out, nil
+	})
 }
 
 var _ Explainer = (*Occlusion)(nil)

@@ -66,18 +66,12 @@ func (o *Occlusion1D) Explain(x []float64, class int) ([]float64, error) {
 	if o.Steps < win {
 		return nil, fmt.Errorf("xai: window %d larger than %d steps", win, o.Steps)
 	}
-	base := o.Model.PredictProba(x)[class]
-	out := make([]float64, o.Positions())
-	masked := make([]float64, len(x))
-	for p := range out {
-		copy(masked, x)
+	return occlusionDrops(o.Model, class, x, o.Positions(), func(p int, masked []float64) {
 		start := p * stride
 		for c := 0; c < o.Channels; c++ {
 			for t := start; t < start+win; t++ {
 				masked[c*o.Steps+t] = o.Baseline
 			}
 		}
-		out[p] = base - o.Model.PredictProba(masked)[class]
-	}
-	return out, nil
+	})
 }

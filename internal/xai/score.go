@@ -1,0 +1,101 @@
+package xai
+
+import (
+	"fmt"
+
+	"repro/internal/ml"
+)
+
+// blockFloats is how many floats of perturbed rows the explainers hold at
+// a time: they fill that many, score them in one ml.PredictProbaAll call
+// (the model's batch kernel when it has one) and refill. A constant, so an
+// explanation's memory does not grow with its sample budget; 8 192 floats
+// is 390 rows of the probe's 21 features, enough to amortize a batch call.
+const blockFloats = 8192
+
+// inputSized is implemented by the models that know how wide a row they
+// score (ml.MLP, ml.LogReg).
+type inputSized interface{ InputDim() int }
+
+// scoreRows puts n perturbed rows of width d through the model and hands
+// back the class column. fill(i, row) writes row i into a reused buffer;
+// use(i, p) receives row i's probability of class. Both run in ascending i,
+// a block of fills before that block's uses, so a fill may draw from an
+// RNG but must not depend on an earlier row's score.
+func scoreRows(model ml.Classifier, class, d, n int, fill func(i int, row []float64), use func(i int, p float64)) error {
+	if m, ok := model.(inputSized); ok && m.InputDim() != d {
+		return fmt.Errorf("xai: model input dim %d != instance dim %d", m.InputDim(), d)
+	}
+	per := min(n, max(1, blockFloats/d))
+	flat := make([]float64, per*d)
+	rows := make([][]float64, per)
+	for i := range rows {
+		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	for base := 0; base < n; base += per {
+		block := rows[:min(per, n-base)]
+		for i, row := range block {
+			fill(base+i, row)
+		}
+		for i, p := range ml.PredictProbaAll(model, block) {
+			use(base+i, p[class])
+		}
+	}
+	return nil
+}
+
+// coalitionValues returns, for each of n feature coalitions of x, the mean
+// class probability over hybrids that take the coalition's features from x
+// and the rest from each background row in turn. present(c, j) reports
+// whether coalition c holds feature j.
+func coalitionValues(model ml.Classifier, class int, x []float64, background [][]float64, n int, present func(c, j int) bool) ([]float64, error) {
+	nb := len(background)
+	values := make([]float64, n)
+	var total float64
+	err := scoreRows(model, class, len(x), n*nb,
+		func(i int, hybrid []float64) {
+			c, b := i/nb, background[i%nb]
+			for j := range hybrid {
+				if present(c, j) {
+					hybrid[j] = x[j]
+				} else {
+					hybrid[j] = b[j]
+				}
+			}
+		},
+		func(i int, p float64) {
+			total += p
+			if (i+1)%nb == 0 {
+				values[i/nb] = total / float64(nb)
+				total = 0
+			}
+		})
+	return values, err
+}
+
+// occlusionDrops returns, for each of n occluded variants of x, how far
+// the class probability falls below x's own. occlude(p, row) masks variant
+// p in row, which arrives as a copy of x.
+func occlusionDrops(model ml.Classifier, class int, x []float64, n int, occlude func(p int, row []float64)) ([]float64, error) {
+	out := make([]float64, n)
+	// Row 0 is x itself; row 1+p is variant p.
+	var base float64
+	err := scoreRows(model, class, len(x), 1+n,
+		func(i int, row []float64) {
+			copy(row, x)
+			if i > 0 {
+				occlude(i-1, row)
+			}
+		},
+		func(i int, p float64) {
+			if i == 0 {
+				base = p
+				return
+			}
+			out[i-1] = base - p
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}

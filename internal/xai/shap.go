@@ -70,17 +70,19 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 	if lambda <= 0 {
 		lambda = 1e-6
 	}
+	if d == 1 {
+		v, err := coalitionValues(k.Model, class, x, k.Background, 2, func(c, _ int) bool { return c == 1 })
+		if err != nil {
+			return nil, err
+		}
+		return []float64{v[1] - v[0]}, nil
+	}
 	rng := rand.New(rand.NewSource(k.Seed))
 
-	f0 := k.meanValue(nil, x, class) // all features from background
-	fx := k.meanValue(allOn(d), x, class)
-	total := fx - f0
-	if d == 1 {
-		return []float64{total}, nil
-	}
-
 	// Sample coalitions with sizes drawn according to the SHAP kernel
-	// weights (never empty or full — those are the constraints).
+	// weights (never empty or full — those are the constraints). Every
+	// coalition is drawn before any is scored: the draws do not depend on
+	// the model, and the scorer takes the hybrids a block at a time.
 	sizeW := make([]float64, d-1) // size s = 1..d-1
 	var sizeSum float64
 	for s := 1; s < d; s++ {
@@ -88,9 +90,12 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 		sizeSum += sizeW[s-1]
 	}
 	z := mat.NewDense(samples, d-1)
-	y := make([]float64, samples)
-	w := make([]float64, samples)
-	mask := make([]bool, d)
+	// Coalition 0 is empty (every feature from the background), coalition
+	// 1 is full, coalition 2+i is sample i.
+	masks := make([]bool, (samples+2)*d)
+	for j := 0; j < d; j++ {
+		masks[d+j] = true
+	}
 	perm := make([]int, d)
 	for i := range perm {
 		perm[i] = i
@@ -109,13 +114,10 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 			s = d - 1
 		}
 		rng.Shuffle(d, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		for j := range mask {
-			mask[j] = false
-		}
+		mask := masks[(i+2)*d : (i+3)*d]
 		for _, j := range perm[:s] {
 			mask[j] = true
 		}
-		v := k.meanValue(mask, x, class)
 		// Eliminate the last feature to enforce the efficiency
 		// constraint exactly.
 		last := 0.0
@@ -130,7 +132,23 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 			}
 			row[j] = zj - last
 		}
-		y[i] = v - f0 - last*total
+	}
+
+	values, err := coalitionValues(k.Model, class, x, k.Background, samples+2,
+		func(c, j int) bool { return masks[c*d+j] })
+	if err != nil {
+		return nil, err
+	}
+	f0 := values[0]
+	total := values[1] - f0
+	y := make([]float64, samples)
+	w := make([]float64, samples)
+	for i := range y {
+		last := 0.0
+		if masks[(i+2)*d+d-1] {
+			last = 1
+		}
+		y[i] = values[i+2] - f0 - last*total
 		// All sampled coalitions get unit weight because sampling
 		// already followed the kernel distribution.
 		w[i] = 1
@@ -148,34 +166,6 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 	}
 	phi[d-1] = total - sum
 	return phi, nil
-}
-
-// meanValue evaluates the model with "absent" features imputed from every
-// background row and returns the mean class probability. mask == nil means
-// all features absent.
-func (k *KernelSHAP) meanValue(mask []bool, x []float64, class int) float64 {
-	d := len(x)
-	hybrid := make([]float64, d)
-	var total float64
-	for _, b := range k.Background {
-		for j := 0; j < d; j++ {
-			if mask != nil && mask[j] {
-				hybrid[j] = x[j]
-			} else {
-				hybrid[j] = b[j]
-			}
-		}
-		total += k.Model.PredictProba(hybrid)[class]
-	}
-	return total / float64(len(k.Background))
-}
-
-func allOn(d int) []bool {
-	m := make([]bool, d)
-	for i := range m {
-		m[i] = true
-	}
-	return m
 }
 
 // FeatureImportance ranks features by mean |attribution| over a set of

@@ -1,6 +1,7 @@
 package xai
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -408,5 +409,32 @@ func TestDissimilarityClampsK(t *testing.T) {
 	}
 	if v != 0 {
 		t.Fatalf("identical explanations should give 0, got %v", v)
+	}
+}
+
+// TestExplainersRejectWrongModelWidth: a model that knows its input width
+// (nn, lr) and an instance of another width is an error before the first
+// row is scored — not a slice-bounds panic (too wide) and not an
+// attribution computed from the leading weight columns (too narrow).
+func TestExplainersRejectWrongModelWidth(t *testing.T) {
+	tab := goldenTable(3, 60, 3, 2, 1)
+	for _, name := range []string{"nn", "lr"} {
+		m := goldenModel(t, name, tab)
+		for _, d := range []int{2, 4} {
+			x := make([]float64, d)
+			want := fmt.Sprintf("xai: model input dim 3 != instance dim %d", d)
+			for ename, e := range map[string]Explainer{
+				"KernelSHAP":  &KernelSHAP{Model: m, Background: [][]float64{make([]float64, d)}, Samples: 8},
+				"ExactSHAP":   &ExactSHAP{Model: m, Background: [][]float64{make([]float64, d)}},
+				"TabularLIME": &TabularLIME{Model: m, Scale: x, Samples: 8},
+				"ImageLIME":   &ImageLIME{Model: m, W: d, H: 1, Patch: 1, Samples: 8},
+				"Occlusion":   &Occlusion{Model: m, W: d, H: 1, Window: 1},
+				"Occlusion1D": &Occlusion1D{Model: m, Channels: 1, Steps: d, Window: 1},
+			} {
+				if _, err := e.Explain(x, 1); err == nil || err.Error() != want {
+					t.Errorf("%s on %s, %d-wide instance: err = %v, want %q", ename, name, d, err, want)
+				}
+			}
+		}
 	}
 }
