@@ -111,6 +111,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzUnmarshalModel -fuzztime 30s ./internal/ml/
 	$(GO) test -fuzz FuzzMLPBatchMatchesSerial -fuzztime 30s ./internal/ml/
+	$(GO) test -fuzz FuzzPredictDecodeMatchesJSON -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzPredictFrame -fuzztime 30s ./internal/wire/
 
 # Regenerate every paper table/figure (~15 min single-CPU).
 experiments:

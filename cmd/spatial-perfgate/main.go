@@ -31,9 +31,9 @@ import (
 )
 
 // hotPackages are the packages whose diagnostics are harvested and whose
-// hot functions carry contracts: the kernels, the serving runtime and
-// the cluster routing path.
-var hotPackages = []string{"./internal/ml", "./internal/serving", "./internal/mat", "./internal/cluster"}
+// hot functions carry contracts: the kernels, the serving runtime, the
+// cluster routing path and the predict codec.
+var hotPackages = []string{"./internal/ml", "./internal/serving", "./internal/mat", "./internal/cluster", "./internal/wire"}
 
 func main() {
 	os.Exit(run(os.Args[1:]))

@@ -24,6 +24,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/service"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // The HTTP contract of the eight services, cluster.Handler and
@@ -66,9 +67,11 @@ const (
 	// volatile marks a 200 body that carries measured values; only its
 	// key set is pinned.
 	volatile
-	// unordered marks the one body compared as JSON values rather than
-	// bytes: the replica hop's predict answer, whose both ends live in
-	// this repository and whose field order is no public contract.
+	// unordered marks a body compared as JSON values rather than bytes:
+	// the replica hop's answers, whose both ends live in this repository
+	// and whose field order is no public contract. An answer that is no
+	// JSON (the hop's predict frame) is pinned by its hash like any other
+	// binary body.
 	unordered
 )
 
@@ -79,8 +82,9 @@ func recordOf(rec *httptest.ResponseRecorder, mode int) contractRecord {
 		RetryAfter:  rec.Header().Get("Retry-After"),
 	}
 	raw := rec.Body.Bytes()
+	isJSON := strings.HasPrefix(out.ContentType, "application/json")
 	switch {
-	case mode == unordered && rec.Code == http.StatusOK:
+	case mode == unordered && rec.Code == http.StatusOK && isJSON:
 		var v any
 		if err := json.Unmarshal(raw, &v); err != nil {
 			out.Body = "not JSON: " + string(raw)
@@ -104,7 +108,7 @@ func recordOf(rec *httptest.ResponseRecorder, mode int) contractRecord {
 		}
 		sort.Strings(keys)
 		out.Body = "keys:" + strings.Join(keys, ",")
-	case strings.HasPrefix(out.ContentType, "application/json"), strings.HasPrefix(out.ContentType, "text/plain"):
+	case isJSON, strings.HasPrefix(out.ContentType, "text/plain"):
 		out.Body = string(raw)
 	default:
 		out.Body = fmt.Sprintf("sha256:%x", sha256.Sum256(raw))
@@ -146,6 +150,9 @@ func (t *handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	t.h.ServeHTTP(t.last, r)
 	return t.last.Result(), nil
 }
+
+// raggedRows is a batch whose row 3 is a value short.
+var raggedRows = [][]float64{{2, 0}, {-2, 0}, {2, 0}, {2}}
 
 func contractTable(seed int64, n, d int) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
@@ -314,6 +321,7 @@ func serviceCases(t *testing.T) []contractCase {
 	add("ml/train ok dt", mlSvc, "POST", "/train", service.TrainRequest{Algorithm: "dt", Train: good, Seed: 1})
 	add("ml/predict dimension mismatch", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "dt", Instances: [][]float64{{}}})
 	add("ml/predict too many instances", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001", Instances: manyRows})
+	add("ml/predict ragged rows", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001", Instances: raggedRows})
 	add("ml/predict ok", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "lr@1", Instances: [][]float64{{2, 0}, {-2, 0}}})
 	add("ml/predict no instances", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "m0001"})
 	add("ml/models list", mlSvc, "GET", "/models", nil)
@@ -401,6 +409,7 @@ func clusterCases(t *testing.T) []contractCase {
 	}
 	add("/predict unknown model", front, "POST", "/predict", service.PredictRequest{ModelID: "nope", Instances: two})
 	add("/predict dimension mismatch", front, "POST", "/predict", service.PredictRequest{ModelID: "tree", Instances: [][]float64{{}}})
+	add("/predict ragged rows", front, "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: raggedRows})
 	add("/predict ok", front, "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
 	add("/predict no instances", front, "POST", "/predict", service.PredictRequest{ModelID: "demo"})
 	add("/predict too many instances", narrow.c.Handler(), "POST", "/predict", service.PredictRequest{ModelID: "demo", Instances: two})
@@ -447,6 +456,9 @@ func TestHTTPContract(t *testing.T) {
 			record("replica"+path+" "+name, rec, exact)
 		}
 	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/replica/predict", strings.NewReader(mustJSON(t, service.PredictRequest{ModelID: "demo@1", Instances: raggedRows}))))
+	record("replica/replica/predict ragged rows", rec, exact)
 	tr := &handlerTransport{h: h}
 	hb := cluster.NewHTTPBackend("replica-0", "http://replica", &http.Client{Transport: tr})
 	_, blob := contractModel(t, 1, 2)
@@ -490,7 +502,7 @@ func TestHTTPContract(t *testing.T) {
 	via("prepare killed", func() { _ = hb.Prepare(ctx, "t2", "demo", 1, ref.ID, time.Second) })
 	via("commit killed", func() { _ = hb.Commit(ctx, "t2") })
 	via("abort killed", func() { _ = hb.Abort(ctx, "t2") })
-	rec := httptest.NewRecorder()
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	record("replica/healthz", rec, exact)
 
@@ -529,5 +541,50 @@ func TestHTTPContract(t *testing.T) {
 		if _, ok := want[name]; !ok {
 			t.Errorf("%s: case has no pinned record", name)
 		}
+	}
+}
+
+// TestPredictAnswersInKind: "a frame is answered with a frame, JSON with
+// JSON" is one rule of the shared predict handler, not a property of the
+// mount. The replica hop still answers curl's JSON exactly as it did when
+// JSON was what HTTPBackend sent it, and the public /ml/predict answers a
+// frame with the bits its JSON answer prints.
+func TestPredictAnswersInKind(t *testing.T) {
+	ctx := context.Background()
+	two := [][]float64{{2, 0}, {-2, 0}}
+	m, blob := contractModel(t, 1, 2)
+
+	rp := cluster.NewReplica("replica-0", serving.Config{MaxBatch: 1})
+	t.Cleanup(rp.Close)
+	if _, err := rp.Push(ctx, "demo", "lr", blob); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rp.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/replica/predict", strings.NewReader(mustJSON(t, service.PredictRequest{ModelID: "demo@1", Instances: two}))))
+	// The hop's 200 answer as the contract pinned it before frames.
+	const was = `{"classes":[1,0],"probs":[[0.004043211956780152,0.9959567880432199],[0.9959082755903799,0.004091724409620166]]}` + "\n"
+	if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" || rec.Body.String() != was {
+		t.Fatalf("JSON to /replica/predict: %d %q %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+	}
+
+	mlSvc := service.NewMLService()
+	t.Cleanup(mlSvc.Close)
+	if _, err := mlSvc.Runtime().Registry().Register("demo", m); err != nil {
+		t.Fatal(err)
+	}
+	tr := &handlerTransport{h: mlSvc}
+	probs, classes, err := wire.Predict(ctx, &http.Client{Transport: tr}, "http://ml/predict", "demo", two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := tr.last.Header().Get("Content-Type"); ct != wire.FrameType {
+		t.Fatalf("frame to /ml/predict answered as %q", ct)
+	}
+	asJSON, err := json.Marshal(serving.PredictResponse{Classes: classes, Probs: probs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(asJSON)+"\n" != was {
+		t.Fatalf("frame to /ml/predict carried %s", asJSON)
 	}
 }

@@ -22,8 +22,10 @@ import (
 // a *serving.OverloadedError at the coordinator, an unknown reference as
 // serving.ErrNotFound, a killed replica behind a still-running HTTP
 // server as ErrReplicaDown, so the router and HTTP error mapping behave
-// identically in both modes. /replica/predict speaks the serving tier's
-// own PredictRequest/PredictResponse through the shared predict handler.
+// identically in both modes. /replica/predict is the shared predict
+// handler: HTTPBackend sends it a float64 frame and is answered in one;
+// JSON (the serving tier's own PredictRequest/PredictResponse) still works
+// from curl.
 
 // wire shapes for the remaining backend methods.
 type wirePushReq struct {
@@ -126,7 +128,11 @@ func (b *HTTPBackend) ID() string { return b.id }
 // do runs one wire round trip, which hands error envelopes back as the
 // typed errors they were written from.
 func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) error {
-	err := wire.Do(ctx, b.client, method, b.base+path, nil, in, out)
+	return b.hopErr(path, wire.Do(ctx, b.client, method, b.base+path, nil, in, out))
+}
+
+// hopErr names the replica and path in a round trip's error.
+func (b *HTTPBackend) hopErr(path string, err error) error {
 	var transport *url.Error
 	switch {
 	case err == nil:
@@ -139,19 +145,21 @@ func (b *HTTPBackend) do(ctx context.Context, method, path string, in, out any) 
 	}
 }
 
-// Predict implements Backend.
+// Predict implements Backend. The matrix crosses as a float64 frame and
+// comes back as one (wire.Predict), so the floats are the replica's own
+// bits, as the in-process Backend hands them over.
 func (b *HTTPBackend) Predict(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error) {
-	var resp serving.PredictResponse
-	err := b.do(ctx, http.MethodPost, "/replica/predict", serving.PredictRequest{ModelID: ref, Instances: instances}, &resp)
+	const path = "/replica/predict"
+	probs, classes, err := wire.Predict(ctx, b.client, b.base+path, ref, instances)
 	if err != nil {
 		// Give the reconstructed overload error its real model ref.
 		var over *serving.OverloadedError
 		if errors.As(err, &over) {
 			over.Ref = ref
 		}
-		return nil, nil, err
+		return nil, nil, b.hopErr(path, err)
 	}
-	return resp.Probs, resp.Classes, nil
+	return probs, classes, nil
 }
 
 // Heartbeat implements Backend.

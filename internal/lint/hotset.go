@@ -125,6 +125,18 @@ func ClusterEntry(n *Node) bool {
 	return strings.HasPrefix(name, "Predict") || strings.HasPrefix(name, "Owner") || name == "Walk"
 }
 
+// WireEntry selects the predict codec in internal/wire: the JSON fast
+// path and the frame encoders and decoders, whose loops run once per value
+// of every request matrix. The handler and client around them are per
+// request and stay out.
+func WireEntry(n *Node) bool {
+	if n.Decl == nil || !pathHasAny(n.Pkg.Path, "internal/wire") {
+		return false
+	}
+	name := n.Decl.Name.Name
+	return name == "parsePredict" || strings.HasSuffix(name, "Frame")
+}
+
 // KernelEntry selects the batch-prediction kernels themselves (Predict*
 // methods in internal/ml), so callers gauging compiler optimizations see
 // the kernels even when interface dispatch would hide an edge.

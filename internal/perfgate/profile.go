@@ -44,10 +44,12 @@ type FuncProfile struct {
 // exported Predict* handlers, the ml batch kernels themselves (the
 // kernels are also reachable via CHA from serving, but naming them
 // directly keeps the gate meaningful even if the serving tier's
-// dispatch changes shape), and the cluster tier's routing hot paths
-// (ring lookup and replica pick, which run once per proxied request).
+// dispatch changes shape), the cluster tier's routing hot paths (ring
+// lookup and replica pick, which run once per proxied request), and the
+// wire layer's predict codec (the number scanner and the matrix loop run
+// once per value of every request body).
 func DefaultEntry(n *lint.Node) bool {
-	return lint.ServingEntry(n) || lint.KernelEntry(n) || lint.ClusterEntry(n)
+	return lint.ServingEntry(n) || lint.KernelEntry(n) || lint.ClusterEntry(n) || lint.WireEntry(n)
 }
 
 // ProfileOptions configures hot-profile construction.

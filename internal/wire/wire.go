@@ -2,9 +2,10 @@
 // SPATIAL tier speaks: the strict request decoder, the response writer,
 // the error envelope with its one error→status table, the generic typed
 // handler, the client round trip that turns an envelope back into the
-// typed error it was written from, and (serve.go) the listen/serve/
-// shutdown lifecycle. Services, the cluster front, the replica hop and
-// the mains are plain functions over it.
+// typed error it was written from, (predict.go) the predict path's numeric
+// codec — JSON fast path and float64 frames — and (serve.go) the
+// listen/serve/shutdown lifecycle. Services, the cluster front, the
+// replica hop and the mains are plain functions over it.
 package wire
 
 import (
@@ -152,10 +153,25 @@ func Decode(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	if err := declaredTooLarge(r, limit); err != nil {
+		return err
+	}
+	return decodeStream(http.MaxBytesReader(w, r.Body, limit), v)
+}
+
+// declaredTooLarge refuses a body on its declared length alone.
+func declaredTooLarge(r *http.Request, limit int64) error {
 	if r.ContentLength > limit {
 		return Tag(ErrTooLarge, fmt.Errorf("decode request: body of %d bytes exceeds the %d-byte limit", r.ContentLength, limit))
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return nil
+}
+
+// decodeStream is the strict JSON decode and the only author of decode
+// errors: whatever reads a body some other way (predict.go) sends the same
+// bytes through here to refuse them.
+func decodeStream(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
@@ -168,6 +184,12 @@ func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 			err = terr
 		}
 	}
+	return decodeError(err)
+}
+
+// decodeError places a failure to read or decode a body: 413 when the
+// limit cut it off, else 400.
+func decodeError(err error) error {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		return Tag(ErrTooLarge, fmt.Errorf("decode request: %w", err))
@@ -191,18 +213,6 @@ func Handle[Req, Resp any](fn func(context.Context, *Req) (Resp, error)) http.Ha
 		}
 		Write(w, http.StatusOK, resp)
 	}
-}
-
-// PredictHandler serves POST /predict for anything that scores a model
-// reference: the ML service's runtime, the cluster router, one replica.
-func PredictHandler(predict func(ctx context.Context, ref string, instances [][]float64) ([][]float64, []int, error)) http.HandlerFunc {
-	return Handle(func(ctx context.Context, req *serving.PredictRequest) (serving.PredictResponse, error) {
-		probs, classes, err := predict(ctx, req.ModelID, req.Instances)
-		if probs == nil {
-			probs, classes = [][]float64{}, []int{}
-		}
-		return serving.PredictResponse{Classes: classes, Probs: probs}, err
-	})
 }
 
 // StatusError is a non-2xx answer as Do returns it. It unwraps to the
@@ -233,37 +243,19 @@ var DefaultClient = &http.Client{Timeout: 30 * time.Second}
 // back as a *StatusError; a failure to reach the server at all is the
 // http.Client's *url.Error.
 func Do(ctx context.Context, c *http.Client, method, url string, hdr http.Header, in, out any) error {
-	if c == nil {
-		c = DefaultClient
-	}
-	var body io.Reader
+	var body []byte
 	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("marshal request: %w", err)
 		}
-		body = bytes.NewReader(raw)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return fmt.Errorf("build request: %w", err)
-	}
-	for k, v := range hdr {
-		req.Header[k] = v
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	telemetry.Inject(ctx, req.Header)
-	resp, err := c.Do(req)
+	resp, err := send(ctx, c, method, url, hdr, "application/json", body)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	switch {
-	case resp.StatusCode >= 400:
-		return statusError(resp)
-	case out == nil:
+	if out == nil {
 		_, err = io.Copy(io.Discard, resp.Body)
 		return err
 	}
@@ -271,6 +263,40 @@ func Do(ctx context.Context, c *http.Client, method, url string, hdr http.Header
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil
+}
+
+// send is the request half of every round trip: body (when non-nil) goes
+// out under contentType, hdr is copied, the trace is injected, and an
+// answer of 400 or above is read and returned as its *StatusError. The
+// caller closes the body of the response it gets.
+func send(ctx context.Context, c *http.Client, method, url string, hdr http.Header, contentType string, body []byte) (*http.Response, error) {
+	if c == nil {
+		c = DefaultClient
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, fmt.Errorf("build request: %w", err)
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	telemetry.Inject(ctx, req.Header)
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 400 {
+		defer func() { _ = resp.Body.Close() }()
+		return nil, statusError(resp)
+	}
+	return resp, nil
 }
 
 // statusError reads an error answer; a body that is no envelope (a proxy's
