@@ -111,6 +111,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -fuzz FuzzUnmarshalModel -fuzztime 30s ./internal/ml/
 	$(GO) test -fuzz FuzzMLPBatchMatchesSerial -fuzztime 30s ./internal/ml/
+	$(GO) test -fuzz FuzzTreeBatchMatchesSerial -fuzztime 30s ./internal/ml/
 	$(GO) test -fuzz FuzzPredictDecodeMatchesJSON -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzPredictFrame -fuzztime 30s ./internal/wire/
 

@@ -229,6 +229,25 @@ func contractTree(t *testing.T) (ml.Classifier, json.RawMessage) {
 	return tree, blob
 }
 
+// contractWideTree is a tree whose decisive feature is the second of two,
+// so it cannot score a one-feature instance.
+func contractWideTree(t *testing.T) json.RawMessage {
+	t.Helper()
+	tb := contractTable(1, 60, 2)
+	for _, x := range tb.X {
+		x[0], x[1] = x[1], x[0]
+	}
+	tree := ml.NewTree(ml.TreeConfig{MaxDepth: 3, MinLeaf: 1, Seed: 1})
+	if err := tree.Fit(tb); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.MarshalModel(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // contractTier is a cluster of in-process replicas on one fake clock,
 // with two versions of "demo" and a "tree" registered.
 type contractTier struct {
@@ -273,6 +292,7 @@ func serviceCases(t *testing.T) []contractCase {
 	_, blob4 := contractModel(t, 1, 4)
 	_, treeBlob := contractTree(t)
 	nn3 := contractNN(t)
+	wideTree := contractWideTree(t)
 	garbage := json.RawMessage(`{"kind":"alien","spec":{}}`)
 	good := service.FromTable(contractTable(1, 40, 2))
 	bad := service.TableJSON{FeatureNames: []string{"f"}, ClassNames: []string{"a"}, X: [][]float64{{1, 2}}, Y: []int{0}}
@@ -344,11 +364,13 @@ func serviceCases(t *testing.T) []contractCase {
 	add("shap/explain undecodable model", shap, "POST", "/explain", service.SHAPRequest{Model: garbage, Instance: []float64{2, 0}, Background: [][]float64{{0, 0}}})
 	add("shap/explain dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0, 1}, Class: 1, Background: [][]float64{{0, 0}}})
 	add("shap/explain model dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: nn3, Instance: []float64{2, 0, 1, 1}, Class: 1, Background: [][]float64{{0, 0, 0, 0}}})
+	add("shap/explain tree dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Background: [][]float64{{0}}})
 	add("shap/explain ok", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{-2, 0}, {0, 0}}, Samples: 64, Seed: 1})
 	add("lime/tabular missing model", lime, "POST", "/explain/tabular", `{"instance":[2,0],"scale":[1,1]}`)
 	add("lime/tabular undecodable model", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: garbage, Instance: []float64{2, 0}, Scale: []float64{1, 1}})
 	add("lime/tabular dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1}})
 	add("lime/tabular model dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: nn3, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}})
+	add("lime/tabular tree dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Scale: []float64{1}})
 	add("lime/tabular ok", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 64, Seed: 2})
 	add("lime/image missing model", lime, "POST", "/explain/image", `{"image":[0.9,0.1,0.8,0.2],"w":2,"h":2}`)
 	add("lime/image bad geometry", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, W: 3, H: 2, Patch: 1})

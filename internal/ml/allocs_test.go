@@ -49,7 +49,6 @@ func TestPredictAllocBudgets(t *testing.T) {
 	}
 	x := data.X[0]
 	batch := data.X[:32]
-	f.PredictProbaBatch(batch) // build the leaf-distribution cache outside the measurement
 
 	// allocPaths is the fixed set of predict paths this test knows how to
 	// measure, keyed exactly as the manifest's allocBudgets section.

@@ -44,3 +44,33 @@ func BenchmarkMLPPredictBatch(b *testing.B) {
 		benchSink = PredictProbaAll(m, X)
 	}
 }
+
+// BenchmarkUnmarshalModel decodes a forest and a leaf-wise boosted
+// ensemble: what a cold load, a replica push and an inline-model explain
+// pay before the first row is scored. It uses only exported names, so it
+// runs unchanged on either side of a change to the in-memory trees.
+func BenchmarkUnmarshalModel(b *testing.B) {
+	data := blobs(5, 600, 21, 3, 2.0)
+	for _, name := range []string{"rf", "lgbm"} {
+		c, err := NewByName(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Fit(data); err != nil {
+			b.Fatal(err)
+		}
+		blob, err := MarshalModel(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blob)))
+			for i := 0; i < b.N; i++ {
+				if _, err := UnmarshalModel(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

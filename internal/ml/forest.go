@@ -31,12 +31,6 @@ type Forest struct {
 
 	Members []*Tree
 	classes int
-
-	// leafProbs caches, per member tree, the smoothed leaf distribution
-	// of every node (flattened nodeIdx*classes+c). Built lazily on the
-	// first batch prediction; Fit invalidates it.
-	leafMu    sync.Mutex
-	leafProbs [][]float64
 }
 
 var _ Classifier = (*Forest)(nil)
@@ -61,32 +55,15 @@ func (f *Forest) Fit(d *dataset.Table) error {
 	}
 	f.classes = d.NumClasses()
 	f.Members = make([]*Tree, f.Cfg.Trees)
-	f.leafMu.Lock()
-	f.leafProbs = nil // invalidate any cached leaf distributions
-	f.leafMu.Unlock()
 
-	workers := runtime.NumCPU()
-	if workers > f.Cfg.Trees {
-		workers = f.Cfg.Trees
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.NumCPU(), f.Cfg.Trees); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ti := range jobs {
-				if err := f.fitOne(d, ti); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("rf tree %d: %w", ti, err)
-					}
-					mu.Unlock()
-				}
+				f.fitOne(d, ti)
 			}
 		}()
 	}
@@ -95,10 +72,10 @@ func (f *Forest) Fit(d *dataset.Table) error {
 	}
 	close(jobs)
 	wg.Wait()
-	return firstErr
+	return nil
 }
 
-func (f *Forest) fitOne(d *dataset.Table, ti int) error {
+func (f *Forest) fitOne(d *dataset.Table, ti int) {
 	rng := rand.New(rand.NewSource(f.Cfg.Seed + int64(ti)*7919))
 	n := d.Len()
 	idx := make([]int, n)
@@ -110,94 +87,41 @@ func (f *Forest) fitOne(d *dataset.Table, ti int) error {
 		MinLeaf:     f.Cfg.MinLeaf,
 		MaxFeatures: f.Cfg.MaxFeatures,
 	})
-	if err := tree.FitIndices(d, idx, rng); err != nil {
-		return err
-	}
+	tree.FitIndices(d, idx, rng)
 	f.Members[ti] = tree
-	return nil
 }
 
-// leafDistributions returns (building on first use) the per-tree cache
-// of smoothed leaf distributions, flattened nodeIdx*classes+c. The rows
-// are computed with exactly the probaFromCounts arithmetic — identical
-// operands and operation order, so identical bits — and internal nodes
-// keep zero rows that are never read. Fit invalidates the cache.
-func (f *Forest) leafDistributions() [][]float64 {
-	f.leafMu.Lock()
-	defer f.leafMu.Unlock()
-	if f.leafProbs != nil {
-		return f.leafProbs
+// MinInputDim reports the narrowest row every member can score.
+func (f *Forest) MinInputDim() (w int) {
+	for _, t := range f.Members {
+		w = max(w, t.width)
 	}
-	k := f.classes
-	uniform := 1 / float64(k)
-	lp := make([][]float64, len(f.Members))
-	for m, t := range f.Members {
-		probs := make([]float64, len(t.Nodes)*k)
-		for ni := range t.Nodes {
-			node := &t.Nodes[ni]
-			if node.Feature >= 0 {
-				continue
-			}
-			var total float64
-			for _, c := range node.Counts {
-				total += c
-			}
-			row := probs[ni*k : ni*k+k]
-			if total == 0 {
-				for c := 0; c < k; c++ {
-					row[c] = uniform
-				}
-				continue
-			}
-			denom := total + float64(k)*1e-9
-			counts := node.Counts[:k]
-			for c := 0; c < k; c++ {
-				row[c] = (counts[c] + 1e-9) / denom
-			}
-		}
-		lp[m] = probs
-	}
-	f.leafProbs = lp
-	return lp
+	return w
 }
 
 // PredictProbaBatch implements BatchPredictor with a tree-major
 // traversal: each member tree scores the whole batch before the next is
-// touched, so its node slice stays cache-resident, and the cached leaf
-// distribution accumulates straight into the output rows instead of
-// allocating (and re-dividing) one probability slice per tree per
-// instance. The accumulation order per instance matches PredictProba
-// (member order), so results are bit-identical to the per-instance path.
+// touched, so its node slice stays cache-resident, and the leaf's row
+// accumulates straight into the output rows. The accumulation order per
+// instance matches PredictProba (member order), so results are
+// bit-identical to the per-instance path.
 func (f *Forest) PredictProbaBatch(X [][]float64) [][]float64 {
 	if len(f.Members) == 0 {
 		panic(ErrNotTrained)
 	}
 	k := f.classes
 	out := probaRows(len(X), k)
-	// Reslice hints: pin the lengths the allocation sites guarantee so
-	// the row and member indexing below is provably in bounds.
+	// Reslice hint: pin the length the allocation site guarantees so the
+	// row indexing below is provably in bounds.
 	out = out[:len(X)]
-	leaves := f.leafDistributions()
-	leaves = leaves[:len(f.Members)]
-	for m, t := range f.Members {
-		nodes := t.Nodes
-		if len(nodes) == 0 {
+	for _, t := range f.Members {
+		ns, probs := t.nodes, t.probs
+		if len(ns) == 0 {
 			panic(ErrNotTrained)
 		}
-		probs := leaves[m]
 		for i, x := range X {
-			ni := 0
-			nd := &nodes[0]
-			for nd.Feature >= 0 {
-				if x[nd.Feature] <= nd.Threshold {
-					ni = nd.Left
-				} else {
-					ni = nd.Right
-				}
-				nd = &nodes[ni]
-			}
-			row := out[i][:k]
-			leaf := probs[ni*k : ni*k+k]
+			at := int(ns.descend(x).Left)
+			row, leaf := out[i][:k], probs[at:at+k]
 			for c := 0; c < k; c++ {
 				row[c] += leaf[c]
 			}
@@ -212,36 +136,20 @@ func (f *Forest) PredictProbaBatch(X [][]float64) [][]float64 {
 	return out
 }
 
-// PredictProba implements Classifier by averaging member probabilities.
-// Like the batch path, it traverses each member tree and accumulates the
-// cached leaf distribution directly, rather than calling Tree.PredictProba
-// (which would allocate one probability slice per member per call). The
-// leaf rows carry probaFromCounts' exact arithmetic, so results are
-// bit-identical to averaging the member outputs.
+// PredictProba implements Classifier by averaging the members' leaf rows —
+// the rows Tree.PredictProba copies, without the copy per member.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	if len(f.Members) == 0 {
 		panic(ErrNotTrained)
 	}
 	k := f.classes
-	leaves := f.leafDistributions()
-	leaves = leaves[:len(f.Members)]
 	acc := make([]float64, k)
-	for m, t := range f.Members {
-		nodes := t.Nodes
-		if len(nodes) == 0 {
+	for _, t := range f.Members {
+		if len(t.nodes) == 0 {
 			panic(ErrNotTrained)
 		}
-		ni := 0
-		nd := &nodes[0]
-		for nd.Feature >= 0 {
-			if x[nd.Feature] <= nd.Threshold {
-				ni = nd.Left
-			} else {
-				ni = nd.Right
-			}
-			nd = &nodes[ni]
-		}
-		leaf := leaves[m][ni*k : ni*k+k]
+		at := int(t.nodes.descend(x).Left)
+		leaf := t.probs[at : at+k]
 		for c := 0; c < k; c++ {
 			acc[c] += leaf[c]
 		}

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/dataset"
@@ -91,30 +90,19 @@ func (g *GBDT) Name() string { return g.Cfg.name }
 // NumClasses implements Classifier.
 func (g *GBDT) NumClasses() int { return g.classes }
 
-// gbNode is a node of a boosted regression tree. Leaves have Feature -1.
-type gbNode struct {
-	Feature   int     `json:"f"`
-	Threshold float64 `json:"t"`
-	Left      int     `json:"l"`
-	Right     int     `json:"r"`
-	Value     float64 `json:"v"`
-}
-
 // gbTree is a regression tree over raw scores.
-type gbTree struct {
-	Nodes []gbNode `json:"nodes"`
-}
+type gbTree struct{ tree }
 
-func (t *gbTree) predict(x []float64) float64 {
-	n := &t.Nodes[0]
-	for n.Feature >= 0 {
-		if x[n.Feature] <= n.Threshold {
-			n = &t.Nodes[n.Left]
-		} else {
-			n = &t.Nodes[n.Right]
+func (t *gbTree) predict(x []float64) float64 { return t.nodes.descend(x).Threshold }
+
+// MinInputDim reports the narrowest row every tree can score.
+func (g *GBDT) MinInputDim() (w int) {
+	for _, class := range g.TreesPerClass {
+		for _, tr := range class {
+			w = max(w, tr.width)
 		}
 	}
-	return n.Value
+	return w
 }
 
 // Fit implements Classifier.
@@ -210,14 +198,12 @@ func (g *GBDT) PredictProba(x []float64) []float64 {
 }
 
 // PredictProbaBatch implements BatchPredictor with a tree-major
-// traversal: each boosted tree scores every instance before the next
-// tree is touched, keeping its node slice cache-resident across the
-// batch. The per-class logits accumulate in a flat column buffer —
-// one contiguous float64 per instance — instead of scattering through
-// out[i][c], which would re-load the row pointer on every touch. The
-// per-(instance, class) accumulation order matches PredictProba (tree
-// order within each class), so logits — and therefore the softmax
-// rows — are bit-identical to the per-instance path.
+// traversal: each boosted tree scores every instance before the next tree
+// is touched, keeping its node slice cache-resident across the batch. The
+// per-class logits accumulate in a flat column buffer instead of
+// scattering through out[i][c]. The per-(instance, class) accumulation
+// order matches PredictProba (tree order within each class), so the softmax
+// rows are bit-identical to the per-instance path.
 func (g *GBDT) PredictProbaBatch(X [][]float64) [][]float64 {
 	if g.TreesPerClass == nil {
 		panic(ErrNotTrained)
@@ -235,20 +221,12 @@ func (g *GBDT) PredictProbaBatch(X [][]float64) [][]float64 {
 			col[i] = base
 		}
 		for _, tr := range trees[c] {
-			nodes := tr.Nodes
-			if len(nodes) == 0 {
+			ns := tr.nodes
+			if len(ns) == 0 {
 				panic(ErrNotTrained)
 			}
 			for i, x := range X {
-				n := &nodes[0]
-				for n.Feature >= 0 {
-					if x[n.Feature] <= n.Threshold {
-						n = &nodes[n.Left]
-					} else {
-						n = &nodes[n.Right]
-					}
-				}
-				col[i] += lr * n.Value
+				col[i] += lr * ns.descend(x).Threshold
 			}
 		}
 		for i := range X {
@@ -268,7 +246,6 @@ type gbBuilder struct {
 	cfg GBDTConfig
 	x   [][]float64
 	dim int
-	rng *rand.Rand
 
 	// Histogram binning (leaf-wise growth only).
 	binEdges [][]float64 // per feature, sorted upper edges
@@ -276,7 +253,7 @@ type gbBuilder struct {
 }
 
 func newGBBuilder(cfg GBDTConfig, t *dataset.Table) *gbBuilder {
-	b := &gbBuilder{cfg: cfg, x: t.X, dim: t.NumFeatures(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	b := &gbBuilder{cfg: cfg, x: t.X, dim: t.NumFeatures()}
 	if cfg.Growth == GrowLeafWise {
 		b.computeBins()
 	}
@@ -434,7 +411,7 @@ func (b *gbBuilder) bestSplitHist(grad, hess []float64, idx []int) (gbSplit, boo
 }
 
 // partition fills the split's left/right index sets. The threshold
-// convention matches gbTree.predict: x <= threshold goes left. Histogram
+// convention matches descend: x <= threshold goes left. Histogram
 // thresholds are bin edges, and binIdx was computed with
 // sort.SearchFloat64s so a sample in bin k has x <= edges[k] for the first
 // matching edge; comparing raw values against the edge keeps the two
@@ -458,26 +435,22 @@ func (b *gbBuilder) buildLevelWise(t *gbTree, grad, hess []float64, idx []int, d
 	if !ok || len(split.left) == 0 || len(split.right) == 0 {
 		return b.appendLeaf(t, gSum, hSum)
 	}
-	node := len(t.Nodes)
-	t.Nodes = append(t.Nodes, gbNode{Feature: split.feature, Threshold: split.threshold})
+	node := t.addLeaf(0, 0) // reserved: a split is numbered before its children
 	l := b.buildLevelWise(t, grad, hess, split.left, depth+1)
 	r := b.buildLevelWise(t, grad, hess, split.right, depth+1)
-	t.Nodes[node].Left = l
-	t.Nodes[node].Right = r
+	t.split(node, split.feature, split.threshold, l, r)
 	return node
 }
 
 func (b *gbBuilder) appendLeaf(t *gbTree, gSum, hSum float64) int {
-	t.Nodes = append(t.Nodes, gbNode{Feature: -1, Value: b.leafValue(gSum, hSum)})
-	return len(t.Nodes) - 1
+	return t.addLeaf(0, b.leafValue(gSum, hSum))
 }
 
-// leafCandidate is a grown-but-unsplit leaf in the leaf-wise queue.
+// leafCandidate is a grown-but-unsplit leaf in the leaf-wise queue; a leaf
+// that cannot be split keeps the zero split, whose gain never wins.
 type leafCandidate struct {
-	nodeIdx  int
-	idx      []int
-	split    gbSplit
-	canSplit bool
+	nodeIdx int
+	split   gbSplit
 }
 
 func (b *gbBuilder) buildLeafWise(t *gbTree, grad, hess []float64, idx []int) {
@@ -488,7 +461,7 @@ func (b *gbBuilder) buildLeafWise(t *gbTree, grad, hess []float64, idx []int) {
 	for numLeaves < b.cfg.MaxLeaves {
 		bestI, bestGain := -1, 1e-12
 		for i, lc := range leaves {
-			if lc.canSplit && lc.split.gain > bestGain {
+			if lc.split.gain > bestGain {
 				bestI, bestGain = i, lc.split.gain
 			}
 		}
@@ -502,7 +475,7 @@ func (b *gbBuilder) buildLeafWise(t *gbTree, grad, hess []float64, idx []int) {
 		gr, hr := sums(grad, hess, s.right)
 		leftIdx := b.appendLeaf(t, gl, hl)
 		rightIdx := b.appendLeaf(t, gr, hr)
-		t.Nodes[lc.nodeIdx] = gbNode{Feature: s.feature, Threshold: s.threshold, Left: leftIdx, Right: rightIdx}
+		t.split(lc.nodeIdx, s.feature, s.threshold, leftIdx, rightIdx)
 
 		leaves[bestI] = b.newCandidate(t, grad, hess, leftIdx, s.left)
 		leaves = append(leaves, b.newCandidate(t, grad, hess, rightIdx, s.right))
@@ -511,11 +484,10 @@ func (b *gbBuilder) buildLeafWise(t *gbTree, grad, hess []float64, idx []int) {
 }
 
 func (b *gbBuilder) newCandidate(t *gbTree, grad, hess []float64, nodeIdx int, idx []int) leafCandidate {
-	lc := leafCandidate{nodeIdx: nodeIdx, idx: idx}
+	lc := leafCandidate{nodeIdx: nodeIdx}
 	if len(idx) >= 2 {
 		if s, ok := b.bestSplitHist(grad, hess, idx); ok && len(s.left) > 0 && len(s.right) > 0 {
 			lc.split = s
-			lc.canSplit = true
 		}
 	}
 	return lc

@@ -2,12 +2,21 @@ package ml
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// TestNodeSize holds the figure DESIGN §4c quotes: every tree in the package
+// walks one 24-byte node.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 24 {
+		t.Fatalf("node is %d bytes, want 24", got)
+	}
+}
 
 // countLeaves walks a boosted tree and returns its leaf count.
 func countLeaves(tr *gbTree) int {
 	leaves := 0
-	for _, n := range tr.Nodes {
+	for _, n := range tr.nodes {
 		if n.Feature < 0 {
 			leaves++
 		}
@@ -16,8 +25,8 @@ func countLeaves(tr *gbTree) int {
 }
 
 // maxDepthOf returns a boosted tree's depth.
-func maxDepthOf(tr *gbTree, idx int) int {
-	n := tr.Nodes[idx]
+func maxDepthOf(tr *gbTree, idx int32) int {
+	n := tr.nodes[idx]
 	if n.Feature < 0 {
 		return 0
 	}
@@ -73,12 +82,12 @@ func TestGBDTTreeStructureConsistent(t *testing.T) {
 		for _, class := range g.TreesPerClass {
 			for _, tr := range class {
 				internal := 0
-				for _, n := range tr.Nodes {
+				for _, n := range tr.nodes {
 					if n.Feature < 0 {
 						continue
 					}
 					internal++
-					if n.Left < 0 || n.Left >= len(tr.Nodes) || n.Right < 0 || n.Right >= len(tr.Nodes) {
+					if n.Left < 0 || int(n.Left) >= len(tr.nodes) || n.Right < 0 || int(n.Right) >= len(tr.nodes) {
 						t.Fatalf("child index out of range: %+v", n)
 					}
 				}

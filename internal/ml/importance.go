@@ -5,12 +5,14 @@ package ml
 // boosted ensembles. These are the "global" importances operators compare
 // against the local SHAP/LIME attributions on the dashboard.
 
+import "math"
+
 // FeatureImportance returns normalized Gini-importance scores (summing to
 // 1 when any split exists). The tree must be trained; the caller passes
 // the feature dimensionality because leaves do not record it.
 func (t *Tree) FeatureImportance(numFeatures int) []float64 {
 	imp := make([]float64, numFeatures)
-	if len(t.Nodes) == 0 {
+	if len(t.nodes) == 0 {
 		return imp
 	}
 	t.accumulateImportance(0, imp)
@@ -21,12 +23,10 @@ func (t *Tree) FeatureImportance(numFeatures int) []float64 {
 // accumulateImportance adds each internal node's weighted impurity
 // decrease (n·g_parent − n_l·g_l − n_r·g_r) to its split feature and
 // returns the subtree's class-count vector.
-func (t *Tree) accumulateImportance(idx int, imp []float64) []float64 {
-	node := &t.Nodes[idx]
+func (t *Tree) accumulateImportance(idx int32, imp []float64) []float64 {
+	node := &t.nodes[idx]
 	if node.Feature < 0 {
-		out := make([]float64, len(node.Counts))
-		copy(out, node.Counts)
-		return out
+		return append([]float64(nil), t.counts[node.Left:][:t.classes]...)
 	}
 	left := t.accumulateImportance(node.Left, imp)
 	right := t.accumulateImportance(node.Right, imp)
@@ -42,7 +42,7 @@ func (t *Tree) accumulateImportance(idx int, imp []float64) []float64 {
 		parent[i] = left[i] + right[i]
 	}
 	n := nl + nr
-	if node.Feature < len(imp) {
+	if int(node.Feature) < len(imp) {
 		decrease := n*gini(parent, n) - nl*gini(left, nl) - nr*gini(right, nr)
 		if decrease > 0 {
 			imp[node.Feature] += decrease
@@ -67,10 +67,9 @@ func (f *Forest) FeatureImportance(numFeatures int) []float64 {
 	return imp
 }
 
-// FeatureImportance returns normalized split-gain importance summed over
-// every tree of the boosted ensemble. Gain is approximated by split count
-// weighting is not used; each split contributes the absolute value-range
-// it separates, which tracks how much the split moves scores.
+// FeatureImportance returns normalized importance summed over every tree
+// of the boosted ensemble: each split contributes the spread between its
+// children's values, which tracks how much the split moves scores.
 func (g *GBDT) FeatureImportance(numFeatures int) []float64 {
 	imp := make([]float64, numFeatures)
 	if g.TreesPerClass == nil {
@@ -78,23 +77,26 @@ func (g *GBDT) FeatureImportance(numFeatures int) []float64 {
 	}
 	for _, class := range g.TreesPerClass {
 		for _, tr := range class {
-			for _, n := range tr.Nodes {
-				if n.Feature >= 0 && n.Feature < numFeatures {
-					// Split contribution: spread between child values
-					// (leaf values for depth-1; deeper structure still
-					// accumulates through its own splits).
-					l, r := tr.Nodes[n.Left], tr.Nodes[n.Right]
-					spread := l.Value - r.Value
-					if spread < 0 {
-						spread = -spread
-					}
-					imp[n.Feature] += spread + 1e-12
+			for _, n := range tr.nodes {
+				if n.Feature >= 0 && int(n.Feature) < numFeatures {
+					// A child that is itself a split counts as 0 and
+					// accumulates through its own splits.
+					spread := tr.nodes[n.Left].value() - tr.nodes[n.Right].value()
+					imp[n.Feature] += math.Abs(spread) + 1e-12
 				}
 			}
 		}
 	}
 	normalize(imp)
 	return imp
+}
+
+// value is a boosted leaf's value, and 0 for a split.
+func (n node) value() float64 {
+	if n.Feature < 0 {
+		return n.Threshold
+	}
+	return 0
 }
 
 func normalize(x []float64) {

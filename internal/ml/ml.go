@@ -57,26 +57,3 @@ func PredictBatch(c Classifier, t *dataset.Table) []int {
 	}
 	return out
 }
-
-// probaFromCounts converts per-class counts into a probability
-// distribution, with Laplace smoothing to avoid hard zeros.
-func probaFromCounts(counts []float64, classes int) []float64 {
-	p := make([]float64, classes)
-	var total float64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		uniform := 1 / float64(classes)
-		for i := range p {
-			p[i] = uniform
-		}
-		return p
-	}
-	denom := total + float64(classes)*1e-9
-	counts = counts[:classes]
-	for i := range counts {
-		p[i] = (counts[i] + 1e-9) / denom
-	}
-	return p
-}

@@ -3,6 +3,7 @@ package ml
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -44,16 +45,136 @@ type logRegSpec struct {
 	Dim     int          `json:"dim"`
 }
 
+// treeNode and gbNode are the envelope's spelling of a node: a decoded spec
+// is checked and built in one pass (build), a model spelled back by spec.
+type treeNode struct {
+	Feature   int       `json:"f"`           // -1 for leaf
+	Threshold float64   `json:"t"`           // go left if x[Feature] <= Threshold
+	Left      int       `json:"l"`           // child indices
+	Right     int       `json:"r"`           //
+	Counts    []float64 `json:"c,omitempty"` // leaf class counts
+}
+
+type gbNode struct {
+	Feature   int     `json:"f"`
+	Threshold float64 `json:"t"`
+	Left      int     `json:"l"`
+	Right     int     `json:"r"`
+	Value     float64 `json:"v"`
+}
+
+// load appends the next of a spec's total nodes to t; for a leaf, left and
+// threshold arrive holding its payload. Children must come after their
+// parent — the growers' append order, which is what guarantees that descend
+// terminates — and the feature must fit the node: a malformed or malicious
+// envelope is refused here, not at predict time.
+func (t *tree) load(feature int, threshold float64, left, right, total int) error {
+	i := len(t.nodes)
+	switch {
+	case feature < 0:
+		t.addLeaf(left, threshold)
+	case left <= i || right <= i || left >= total || right >= total:
+		return fmt.Errorf("ml: tree node %d has invalid children (%d, %d)", i, left, right)
+	case feature > math.MaxInt32:
+		return fmt.Errorf("ml: tree node %d splits on feature %d", i, feature)
+	default:
+		t.split(t.addLeaf(0, 0), feature, threshold, left, right)
+	}
+	return nil
+}
+
+// carve cuts an empty slice with room for n elements off the front of
+// *slab: the trees of a decoded model share one allocation of nodes and one
+// of leaf rows, each sized by a count first.
+func carve[S ~[]T, T any](slab *S, n int) S {
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
 type treeSpec struct {
 	Cfg     TreeConfig `json:"cfg"`
 	Nodes   []treeNode `json:"nodes"`
 	Classes int        `json:"classes"`
 }
 
+// rows counts the floats of the spec's leaf table.
+func (s *treeSpec) rows() (n int) {
+	for i := range s.Nodes {
+		if s.Nodes[i].Feature < 0 {
+			n += len(s.Nodes[i].Counts)
+		}
+	}
+	return n
+}
+
+// build checks the spec and builds the tree in storage carved from the slabs.
+func (s *treeSpec) build(ns *nodes, rows *[]float64) (*Tree, error) {
+	if len(s.Nodes) == 0 || s.Classes < 1 {
+		return nil, fmt.Errorf("ml: tree has %d nodes and %d classes", len(s.Nodes), s.Classes)
+	}
+	floats := s.rows()
+	t := &Tree{Cfg: s.Cfg, counts: carve(rows, floats), probs: carve(rows, floats)[:floats], classes: s.Classes}
+	t.nodes = carve(ns, len(s.Nodes))
+	for i := range s.Nodes {
+		n, left := &s.Nodes[i], s.Nodes[i].Left
+		if n.Feature < 0 {
+			if len(n.Counts) != s.Classes {
+				return nil, fmt.Errorf("ml: tree leaf %d has %d counts, want %d", i, len(n.Counts), s.Classes)
+			}
+			for _, c := range n.Counts {
+				if c < 0 {
+					return nil, fmt.Errorf("ml: tree leaf %d has negative count", i)
+				}
+			}
+			left, t.counts = len(t.counts), append(t.counts, n.Counts...)
+		}
+		if err := t.load(n.Feature, n.Threshold, left, n.Right, len(s.Nodes)); err != nil {
+			return nil, err
+		}
+	}
+	leafProbs(t.probs, t.counts, t.classes)
+	return t, nil
+}
+
+func (t *Tree) spec() treeSpec {
+	s := treeSpec{Cfg: t.Cfg, Nodes: make([]treeNode, len(t.nodes)), Classes: t.classes}
+	for i, n := range t.nodes {
+		if n.Feature < 0 {
+			s.Nodes[i] = treeNode{Feature: -1, Counts: t.counts[n.Left:][:t.classes]}
+		} else {
+			s.Nodes[i] = treeNode{Feature: int(n.Feature), Threshold: n.Threshold, Left: int(n.Left), Right: int(n.Right)}
+		}
+	}
+	return s
+}
+
 type forestSpec struct {
 	Cfg     ForestConfig `json:"cfg"`
 	Members []treeSpec   `json:"members"`
 	Classes int          `json:"classes"`
+}
+
+// build checks and builds every member.
+func (s *forestSpec) build() ([]*Tree, error) {
+	total, floats := 0, 0
+	for mi := range s.Members {
+		total += len(s.Members[mi].Nodes)
+		floats += 2 * s.Members[mi].rows()
+	}
+	ns, rows := make(nodes, total), make([]float64, floats)
+	trees := make([]*Tree, len(s.Members))
+	for mi := range s.Members {
+		ts := &s.Members[mi]
+		if ts.Classes != s.Classes {
+			return nil, fmt.Errorf("ml: rf member %d has %d classes, forest %d", mi, ts.Classes, s.Classes)
+		}
+		var err error
+		if trees[mi], err = ts.build(&ns, &rows); err != nil {
+			return nil, fmt.Errorf("rf member %d: %w", mi, err)
+		}
+	}
+	return trees, nil
 }
 
 type mlpSpec struct {
@@ -65,12 +186,72 @@ type mlpSpec struct {
 	Classes int         `json:"classes"`
 }
 
+type gbTreeSpec struct {
+	Nodes []gbNode `json:"nodes"`
+}
+
 type gbdtSpec struct {
-	Cfg           GBDTConfig  `json:"cfg"`
-	Name          string      `json:"name"`
-	Base          []float64   `json:"base"`
-	TreesPerClass [][]*gbTree `json:"treesPerClass"`
-	Classes       int         `json:"classes"`
+	Cfg           GBDTConfig     `json:"cfg"`
+	Name          string         `json:"name"`
+	Base          []float64      `json:"base"`
+	TreesPerClass [][]gbTreeSpec `json:"treesPerClass"`
+	Classes       int            `json:"classes"`
+}
+
+// build checks and builds the ensemble; a refusal is a nil Classifier.
+func (s *gbdtSpec) build() (Classifier, error) {
+	if s.Classes < 2 || len(s.Base) != s.Classes || len(s.TreesPerClass) != s.Classes {
+		return nil, fmt.Errorf("ml: gbdt spec has %d classes, %d base scores and trees for %d classes", s.Classes, len(s.Base), len(s.TreesPerClass))
+	}
+	total := 0
+	for _, class := range s.TreesPerClass {
+		for ti := range class {
+			total += len(class[ti].Nodes)
+		}
+	}
+	ns := make(nodes, total)
+	g := &GBDT{Cfg: s.Cfg, Base: s.Base, TreesPerClass: make([][]*gbTree, s.Classes), classes: s.Classes}
+	for c, class := range s.TreesPerClass {
+		trees := make([]gbTree, len(class))
+		g.TreesPerClass[c] = make([]*gbTree, len(class))
+		for ti := range class {
+			spec, t := class[ti].Nodes, &trees[ti]
+			if len(spec) == 0 {
+				return nil, fmt.Errorf("class %d tree %d: ml: boosted tree has no nodes", c, ti)
+			}
+			t.nodes = carve(&ns, len(spec))
+			for i := range spec {
+				n, threshold := &spec[i], spec[i].Threshold
+				if n.Feature < 0 {
+					threshold = n.Value
+				}
+				if err := t.load(n.Feature, threshold, n.Left, n.Right, len(spec)); err != nil {
+					return nil, fmt.Errorf("class %d tree %d: %w", c, ti, err)
+				}
+			}
+			g.TreesPerClass[c][ti] = t
+		}
+	}
+	return g, nil
+}
+
+func (g *GBDT) spec() gbdtSpec {
+	s := gbdtSpec{Cfg: g.Cfg, Name: g.Name(), Base: g.Base, TreesPerClass: make([][]gbTreeSpec, len(g.TreesPerClass)), Classes: g.classes}
+	for c, class := range g.TreesPerClass {
+		s.TreesPerClass[c] = make([]gbTreeSpec, len(class))
+		for ti, t := range class {
+			out := make([]gbNode, len(t.nodes))
+			for i, n := range t.nodes {
+				if n.Feature < 0 {
+					out[i] = gbNode{Feature: -1, Value: n.Threshold}
+				} else {
+					out[i] = gbNode{Feature: int(n.Feature), Threshold: n.Threshold, Left: int(n.Left), Right: int(n.Right)}
+				}
+			}
+			s.TreesPerClass[c][ti].Nodes = out
+		}
+	}
+	return s
 }
 
 // MarshalModel serializes a trained classifier.
@@ -87,11 +268,11 @@ func MarshalModel(c Classifier) ([]byte, error) {
 		kind = "lr"
 		spec = logRegSpec{Cfg: m.Cfg, W: toDenseSpec(m.W), Classes: m.classes, Dim: m.dim}
 	case *Tree:
-		if len(m.Nodes) == 0 {
+		if len(m.nodes) == 0 {
 			return nil, ErrNotTrained
 		}
 		kind = "dt"
-		spec = treeSpec{Cfg: m.Cfg, Nodes: m.Nodes, Classes: m.classes}
+		spec = m.spec()
 	case *Forest:
 		if len(m.Members) == 0 {
 			return nil, ErrNotTrained
@@ -99,7 +280,7 @@ func MarshalModel(c Classifier) ([]byte, error) {
 		kind = "rf"
 		fs := forestSpec{Cfg: m.Cfg, Classes: m.classes, Members: make([]treeSpec, len(m.Members))}
 		for i, tr := range m.Members {
-			fs.Members[i] = treeSpec{Cfg: tr.Cfg, Nodes: tr.Nodes, Classes: tr.classes}
+			fs.Members[i] = tr.spec()
 		}
 		spec = fs
 	case *MLP:
@@ -117,7 +298,7 @@ func MarshalModel(c Classifier) ([]byte, error) {
 			return nil, ErrNotTrained
 		}
 		kind = "gbdt"
-		spec = gbdtSpec{Cfg: m.Cfg, Name: m.Name(), Base: m.Base, TreesPerClass: m.TreesPerClass, Classes: m.classes}
+		spec = m.spec()
 	default:
 		return nil, fmt.Errorf("ml: cannot serialize model type %T", c)
 	}
@@ -153,29 +334,24 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Spec, &s); err != nil {
 			return nil, fmt.Errorf("unmarshal dt spec: %w", err)
 		}
-		if err := validateTreeNodes(s.Nodes, s.Classes); err != nil {
+		trees, err := (&forestSpec{Members: []treeSpec{s}, Classes: s.Classes}).build()
+		if err != nil {
 			return nil, err
 		}
-		return &Tree{Cfg: s.Cfg, Nodes: s.Nodes, classes: s.Classes}, nil
+		return trees[0], nil
 	case "rf":
 		var s forestSpec
 		if err := json.Unmarshal(env.Spec, &s); err != nil {
 			return nil, fmt.Errorf("unmarshal rf spec: %w", err)
 		}
-		f := &Forest{Cfg: s.Cfg, classes: s.Classes}
 		if len(s.Members) == 0 {
 			return nil, fmt.Errorf("ml: rf spec has no member trees")
 		}
-		for mi, ts := range s.Members {
-			if ts.Classes != s.Classes {
-				return nil, fmt.Errorf("ml: rf member %d has %d classes, forest %d", mi, ts.Classes, s.Classes)
-			}
-			if err := validateTreeNodes(ts.Nodes, ts.Classes); err != nil {
-				return nil, fmt.Errorf("rf member %d: %w", mi, err)
-			}
-			f.Members = append(f.Members, &Tree{Cfg: ts.Cfg, Nodes: ts.Nodes, classes: ts.Classes})
+		members, err := s.build()
+		if err != nil {
+			return nil, err
 		}
-		return f, nil
+		return &Forest{Cfg: s.Cfg, Members: members, classes: s.Classes}, nil
 	case "mlp":
 		var s mlpSpec
 		if err := json.Unmarshal(env.Spec, &s); err != nil {
@@ -200,10 +376,7 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 			return nil, fmt.Errorf("unmarshal gbdt spec: %w", err)
 		}
 		s.Cfg.name = s.Name
-		if err := validateGBDTSpec(&s); err != nil {
-			return nil, err
-		}
-		return &GBDT{Cfg: s.Cfg, Base: s.Base, TreesPerClass: s.TreesPerClass, classes: s.Classes}, nil
+		return s.build()
 	default:
 		return nil, fmt.Errorf("ml: unknown model kind %q", env.Kind)
 	}

@@ -22,25 +22,69 @@ func DefaultTreeConfig() TreeConfig {
 	return TreeConfig{MaxDepth: 16, MinLeaf: 2, MaxFeatures: 0, Seed: 1}
 }
 
-// treeNode is one node of a decision tree, stored in a flat slice so trees
-// serialize compactly. Leaves have Feature == -1.
-type treeNode struct {
-	Feature   int       `json:"f"`           // -1 for leaf
-	Threshold float64   `json:"t"`           // go left if x[Feature] <= Threshold
-	Left      int       `json:"l"`           // child indices
-	Right     int       `json:"r"`           //
-	Counts    []float64 `json:"c,omitempty"` // leaf class counts
+// node is one node of every tree in the package, in a flat slice with the
+// root first and children after their parent. A split sends x left when
+// x[Feature] <= Threshold. A leaf has Feature < 0 and carries its payload
+// in the fields it does not branch on: a classification leaf keeps in Left
+// the offset of its row in the tree's leaf table, a boosted leaf keeps its
+// one value in Threshold.
+type node struct {
+	Feature, Left, Right int32
+	Threshold            float64
 }
+
+type nodes []node
+
+// descend walks x from the root to its leaf. It is the package's only
+// traversal: the serial and the batch form of every tree model call it. x
+// is indexed unchecked — a row narrower than the tree's width panics with
+// an index error, which the serving runtime recovers into a 422.
+func (ns nodes) descend(x []float64) *node {
+	n := &ns[0]
+	for n.Feature >= 0 {
+		if x[n.Feature] <= n.Threshold {
+			n = &ns[n.Left]
+		} else {
+			n = &ns[n.Right]
+		}
+	}
+	return n
+}
+
+// tree is what a classification and a boosted regression tree share. Its
+// addLeaf and split are where growers and decoder alike write a node.
+type tree struct {
+	nodes nodes
+	width int // 1 + widest split feature: the narrowest row descend can read
+}
+
+// addLeaf appends a leaf and returns its index. A grower that must number
+// a split before its children reserves the slot with it.
+func (t *tree) addLeaf(off int, value float64) int {
+	t.nodes = append(t.nodes, node{Feature: -1, Left: int32(off), Threshold: value})
+	return len(t.nodes) - 1
+}
+
+// split turns node i into a split.
+func (t *tree) split(i, feature int, threshold float64, left, right int) {
+	t.nodes[i] = node{Feature: int32(feature), Left: int32(left), Right: int32(right), Threshold: threshold}
+	t.width = max(t.width, feature+1)
+}
+
+// MinInputDim reports the narrowest row the tree can score; the width it
+// was trained on is not in the envelope.
+func (t *tree) MinInputDim() int { return t.width }
 
 // Tree is a CART classification tree with Gini-impurity splits. It is the
 // "DT" model of use case 1 and the building block of RandomForest.
 type Tree struct {
 	Cfg TreeConfig
 
-	Nodes   []treeNode
-	classes int
-
-	rng *rand.Rand
+	tree
+	// counts is the leaf table as serialised, classes floats per leaf;
+	// probs is each row Laplace-smoothed, derived once at Fit or load.
+	counts, probs []float64
+	classes       int
 }
 
 var _ Classifier = (*Tree)(nil)
@@ -59,37 +103,45 @@ func (t *Tree) Fit(d *dataset.Table) error {
 	if d.Len() == 0 {
 		return fmt.Errorf("dt fit: empty dataset")
 	}
-	if t.Cfg.MinLeaf < 1 {
-		t.Cfg.MinLeaf = 1
-	}
-	t.classes = d.NumClasses()
-	t.Nodes = t.Nodes[:0]
-	t.rng = rand.New(rand.NewSource(t.Cfg.Seed))
 	idx := make([]int, d.Len())
 	for i := range idx {
 		idx[i] = i
 	}
-	t.grow(d, idx, 0)
+	t.FitIndices(d, idx, rand.New(rand.NewSource(t.Cfg.Seed)))
 	return nil
 }
 
 // FitIndices trains the tree on the subset of d given by idx (used by the
-// forest's bootstrap without copying rows).
-func (t *Tree) FitIndices(d *dataset.Table, idx []int, rng *rand.Rand) error {
-	if len(idx) == 0 {
-		return fmt.Errorf("dt fit: empty index set")
-	}
+// forest's bootstrap without copying rows). rng picks the features a split
+// may use; the tree does not keep it.
+func (t *Tree) FitIndices(d *dataset.Table, idx []int, rng *rand.Rand) {
 	if t.Cfg.MinLeaf < 1 {
 		t.Cfg.MinLeaf = 1
 	}
 	t.classes = d.NumClasses()
-	t.Nodes = t.Nodes[:0]
-	if rng == nil {
-		rng = rand.New(rand.NewSource(t.Cfg.Seed))
+	t.tree, t.counts = tree{}, nil
+	t.grow(d, idx, 0, rng)
+	t.probs = make([]float64, len(t.counts))
+	leafProbs(t.probs, t.counts, t.classes)
+}
+
+// leafProbs turns per-leaf class counts into per-leaf probabilities, with
+// Laplace smoothing to avoid hard zeros and a uniform row for a leaf that
+// saw nothing.
+func leafProbs(probs, counts []float64, classes int) {
+	for at := 0; at < len(counts); at += classes {
+		row, p := counts[at:at+classes], probs[at:at+classes]
+		var total float64
+		for _, c := range row {
+			total += c
+		}
+		for i, c := range row {
+			p[i] = (c + 1e-9) / (total + float64(classes)*1e-9)
+			if total == 0 {
+				p[i] = 1 / float64(classes)
+			}
+		}
 	}
-	t.rng = rng
-	t.grow(d, idx, 0)
-	return nil
 }
 
 func (t *Tree) numSplitFeatures(d int) int {
@@ -97,11 +149,7 @@ func (t *Tree) numSplitFeatures(d int) int {
 	case t.Cfg.MaxFeatures > 0 && t.Cfg.MaxFeatures < d:
 		return t.Cfg.MaxFeatures
 	case t.Cfg.MaxFeatures == -1:
-		k := int(math.Sqrt(float64(d)))
-		if k < 1 {
-			k = 1
-		}
-		return k
+		return max(1, int(math.Sqrt(float64(d))))
 	default:
 		return d
 	}
@@ -109,7 +157,7 @@ func (t *Tree) numSplitFeatures(d int) int {
 
 // grow recursively builds the subtree over samples idx and returns its node
 // index.
-func (t *Tree) grow(d *dataset.Table, idx []int, depth int) int {
+func (t *Tree) grow(d *dataset.Table, idx []int, depth int, rng *rand.Rand) int {
 	counts := make([]float64, t.classes)
 	for _, i := range idx {
 		counts[d.Y[i]]++
@@ -124,7 +172,7 @@ func (t *Tree) grow(d *dataset.Table, idx []int, depth int) int {
 		return t.leaf(counts)
 	}
 
-	feat, thr, ok := t.bestSplit(d, idx, counts)
+	feat, thr, ok := t.bestSplit(d, idx, counts, rng)
 	if !ok {
 		return t.leaf(counts)
 	}
@@ -141,23 +189,22 @@ func (t *Tree) grow(d *dataset.Table, idx []int, depth int) int {
 		return t.leaf(counts)
 	}
 
-	node := len(t.Nodes)
-	t.Nodes = append(t.Nodes, treeNode{Feature: feat, Threshold: thr})
-	l := t.grow(d, left, depth+1)
-	r := t.grow(d, right, depth+1)
-	t.Nodes[node].Left = l
-	t.Nodes[node].Right = r
+	node := t.addLeaf(0, 0) // reserved: a split is numbered before its children
+	l := t.grow(d, left, depth+1, rng)
+	r := t.grow(d, right, depth+1, rng)
+	t.split(node, feat, thr, l, r)
 	return node
 }
 
+// leaf appends a leaf and its row of the count table.
 func (t *Tree) leaf(counts []float64) int {
-	t.Nodes = append(t.Nodes, treeNode{Feature: -1, Counts: counts})
-	return len(t.Nodes) - 1
+	t.counts = append(t.counts, counts...)
+	return t.addLeaf(len(t.counts)-len(counts), 0)
 }
 
 // bestSplit searches a (possibly random) subset of features for the split
 // with the lowest weighted Gini impurity.
-func (t *Tree) bestSplit(d *dataset.Table, idx []int, parentCounts []float64) (feat int, thr float64, ok bool) {
+func (t *Tree) bestSplit(d *dataset.Table, idx []int, parentCounts []float64, rng *rand.Rand) (feat int, thr float64, ok bool) {
 	dim := d.NumFeatures()
 	nf := t.numSplitFeatures(dim)
 	features := make([]int, dim)
@@ -165,7 +212,7 @@ func (t *Tree) bestSplit(d *dataset.Table, idx []int, parentCounts []float64) (f
 		features[j] = j
 	}
 	if nf < dim {
-		t.rng.Shuffle(dim, func(i, j int) { features[i], features[j] = features[j], features[i] })
+		rng.Shuffle(dim, func(i, j int) { features[i], features[j] = features[j], features[i] })
 		features = features[:nf]
 	}
 
@@ -225,36 +272,24 @@ func gini(counts []float64, n float64) float64 {
 
 // PredictProba implements Classifier.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	if len(t.Nodes) == 0 {
+	if len(t.nodes) == 0 {
 		panic(ErrNotTrained)
 	}
-	node := &t.Nodes[0]
-	for node.Feature >= 0 {
-		if x[node.Feature] <= node.Threshold {
-			node = &t.Nodes[node.Left]
-		} else {
-			node = &t.Nodes[node.Right]
-		}
-	}
-	return probaFromCounts(node.Counts, t.classes)
+	at := int(t.nodes.descend(x).Left)
+	return append([]float64(nil), t.probs[at:at+t.classes]...)
 }
 
 // Depth returns the depth of the trained tree (0 for a single leaf).
 func (t *Tree) Depth() int {
-	if len(t.Nodes) == 0 {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	return t.depthFrom(0)
+	return t.nodes.depth(0)
 }
 
-func (t *Tree) depthFrom(i int) int {
-	n := &t.Nodes[i]
-	if n.Feature < 0 {
-		return 0
+func (ns nodes) depth(i int32) int {
+	if n := &ns[i]; n.Feature >= 0 {
+		return 1 + max(ns.depth(n.Left), ns.depth(n.Right))
 	}
-	l, r := t.depthFrom(n.Left), t.depthFrom(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return 0
 }

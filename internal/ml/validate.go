@@ -10,54 +10,8 @@ import (
 // service boundaries, so a malformed or malicious envelope must be
 // rejected at decode time: without these checks a cyclic tree would make
 // PredictProba loop forever (found by FuzzUnmarshalModel) and mismatched
-// layer shapes would panic mid-request.
-
-// validateTreeNodes checks a classification tree: children in range and
-// strictly increasing (the builder's append order, which guarantees the
-// prediction walk terminates), and leaf count vectors sized to classes
-// with non-negative entries.
-func validateTreeNodes(nodes []treeNode, classes int) error {
-	if len(nodes) == 0 {
-		return fmt.Errorf("ml: tree has no nodes")
-	}
-	if classes < 1 {
-		return fmt.Errorf("ml: tree has %d classes", classes)
-	}
-	for i, n := range nodes {
-		if n.Feature < 0 {
-			if len(n.Counts) != classes {
-				return fmt.Errorf("ml: tree leaf %d has %d counts, want %d", i, len(n.Counts), classes)
-			}
-			for _, c := range n.Counts {
-				if c < 0 {
-					return fmt.Errorf("ml: tree leaf %d has negative count", i)
-				}
-			}
-			continue
-		}
-		if n.Left <= i || n.Right <= i || n.Left >= len(nodes) || n.Right >= len(nodes) {
-			return fmt.Errorf("ml: tree node %d has invalid children (%d, %d)", i, n.Left, n.Right)
-		}
-	}
-	return nil
-}
-
-// validateGBTree checks a boosted regression tree with the same
-// increasing-children invariant.
-func validateGBTree(t *gbTree) error {
-	if t == nil || len(t.Nodes) == 0 {
-		return fmt.Errorf("ml: boosted tree has no nodes")
-	}
-	for i, n := range t.Nodes {
-		if n.Feature < 0 {
-			continue
-		}
-		if n.Left <= i || n.Right <= i || n.Left >= len(t.Nodes) || n.Right >= len(t.Nodes) {
-			return fmt.Errorf("ml: boosted tree node %d has invalid children (%d, %d)", i, n.Left, n.Right)
-		}
-	}
-	return nil
-}
+// layer shapes would panic mid-request. The tree kinds are checked as they
+// are built, in serialize.go.
 
 // validateLogRegSpec checks weight-matrix geometry against the declared
 // shape.
@@ -94,27 +48,6 @@ func validateMLPSpec(weights []*mat.Dense, biases [][]float64, sizes []int, clas
 		}
 		if len(biases[l]) != sizes[l+1] {
 			return fmt.Errorf("ml: mlp layer %d biases %d, want %d", l, len(biases[l]), sizes[l+1])
-		}
-	}
-	return nil
-}
-
-// validateGBDTSpec checks the ensemble geometry.
-func validateGBDTSpec(s *gbdtSpec) error {
-	if s.Classes < 2 {
-		return fmt.Errorf("ml: gbdt spec has %d classes", s.Classes)
-	}
-	if len(s.Base) != s.Classes {
-		return fmt.Errorf("ml: gbdt base scores %d != %d classes", len(s.Base), s.Classes)
-	}
-	if len(s.TreesPerClass) != s.Classes {
-		return fmt.Errorf("ml: gbdt has trees for %d of %d classes", len(s.TreesPerClass), s.Classes)
-	}
-	for c, class := range s.TreesPerClass {
-		for ti, tr := range class {
-			if err := validateGBTree(tr); err != nil {
-				return fmt.Errorf("class %d tree %d: %w", c, ti, err)
-			}
 		}
 	}
 	return nil

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
+	"repro/internal/wire"
 )
 
 func sepTable(n int) *dataset.Table {
@@ -389,5 +392,45 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	}
 	if back.Len() != tb.Len() || back.NumClasses() != tb.NumClasses() {
 		t.Fatal("table round trip changed shape")
+	}
+}
+
+// TestExplainersAnswerNarrowTreeInstanceWith422: an inline tree-family
+// model and an instance narrower than the widest feature it splits on is a
+// typed 422 from both explainer routes, as it is for lr — not a handler
+// panic that the client reads as a transport EOF.
+func TestExplainersAnswerNarrowTreeInstanceWith422(t *testing.T) {
+	// Only the last of three features separates the classes, so every
+	// tree reads feature 2.
+	rng := rand.New(rand.NewSource(1))
+	tb := dataset.New("last", []string{"f0", "f1", "f2"}, []string{"a", "b"})
+	for i := 0; i < 120; i++ {
+		_ = tb.Append([]float64{rng.NormFloat64(), rng.NormFloat64(), float64(i%2)*4 - 2 + rng.NormFloat64()*0.4}, i%2)
+	}
+	shap, lime := httptest.NewServer(NewSHAPService()), httptest.NewServer(NewLIMEService())
+	defer shap.Close()
+	defer lime.Close()
+	ctx := context.Background()
+	for _, name := range []string{"dt", "rf", "lgbm", "xgb"} {
+		m, err := ml.NewByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fit(tb); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := ml.MarshalModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, shapErr := (&Client{BaseURL: shap.URL}).SHAP(ctx, SHAPRequest{Model: blob, Instance: []float64{0, 0}, Class: 1, Background: [][]float64{{0, 0}}, Samples: 8})
+		_, limeErr := (&Client{BaseURL: lime.URL}).LIMETabular(ctx, LIMETabularRequest{Model: blob, Instance: []float64{0, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 8})
+		for route, err := range map[string]error{"shap": shapErr, "lime": limeErr} {
+			var status *wire.StatusError
+			if !errors.As(err, &status) || status.Status != http.StatusUnprocessableEntity ||
+				status.Message != "xai: model reads 3 features, instance dim 2" {
+				t.Errorf("%s %s: err = %v, want a 422 naming the width", name, route, err)
+			}
+		}
 	}
 }

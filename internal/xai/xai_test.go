@@ -438,3 +438,36 @@ func TestExplainersRejectWrongModelWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainersRejectNarrowTreeInstance: a tree family knows the widest
+// feature it splits on, and an instance that stops short of it is the same
+// typed error — before the change it was an index panic inside the descent.
+// A wider instance is still explained: the trained width is not recorded.
+func TestExplainersRejectNarrowTreeInstance(t *testing.T) {
+	tab := goldenTable(3, 60, 3, 2, 1)
+	for _, name := range []string{"rf", "lgbm"} {
+		m := goldenModel(t, name, tab)
+		w := m.(minInputSized).MinInputDim()
+		if w < 2 || w > 3 {
+			t.Fatalf("%s reads %d features of a 3-feature table", name, w)
+		}
+		for _, d := range []int{w - 1, 4} {
+			x := make([]float64, d)
+			for ename, e := range map[string]Explainer{
+				"KernelSHAP":  &KernelSHAP{Model: m, Background: [][]float64{make([]float64, d)}, Samples: 8},
+				"ExactSHAP":   &ExactSHAP{Model: m, Background: [][]float64{make([]float64, d)}},
+				"TabularLIME": &TabularLIME{Model: m, Scale: []float64{1, 1, 1, 1}[:d], Samples: 8},
+				"ImageLIME":   &ImageLIME{Model: m, W: d, H: 1, Patch: 1, Samples: 8},
+				"Occlusion":   &Occlusion{Model: m, W: d, H: 1, Window: 1},
+				"Occlusion1D": &Occlusion1D{Model: m, Channels: 1, Steps: d, Window: 1},
+			} {
+				_, err := e.Explain(x, 1)
+				if want := fmt.Sprintf("xai: model reads %d features, instance dim %d", w, d); d < w && (err == nil || err.Error() != want) {
+					t.Errorf("%s on %s, %d-wide instance: err = %v, want %q", ename, name, d, err, want)
+				} else if d >= w && err != nil {
+					t.Errorf("%s on %s, %d-wide instance: %v", ename, name, d, err)
+				}
+			}
+		}
+	}
+}
