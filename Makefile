@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check lint lint-fix lint-fix-dry lint-sarif lint-graph test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean perfgate perfgate-manifest
+.PHONY: all build vet check lint lint-sarif counts test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean perfgate perfgate-manifest
 
 all: build vet lint test
 
@@ -24,24 +24,20 @@ vet:
 lint:
 	$(GO) run ./cmd/spatial-lint ./...
 
-# Apply every mechanical fix the analyzers propose (defer cancel(),
-# clock injection, defer unlock). Use `-diff` via lint-fix-dry to
-# preview without writing.
-lint-fix:
-	$(GO) run ./cmd/spatial-lint -fix ./...
-
-lint-fix-dry:
-	$(GO) run ./cmd/spatial-lint -diff ./...
-
 # Export the run as SARIF 2.1.0 (lint.sarif) for code-scanning UIs; the
 # exit code still gates exactly like `make lint`.
 lint-sarif:
 	$(GO) run ./cmd/spatial-lint -sarif lint.sarif ./...
 
-# Dump the whole-module interprocedural call graph as Graphviz DOT:
-# render with `dot -Tsvg callgraph.dot -o callgraph.svg`.
-lint-graph:
-	$(GO) run ./cmd/spatial-lint -graph callgraph.dot ./...
+# The five numbers every re-anchor recounts by hand: binaries, their
+# flags, non-test Go lines under internal/ + cmd/, the lint package's share
+# of them, and the perf manifest's contracts.
+counts:
+	@echo "binaries           $$(ls -d cmd/*/ | wc -l)"
+	@echo "flags              $$(cat cmd/*/*.go | grep -cE '\b(flag|fs)\.(Bool|String|Int|Int64|Float64|Duration|Var)\(')"
+	@echo "non-test lines     $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "lint lines         $$(find internal/lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "manifest contracts $$(grep -c '"entry":' .perf-manifest.json)"
 
 test:
 	$(GO) test ./...

@@ -25,11 +25,7 @@
 // on the offending line or the line above it (comma-separate several
 // check names to waive more than one).
 //
-// -fix applies the mechanical fixes some findings carry (insert `defer
-// cancel()`, swap time.Now() for the injected clock, defer an unpaired
-// Unlock); -diff prints those fixes as a unified diff without writing.
-// -sarif exports the run as SARIF 2.1.0 for CI annotation, and -graph
-// dumps the interprocedural call graph as Graphviz DOT.
+// -sarif exports the run as SARIF 2.1.0 for CI annotation.
 package main
 
 import (
@@ -50,10 +46,7 @@ func main() {
 		dir        = flag.String("dir", ".", "directory patterns are resolved against")
 		tests      = flag.Bool("tests", true, "also analyze test files (checks opt in individually)")
 		failOn     = flag.String("fail-on", "warn", "minimum severity that fails the run: error, warn, or info")
-		fix        = flag.Bool("fix", false, "apply the mechanical fixes carried by findings")
-		diff       = flag.Bool("diff", false, "print the fixes as a diff without writing files")
 		sarifOut   = flag.String("sarif", "", "write the run as SARIF 2.1.0 to this file (\"-\" for stdout)")
-		graphOut   = flag.String("graph", "", "write the call graph as Graphviz DOT to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
 
@@ -81,73 +74,30 @@ func main() {
 		fail(err)
 	}
 
-	// openOut resolves an output-path flag: "-" is stdout, anything else
-	// is created (closed on exit via the returned func).
-	openOut := func(path string) (*os.File, func()) {
-		if path == "-" {
-			return os.Stdout, func() {}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fail(err)
-		}
-		return f, func() {
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}
-	}
-
-	opts := lint.Options{
+	res, err := lint.RunOpts(*dir, lint.Options{
 		Patterns:  flag.Args(),
 		Analyzers: analyzers,
 		Tests:     *tests,
-	}
-	var closeGraph func()
-	if *graphOut != "" {
-		var gw *os.File
-		gw, closeGraph = openOut(*graphOut)
-		opts.Graph = gw
-	}
-	res, err := lint.RunOpts(*dir, opts)
-	if closeGraph != nil {
-		closeGraph()
-	}
+	})
 	if err != nil {
 		fail(err)
 	}
 
 	if *sarifOut != "" {
-		sw, closeSarif := openOut(*sarifOut)
-		if err := res.WriteSARIF(sw); err != nil {
-			fail(err)
-		}
-		closeSarif()
-	}
-
-	if *fix || *diff {
-		patches, err := lint.BuildPatches(*dir, res.Findings)
-		if err != nil {
-			fail(err)
-		}
-		applied := 0
-		for _, p := range patches {
-			applied += p.Applied
-			if *diff {
-				fmt.Print(p.Diff())
-			}
-		}
-		if *fix && !*diff {
-			if err := lint.WritePatches(patches); err != nil {
+		out := os.Stdout // "-"
+		if *sarifOut != "-" {
+			if out, err = os.Create(*sarifOut); err != nil {
 				fail(err)
 			}
 		}
-		verb := "would apply"
-		if *fix && !*diff {
-			verb = "applied"
+		if err := res.WriteSARIF(out); err != nil {
+			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "spatial-lint: %s %d fixes across %d files\n", verb, applied, len(patches))
-		return
+		if out != os.Stdout {
+			if err := out.Close(); err != nil {
+				fail(err)
+			}
+		}
 	}
 
 	gating := res.Gating(minSev)
@@ -177,11 +127,7 @@ func main() {
 				}
 				continue
 			}
-			fixable := ""
-			if len(f.Edits) > 0 {
-				fixable = " [fixable: rerun with -fix]"
-			}
-			fmt.Printf("%s%s\n", f, fixable)
+			fmt.Println(f)
 		}
 		fmt.Fprintf(os.Stderr, "spatial-lint: %d packages, %d gating findings (%d suppressed)\n",
 			res.Packages, len(gating), nSupp)

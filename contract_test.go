@@ -296,6 +296,8 @@ func serviceCases(t *testing.T) []contractCase {
 	garbage := json.RawMessage(`{"kind":"alien","spec":{}}`)
 	good := service.FromTable(contractTable(1, 40, 2))
 	bad := service.TableJSON{FeatureNames: []string{"f"}, ClassNames: []string{"a"}, X: [][]float64{{1, 2}}, Y: []int{0}}
+	// A valid table whose third class the two-class models have no row for.
+	thirdClass := service.TableJSON{FeatureNames: []string{"f0", "f1"}, ClassNames: []string{"a", "b", "c"}, X: [][]float64{{2, 0}, {-2, 0}}, Y: []int{0, 2}}
 	image := []float64{0.9, 0.1, 0.8, 0.2}
 	manyRows := make([][]float64, 800) // more than the default limit of 768 a request
 	for i := range manyRows {
@@ -388,6 +390,8 @@ func serviceCases(t *testing.T) []contractCase {
 	add("resilience/evasion undecodable surrogate", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: blob2, Surrogate: garbage, Clean: good, Eps: 0.5})
 	add("resilience/evasion not differentiable", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: treeBlob, Clean: good, Eps: 0.5})
 	add("resilience/evasion bad table", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: blob2, Clean: bad, Eps: 0.5})
+	add("resilience/evasion table dimension mismatch", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: nn3, Clean: good, Eps: 0.5})
+	add("resilience/evasion label out of range", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: blob2, Clean: thirdClass, Eps: 0.5})
 	add("resilience/evasion ok", res, "POST", "/impact/evasion", service.EvasionImpactRequest{Model: blob2, Clean: good, Eps: 0.5})
 	cases[len(cases)-1].mode = volatile // the report carries the measured crafting cost
 	add("fairness misaligned", fair, "POST", "/fairness", service.FairnessRequest{Pred: []int{1}, Truth: []int{1, 0}, Group: []int{0}})
@@ -397,6 +401,8 @@ func serviceCases(t *testing.T) []contractCase {
 	add("privacy/membership missing model", priv, "POST", "/membership", `{"members":{"featureNames":[],"classNames":[],"x":[],"y":[]},"nonMembers":{"featureNames":[],"classNames":[],"x":[],"y":[]}}`)
 	add("privacy/membership bad members", priv, "POST", "/membership", service.MembershipRequest{Model: blob2, Members: bad, NonMembers: good})
 	add("privacy/membership bad nonMembers", priv, "POST", "/membership", service.MembershipRequest{Model: blob2, Members: good, NonMembers: bad})
+	add("privacy/membership table dimension mismatch", priv, "POST", "/membership", service.MembershipRequest{Model: nn3, Members: good, NonMembers: good})
+	add("privacy/membership label out of range", priv, "POST", "/membership", service.MembershipRequest{Model: blob2, Members: good, NonMembers: thirdClass})
 	add("privacy/membership ok", priv, "POST", "/membership", service.MembershipRequest{Model: blob2, Members: good, NonMembers: service.FromTable(contractTable(7, 40, 2))})
 	add("drift bad reference", drift, "POST", "/drift", service.DriftRequest{Reference: bad, Batch: good})
 	add("drift bad batch", drift, "POST", "/drift", service.DriftRequest{Reference: good, Batch: bad})

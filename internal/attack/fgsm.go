@@ -35,6 +35,9 @@ func FGSM(model ml.GradientClassifier, t *dataset.Table, eps float64) (FGSMResul
 	if t.Len() == 0 {
 		return FGSMResult{}, fmt.Errorf("attack: fgsm on empty dataset")
 	}
+	if err := ml.CheckInput(model, t.NumFeatures(), t.Y); err != nil {
+		return FGSMResult{}, fmt.Errorf("attack: fgsm: %w", err)
+	}
 	out := t.Clone()
 	start := clock.Real().Now()
 	for i, x := range out.X {
@@ -53,12 +56,4 @@ func FGSM(model ml.GradientClassifier, t *dataset.Table, eps float64) (FGSMResul
 		Adversarial: out,
 		CraftCost:   elapsed / time.Duration(t.Len()),
 	}, nil
-}
-
-// TransferFGSM crafts adversarial samples on a differentiable surrogate
-// and returns them for evaluation against any victim model — the paper
-// generates FGSM samples with its NN and transfers them to LightGBM and
-// XGBoost.
-func TransferFGSM(surrogate ml.GradientClassifier, t *dataset.Table, eps float64) (FGSMResult, error) {
-	return FGSM(surrogate, t, eps)
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -121,12 +120,8 @@ func (l *Log) Records(kind Kind) []Record {
 func (l *Log) Verify() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return verifyChain(l.records)
-}
-
-func verifyChain(records []Record) error {
 	prevHash := ""
-	for i, r := range records {
+	for i, r := range l.records {
 		if r.Seq != i+1 {
 			return fmt.Errorf("audit: record %d has seq %d", i+1, r.Seq)
 		}
@@ -139,38 +134,4 @@ func verifyChain(records []Record) error {
 		prevHash = r.Hash
 	}
 	return nil
-}
-
-// WriteJSONL serializes the chain as JSON lines.
-func (l *Log) WriteJSONL(w io.Writer) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	enc := json.NewEncoder(w)
-	for _, r := range l.records {
-		if err := enc.Encode(r); err != nil {
-			return fmt.Errorf("audit: encode record %d: %w", r.Seq, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSONL loads and verifies a chain previously written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
-	var records []Record
-	for {
-		var rec Record
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("audit: decode record %d: %w", len(records)+1, err)
-		}
-		records = append(records, rec)
-	}
-	if err := verifyChain(records); err != nil {
-		return nil, err
-	}
-	l := NewLog()
-	l.records = records
-	return l, nil
 }

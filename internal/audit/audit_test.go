@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,42 +80,6 @@ func TestRecordsFilter(t *testing.T) {
 	}
 	if got := len(l.Records(KindDeploy)); got != 0 {
 		t.Fatalf("filtered %d", got)
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	l := NewLog()
-	_, _ = l.Append(KindDeploy, "pipeline", map[string]string{"model": "m0001"})
-	_, _ = l.Append(KindAlert, "sensor-acc", map[string]float64{"value": 0.4})
-	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 2 {
-		t.Fatalf("len %d", back.Len())
-	}
-	if err := back.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadJSONLRejectsTamperedFile(t *testing.T) {
-	l := NewLog()
-	_, _ = l.Append(KindReading, "s", map[string]float64{"value": 1})
-	var buf bytes.Buffer
-	if err := l.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tampered := strings.Replace(buf.String(), `"value":1`, `"value":2`, 1)
-	if _, err := ReadJSONL(strings.NewReader(tampered)); err == nil {
-		t.Fatal("tampered file accepted")
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -8,7 +8,6 @@
 package clock
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -193,21 +192,6 @@ func (f *Fake) Pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.pendingLocked()
-}
-
-// Deadlines lists pending deadlines in ascending order (for test
-// assertions and debugging).
-func (f *Fake) Deadlines() []time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]time.Time, 0, len(f.waiters))
-	for _, w := range f.waiters {
-		if !w.stopped {
-			out = append(out, w.deadline)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 var _ Clock = (*Fake)(nil)

@@ -54,18 +54,6 @@ func (c *Cluster) Register(name string, model ml.Classifier) (serving.Ref, error
 	return ref, nil
 }
 
-// RegisterBytes is Register for an already-serialized envelope.
-func (c *Cluster) RegisterBytes(name, algo string, blob []byte) (serving.Ref, error) {
-	c.coordMu.Lock()
-	defer c.coordMu.Unlock()
-	ref, err := c.canonical.RegisterBytes(name, algo, blob)
-	if err != nil {
-		return ref, err
-	}
-	c.replicateAliasLocked(name)
-	return ref, nil
-}
-
 // replicateAliasLocked pushes name's missing version suffix to every up
 // member. Requires coordMu.
 func (c *Cluster) replicateAliasLocked(name string) {

@@ -113,15 +113,3 @@ func certHash(c Certificate) (string, error) {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
 }
-
-// VerifyCertificate recomputes and compares the content hash.
-func VerifyCertificate(c Certificate) error {
-	want, err := certHash(c)
-	if err != nil {
-		return err
-	}
-	if want != c.Hash {
-		return fmt.Errorf("core: certificate hash mismatch (tampered?)")
-	}
-	return nil
-}

@@ -21,56 +21,51 @@ func TestTaxonomyIsConsistent(t *testing.T) {
 }
 
 func TestTaxonomyPaperPairingsHold(t *testing.T) {
+	listed := make(map[string]map[string]bool) // attack name -> algorithms
+	whiteBox := make(map[string]bool)
+	for _, a := range Attacks() {
+		listed[a.Name] = make(map[string]bool)
+		for _, algo := range a.Algorithms {
+			listed[a.Name][algo] = true
+		}
+		whiteBox[a.Name] = a.WhiteBox
+	}
 	// Use case 1: label flipping applies to all five UC1 models.
 	for _, algo := range []string{"lr", "dt", "rf", "mlp", "dnn"} {
-		found := false
-		for _, a := range AttacksOn(algo) {
-			if a.Name == "random label flipping" {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !listed["random label flipping"][algo] {
 			t.Fatalf("label flipping missing for %s", algo)
 		}
 	}
 	// Use case 2: FGSM is white-box on the NN, transfer on tree models.
-	for _, a := range AttacksOn("dnn") {
-		if a.Name == "FGSM" && !a.WhiteBox {
-			t.Fatal("FGSM should be white-box")
-		}
+	if listed["FGSM"]["dnn"] && !whiteBox["FGSM"] {
+		t.Fatal("FGSM should be white-box")
 	}
-	foundTransfer := false
-	for _, a := range AttacksOn("xgb") {
-		if a.Name == "FGSM" {
-			t.Fatal("direct FGSM should not list tree ensembles")
-		}
-		if a.Name == "transfer FGSM" {
-			foundTransfer = true
-		}
+	if listed["FGSM"]["xgb"] {
+		t.Fatal("direct FGSM should not list tree ensembles")
 	}
-	if !foundTransfer {
+	if !listed["transfer FGSM"]["xgb"] {
 		t.Fatal("transfer FGSM missing for xgb")
 	}
 }
 
 func TestAttacksAtStage(t *testing.T) {
-	collect := AttacksAtStage(pipeline.StageCollect)
-	if len(collect) == 0 {
-		t.Fatal("no collect-stage attacks")
-	}
-	for _, a := range collect {
-		if a.Class != ClassPoisoning {
-			t.Fatalf("collect-stage attack %q is %s, want poisoning", a.Name, a.Class)
+	collect, deploy := 0, map[AttackClass]bool{}
+	for _, a := range Attacks() {
+		switch a.Stage {
+		case pipeline.StageCollect:
+			collect++
+			if a.Class != ClassPoisoning {
+				t.Fatalf("collect-stage attack %q is %s, want poisoning", a.Name, a.Class)
+			}
+		case pipeline.StageDeploy:
+			deploy[a.Class] = true
 		}
 	}
-	deploy := AttacksAtStage(pipeline.StageDeploy)
-	classes := map[AttackClass]bool{}
-	for _, a := range deploy {
-		classes[a.Class] = true
+	if collect == 0 {
+		t.Fatal("no collect-stage attacks")
 	}
-	if !classes[ClassEvasion] || !classes[ClassModelStealing] {
-		t.Fatalf("deploy-stage attack classes incomplete: %v", classes)
+	if !deploy[ClassEvasion] || !deploy[ClassModelStealing] {
+		t.Fatalf("deploy-stage attack classes incomplete: %v", deploy)
 	}
 }
 

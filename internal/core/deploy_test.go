@@ -9,68 +9,11 @@ import (
 	"time"
 
 	"repro/internal/ml"
-	"repro/internal/sensor"
 	"repro/internal/service"
 )
 
-func TestDeployModelRegistersAndMonitors(t *testing.T) {
-	ctx := context.Background()
+func TestStoreModelRejectsNil(t *testing.T) {
 	sys := NewSystem(Options{})
-	tb := sepTable(200)
-	model := ml.NewLogReg(ml.DefaultLogRegConfig())
-	if err := model.Fit(tb); err != nil {
-		t.Fatal(err)
-	}
-
-	id, err := sys.DeployModel("prod", model, tb, 20*time.Millisecond, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id == "" {
-		t.Fatal("empty model id")
-	}
-	if _, ok := sys.ML.Model(id); !ok {
-		t.Fatal("model not stored in ML service")
-	}
-
-	// The deploy sensor measures accuracy synchronously on demand.
-	r, err := sys.Sensors.CollectOnce(ctx, "prod-accuracy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Property != sensor.PropPerformance || r.Value < 0.9 {
-		t.Fatalf("deploy sensor reading %+v", r)
-	}
-	if r.Alert {
-		t.Fatal("healthy model should not alert")
-	}
-
-	// Trust report now includes the deployed model's performance.
-	rep, err := sys.TrustReport(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerProperty[sensor.PropPerformance] < 0.9 {
-		t.Fatalf("trust report %+v", rep)
-	}
-
-	// Certification passes for the healthy deployment.
-	cert, err := Certify(rep, Requirements{sensor.PropPerformance: 0.85})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cert.Passed {
-		t.Fatalf("certificate failed: %+v", cert.Failures)
-	}
-}
-
-func TestDeployModelValidation(t *testing.T) {
-	sys := NewSystem(Options{})
-	tb := sepTable(50)
-	untrained := ml.NewLogReg(ml.DefaultLogRegConfig())
-	if _, err := sys.DeployModel("x", untrained, tb, time.Second, 0.5); err == nil {
-		t.Fatal("expected untrained-model error")
-	}
 	if _, err := sys.ML.StoreModel("lr", nil, ml.Metrics{}); err == nil {
 		t.Fatal("expected nil-model error")
 	}

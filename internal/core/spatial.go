@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"repro/internal/dashboard"
-	"repro/internal/dataset"
 	"repro/internal/gateway"
-	"repro/internal/ml"
 	"repro/internal/sensor"
 	"repro/internal/service"
 	"repro/internal/wire"
@@ -144,48 +142,6 @@ func (s *System) GatewayURL() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gatewayURL
-}
-
-// DashboardURL returns the deployed dashboard base URL.
-func (s *System) DashboardURL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dashboardURL
-}
-
-// DeployModel registers a trained model with the system's ML-pipeline
-// service and instruments a performance sensor over the held-out table —
-// the deploy→monitor tail of the paper's pipeline (Fig. 4). The sensor
-// alerts when accuracy falls below minAccuracy.
-func (s *System) DeployModel(name string, model ml.Classifier, holdout *dataset.Table, interval time.Duration, minAccuracy float64) (string, error) {
-	if model == nil || model.NumClasses() == 0 {
-		return "", fmt.Errorf("core: cannot deploy an untrained model")
-	}
-	metrics, err := ml.Evaluate(model, holdout)
-	if err != nil {
-		return "", fmt.Errorf("core: evaluate before deploy: %w", err)
-	}
-	id, err := s.ML.StoreModel(model.Name(), model, metrics)
-	if err != nil {
-		return "", err
-	}
-	err = s.Sensors.Register(&sensor.Sensor{
-		Name:     name + "-accuracy",
-		Property: sensor.PropPerformance,
-		Interval: interval,
-		Collector: sensor.CollectorFunc(func(context.Context) (float64, map[string]float64, error) {
-			m, err := ml.Evaluate(model, holdout)
-			if err != nil {
-				return 0, nil, err
-			}
-			return m.Accuracy, map[string]float64{"f1": m.F1}, nil
-		}),
-		Threshold: sensor.Threshold{Min: &minAccuracy},
-	})
-	if err != nil {
-		return "", fmt.Errorf("core: register deploy sensor: %w", err)
-	}
-	return id, nil
 }
 
 // TrustReport aggregates the latest reading of every registered sensor.

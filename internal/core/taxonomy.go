@@ -128,31 +128,6 @@ func Attacks() []Attack {
 	return out
 }
 
-// AttacksOn lists the attacks demonstrated against an algorithm family.
-func AttacksOn(algorithm string) []Attack {
-	var out []Attack
-	for _, a := range attackRegistry {
-		for _, algo := range a.Algorithms {
-			if algo == algorithm {
-				out = append(out, a)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// AttacksAtStage lists the attacks that strike a given pipeline stage.
-func AttacksAtStage(stage pipeline.Stage) []Attack {
-	var out []Attack
-	for _, a := range attackRegistry {
-		if a.Stage == stage {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Vulnerability is one entry of the Fig. 3 taxonomy: a machine-learning
 // system weakness, the pipeline stage where it lives, and the CIA
 // attribute whose compromise it enables.

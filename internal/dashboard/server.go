@@ -87,12 +87,6 @@ func (s *Server) Store() *Store { return s.store }
 // Audit exposes the hash-chained audit trail.
 func (s *Server) Audit() *audit.Log { return s.trail }
 
-// Telemetry exposes the dashboard's own metric registry.
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
-// Tracer exposes the dashboard's span ring buffer.
-func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
-
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	kind := audit.Kind(r.URL.Query().Get("kind"))
 	wire.Write(w, http.StatusOK, s.trail.Records(kind))

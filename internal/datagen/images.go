@@ -29,11 +29,6 @@ type ShapesConfig struct {
 	Seed int64
 }
 
-// DefaultShapesConfig returns the geometry used by the experiments.
-func DefaultShapesConfig() ShapesConfig {
-	return ShapesConfig{Samples: 600, Size: 24, NoiseStd: 0.1, Seed: 1}
-}
-
 // Shapes generates flattened grayscale images of a box outline, a cross,
 // or a filled disc at jittered positions and scales. Pixel values are in
 // [0, 1] plus noise; features are row-major "px_y_x".

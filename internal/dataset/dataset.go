@@ -173,22 +173,3 @@ func (t *Table) StratifiedSplit(rng *rand.Rand, trainFrac float64) (train, test 
 	test.Shuffle(rng)
 	return train, test, nil
 }
-
-// KFold returns k (train, test) index partitions for cross-validation.
-func (t *Table) KFold(rng *rand.Rand, k int) ([][2][]int, error) {
-	n := t.Len()
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("dataset: k=%d invalid for %d samples", k, n)
-	}
-	perm := rng.Perm(n)
-	folds := make([][2][]int, k)
-	for f := 0; f < k; f++ {
-		lo, hi := f*n/k, (f+1)*n/k
-		test := append([]int(nil), perm[lo:hi]...)
-		train := make([]int, 0, n-(hi-lo))
-		train = append(train, perm[:lo]...)
-		train = append(train, perm[hi:]...)
-		folds[f] = [2][]int{train, test}
-	}
-	return folds, nil
-}

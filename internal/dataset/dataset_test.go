@@ -184,35 +184,6 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
-func TestKFoldPartitions(t *testing.T) {
-	tb := twoClassTable(t, 20)
-	rng := rand.New(rand.NewSource(5))
-	folds, err := tb.KFold(rng, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 4 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := make(map[int]int)
-	for _, f := range folds {
-		if len(f[0])+len(f[1]) != 20 {
-			t.Fatalf("fold sizes %d+%d", len(f[0]), len(f[1]))
-		}
-		for _, i := range f[1] {
-			seen[i]++
-		}
-	}
-	for i := 0; i < 20; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("sample %d appears in %d test folds", i, seen[i])
-		}
-	}
-	if _, err := tb.KFold(rng, 1); err == nil {
-		t.Fatal("k=1 should error")
-	}
-}
-
 func TestScalerStandardizes(t *testing.T) {
 	tb := twoClassTable(t, 200)
 	s, err := FitScaler(tb)

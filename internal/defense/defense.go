@@ -1,26 +1,17 @@
 // Package defense implements the corrective actions SPATIAL's human
 // operators apply when the dashboard flags an attack (§VII: "requiring to
 // monitor further the model to apply corrective actions, e.g., Label
-// sanitization methods"):
-//
-//   - label sanitization: kNN-consensus relabeling or filtering of
-//     suspicious training labels, the standard counter to label-flipping
-//     poisoning;
-//   - ensemble smoothing: majority voting over independently trained
-//     models, which damps the influence of poisoned subsets (bagging
-//     defense);
-//   - adversarial input filtering: a distance-to-training-manifold test
-//     that flags evasion inputs before they reach the model.
+// sanitization methods"): label sanitization, the kNN-consensus
+// relabeling or filtering of suspicious training labels that is the
+// standard counter to label-flipping poisoning.
 package defense
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
-	"repro/internal/ml"
 )
 
 // SanitizeMode selects what happens to a label that disagrees with its
@@ -122,78 +113,4 @@ func SanitizeLabels(t *dataset.Table, k int, mode SanitizeMode) (*dataset.Table,
 		return nil, rep, fmt.Errorf("defense: sanitization dropped every sample")
 	}
 	return out, rep, nil
-}
-
-// VotingEnsemble is a majority-probability ensemble over independently
-// trained models — the bagging-style smoothing defense against poisoning.
-type VotingEnsemble struct {
-	Members []ml.Classifier
-	classes int
-}
-
-var _ ml.Classifier = (*VotingEnsemble)(nil)
-
-// NewVotingEnsemble builds an ensemble from model factories; each member
-// trains on an independent bootstrap of the data during Fit.
-func NewVotingEnsemble(factories ...func() (ml.Classifier, error)) (*VotingEnsemble, error) {
-	if len(factories) == 0 {
-		return nil, fmt.Errorf("defense: ensemble needs at least one member factory")
-	}
-	e := &VotingEnsemble{}
-	for i, f := range factories {
-		m, err := f()
-		if err != nil {
-			return nil, fmt.Errorf("defense: factory %d: %w", i, err)
-		}
-		e.Members = append(e.Members, m)
-	}
-	return e, nil
-}
-
-// Name implements ml.Classifier.
-func (e *VotingEnsemble) Name() string { return "vote-ensemble" }
-
-// NumClasses implements ml.Classifier.
-func (e *VotingEnsemble) NumClasses() int { return e.classes }
-
-// Fit implements ml.Classifier: each member trains on its own bootstrap
-// resample, so a poisoned subset cannot dominate every member.
-func (e *VotingEnsemble) Fit(t *dataset.Table) error {
-	if t.Len() == 0 {
-		return fmt.Errorf("defense: ensemble fit on empty dataset")
-	}
-	e.classes = t.NumClasses()
-	for i, m := range e.Members {
-		rng := rand.New(rand.NewSource(int64(i)*104729 + 1))
-		idx := make([]int, t.Len())
-		for j := range idx {
-			idx[j] = rng.Intn(t.Len())
-		}
-		if err := m.Fit(t.Subset(idx)); err != nil {
-			return fmt.Errorf("defense: member %d fit: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// PredictProba implements ml.Classifier by averaging member probabilities.
-func (e *VotingEnsemble) PredictProba(x []float64) []float64 {
-	if e.classes == 0 {
-		panic(ml.ErrNotTrained)
-	}
-	acc := make([]float64, e.classes)
-	for _, m := range e.Members {
-		p := m.PredictProba(x)
-		// Reslice hint: members were fitted on the same class count, so
-		// each row is acc-length; accumulate through the pinned view.
-		sum := acc[:len(p)]
-		for c, v := range p {
-			sum[c] += v
-		}
-	}
-	inv := 1 / float64(len(e.Members))
-	for c := range acc {
-		acc[c] *= inv
-	}
-	return acc
 }

@@ -128,59 +128,3 @@ func TestSanitizeValidation(t *testing.T) {
 		t.Fatal("expected too-few-samples error")
 	}
 }
-
-func TestVotingEnsemble(t *testing.T) {
-	data := blobs(6, 300)
-	factory := func(seed int64) func() (ml.Classifier, error) {
-		return func() (ml.Classifier, error) {
-			cfg := ml.DefaultTreeConfig()
-			cfg.Seed = seed
-			return ml.NewTree(cfg), nil
-		}
-	}
-	e, err := NewVotingEnsemble(factory(1), factory(2), factory(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Fit(data); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ml.Evaluate(e, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Accuracy < 0.95 {
-		t.Fatalf("ensemble accuracy %.3f", m.Accuracy)
-	}
-	p := e.PredictProba(data.X[0])
-	if len(p) != 2 {
-		t.Fatalf("probs %v", p)
-	}
-}
-
-func TestVotingEnsembleValidation(t *testing.T) {
-	if _, err := NewVotingEnsemble(); err == nil {
-		t.Fatal("expected empty-factory error")
-	}
-	e, err := NewVotingEnsemble(func() (ml.Classifier, error) { return ml.NewTree(ml.DefaultTreeConfig()), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := dataset.New("e", []string{"f"}, []string{"a"})
-	if err := e.Fit(empty); err == nil {
-		t.Fatal("expected empty-dataset error")
-	}
-}
-
-func TestVotingEnsemblePredictBeforeFitPanics(t *testing.T) {
-	e, err := NewVotingEnsemble(func() (ml.Classifier, error) { return ml.NewTree(ml.DefaultTreeConfig()), nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	e.PredictProba([]float64{1, 2})
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/dataset"
 	"repro/internal/ml"
 	"repro/internal/xai"
 )
@@ -194,6 +193,3 @@ func Fig6SHAP(cfg Config) (Fig6SHAPResult, error) {
 	}
 	return res, nil
 }
-
-// uc1DataForTest exposes the UC1 split to the package tests.
-func uc1DataForTest(cfg Config) (*dataset.Table, *dataset.Table, error) { return uc1Data(cfg) }

@@ -222,3 +222,30 @@ func TestAggregateTrimmedMeanAndMedian(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
+
+// TestFedAvgStillLearnsUnderNonIID: label-skewed shards (each client
+// holds 90 % of one class and 10 % of the other) slow FedAvg but must not
+// break it on this easy task.
+func TestFedAvgStillLearnsUnderNonIID(t *testing.T) {
+	data := blobs(23, 600)
+	var byClass [2][]int
+	for i, y := range data.Y {
+		byClass[y] = append(byClass[y], i)
+	}
+	clients := make([]Client, 6)
+	for c := range clients {
+		major, minor := byClass[c%2], byClass[1-c%2]
+		shard := c / 2 // three clients per majority class
+		idx := append([]int{}, major[shard*90:shard*90+90]...)
+		idx = append(idx, minor[shard*10:shard*10+10]...)
+		clients[c] = Client{Name: "skewed", Data: data.Subset(idx)}
+	}
+	global := newGlobalLR(t, data.NumFeatures(), data.NumClasses())
+	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 15, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := stats[len(stats)-1].EvalAccuracy; final < 0.9 {
+		t.Fatalf("non-IID FedAvg accuracy %.3f", final)
+	}
+}

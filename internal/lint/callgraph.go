@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -239,9 +237,6 @@ func (p *Program) NodeOf(fn *types.Func) *Node {
 	}
 	return p.byFull[fn.FullName()]
 }
-
-// NodeByName resolves a types.Func.FullName-style key.
-func (p *Program) NodeByName(full string) *Node { return p.byFull[full] }
 
 // enclosingDecl finds the declared function whose body lexically contains
 // the literal node.
@@ -613,39 +608,6 @@ func (p *Program) computeSCCs() {
 	}
 }
 
-// WriteDOT dumps the call graph in Graphviz DOT form (the CLI's -graph
-// debug mode). Interface edges are dashed, callback edges dotted, go and
-// defer edges labeled.
-func (p *Program) WriteDOT(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("digraph callgraph {\n")
-	b.WriteString("\trankdir=LR;\n\tnode [shape=box, fontsize=10];\n")
-	id := make(map[*Node]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		id[n] = fmt.Sprintf("n%d", i)
-		fmt.Fprintf(&b, "\t%s [label=%q];\n", id[n], n.Name)
-	}
-	for _, n := range p.Nodes {
-		for _, e := range n.Out {
-			attrs := ""
-			switch e.Kind {
-			case CallInterface:
-				attrs = " [style=dashed]"
-			case CallCallback:
-				attrs = " [style=dotted]"
-			case CallGo:
-				attrs = ` [label="go"]`
-			case CallDefer:
-				attrs = ` [label="defer"]`
-			}
-			fmt.Fprintf(&b, "\t%s -> %s%s;\n", id[n], id[e.Callee], attrs)
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // shortFuncName renders a compact display name: last package path
 // segment, receiver without package qualifiers, method name.
 func shortFuncName(fn *types.Func) string {
@@ -669,9 +631,4 @@ func shortFuncName(fn *types.Func) string {
 // serving.Runtime.mu") to its display form ("serving.Runtime.mu").
 func shortKeyName(key string) string {
 	return key[strings.LastIndex(key, "/")+1:]
-}
-
-// sortNodesByName orders nodes deterministically for reporting.
-func sortNodesByName(ns []*Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].full < ns[j].full })
 }

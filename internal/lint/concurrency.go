@@ -77,9 +77,6 @@ type FieldAccess struct {
 	Confined bool
 }
 
-// HoldsLock reports whether the given lock key is held at the access.
-func (a *FieldAccess) HoldsLock(key string) bool { return a.Held[key] }
-
 // FieldInfo aggregates every observed access to one struct field, keyed
 // "pkgpath.Type.field" like the lock canonicalization.
 type FieldInfo struct {

@@ -68,10 +68,6 @@ func checkCtxLeak(p *Pass, fn fnBody) {
 
 	type fact = map[*types.Var]int
 
-	// acquisitions maps each tracked cancel var to its acquiring
-	// statement, for the defer-insertion fix.
-	acquisitions := make(map[*types.Var]*ast.AssignStmt)
-
 	step := func(node ast.Node, in fact) fact {
 		out := in
 		copied := false
@@ -101,7 +97,6 @@ func checkCtxLeak(p *Pass, fn fnBody) {
 				if v := p.useVar(ci); v != nil {
 					mutate()
 					out[v] = int(call.Pos())
-					acquisitions[v] = as
 				}
 				return out
 			}
@@ -170,17 +165,7 @@ func checkCtxLeak(p *Pass, fn fnBody) {
 	})
 
 	for v, pos := range facts[g.Exit].In {
-		var edits []Edit
-		if as := acquisitions[v]; as != nil {
-			if at := p.Offset(as.End()); at >= 0 {
-				edits = []Edit{{
-					Start: at,
-					End:   at,
-					New:   "\n" + p.lineIndent(as.Pos()) + "defer " + v.Name() + "()",
-				}}
-			}
-		}
-		p.ReportEditsf(token.Pos(pos), edits,
+		p.Reportf(token.Pos(pos),
 			"%s is not called on every path out of %s; defer %s() right after the context is created",
 			v.Name(), fn.Name, v.Name())
 	}

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -84,9 +83,6 @@ type Options struct {
 	// Tests loads and analyzes test packages too. Analyzers opt in per
 	// check via Analyzer.IncludeTests.
 	Tests bool
-	// Graph, when non-nil, receives the whole-module call graph in DOT
-	// form (the -graph debug mode).
-	Graph io.Writer
 }
 
 // RunOpts loads the packages matched by opts.Patterns (resolved against
@@ -97,17 +93,16 @@ func RunOpts(dir string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Analyze(loader, pkgs, opts.Analyzers, opts.Graph)
+	return Analyze(loader, pkgs, opts.Analyzers)
 }
 
 // Analyze runs the given analyzers (the full suite when nil) over
-// packages already loaded by loader, and writes the call graph to graph
-// when it is non-nil. It reads the packages without changing them, so
-// one load can serve any number of Analyze calls. File paths in findings
+// packages already loaded by loader. It reads the packages without
+// changing them, so one load can serve any number of Analyze calls. File paths in findings
 // are reported relative to the loader's directory when possible.
 // Packages are analyzed in parallel, one goroutine per package over the
 // loader's shared type-check cache.
-func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, graph io.Writer) (*Result, error) {
+func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 	fullSuite := analyzers == nil
 	if fullSuite {
 		analyzers = Analyzers()
@@ -115,11 +110,10 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, graph io.Wr
 	res := &Result{Packages: len(pkgs)}
 
 	// Build the whole-module view once when any selected analyzer is
-	// interprocedural (or the caller wants the call graph). Summaries are
-	// forced here, before the parallel phase, so per-package analyzers
-	// read them without synchronization.
+	// interprocedural. Summaries are forced here, before the parallel
+	// phase, so per-package analyzers read them without synchronization.
 	var prog *Program
-	needsProgram := graph != nil
+	needsProgram := false
 	for _, a := range analyzers {
 		if a.Run == nil || a.NeedsProgram {
 			needsProgram = true
@@ -128,11 +122,6 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, graph io.Wr
 	if needsProgram {
 		prog = BuildProgram(loader.Fset(), pkgs)
 		prog.EnsureSummaries()
-		if graph != nil {
-			if err := prog.WriteDOT(graph); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Program analyzers run once, sequentially; their findings are routed

@@ -20,7 +20,8 @@ func TestTypeCheckOncePerPackage(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("loaded no packages")
 	}
-	counts := loader.CheckCounts()
+	// Load has returned, so no goroutine is writing the map any more.
+	counts := loader.checks
 	if len(counts) == 0 {
 		t.Fatal("no type-checks recorded")
 	}
@@ -105,7 +106,7 @@ func TestRepeatedRunsByteIdentical(t *testing.T) {
 	}
 	emit := func(loader *Loader, pkgs []*Package) (jsonBytes, sarifBytes []byte) {
 		t.Helper()
-		res, err := Analyze(loader, pkgs, nil, nil)
+		res, err := Analyze(loader, pkgs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,5 +132,28 @@ func TestRepeatedRunsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(s1, s2) {
 		t.Error("SARIF output differs between identical runs")
+	}
+}
+
+// TestSeverityGating pins the severity lattice the -fail-on flag selects
+// from.
+func TestSeverityGating(t *testing.T) {
+	res := &Result{Findings: []Finding{
+		{Check: "a", Severity: SeverityError, File: "x.go", Message: "e"},
+		{Check: "b", Severity: SeverityWarn, File: "x.go", Message: "w"},
+		{Check: "c", Severity: SeverityInfo, File: "x.go", Message: "i"},
+	}}
+	if n := len(res.Gating(SeverityInfo)); n != 3 {
+		t.Errorf("fail-on=info gates %d, want 3", n)
+	}
+	if n := len(res.Gating(SeverityWarn)); n != 2 {
+		t.Errorf("fail-on=warn gates %d, want 2", n)
+	}
+	if n := len(res.Gating(SeverityError)); n != 1 {
+		t.Errorf("fail-on=error gates %d, want 1", n)
+	}
+	// Unknown severities rank as error: a typo cannot soften a check.
+	if !Severity("banana").AtLeast(SeverityError) {
+		t.Error("unknown severity must gate like error")
 	}
 }

@@ -109,7 +109,7 @@ func collectWants(t *testing.T, root string) []*want {
 // want must be hit, and every unsuppressed finding must be wanted.
 func TestCorpusGolden(t *testing.T) {
 	loader, pkgs := loadCorpus(t)
-	res, err := Analyze(loader, pkgs, nil, nil)
+	res, err := Analyze(loader, pkgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestCorpusPerCheck(t *testing.T) {
 	for _, a := range Analyzers() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			res, err := Analyze(loader, pkgs, []*Analyzer{a}, nil)
+			res, err := Analyze(loader, pkgs, []*Analyzer{a})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestRepoTreeIsLintClean(t *testing.T) {
 		t.Skip("full-module type-check is slow; run without -short")
 	}
 	loader, pkgs := loadModule(t)
-	res, err := Analyze(loader, pkgs, nil, nil)
+	res, err := Analyze(loader, pkgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

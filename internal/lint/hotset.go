@@ -36,12 +36,6 @@ type HotFunc struct {
 	Entry *Node
 }
 
-// Contains reports whether n is in the hot set.
-func (h *HotSet) Contains(n *Node) bool { return h.nodes[n] != nil }
-
-// Lookup returns n's hot-set record, nil when n is not reachable.
-func (h *HotSet) Lookup(n *Node) *HotFunc { return h.nodes[n] }
-
 // Funcs returns every reachable function's record in deterministic
 // (graph build) order.
 func (h *HotSet) Funcs() []*HotFunc {

@@ -57,15 +57,6 @@ func (s Severity) rank() int {
 // AtLeast reports whether s gates at or above min.
 func (s Severity) AtLeast(min Severity) bool { return s.rank() >= min.rank() }
 
-// Edit is one textual replacement inside a finding's file: the byte
-// range [Start, End) is replaced by New. Offsets are relative to the
-// file's content at analysis time.
-type Edit struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	New   string `json:"new"`
-}
-
 // Finding is one diagnostic produced by an analyzer.
 type Finding struct {
 	// Check is the analyzer name, e.g. "float-eq".
@@ -84,8 +75,6 @@ type Finding struct {
 	// SuppressReason carries the directive's justification.
 	Suppressed     bool   `json:"suppressed,omitempty"`
 	SuppressReason string `json:"suppressReason,omitempty"`
-	// Edits, when non-empty, is a mechanical fix applied by `-fix`.
-	Edits []Edit `json:"edits,omitempty"`
 }
 
 // String renders the canonical "file:line:col: severity [check] message"
@@ -194,12 +183,6 @@ func (pp *ProgramPass) PassFor(pkg *Package) *Pass {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportEditsf(pos, nil, format, args...)
-}
-
-// ReportEditsf records a finding at pos carrying a mechanical fix that
-// `-fix` can apply.
-func (p *Pass) ReportEditsf(pos token.Pos, edits []Edit, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	*p.findings = append(*p.findings, Finding{
 		Check:    p.Analyzer.Name,
@@ -208,7 +191,6 @@ func (p *Pass) ReportEditsf(pos token.Pos, edits []Edit, format string, args ...
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Edits:    edits,
 	})
 }
 
@@ -358,26 +340,6 @@ func (p *Pass) ExprString(e ast.Expr) string {
 		return fmt.Sprintf("%T@%d", e, e.Pos())
 	}
 	return buf.String()
-}
-
-// Offset maps pos to its byte offset within its file, for building
-// Edits. It returns -1 when the position is unknown.
-func (p *Pass) Offset(pos token.Pos) int {
-	if !pos.IsValid() {
-		return -1
-	}
-	return p.Fset.Position(pos).Offset
-}
-
-// lineIndent returns the leading whitespace of the line containing pos
-// (for splicing new statements that match the surrounding indentation).
-// gofmt indents with tabs, so the column count minus one is the depth.
-func (p *Pass) lineIndent(pos token.Pos) string {
-	position := p.Fset.Position(pos)
-	if position.Column < 1 {
-		return ""
-	}
-	return strings.Repeat("\t", position.Column-1)
 }
 
 // fnBody is one analyzable function: a declaration or a function

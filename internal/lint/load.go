@@ -70,7 +70,9 @@ type Loader struct {
 	mu      sync.Mutex
 	entries map[string]*loadEntry
 	// checks counts types.Config.Check invocations per cache key, so
-	// tests can assert shared dependencies are type-checked once.
+	// tests can assert shared dependencies are type-checked once. Base
+	// packages are keyed by import path; test augmentations carry a
+	// " [test]" or "_test" suffix.
 	checks map[string]int
 }
 
@@ -149,19 +151,6 @@ func (l *Loader) init() error {
 
 // Fset exposes the loader's file set for rendering positions.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// CheckCounts reports how many times each cache key was type-checked
-// since the loader was created. Base packages are keyed by import path;
-// test augmentations carry a " [test]" or "_test" suffix.
-func (l *Loader) CheckCounts() map[string]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]int, len(l.checks))
-	for k, v := range l.checks {
-		out[k] = v
-	}
-	return out
-}
 
 func (l *Loader) countCheck(key string) {
 	l.mu.Lock()

@@ -102,39 +102,6 @@ func checkLockBalance(p *Pass, fn fnBody) {
 
 	g := p.BuildCFG(fn.Body)
 
-	// Prepass for the autofix decision: how many releases does each key
-	// have anywhere in the function (deferred closures included)?
-	releases := make(map[string]int)
-	lockStmts := make(map[string]ast.Stmt) // key -> the Lock's statement, entry block only
-	for _, b := range g.Blocks {
-		for _, node := range b.Nodes {
-			ast.Inspect(node, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if op, ok := resolveLockOp(p, call); ok && !op.acquire {
-					releases[op.key]++
-				}
-				return true
-			})
-		}
-	}
-	for _, node := range g.Entry.Nodes {
-		stmt, ok := node.(ast.Stmt)
-		if !ok {
-			continue
-		}
-		inspectShallow(stmt, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if op, ok := resolveLockOp(p, call); ok && op.acquire {
-					lockStmts[op.key] = stmt
-				}
-			}
-			return true
-		})
-	}
-
 	step := func(node ast.Node, held map[string]int) map[string]int {
 		out := held
 		copied := false
@@ -201,20 +168,7 @@ func checkLockBalance(p *Pass, fn fnBody) {
 			display = k
 			verb = "RUnlock"
 		}
-		var edits []Edit
-		if releases[key] == 0 {
-			if stmt, ok := lockStmts[key]; ok {
-				at := p.Offset(stmt.End())
-				if at >= 0 {
-					edits = []Edit{{
-						Start: at,
-						End:   at,
-						New:   "\n" + p.lineIndent(stmt.Pos()) + "defer " + display + "." + verb + "()",
-					}}
-				}
-			}
-		}
-		p.ReportEditsf(token.Pos(pos), edits,
+		p.Reportf(token.Pos(pos),
 			"%s locked here is not released on every path out of %s; add %s.%s() (or defer it) before each return",
 			display, fn.Name, display, verb)
 	}

@@ -64,13 +64,6 @@ type Summary struct {
 	ParamSinks [][]SinkFlow
 }
 
-// SummaryOf returns the summary for n, computing all summaries on first
-// use. Safe for concurrent use after EnsureSummaries.
-func (p *Program) SummaryOf(n *Node) *Summary {
-	p.EnsureSummaries()
-	return p.summaries[n]
-}
-
 // EnsureSummaries computes every function summary bottom-up. Repeat
 // calls are free: the sync.Once cache keeps warm driver runs from
 // re-walking the module.
@@ -97,10 +90,6 @@ func (p *Program) EnsureSummaries() {
 		}
 	})
 }
-
-// SummaryComputations reports how many per-function summary computations
-// have run, for cache tests: a second EnsureSummaries must not add any.
-func (p *Program) SummaryComputations() int { return p.computations }
 
 // computeSummary recomputes n's summary from its body and its callees'
 // current summaries, reporting whether anything changed.

@@ -9,13 +9,12 @@ import (
 	"repro/internal/clock"
 )
 
-// stamp reads the wall clock directly; fixable because the file imports
-// internal/clock.
+// stamp reads the wall clock directly.
 func stamp() time.Time {
 	return time.Now() // want "time.Now bypasses internal/clock"
 }
 
-// snooze uses a timer with no Clock equivalent; flagged without a fix.
+// snooze uses a timer with no Clock equivalent; flagged all the same.
 func snooze() {
 	time.Sleep(time.Millisecond) // want "time.Sleep bypasses internal/clock"
 }

@@ -13,10 +13,7 @@ import (
 // call reintroduces scheduler-load-dependent timing and flaky latency
 // assertions. Referencing `time.Now` as a value (the `now: time.Now`
 // default-field idiom) is the sanctioned injection point and is not
-// flagged — only calls are. Where the file already imports
-// internal/clock, Now/Since/After calls carry a mechanical fix routing
-// them through clock.Real(), which behaves identically but keeps every
-// time source swappable and grep-able.
+// flagged — only calls are.
 var AnalyzerWallClock = &Analyzer{
 	Name:     "wall-clock",
 	Doc:      "flags direct time.Now/Sleep/After/... calls in packages that must route through internal/clock",
@@ -30,23 +27,23 @@ var AnalyzerWallClock = &Analyzer{
 	Run: runWallClock,
 }
 
-// wallClockFuncs are the flagged time package calls; the value says
-// whether clock.Clock offers a drop-in replacement for the autofix.
+// wallClockFuncs are the flagged time package calls. clock.Clock offers
+// Now, Since, After and NewTicker; there is no Clock.Sleep (select on
+// Clock.After instead), and clock.Ticker's C is a method, not a field.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Since":     true,
 	"After":     true,
-	"Sleep":     false, // no Clock.Sleep; select on Clock.After instead
-	"Tick":      false,
-	"AfterFunc": false,
-	"NewTicker": false, // clock.Ticker's C is a method, not a field
-	"NewTimer":  false,
-	"Until":     false,
+	"Sleep":     true,
+	"Tick":      true,
+	"AfterFunc": true,
+	"NewTicker": true,
+	"NewTimer":  true,
+	"Until":     true,
 }
 
 func runWallClock(p *Pass) {
 	for _, file := range p.Files {
-		clockName := clockImportName(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -56,39 +53,12 @@ func runWallClock(p *Pass) {
 			if !ok || path != "time" {
 				return true
 			}
-			fixable, flagged := wallClockFuncs[name]
-			if !flagged {
+			if !wallClockFuncs[name] {
 				return true
 			}
-			var edits []Edit
-			if fixable && clockName != "" {
-				// time.Now() -> clock.Real().Now(): replace the selector,
-				// keep the arguments.
-				sel := call.Fun.(*ast.SelectorExpr)
-				start, end := p.Offset(sel.Pos()), p.Offset(sel.End())
-				if start >= 0 && end >= start {
-					edits = []Edit{{Start: start, End: end, New: clockName + ".Real()." + name}}
-				}
-			}
-			p.ReportEditsf(call.Pos(), edits,
+			p.Reportf(call.Pos(),
 				"time.%s bypasses internal/clock; thread a clock.Clock (clock.Real() in production) so tests can fake time", name)
 			return true
 		})
 	}
-}
-
-// clockImportName returns the local name binding internal/clock in the
-// file ("" when the package is not imported).
-func clockImportName(f *ast.File) string {
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		if !strings.HasSuffix(path, "internal/clock") {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return "clock"
-	}
-	return ""
 }

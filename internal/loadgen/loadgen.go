@@ -346,39 +346,3 @@ func (r *Results) OverActiveThreads() []ThreadPoint {
 	sort.Slice(out, func(i, j int) bool { return out[i].ActiveThreads < out[j].ActiveThreads })
 	return out
 }
-
-// TimeBucket is one second of the response-times-over-time series.
-type TimeBucket struct {
-	Second      int           `json:"second"`
-	MeanLatency time.Duration `json:"meanLatencyNs"`
-	Count       int           `json:"count"`
-}
-
-// OverTime aggregates samples into one-second buckets from run start.
-func (r *Results) OverTime() []TimeBucket {
-	if len(r.Samples) == 0 {
-		return nil
-	}
-	start := r.Samples[0].Start
-	type agg struct {
-		total time.Duration
-		n     int
-	}
-	buckets := make(map[int]*agg)
-	for _, s := range r.Samples {
-		sec := int(s.Start.Sub(start).Seconds())
-		a, ok := buckets[sec]
-		if !ok {
-			a = &agg{}
-			buckets[sec] = a
-		}
-		a.total += s.Latency
-		a.n++
-	}
-	out := make([]TimeBucket, 0, len(buckets))
-	for sec, a := range buckets {
-		out = append(out, TimeBucket{Second: sec, MeanLatency: a.total / time.Duration(a.n), Count: a.n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Second < out[j].Second })
-	return out
-}

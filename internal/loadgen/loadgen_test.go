@@ -123,26 +123,6 @@ func TestOverActiveThreadsAggregates(t *testing.T) {
 	}
 }
 
-func TestOverTimeBuckets(t *testing.T) {
-	base := time.Now()
-	res := &Results{}
-	res.Samples = []Sample{
-		{Start: base, Latency: 10 * time.Millisecond},
-		{Start: base.Add(100 * time.Millisecond), Latency: 30 * time.Millisecond},
-		{Start: base.Add(1500 * time.Millisecond), Latency: 50 * time.Millisecond},
-	}
-	buckets := res.OverTime()
-	if len(buckets) != 2 {
-		t.Fatalf("buckets %d", len(buckets))
-	}
-	if buckets[0].Count != 2 || buckets[0].MeanLatency != 20*time.Millisecond {
-		t.Fatalf("bucket0 %+v", buckets[0])
-	}
-	if buckets[1].Second != 1 || buckets[1].Count != 1 {
-		t.Fatalf("bucket1 %+v", buckets[1])
-	}
-}
-
 func TestRampUpStaggersThreadStarts(t *testing.T) {
 	// Driven by a fake clock so the exact JMeter-style stagger
 	// (thread i starts at i/Threads · RampUp) is asserted without

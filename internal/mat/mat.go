@@ -10,7 +10,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 )
 
 // Dense is a row-major dense matrix.
@@ -73,17 +72,6 @@ func (m *Dense) Clone() *Dense {
 	return &Dense{rows: m.rows, cols: m.cols, data: data}
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.data[j*t.cols+i] = m.data[i*m.cols+j]
-		}
-	}
-	return t
-}
-
 // MulVec computes m · x and stores the result in dst, which must have
 // length m.Rows(). It returns dst for chaining. If dst is nil a new slice
 // is allocated.
@@ -107,35 +95,6 @@ func (m *Dense) MulVec(x, dst []float64) []float64 {
 	return dst
 }
 
-// Mul computes a · b into a new matrix.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch: %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	out := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*out.cols : (i+1)*out.cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
 // AddDiag adds v to every diagonal element of a square matrix in place.
 func (m *Dense) AddDiag(v float64) {
 	if m.rows != m.cols {
@@ -144,15 +103,4 @@ func (m *Dense) AddDiag(v float64) {
 	for i := 0; i < m.rows; i++ {
 		m.data[i*m.cols+i] += v
 	}
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	var best float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
 }

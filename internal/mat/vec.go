@@ -5,37 +5,6 @@ import (
 	"math"
 )
 
-// Dot returns the inner product of a and b, which must have equal length.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch: %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// AXPY computes y += alpha*x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: AXPY length mismatch: %d != %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Dist2 returns the Euclidean distance between a and b.
 func Dist2(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -79,27 +48,6 @@ func Mean(x []float64) float64 {
 		return 0
 	}
 	return Sum(x) / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	mu := Mean(x)
-	var s float64
-	for _, v := range x {
-		d := v - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
 }
 
 // CloneVec returns a copy of x.

@@ -55,6 +55,63 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestEvaluateMatchesPerRowPredict: ml.Evaluate scores a table through
+// PredictProbaAll, so every report in the tree (MLService.train, the
+// experiment tables, resilience.Evasion) takes the batch kernels. Every
+// algorithm NewByName builds must produce the predictions and metrics the
+// one-row Predict loop produces, value for value; lr and dt have no batch
+// kernel and hold PredictProbaAll's per-row fallback to the same.
+func TestEvaluateMatchesPerRowPredict(t *testing.T) {
+	train, eval := blobs(31, 120, 6, 3, 2.5), blobs(32, 150, 6, 3, 2.5)
+	// "nn" is NewByName's second spelling of "mlp".
+	for _, name := range []string{"lr", "dt", "rf", "mlp", "dnn", "lgbm", "xgb"} {
+		m, err := NewByName(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fit(train); err != nil {
+			t.Fatalf("%s fit: %v", name, err)
+		}
+		if _, batched := m.(BatchPredictor); batched == (name == "lr" || name == "dt") {
+			t.Errorf("%s: batch kernel = %v; the test's premise about the fallback moved", name, batched)
+		}
+		preds := make([]int, eval.Len())
+		for i, x := range eval.X {
+			preds[i] = Predict(m, x)
+		}
+		want, err := ScorePredictions(preds, eval.Y, eval.ClassNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Accuracy == 1 {
+			t.Errorf("%s: every row correct; overlap the classes so a moved prediction shows", name)
+		}
+		for i, p := range PredictBatch(m, eval) {
+			if p != preds[i] {
+				t.Fatalf("%s row %d: PredictBatch %d, Predict %d", name, i, p, preds[i])
+			}
+		}
+		got, err := Evaluate(m, eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Accuracy != want.Accuracy || got.Precision != want.Precision || got.Recall != want.Recall ||
+			got.F1 != want.F1 || got.N != want.N || len(got.PerClass) != len(want.PerClass) {
+			t.Fatalf("%s: Evaluate %+v, per-row %+v", name, got, want)
+		}
+		for c := range want.PerClass {
+			if got.PerClass[c] != want.PerClass[c] {
+				t.Errorf("%s class %d: Evaluate %+v, per-row %+v", name, c, got.PerClass[c], want.PerClass[c])
+			}
+			for o := range want.Confusion[c] {
+				if got.Confusion[c][o] != want.Confusion[c][o] {
+					t.Errorf("%s confusion[%d][%d]: Evaluate %d, per-row %d", name, c, o, got.Confusion[c][o], want.Confusion[c][o])
+				}
+			}
+		}
+	}
+}
+
 // TestMLPRejectsWrongWidth: both MLP forms answer a row that is not as
 // wide as the input layer with a panic carrying an error (the serving
 // runtime maps it to 422), never with a slice-bounds fault or an answer

@@ -24,13 +24,13 @@ func countLeaves(tr *gbTree) int {
 	return leaves
 }
 
-// maxDepthOf returns a boosted tree's depth.
-func maxDepthOf(tr *gbTree, idx int32) int {
-	n := tr.nodes[idx]
+// maxDepthOf returns the depth of the subtree rooted at idx (0 for a leaf).
+func maxDepthOf(ns nodes, idx int32) int {
+	n := ns[idx]
 	if n.Feature < 0 {
 		return 0
 	}
-	l, r := maxDepthOf(tr, n.Left), maxDepthOf(tr, n.Right)
+	l, r := maxDepthOf(ns, n.Left), maxDepthOf(ns, n.Right)
 	if l > r {
 		return l + 1
 	}
@@ -62,7 +62,7 @@ func TestLevelWiseTreesRespectDepthLimit(t *testing.T) {
 	}
 	for _, class := range g.TreesPerClass {
 		for _, tr := range class {
-			if d := maxDepthOf(tr, 0); d > 3 {
+			if d := maxDepthOf(tr.nodes, 0); d > 3 {
 				t.Fatalf("level-wise tree depth %d exceeds limit 3", d)
 			}
 		}

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -178,18 +177,4 @@ func (m *LogReg) InputGradient(x []float64, class int) []float64 {
 		}
 	}
 	return g
-}
-
-// Loss returns the mean cross-entropy of the model on t, useful for
-// convergence tests.
-func (m *LogReg) Loss(t *dataset.Table) float64 {
-	if m.W == nil || t.Len() == 0 {
-		return math.Inf(1)
-	}
-	var total float64
-	for i, x := range t.X {
-		p := m.PredictProba(x)
-		total += -math.Log(math.Max(p[t.Y[i]], 1e-15))
-	}
-	return total / float64(t.Len())
 }

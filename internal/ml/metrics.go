@@ -101,34 +101,3 @@ func safeDiv(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// CrossValidate runs k-fold cross-validation, training a fresh model per
-// fold via the factory, and returns the mean metrics across folds.
-func CrossValidate(factory func() Classifier, t *dataset.Table, folds [][2][]int) (Metrics, error) {
-	if len(folds) == 0 {
-		return Metrics{}, fmt.Errorf("ml: no folds")
-	}
-	var agg Metrics
-	for fi, f := range folds {
-		train, test := t.Subset(f[0]), t.Subset(f[1])
-		c := factory()
-		if err := c.Fit(train); err != nil {
-			return Metrics{}, fmt.Errorf("fold %d fit: %w", fi, err)
-		}
-		m, err := Evaluate(c, test)
-		if err != nil {
-			return Metrics{}, fmt.Errorf("fold %d eval: %w", fi, err)
-		}
-		agg.Accuracy += m.Accuracy
-		agg.Precision += m.Precision
-		agg.Recall += m.Recall
-		agg.F1 += m.F1
-		agg.N += m.N
-	}
-	n := float64(len(folds))
-	agg.Accuracy /= n
-	agg.Precision /= n
-	agg.Recall /= n
-	agg.F1 /= n
-	return agg, nil
-}

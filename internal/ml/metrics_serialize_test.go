@@ -2,7 +2,6 @@ package ml
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -65,25 +64,6 @@ func TestScorePredictionsAbsentClassIsZero(t *testing.T) {
 	c := m.PerClass[2]
 	if c.Precision != 0 || c.Recall != 0 || math.IsNaN(m.F1) {
 		t.Fatalf("absent class stats %+v macroF1 %v", c, m.F1)
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	data := blobs(20, 150, 3, 3, 0.5)
-	rng := rand.New(rand.NewSource(21))
-	folds, err := data.KFold(rng, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := CrossValidate(func() Classifier { return NewTree(DefaultTreeConfig()) }, data, folds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Accuracy < 0.9 {
-		t.Fatalf("cv accuracy %.3f", m.Accuracy)
-	}
-	if m.N != 150 {
-		t.Fatalf("cv saw %d samples", m.N)
 	}
 }
 

@@ -2,7 +2,7 @@
 // reproduction: the classifier families used by the paper's two use cases
 // (logistic regression, decision tree, random forest, MLP, deep NN, and two
 // gradient-boosting variants standing in for LightGBM and XGBoost),
-// together with evaluation metrics, cross-validation, and JSON model
+// together with evaluation metrics and JSON model
 // serialization so the micro-services can exchange trained models.
 //
 // All training is deterministic given a seed, CPU-only, and built purely on
@@ -11,6 +11,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -49,11 +50,37 @@ func Predict(c Classifier, x []float64) int {
 	return mat.ArgMax(c.PredictProba(x))
 }
 
-// PredictBatch returns argmax predictions for every row of t.
+// PredictBatch returns argmax predictions for every row of t, through the
+// model's batch kernel when it has one.
 func PredictBatch(c Classifier, t *dataset.Table) []int {
-	out := make([]int, len(t.X))
-	for i, x := range t.X {
-		out[i] = Predict(c, x)
+	return ArgmaxAll(PredictProbaAll(c, t.X))
+}
+
+// ErrInput is what every refusal of CheckInput matches under errors.Is.
+var ErrInput = errors.New("ml: input does not fit the model")
+
+type inputError string
+
+func (e inputError) Error() string        { return string(e) }
+func (e inputError) Is(target error) bool { return target == ErrInput }
+
+// CheckInput reports why c cannot score rows of width d or be indexed by
+// labels (InputGradient(x, y), PredictProba(x)[y]; nil when no label
+// indexes the model). MLP and LogReg know their exact input width; the tree
+// families know only the widest feature they split on. Scoring a row that
+// fails this check panics or answers from whatever columns the model read.
+func CheckInput(c Classifier, d int, labels []int) error {
+	if m, ok := c.(interface{ InputDim() int }); ok && m.InputDim() != d {
+		return inputError(fmt.Sprintf("model input dim %d != instance dim %d", m.InputDim(), d))
 	}
-	return out
+	if m, ok := c.(interface{ MinInputDim() int }); ok && m.MinInputDim() > d {
+		return inputError(fmt.Sprintf("model reads %d features, instance dim %d", m.MinInputDim(), d))
+	}
+	k := c.NumClasses()
+	for i, y := range labels {
+		if y < 0 || y >= k {
+			return inputError(fmt.Sprintf("label %d of row %d is outside the model's %d classes", y, i, k))
+		}
+	}
+	return nil
 }

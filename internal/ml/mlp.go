@@ -477,16 +477,3 @@ func (m *MLP) InputGradient(x []float64, class int) []float64 {
 	}
 	return g
 }
-
-// Loss returns the mean cross-entropy on t.
-func (m *MLP) Loss(t *dataset.Table) float64 {
-	if len(m.Weights) == 0 || t.Len() == 0 {
-		return math.Inf(1)
-	}
-	var total float64
-	for i, x := range t.X {
-		p := m.PredictProba(x)
-		total += -math.Log(math.Max(p[t.Y[i]], 1e-15))
-	}
-	return total / float64(t.Len())
-}

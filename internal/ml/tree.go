@@ -278,18 +278,3 @@ func (t *Tree) PredictProba(x []float64) []float64 {
 	at := int(t.nodes.descend(x).Left)
 	return append([]float64(nil), t.probs[at:at+t.classes]...)
 }
-
-// Depth returns the depth of the trained tree (0 for a single leaf).
-func (t *Tree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.nodes.depth(0)
-}
-
-func (ns nodes) depth(i int32) int {
-	if n := &ns[i]; n.Feature >= 0 {
-		return 1 + max(ns.depth(n.Left), ns.depth(n.Right))
-	}
-	return 0
-}

@@ -41,6 +41,12 @@ func MembershipInference(model ml.Classifier, members, nonMembers *dataset.Table
 	if members.Len() == 0 || nonMembers.Len() == 0 {
 		return MembershipResult{}, fmt.Errorf("privacy: need both member and non-member samples")
 	}
+	if err := ml.CheckInput(model, members.NumFeatures(), members.Y); err != nil {
+		return MembershipResult{}, fmt.Errorf("privacy: members table: %w", err)
+	}
+	if err := ml.CheckInput(model, nonMembers.NumFeatures(), nonMembers.Y); err != nil {
+		return MembershipResult{}, fmt.Errorf("privacy: nonMembers table: %w", err)
+	}
 	confidences := func(t *dataset.Table) []float64 {
 		out := make([]float64, t.Len())
 		for i, x := range t.X {

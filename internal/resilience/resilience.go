@@ -72,14 +72,21 @@ func Evasion(victim ml.Classifier, clean, adversarial *dataset.Table, craftCost 
 	if clean.Len() == 0 || clean.Len() != adversarial.Len() {
 		return Report{}, fmt.Errorf("resilience: clean/adversarial size mismatch %d vs %d", clean.Len(), adversarial.Len())
 	}
+	if err := ml.CheckInput(victim, clean.NumFeatures(), nil); err != nil {
+		return Report{}, fmt.Errorf("resilience: clean table: %w", err)
+	}
+	if err := ml.CheckInput(victim, adversarial.NumFeatures(), nil); err != nil {
+		return Report{}, fmt.Errorf("resilience: adversarial table: %w", err)
+	}
+	// Two prediction passes carry every number of the report.
+	before, after := ml.PredictBatch(victim, clean), ml.PredictBatch(victim, adversarial)
 	var correctBefore, flipped int
-	for i := range clean.X {
-		before := ml.Predict(victim, clean.X[i])
-		if before != clean.Y[i] {
+	for i, y := range clean.Y {
+		if before[i] != y {
 			continue
 		}
 		correctBefore++
-		if ml.Predict(victim, adversarial.X[i]) != clean.Y[i] {
+		if after[i] != y {
 			flipped++
 		}
 	}
@@ -87,11 +94,11 @@ func Evasion(victim ml.Classifier, clean, adversarial *dataset.Table, craftCost 
 	if correctBefore > 0 {
 		impact = float64(flipped) / float64(correctBefore)
 	}
-	baseMetrics, err := ml.Evaluate(victim, clean)
+	baseMetrics, err := ml.ScorePredictions(before, clean.Y, clean.ClassNames)
 	if err != nil {
 		return Report{}, fmt.Errorf("evasion baseline eval: %w", err)
 	}
-	advMetrics, err := ml.Evaluate(victim, adversarial)
+	advMetrics, err := ml.ScorePredictions(after, adversarial.Y, adversarial.ClassNames)
 	if err != nil {
 		return Report{}, fmt.Errorf("evasion attacked eval: %w", err)
 	}

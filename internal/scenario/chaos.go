@@ -14,12 +14,11 @@ import (
 	"repro/internal/clock"
 )
 
-// ErrInjectedReset is the transport error the client-side chaos
-// transport returns for FaultReset/FaultDown decisions — the in-process
-// stand-in for a TCP RST.
+// ErrInjectedReset is the error the virtual targets return for
+// FaultReset/FaultDown decisions — the in-process stand-in for a TCP RST.
 var ErrInjectedReset = errors.New("scenario: injected connection reset")
 
-// ChaosStats counts the faults a proxy or transport actually injected.
+// ChaosStats counts the faults a proxy or virtual target actually injected.
 type ChaosStats struct {
 	Delayed int64 `json:"delayed"`
 	Errored int64 `json:"errored"`
@@ -30,9 +29,8 @@ type ChaosStats struct {
 	Rerouted int64 `json:"rerouted"`
 }
 
-// chaosCore is the fault decision engine shared by the server-side proxy
-// and the client-side transport: a settable Fault plus a seeded RNG so a
-// fixed seed reproduces the same per-request decisions.
+// chaosCore is the proxy's fault decision engine: a settable Fault plus a
+// seeded RNG so a fixed seed reproduces the same per-request decisions.
 type chaosCore struct {
 	clk clock.Clock
 
@@ -64,17 +62,6 @@ func (c *chaosCore) SetFault(f *Fault) {
 	}
 	cp := *f
 	c.fault = &cp
-}
-
-// ActiveFault returns a copy of the installed fault, or nil.
-func (c *chaosCore) ActiveFault() *Fault {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fault == nil {
-		return nil
-	}
-	cp := *c.fault
-	return &cp
 }
 
 // Stats snapshots the injection counters.
@@ -190,61 +177,4 @@ func (p *ChaosProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.proxy.ServeHTTP(w, r)
-}
-
-// chaosTransport is the client-side form of the same fault engine: an
-// http.RoundTripper wrapper the scenario executor installs into the
-// load generator's HTTP client, so a campaign can degrade the network
-// path itself without a second listener.
-type chaosTransport struct {
-	*chaosCore
-	base http.RoundTripper
-}
-
-// NewChaosTransport wraps base (http.DefaultTransport when nil) with the
-// fault engine and returns both the transport and the shared control
-// handle for SetFault/Stats.
-func NewChaosTransport(base http.RoundTripper, clk clock.Clock, seed int64) (http.RoundTripper, *ChaosControl) {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	core := newChaosCore(clk, seed)
-	return &chaosTransport{chaosCore: core, base: base}, &ChaosControl{core}
-}
-
-// ChaosControl is the shared fault-control handle of a chaos transport.
-type ChaosControl struct{ *chaosCore }
-
-// RoundTrip implements http.RoundTripper.
-func (t *chaosTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	d := t.decide()
-	if d.reset {
-		return nil, ErrInjectedReset
-	}
-	if d.delay > 0 {
-		select {
-		case <-t.clk.After(d.delay):
-		case <-r.Context().Done():
-			return nil, r.Context().Err()
-		}
-	}
-	if d.code > 0 {
-		return syntheticResponse(r, d.code), nil
-	}
-	return t.base.RoundTrip(r)
-}
-
-// syntheticResponse fabricates the error response an injecting middlebox
-// would have produced.
-func syntheticResponse(r *http.Request, code int) *http.Response {
-	return &http.Response{
-		Status:     fmt.Sprintf("%d %s", code, http.StatusText(code)),
-		StatusCode: code,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     http.Header{"X-Chaos": []string{"injected"}},
-		Body:       http.NoBody,
-		Request:    r,
-	}
 }

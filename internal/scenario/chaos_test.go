@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -102,47 +101,6 @@ func TestChaosProxyLatencyFault(t *testing.T) {
 	}
 	if st := chaos.Stats(); st.Delayed != 1 {
 		t.Fatalf("stats: %+v", st)
-	}
-}
-
-func TestChaosTransport(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, "ok")
-	}))
-	defer backend.Close()
-
-	rt, ctl := NewChaosTransport(nil, clock.Real(), 3)
-	client := &http.Client{Transport: rt, Timeout: 5 * time.Second}
-
-	resp, err := client.Get(backend.URL)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("pass-through: resp=%v err=%v", resp, err)
-	}
-	_ = resp.Body.Close()
-
-	// Injected status comes from the transport, not the server.
-	ctl.SetFault(&Fault{Kind: FaultErrorBurst})
-	resp, err = client.Get(backend.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("X-Chaos") != "injected" {
-		t.Fatalf("injected response: %+v", resp)
-	}
-	_ = resp.Body.Close()
-
-	// Reset surfaces ErrInjectedReset through the client wrapper.
-	ctl.SetFault(&Fault{Kind: FaultReset})
-	resp, err = client.Get(backend.URL)
-	if err == nil {
-		_ = resp.Body.Close()
-	}
-	if !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("reset: err=%v", err)
-	}
-
-	if f := ctl.ActiveFault(); f == nil || f.Kind != FaultReset {
-		t.Fatalf("active fault: %+v", f)
 	}
 }
 

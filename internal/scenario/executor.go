@@ -49,7 +49,7 @@ type Env struct {
 	// Sampler is the live-mode target.
 	Sampler loadgen.Sampler
 	// Injector receives each phase's fault; defaults to Virtual. In
-	// live mode pass the ChaosProxy or ChaosControl.
+	// live mode pass the ChaosProxy.
 	Injector FaultInjector
 	// Stream, when set, emits (possibly adversarial) data batches on
 	// the sensor cadence.

@@ -138,8 +138,8 @@ func (s *Stream) AlertLines() (driftBelow, agreementBelow float64) {
 // agreement is the fraction of rows the model predicts to their label.
 func agreement(model ml.GradientClassifier, batch *dataset.Table) float64 {
 	agree := 0
-	for i, x := range batch.X {
-		if ml.Predict(model, x) == batch.Y[i] {
+	for i, class := range ml.PredictBatch(model, batch) {
+		if class == batch.Y[i] {
 			agree++
 		}
 	}

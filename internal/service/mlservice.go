@@ -224,13 +224,3 @@ func (s *MLService) StoreModel(algorithm string, model ml.Classifier, metrics ml
 	id, _, err := s.register(algorithm, model, metrics)
 	return id, err
 }
-
-// Model returns a stored model by registry reference (for in-process
-// composition), deserializing from the registry if it has gone cold.
-func (s *MLService) Model(ref string) (ml.Classifier, bool) {
-	m, err := s.runtime.Registry().Model(ref)
-	if err != nil {
-		return nil, false
-	}
-	return m, true
-}

@@ -434,3 +434,58 @@ func TestExplainersAnswerNarrowTreeInstanceWith422(t *testing.T) {
 		}
 	}
 }
+
+// TestTrustRoutesAnswerMismatchedTableWith422: a table narrower or wider
+// than the inline network's input, or carrying a label the model has no
+// class for, is a 422 of kind "mismatch" from the evasion and membership
+// routes — before the check it was a panic in (*MLP).InputGradient /
+// forward that nothing recovered, which the client read as a transport EOF.
+func TestTrustRoutesAnswerMismatchedTableWith422(t *testing.T) {
+	table := func(d, classes int) TableJSON {
+		rng := rand.New(rand.NewSource(1))
+		names := []string{"f0", "f1", "f2", "f3"}[:d]
+		tb := dataset.New("t", names, []string{"a", "b", "c"}[:classes])
+		for i := 0; i < 60; i++ {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = rng.NormFloat64()*0.4 + float64(i%classes)*2
+			}
+			_ = tb.Append(row, i%classes)
+		}
+		return FromTable(tb)
+	}
+	good := table(3, 2)
+	fit, err := good.ToTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := ml.NewMLP(ml.MLPConfig{Hidden: []int{4}, LearningRate: 0.05, Momentum: 0.9, Epochs: 5, BatchSize: 16, Seed: 1})
+	if err := nn.Fit(fit); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.MarshalModel(nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, priv := httptest.NewServer(NewResilienceService()), httptest.NewServer(NewPrivacyService())
+	defer res.Close()
+	defer priv.Close()
+	ctx := context.Background()
+	for name, bad := range map[string]TableJSON{"narrow": table(1, 2), "wide": table(4, 2), "third class": table(3, 3)} {
+		_, evasionErr := (&Client{BaseURL: res.URL}).EvasionImpact(ctx, EvasionImpactRequest{Model: blob, Clean: bad, Eps: 0.5})
+		_, membersErr := (&Client{BaseURL: priv.URL}).Membership(ctx, MembershipRequest{Model: blob, Members: bad, NonMembers: good})
+		_, othersErr := (&Client{BaseURL: priv.URL}).Membership(ctx, MembershipRequest{Model: blob, Members: good, NonMembers: bad})
+		for route, err := range map[string]error{"evasion": evasionErr, "members": membersErr, "nonMembers": othersErr} {
+			var status *wire.StatusError
+			if !errors.As(err, &status) || status.Status != http.StatusUnprocessableEntity || status.Kind != "mismatch" {
+				t.Errorf("%s table on %s: err = %v, want a 422 of kind mismatch", name, route, err)
+			}
+		}
+	}
+	if _, err := (&Client{BaseURL: res.URL}).EvasionImpact(ctx, EvasionImpactRequest{Model: blob, Clean: good, Eps: 0.5}); err != nil {
+		t.Errorf("well-formed evasion request: %v", err)
+	}
+	if _, err := (&Client{BaseURL: priv.URL}).Membership(ctx, MembershipRequest{Model: blob, Members: good, NonMembers: good}); err != nil {
+		t.Errorf("well-formed membership request: %v", err)
+	}
+}

@@ -112,8 +112,8 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 // TestCloseDrains attacks shutdown: Close with instances still queued
 // behind a busy worker and a batch inside execute, then Close with
 // Predicts still arriving. Every call returns exactly one of a full result
-// or ErrClosed — never a partly filled probs — Close returns, and no
-// goroutine of the runtime outlives it. (A stopping worker holds no
+// or ErrClosed — never a partly filled probs — Close returns, no row stays
+// reserved, and no goroutine of the runtime outlives it. (A stopping worker holds no
 // partly formed batch to strand: it is either blocked on the queue or
 // scoring a batch it will finish delivering.)
 func TestCloseDrains(t *testing.T) {
@@ -181,6 +181,9 @@ func TestCloseDrains(t *testing.T) {
 	}
 	g.open()
 	<-closed
+	if n := rt.InFlight(); n != 0 {
+		t.Errorf("%d rows still reserved after Close and both calls returned", n)
+	}
 
 	// Still arriving: callers hammer the line until Close turns them away.
 	rt = New(Config{MaxBatch: 2, Workers: 2})
@@ -208,6 +211,9 @@ func TestCloseDrains(t *testing.T) {
 	}
 	rt.Close()
 	wg.Wait()
+	if n := rt.InFlight(); n != 0 {
+		t.Errorf("%d rows still reserved after Close with callers enqueueing across it", n)
+	}
 
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {

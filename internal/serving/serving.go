@@ -273,14 +273,17 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 		select {
 		case <-c.done:
 		case <-r.stop:
+			r.release(ln)
 			return nil, nil, ErrClosed
 		}
 	} else {
 		select {
 		case <-c.done:
 		case <-ctxDone:
+			r.release(ln)
 			return nil, nil, ctx.Err()
 		case <-r.stop:
+			r.release(ln)
 			return nil, nil, ErrClosed
 		}
 	}
@@ -288,6 +291,28 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 		return nil, nil, *ep
 	}
 	return c.probs, ml.ArgmaxAll(c.probs), nil
+}
+
+// release returns the reservation of every instance still queued on a
+// closed runtime, failing its call with ErrClosed; on a live one the
+// workers take them, and it does nothing. Close calls it once the workers
+// are gone, and so does a Predict that stops waiting: it may have resolved
+// its line before the close and enqueued after Close looked.
+func (r *Runtime) release(ln *line) {
+	select {
+	case <-r.stop:
+	default:
+		return
+	}
+	for {
+		select {
+		case it := <-ln.in:
+			ln.inflight.Add(-1)
+			it.call.fail(ErrClosed)
+		default:
+			return
+		}
+	}
 }
 
 // take appends what is queued right now, up to cap(batch), without
@@ -403,25 +428,10 @@ func (r *Runtime) InFlight() int {
 	return int(total)
 }
 
-// InFlightFor reports the in-flight instance count of one model ref (0
-// when the ref does not resolve or has no line yet).
-func (r *Runtime) InFlightFor(ref string) int {
-	id, err := r.reg.Resolve(ref)
-	if err != nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ln, ok := r.lines[id]
-	if !ok {
-		return 0
-	}
-	return int(ln.inflight.Load())
-}
-
 // Close stops every worker — one mid-batch finishes and delivers that
-// batch first — and fails the Predict calls still waiting with ErrClosed.
-// It is idempotent.
+// batch first — fails the Predict calls still waiting with ErrClosed and
+// releases the rows they left queued, so InFlight is 0 once Close and
+// every Predict have returned. It is idempotent.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -432,4 +442,9 @@ func (r *Runtime) Close() {
 	r.mu.Unlock()
 	close(r.stop)
 	r.wg.Wait()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ln := range r.lines {
+		r.release(ln)
+	}
 }

@@ -33,14 +33,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum is the total of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// Mean is Sum/Count, or 0 before the first observation.
-func (h *Histogram) Mean() float64 {
-	if n := h.count.Load(); n > 0 {
-		return h.sum.Load() / float64(n)
-	}
-	return 0
-}
-
 // snapshot copies the per-bucket counts (non-cumulative), sum, and count.
 // The reads are individually atomic, not a consistent cut — fine for
 // monitoring.

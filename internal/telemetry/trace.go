@@ -113,11 +113,10 @@ func sanitizeID(id string) string {
 // Tracer records spans into a bounded ring buffer; when full, the oldest
 // spans are overwritten. All methods are safe for concurrent use.
 type Tracer struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	full  bool
-	total uint64
+	mu   sync.Mutex
+	buf  []Span
+	next int
+	full bool
 }
 
 // NewTracer builds a tracer keeping up to capacity spans (default 1024).
@@ -134,7 +133,6 @@ func (t *Tracer) Record(s Span) {
 	defer t.mu.Unlock()
 	t.buf[t.next] = s
 	t.next++
-	t.total++
 	if t.next == len(t.buf) {
 		t.next = 0
 		t.full = true
@@ -149,13 +147,6 @@ func (t *Tracer) Len() int {
 		return len(t.buf)
 	}
 	return t.next
-}
-
-// Total reports how many spans were ever recorded (including evicted).
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // Spans returns retained spans in recording order, oldest first. A

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/ml"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
@@ -73,6 +74,10 @@ var table = []struct {
 	// To its caller a closed runtime is a down replica: the router fails
 	// over on it exactly as on a killed one.
 	{"down", http.StatusServiceUnavailable, serving.ErrClosed, false},
+	// A row or label the model cannot take (ml.CheckInput): the status an
+	// unmatched domain error gets anyway, named so a client can tell it
+	// from a failed computation.
+	{"mismatch", http.StatusUnprocessableEntity, ml.ErrInput, false},
 }
 
 const kindOverloaded = "overloaded"

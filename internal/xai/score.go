@@ -13,25 +13,14 @@ import (
 // is 390 rows of the probe's 21 features, enough to amortize a batch call.
 const blockFloats = 8192
 
-// inputSized is implemented by the models that know how wide a row they
-// score (ml.MLP, ml.LogReg); minInputSized by the tree families, which know
-// only the widest feature they split on.
-type (
-	inputSized    interface{ InputDim() int }
-	minInputSized interface{ MinInputDim() int }
-)
-
 // scoreRows puts n perturbed rows of width d through the model and hands
 // back the class column. fill(i, row) writes row i into a reused buffer;
 // use(i, p) receives row i's probability of class. Both run in ascending i,
 // a block of fills before that block's uses, so a fill may draw from an
 // RNG but must not depend on an earlier row's score.
 func scoreRows(model ml.Classifier, class, d, n int, fill func(i int, row []float64), use func(i int, p float64)) error {
-	if m, ok := model.(inputSized); ok && m.InputDim() != d {
-		return fmt.Errorf("xai: model input dim %d != instance dim %d", m.InputDim(), d)
-	}
-	if m, ok := model.(minInputSized); ok && m.MinInputDim() > d {
-		return fmt.Errorf("xai: model reads %d features, instance dim %d", m.MinInputDim(), d)
+	if err := ml.CheckInput(model, d, nil); err != nil {
+		return fmt.Errorf("xai: %w", err)
 	}
 	per := min(n, max(1, blockFloats/d))
 	flat := make([]float64, per*d)

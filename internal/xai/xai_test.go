@@ -447,7 +447,7 @@ func TestExplainersRejectNarrowTreeInstance(t *testing.T) {
 	tab := goldenTable(3, 60, 3, 2, 1)
 	for _, name := range []string{"rf", "lgbm"} {
 		m := goldenModel(t, name, tab)
-		w := m.(minInputSized).MinInputDim()
+		w := m.(interface{ MinInputDim() int }).MinInputDim()
 		if w < 2 || w > 3 {
 			t.Fatalf("%s reads %d features of a 3-feature table", name, w)
 		}
