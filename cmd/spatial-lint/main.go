@@ -6,9 +6,8 @@
 // unchecked I/O errors on the server edges, the flow-sensitive
 // checks (lock balance, response-body and context-cancel leaks,
 // wall-clock bypasses, append aliasing) built on the CFG dataflow
-// engine, and the interprocedural checks (lock-order cycles, taint
-// paths into filesystem sinks, map-order leaks, the four race checks)
-// built on the whole-module call graph and its per-function summaries.
+// engine, map-order leaks, and the interprocedural checks (lock-order
+// cycles, the four race checks) built on the whole-module call graph.
 //
 // Usage:
 //

@@ -12,9 +12,9 @@ import (
 // health prober slowly exhaust the transport's connection pool under the
 // capacity experiments. The analysis is a forward may-be-open dataflow:
 // acquiring a response opens it; Body.Close() (direct or deferred),
-// returning the response, or handing it to another function releases it
-// — except a handoff to a callee whose summary proves the argument is
-// ignored, which cannot discharge the close obligation.
+// returning the response, or handing it to another function releases it.
+// Any handoff discharges: a response passed to a helper that never closes
+// it is an accepted false negative (no call in this tree does that).
 // Branch conditions refine the facts: on the `err != nil` edge of the
 // acquiring call's error the response is nil, and likewise on explicit
 // `resp == nil` tests, so the standard error-check idiom never trips it.
@@ -23,7 +23,6 @@ var AnalyzerBodyLeak = &Analyzer{
 	Doc:          "flags http.Response bodies not closed on every path out of the function",
 	Severity:     SeverityError,
 	IncludeTests: true,
-	NeedsProgram: true,
 	Run:          runBodyLeak,
 }
 
@@ -110,13 +109,8 @@ func checkBodyLeak(p *Pass, fn fnBody) {
 							delete(out, v)
 						}
 					}
-					// The response handed off whole: the callee owns it —
-					// unless its summary proves the argument is ignored, in
-					// which case the callee cannot close the body either.
-					for i, arg := range m.Args {
-						if argIgnored(p, m, i) {
-							continue
-						}
+					// The response handed off whole: the callee owns it.
+					for _, arg := range m.Args {
 						if v := p.useVar(arg); v != nil {
 							if _, tracked := out[v]; tracked {
 								mutate()

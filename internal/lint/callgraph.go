@@ -128,9 +128,10 @@ func (n *Node) Pos() token.Pos {
 }
 
 // Program is the whole-module view the interprocedural analyzers share:
-// every non-test package, the call graph over them, and lazily computed
-// per-function summaries. A Program is built once per driver run, before
-// the parallel per-package phase, and is read-only afterwards.
+// every non-test package, the call graph over them, and the lazily
+// computed may-acquire summaries and goroutine topology built on it. A
+// Program is built once per driver run, before the parallel per-package
+// phase, and is read-only afterwards.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs are the analyzed packages (non-test), in load order.
@@ -153,7 +154,8 @@ type Program struct {
 	allNamed []*types.Named
 
 	summaryOnce sync.Once
-	summaries   map[*Node]*Summary
+	// mayAcquire is each function's may-acquire summary (lockorder.go).
+	mayAcquire map[*Node]map[string]LockAcquire
 	// concOnce guards the lazily built goroutine topology graph
 	// (concurrency.go) the shared-state checks run on.
 	concOnce sync.Once
@@ -221,7 +223,13 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 			}
 		}
 	}
-	prog.computeSCCs()
+	prog.SCCs = stronglyConnected(prog.Nodes, func(n *Node) []*Node {
+		callees := make([]*Node, len(n.Out))
+		for i, e := range n.Out {
+			callees[i] = e.Callee
+		}
+		return callees
+	})
 	return prog
 }
 
@@ -560,52 +568,54 @@ func loopContext(pkg *Package, stack []ast.Node) (inLoop, inDataLoop bool) {
 	return inLoop, inDataLoop
 }
 
-// computeSCCs runs Tarjan's algorithm; components are emitted callees
-// first, which is exactly the bottom-up summary order.
-func (p *Program) computeSCCs() {
-	index := make(map[*Node]int, len(p.Nodes))
-	low := make(map[*Node]int, len(p.Nodes))
-	onStack := make(map[*Node]bool, len(p.Nodes))
-	var stack []*Node
+// stronglyConnected is Tarjan's algorithm over the graph reachable from
+// roots. Roots and each successor list are visited in the order given,
+// so the result is deterministic. Components come out in completion
+// order: each after every component it reaches, i.e. callees before
+// callers for the call graph.
+func stronglyConnected[K comparable](roots []K, succ func(K) []K) [][]K {
+	index := make(map[K]int)
+	low := make(map[K]int)
+	onStack := make(map[K]bool)
+	var stack []K
+	var sccs [][]K
 	next := 0
 
-	var strongconnect func(n *Node)
-	strongconnect = func(n *Node) {
-		index[n] = next
-		low[n] = next
+	var connect func(k K)
+	connect = func(k K) {
+		index[k] = next
+		low[k] = next
 		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, e := range n.Out {
-			m := e.Callee
+		stack = append(stack, k)
+		onStack[k] = true
+		for _, m := range succ(k) {
 			if _, seen := index[m]; !seen {
-				strongconnect(m)
-				if low[m] < low[n] {
-					low[n] = low[m]
-				}
-			} else if onStack[m] && index[m] < low[n] {
-				low[n] = index[m]
+				connect(m)
+				low[k] = min(low[k], low[m])
+			} else if onStack[m] {
+				low[k] = min(low[k], index[m])
 			}
 		}
-		if low[n] == index[n] {
-			var scc []*Node
+		if low[k] == index[k] {
+			var scc []K
 			for {
 				m := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[m] = false
 				scc = append(scc, m)
-				if m == n {
+				if m == k {
 					break
 				}
 			}
-			p.SCCs = append(p.SCCs, scc)
+			sccs = append(sccs, scc)
 		}
 	}
-	for _, n := range p.Nodes {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
+	for _, k := range roots {
+		if _, seen := index[k]; !seen {
+			connect(k)
 		}
 	}
+	return sccs
 }
 
 // shortFuncName renders a compact display name: last package path

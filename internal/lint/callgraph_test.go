@@ -117,7 +117,9 @@ func TestCallGraphSCCMutualRecursion(t *testing.T) {
 		t.Fatal("odd not in even's SCC")
 	}
 	prog.EnsureSummaries()
-	if prog.summaries[even] == nil || prog.summaries[odd] == nil {
+	_, evenDone := prog.mayAcquire[even]
+	_, oddDone := prog.mayAcquire[odd]
+	if !evenDone || !oddDone {
 		t.Fatal("mutual-recursion SCC has no converged summaries")
 	}
 }
@@ -127,12 +129,9 @@ func TestCallGraphSCCMutualRecursion(t *testing.T) {
 func TestSummaryLockAcquire(t *testing.T) {
 	prog := loadGraphProgram(t)
 	prog.EnsureSummaries()
-	sum := prog.summaries[nodeByName(t, prog, "graph.pokesTwice")]
-	if sum == nil {
-		t.Fatal("no summary for pokesTwice")
-	}
+	may := prog.mayAcquire[nodeByName(t, prog, "graph.pokesTwice")]
 	found := false
-	for key, acq := range sum.MayAcquire {
+	for key, acq := range may {
 		if strings.HasSuffix(key, "graph.box.mu") {
 			found = true
 			if !strings.Contains(acq.Via, "poke") {
@@ -141,28 +140,7 @@ func TestSummaryLockAcquire(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("pokesTwice summary lacks box.mu in MayAcquire: %v", sum.MayAcquire)
-	}
-}
-
-// TestSummaryParamConsumed: proof of ignorance is direct for an empty
-// body, transitive through a pure forwarder, and absent for a function
-// that stores its argument.
-func TestSummaryParamConsumed(t *testing.T) {
-	prog := loadGraphProgram(t)
-	prog.EnsureSummaries()
-	for name, want := range map[string]bool{
-		"graph.ignores":  false,
-		"graph.forwards": false,
-		"graph.consumes": true,
-	} {
-		sum := prog.summaries[nodeByName(t, prog, name)]
-		if sum == nil || len(sum.ParamConsumed) != 1 {
-			t.Fatalf("%s: bad summary %+v", name, sum)
-		}
-		if sum.ParamConsumed[0] != want {
-			t.Errorf("%s.ParamConsumed[0] = %v, want %v", name, sum.ParamConsumed[0], want)
-		}
+		t.Fatalf("pokesTwice may-acquire summary lacks box.mu: %v", may)
 	}
 }
 

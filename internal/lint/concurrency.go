@@ -21,11 +21,12 @@ import (
 //
 // Lock context is computed per function by the held-locks forward
 // dataflow from lockorder.go (deferred unlocks do not release
-// mid-function; callee summaries contribute HeldAtExit/ReleasedAtExit),
-// then replayed in deterministic block order to tag each access. Function
-// literals invoked synchronously (direct call, callback registration)
-// inherit the held set at their creation site; go-spawned literals start
-// with no locks, like the goroutines they become.
+// mid-function), then replayed in deterministic block order to tag each
+// access. Function literals invoked synchronously (direct call, callback
+// registration) inherit the held set at their creation site; go-spawned
+// literals start with no locks, like the goroutines they become. Callees
+// contribute nothing: no function in this module returns holding or
+// releasing a lock.
 
 // AccessMode classifies one access to a shared struct field.
 type AccessMode uint8
@@ -180,7 +181,6 @@ func (c *Concurrency) ChanKeys() []string {
 // Concurrency builds (once) and returns the goroutine topology graph.
 func (p *Program) Concurrency() *Concurrency {
 	p.concOnce.Do(func() {
-		p.EnsureSummaries()
 		c := &Concurrency{
 			prog:         p,
 			Fields:       make(map[string]*FieldInfo),
@@ -249,9 +249,6 @@ type concWalker struct {
 	entryHeld map[*Node]map[string]bool
 
 	pass *Pass
-	// sites maps call positions to resolved call-graph edges, for callee
-	// lock-summary effects and literal context inheritance.
-	sites map[token.Pos][]*CallSite
 	// nonBlocking marks select communication statements whose select has
 	// a default clause.
 	nonBlocking map[ast.Node]bool
@@ -275,11 +272,7 @@ type concWalker struct {
 
 func (w *concWalker) run() {
 	pkg := w.n.Pkg
-	w.pass = &Pass{Fset: w.prog.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Path: pkg.Path, Prog: w.prog}
-	w.sites = make(map[token.Pos][]*CallSite, len(w.n.Out))
-	for _, e := range w.n.Out {
-		w.sites[e.Pos] = append(w.sites[e.Pos], e)
-	}
+	w.pass = &Pass{Fset: w.prog.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Path: pkg.Path}
 	w.collectNonBlocking()
 	w.collectConfined()
 
@@ -664,7 +657,7 @@ func (w *concWalker) compositeLit(lit *ast.CompositeLit) {
 }
 
 // call handles lock operations, channel closes, atomic operations, and
-// generic calls (argument scans plus callee lock-summary effects).
+// generic calls (argument scans).
 func (w *concWalker) call(call *ast.CallExpr) {
 	// Mutex operations update the lock context.
 	if op, isLock := globalLockOp(w.n.Pkg, call); isLock {
@@ -722,26 +715,6 @@ func (w *concWalker) call(call *ast.CallExpr) {
 	}
 	for _, arg := range call.Args {
 		w.expr(arg)
-	}
-	if w.goDepth > 0 {
-		return
-	}
-	// Callee lock effects from summaries (go edges excluded: the callee
-	// runs concurrently, not under our locks).
-	for _, e := range w.sites[call.Pos()] {
-		if e.Kind == CallGo {
-			continue
-		}
-		sum := w.prog.summaries[e.Callee]
-		if sum == nil {
-			continue
-		}
-		for key := range sum.ReleasedAtExit {
-			delete(w.held, key)
-		}
-		for key := range sum.HeldAtExit {
-			w.held[key] = true
-		}
 	}
 }
 
@@ -908,6 +881,16 @@ func (w *concWalker) chanKey(e ast.Expr) (key, display string, ok bool) {
 		return k, v.Name(), true
 	}
 	return "", "", false
+}
+
+// lookupVar resolves an identifier use or definition to its variable.
+func lookupVar(pkg *Package, id *ast.Ident) *types.Var {
+	obj := pkg.Info.Uses[id]
+	if obj == nil {
+		obj = pkg.Info.Defs[id]
+	}
+	v, _ := obj.(*types.Var)
+	return v
 }
 
 // baseName is filepath.Base without importing path/filepath here.

@@ -14,17 +14,16 @@ import (
 // under sustained traffic. Forward may-be-live dataflow: the assignment
 // tracks the cancel variable; calling it, deferring it, passing it,
 // storing it, or returning it releases the obligation. A cancel bound to
-// the blank identifier is reported immediately. With the whole-program
-// view, handing cancel to a helper whose summary proves it ignores the
-// argument does not discharge the obligation. The finding carries a
-// mechanical fix: insert `defer cancel()` right after the acquisition
-// (context.CancelFunc is idempotent, so the insertion is always safe).
+// the blank identifier is reported immediately. Any handoff discharges:
+// a cancel passed to a helper that never calls it is an accepted false
+// negative (no call in this tree does that). The finding names the repair:
+// `defer cancel()` right after the acquisition (context.CancelFunc is
+// idempotent, so that is always safe).
 var AnalyzerCtxLeak = &Analyzer{
 	Name:         "ctx-leak",
 	Doc:          "flags context cancel functions not called on every path out of the function",
 	Severity:     SeverityError,
 	IncludeTests: true,
-	NeedsProgram: true,
 	Run:          runCtxLeak,
 }
 
@@ -115,14 +114,10 @@ func checkCtxLeak(p *Pass, fn fnBody) {
 		walk(node, func(m ast.Node) bool {
 			switch m := m.(type) {
 			case *ast.CallExpr:
-				// cancel() called, or cancel passed along — unless the
-				// callee's summary proves it ignores the argument, in which
-				// case the handoff cannot discharge the obligation.
+				// cancel() called, or cancel passed along — to a helper or,
+				// in `go cancelLater(cancel)`, to the spawned goroutine.
 				release(m.Fun)
-				for i, arg := range m.Args {
-					if argIgnored(p, m, i) {
-						continue
-					}
+				for _, arg := range m.Args {
 					release(arg)
 				}
 			case *ast.ReturnStmt:
@@ -133,17 +128,6 @@ func checkCtxLeak(p *Pass, fn fnBody) {
 				// cancel stored (s.cancel = cancel, other = cancel).
 				for _, rhs := range m.Rhs {
 					release(rhs)
-				}
-			case *ast.GoStmt:
-				// go cancelLater(cancel) — arguments are evaluated here;
-				// the spawned goroutine owns the obligation, unless it
-				// provably never touches the argument.
-				release(m.Call.Fun)
-				for i, arg := range m.Call.Args {
-					if argIgnored(p, m.Call, i) {
-						continue
-					}
-					release(arg)
 				}
 			}
 			return true

@@ -26,7 +26,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerLockOrder,
 		AnalyzerMapOrderLeak,
 		AnalyzerNondeterminism,
-		AnalyzerTaintPath,
 		AnalyzerTelemetryCardinality,
 		AnalyzerUncheckedErr,
 		AnalyzerWallClock,
@@ -110,18 +109,13 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer) (*Result, e
 	res := &Result{Packages: len(pkgs)}
 
 	// Build the whole-module view once when any selected analyzer is
-	// interprocedural. Summaries are forced here, before the parallel
-	// phase, so per-package analyzers read them without synchronization.
+	// interprocedural.
 	var prog *Program
-	needsProgram := false
 	for _, a := range analyzers {
-		if a.Run == nil || a.NeedsProgram {
-			needsProgram = true
+		if a.RunProgram != nil {
+			prog = BuildProgram(loader.Fset(), pkgs)
+			break
 		}
-	}
-	if needsProgram {
-		prog = BuildProgram(loader.Fset(), pkgs)
-		prog.EnsureSummaries()
 	}
 
 	// Program analyzers run once, sequentially; their findings are routed
@@ -213,7 +207,6 @@ func analyzePackage(loader *Loader, pkg *Package, analyzers []*Analyzer, fullSui
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
 			Path:     pkg.Path,
-			Prog:     prog,
 			findings: &findings,
 		}
 		a.Run(pass)

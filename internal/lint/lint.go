@@ -109,14 +109,10 @@ type Analyzer struct {
 	// Nil for whole-program analyzers, which set RunProgram instead.
 	Run func(*Pass)
 	// RunProgram, when set, runs once over the whole-module Program
-	// (call graph + summaries) instead of per package. The driver maps
-	// its findings back into the owning packages so suppression
-	// directives apply uniformly.
+	// (the call graph) instead of per package. The driver maps its
+	// findings back into the owning packages so suppression directives
+	// apply uniformly.
 	RunProgram func(*ProgramPass)
-	// NeedsProgram requests that the driver build the Program and expose
-	// it as Pass.Prog even for per-package analyzers (ctx-leak and
-	// body-leak consult callee summaries for ownership transfer).
-	NeedsProgram bool
 }
 
 // EffectiveSeverity resolves the analyzer's gate weight, defaulting to
@@ -137,10 +133,6 @@ type Pass struct {
 	Info     *types.Info
 	// Path is the package import path.
 	Path string
-	// Prog is the whole-module view (call graph + summaries), set when
-	// the run built one; nil otherwise. Analyzers consulting it must
-	// degrade gracefully to their conservative intraprocedural behavior.
-	Prog *Program
 
 	findings *[]Finding
 }
@@ -176,7 +168,6 @@ func (pp *ProgramPass) PassFor(pkg *Package) *Pass {
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 		Path:     pkg.Path,
-		Prog:     pp.Prog,
 		findings: pp.findings,
 	}
 }

@@ -42,23 +42,17 @@ func runLockBalance(p *Pass) {
 	}
 }
 
-// lockOp classifies one mutex call inside a function.
-type lockOp struct {
-	key     string // receiver expression text, ":r"-suffixed for RLock/RUnlock
-	acquire bool
-	call    *ast.CallExpr
-}
-
-// resolveLockOp recognizes calls to the sync package's lock methods
-// (including through embedded mutexes and sync.Locker values).
-func resolveLockOp(p *Pass, call *ast.CallExpr) (lockOp, bool) {
+// syncLockCall matches a call to one of the sync package's
+// (R)Lock/(R)Unlock methods, including through embedded mutexes and
+// sync.Locker values, and returns the receiver expression; recv is nil
+// for any other call. lock-balance keys the receiver by its text
+// (resolveLockOp), the whole-module checks by its type (globalLockOp).
+func syncLockCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, acquire, read bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return lockOp{}, false
+		return nil, false, false
 	}
-	name := sel.Sel.Name
-	var acquire, read bool
-	switch name {
+	switch sel.Sel.Name {
 	case "Lock":
 		acquire = true
 	case "RLock":
@@ -67,21 +61,35 @@ func resolveLockOp(p *Pass, call *ast.CallExpr) (lockOp, bool) {
 	case "RUnlock":
 		read = true
 	default:
-		return lockOp{}, false
+		return nil, false, false
 	}
-	s, found := p.Info.Selections[sel]
+	s, found := info.Selections[sel]
 	if !found || s.Kind() != types.MethodVal {
+		return nil, false, false
+	}
+	if obj := s.Obj(); obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return nil, false, false
+	}
+	return sel.X, acquire, read
+}
+
+// lockOp classifies one mutex call inside a function.
+type lockOp struct {
+	key     string // receiver expression text, ":r"-suffixed for RLock/RUnlock
+	acquire bool
+}
+
+// resolveLockOp keys a sync lock call by its receiver's text.
+func resolveLockOp(p *Pass, call *ast.CallExpr) (lockOp, bool) {
+	recv, acquire, read := syncLockCall(p.Info, call)
+	if recv == nil {
 		return lockOp{}, false
 	}
-	obj := s.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return lockOp{}, false
-	}
-	key := p.ExprString(sel.X)
+	key := p.ExprString(recv)
 	if read {
 		key += ":r"
 	}
-	return lockOp{key: key, acquire: acquire, call: call}, true
+	return lockOp{key: key, acquire: acquire}, true
 }
 
 func checkLockBalance(p *Pass, fn fnBody) {

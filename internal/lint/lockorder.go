@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
@@ -69,14 +70,28 @@ func runLockOrder(pp *ProgramPass) {
 		collectOrderEdges(pp, n, record)
 	}
 
-	// Condense the key graph; any SCC with an internal edge is a cycle.
+	// Condense the key graph (deterministic by sorted key order); any SCC
+	// with an internal edge is a cycle.
 	adjacent := make(map[string][]string)
 	keys := make(map[string]bool)
 	for k := range edges {
 		adjacent[k.from] = append(adjacent[k.from], k.to)
 		keys[k.from], keys[k.to] = true, true
 	}
-	component := lockSCCs(keys, adjacent)
+	sorted := make([]string, 0, len(keys))
+	for k := range keys {
+		sorted = append(sorted, k)
+	}
+	sort.Strings(sorted)
+	for _, adj := range adjacent {
+		sort.Strings(adj)
+	}
+	component := make(map[string]int, len(keys))
+	for id, scc := range stronglyConnected(sorted, func(k string) []string { return adjacent[k] }) {
+		for _, k := range scc {
+			component[k] = id
+		}
+	}
 
 	var cyclic []*orderEdge
 	for _, e := range edges {
@@ -166,39 +181,25 @@ func collectOrderEdges(pp *ProgramPass, n *Node, record func(from, to string, po
 				}
 				return true
 			}
-			// Non-lock call: merge callee lock effects from summaries.
+			// Non-lock call: what the callees may acquire is ordered after
+			// every lock held here.
+			if !emit {
+				return true
+			}
 			for _, e := range sites[call.Pos()] {
 				if e.Kind == CallGo {
 					continue // runs concurrently, not under our locks
 				}
-				sum := prog.summaries[e.Callee]
-				if sum == nil {
-					continue
-				}
-				if emit {
-					for to, acq := range sum.MayAcquire {
-						via := e.Callee.Name
-						if acq.Via != "" {
-							via += " -> " + acq.Via
-						}
-						for from, h := range out {
-							if from == to && h.read && acq.Read {
-								continue
-							}
-							record(from, to, call.Pos(), via, n)
-						}
+				for to, acq := range prog.mayAcquire[e.Callee] {
+					via := e.Callee.Name
+					if acq.Via != "" {
+						via += " -> " + acq.Via
 					}
-				}
-				for key := range sum.ReleasedAtExit {
-					if _, tracked := out[key]; tracked {
-						mutate()
-						delete(out, key)
-					}
-				}
-				for key := range sum.HeldAtExit {
-					if _, already := out[key]; !already {
-						mutate()
-						out[key] = heldLock{pos: int(call.Pos())}
+					for from, h := range out {
+						if from == to && h.read && acq.Read {
+							continue
+						}
+						record(from, to, call.Pos(), via, n)
 					}
 				}
 			}
@@ -237,63 +238,6 @@ func collectOrderEdges(pp *ProgramPass, n *Node, record func(from, to string, po
 	}
 }
 
-// lockSCCs computes strongly connected components over lock keys
-// (Tarjan, deterministic by sorted key order).
-func lockSCCs(keys map[string]bool, adjacent map[string][]string) map[string]int {
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, adj := range adjacent {
-		sort.Strings(adj)
-	}
-
-	index := make(map[string]int, len(keys))
-	low := make(map[string]int, len(keys))
-	onStack := make(map[string]bool, len(keys))
-	component := make(map[string]int, len(keys))
-	var stack []string
-	next, compID := 0, 0
-
-	var connect func(k string)
-	connect = func(k string) {
-		index[k] = next
-		low[k] = next
-		next++
-		stack = append(stack, k)
-		onStack[k] = true
-		for _, m := range adjacent[k] {
-			if _, seen := index[m]; !seen {
-				connect(m)
-				if low[m] < low[k] {
-					low[k] = low[m]
-				}
-			} else if onStack[m] && index[m] < low[k] {
-				low[k] = index[m]
-			}
-		}
-		if low[k] == index[k] {
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				component[m] = compID
-				if m == k {
-					break
-				}
-			}
-			compID++
-		}
-	}
-	for _, k := range sorted {
-		if _, seen := index[k]; !seen {
-			connect(k)
-		}
-	}
-	return component
-}
-
 // cycleString renders the cycle an edge participates in, for the report.
 func cycleString(component map[string]int, e *orderEdge) string {
 	if e.from == e.to {
@@ -307,4 +251,169 @@ func cycleString(component map[string]int, e *orderEdge) string {
 	}
 	sort.Strings(members)
 	return strings.Join(members, " <-> ")
+}
+
+// --- may-acquire summaries ---
+
+// LockAcquire describes one lock a function may acquire, directly or
+// through its callees.
+type LockAcquire struct {
+	// Via is the call chain from this function to the acquire, "" when
+	// direct ("line" or "line -> runWorker"); at most maxWitness names,
+	// ending in "..." when the chain is deeper.
+	Via string
+	// Read marks acquisitions that are only ever RLocks.
+	Read bool
+}
+
+// maxWitness caps the names in a via chain. It bounds the witness text
+// only: an acquisition deeper than that keeps its key.
+const maxWitness = 6
+
+// EnsureSummaries computes, for every function, which module-global
+// locks it may acquire during a call, directly or through its callees.
+// It sweeps the call graph's SCCs bottom-up (callees before callers,
+// a fixpoint inside each component so mutual recursion converges).
+// Repeat calls are free: the sync.Once cache keeps warm runs from
+// re-walking the module.
+func (p *Program) EnsureSummaries() {
+	p.summaryOnce.Do(func() {
+		p.mayAcquire = make(map[*Node]map[string]LockAcquire, len(p.Nodes))
+		for _, scc := range p.SCCs {
+			// Every summary only grows, so the component converges.
+			for round := 0; ; round++ {
+				changed := false
+				for _, n := range scc {
+					p.computations++
+					may := p.computeMayAcquire(n)
+					if old, seen := p.mayAcquire[n]; !seen || !equalAcquires(old, may) {
+						p.mayAcquire[n] = may
+						changed = true
+					}
+				}
+				if !changed || round > 2*len(scc)+2 {
+					break
+				}
+			}
+		}
+	})
+}
+
+// computeMayAcquire derives n's may-acquire set from its body and its
+// callees' current summaries.
+func (p *Program) computeMayAcquire(n *Node) map[string]LockAcquire {
+	may := make(map[string]LockAcquire)
+	body := n.Body()
+	if body == nil {
+		return may
+	}
+	ast.Inspect(body, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			return false // separate node; its acquisitions arrive via edges
+		case *ast.CallExpr:
+			if op, ok := globalLockOp(n.Pkg, m); ok && op.acquire {
+				old, seen := may[op.key]
+				may[op.key] = LockAcquire{Read: op.read && (!seen || old.Read)}
+			}
+		}
+		return true
+	})
+
+	// Goroutine launches run concurrently, not under the caller's locks,
+	// so go edges do not contribute.
+	for _, e := range n.Out {
+		if e.Kind == CallGo {
+			continue
+		}
+		for key, acq := range p.mayAcquire[e.Callee] {
+			if old, seen := may[key]; seen {
+				if old.Read && !acq.Read {
+					old.Read = false
+					may[key] = old
+				}
+				continue
+			}
+			via := e.Callee.Name
+			if acq.Via != "" {
+				via += " -> " + acq.Via
+			}
+			if names := strings.SplitN(via, " -> ", maxWitness+1); len(names) > maxWitness {
+				via = strings.Join(names[:maxWitness], " -> ") + " -> ..."
+			}
+			may[key] = LockAcquire{Via: via, Read: acq.Read}
+		}
+	}
+	return may
+}
+
+func equalAcquires(a, b map[string]LockAcquire) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		w, ok := b[k]
+		if !ok || w.Read != v.Read {
+			return false
+		}
+	}
+	return true
+}
+
+// globalLock is a lock operation canonicalized to a module-global key:
+// "pkgpath.Type.field" for a mutex field of a named type (instance
+// insensitive), "pkgpath.Type" for a named type embedding its mutex, or
+// "pkgpath.var" for a package-level mutex variable. Function-local
+// mutexes have no global identity and are not tracked.
+type globalLock struct {
+	key     string
+	acquire bool
+	read    bool
+}
+
+// globalLockOp keys a sync lock call by its receiver's type, when the
+// receiver canonicalizes.
+func globalLockOp(pkg *Package, call *ast.CallExpr) (globalLock, bool) {
+	recv, acquire, read := syncLockCall(pkg.Info, call)
+	if recv == nil {
+		return globalLock{}, false
+	}
+	key, ok := globalLockKey(pkg, recv)
+	return globalLock{key: key, acquire: acquire, read: read}, ok
+}
+
+// globalLockKey canonicalizes the receiver expression of a lock call.
+func globalLockKey(pkg *Package, recv ast.Expr) (string, bool) {
+	recv = ast.Unparen(recv)
+	switch recv := recv.(type) {
+	case *ast.SelectorExpr:
+		// pkgname.GlobalMu.Lock()
+		if id, ok := recv.X.(*ast.Ident); ok {
+			if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
+				return pn.Imported().Path() + "." + recv.Sel.Name, true
+			}
+		}
+		// base.field.Lock(): key by the base's named type.
+		if tv, ok := pkg.Info.Types[recv.X]; ok && tv.Type != nil {
+			if pkgPath, typeName := namedPath(tv.Type); pkgPath != "" {
+				return pkgPath + "." + typeName + "." + recv.Sel.Name, true
+			}
+		}
+	case *ast.Ident:
+		v, ok := pkg.Info.Uses[recv].(*types.Var)
+		if !ok {
+			return "", false
+		}
+		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			// Package-level mutex variable.
+			return v.Pkg().Path() + "." + v.Name(), true
+		}
+		// A local or receiver of a named type embedding its mutex
+		// (s.Lock() through promotion). Plain local sync.Mutex values
+		// have no cross-function identity.
+		if pkgPath, typeName := namedPath(v.Type()); pkgPath != "" && pkgPath != "sync" {
+			return pkgPath + "." + typeName, true
+		}
+	}
+	return "", false
 }

@@ -14,7 +14,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	res := &Result{Findings: []Finding{
 		{Check: "lock-order", Severity: SeverityError, File: "internal/serving/serving.go", Line: 42, Col: 3, Message: "deadlock"},
 		{Check: "lint-directive", Severity: SeverityInfo, File: "internal/ml/mlp.go", Line: 7, Message: "stale directive"},
-		{Check: "taint-path", Severity: SeverityError, File: "internal/gateway/gateway.go", Line: 9, Col: 2, Message: "tainted", Suppressed: true, SuppressReason: "admin only"},
+		{Check: "telemetry-cardinality", Severity: SeverityError, File: "internal/gateway/gateway.go", Line: 9, Col: 2, Message: "unbounded label", Suppressed: true, SuppressReason: "bounded route set"},
 	}}
 	var buf bytes.Buffer
 	if err := res.WriteSARIF(&buf); err != nil {
@@ -124,7 +124,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	}
 
 	waived := run.Results[2]
-	if len(waived.Suppressions) != 1 || waived.Suppressions[0].Kind != "inSource" || waived.Suppressions[0].Justification != "admin only" {
+	if len(waived.Suppressions) != 1 || waived.Suppressions[0].Kind != "inSource" || waived.Suppressions[0].Justification != "bounded route set" {
 		t.Errorf("suppressed finding suppressions: %+v", waived.Suppressions)
 	}
 }

@@ -1,7 +1,7 @@
 // Package graph is the fixture for the call-graph construction tests:
 // interface dispatch, method values, closures, mutual recursion, and
-// the parameter-consumption summaries. It is loaded directly by the
-// tests and is not part of the golden corpus.
+// the may-acquire summaries. It is loaded directly by the tests and is
+// not part of the golden corpus.
 package graph
 
 import "sync"
@@ -90,15 +90,3 @@ func pokesTwice(b *box) {
 	b.poke()
 	b.poke()
 }
-
-// ignores provably never touches its parameter.
-func ignores(x *int) {}
-
-// forwards only hands the parameter to ignores; ignorance is
-// transitive.
-func forwards(x *int) { ignores(x) }
-
-var kept *int
-
-// consumes stores the parameter, so it is consumed.
-func consumes(x *int) { kept = x }

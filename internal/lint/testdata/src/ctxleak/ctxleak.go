@@ -68,42 +68,15 @@ func returned(parent context.Context) (context.Context, context.CancelFunc) {
 	return context.WithCancel(parent)
 }
 
-// noteCancel receives a cancel function but provably never touches it;
-// its summary marks the parameter unconsumed.
-func noteCancel(name string, cancel context.CancelFunc) {
-	_ = name
-}
-
-// leakThroughHelper forwards cancel to a helper that ignores it: the
-// handoff cannot discharge the obligation, so the leak still reports.
-func leakThroughHelper(parent context.Context) {
-	ctx, cancel := context.WithCancel(parent) // want "cancel is not called on every path"
-	noteCancel("job", cancel)
-	<-ctx.Done()
-}
-
-// oblivious only forwards its argument to noteCancel; ignorance is
-// transitive through the chain.
-func oblivious(c context.CancelFunc) {
-	noteCancel("chained", c)
-}
-
-// leakThroughChain leaks through two layers of oblivious helpers.
-func leakThroughChain(parent context.Context) {
-	ctx, cancel := context.WithCancel(parent) // want "cancel is not called on every path"
-	oblivious(cancel)
-	<-ctx.Done()
-}
-
 // keeper owns handed-over cancel functions for a later teardown sweep.
 var keeper []context.CancelFunc
 
-// keepCancel stores its argument, so its summary marks it consumed.
+// keepCancel stores its argument, taking over the obligation.
 func keepCancel(c context.CancelFunc) {
 	keeper = append(keeper, c)
 }
 
-// handedToKeeper is clean: the keeper really takes the obligation.
+// handedToKeeper is clean: handing cancel to a helper discharges it.
 func handedToKeeper(parent context.Context) {
 	ctx, cancel := context.WithCancel(parent)
 	keepCancel(cancel)

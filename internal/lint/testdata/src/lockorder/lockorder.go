@@ -79,34 +79,42 @@ func Transfer(from, to *Account, amount int) {
 	to.balance += amount
 }
 
-type G struct{ mu sync.Mutex }
-type H struct{ mu sync.Mutex }
+type J struct{ mu sync.Mutex }
+type K struct{ mu sync.Mutex }
 
 var (
-	g G
-	h H
+	j J
+	k K
 )
 
-// lock and unlock are wrapper methods: exempt from balance and edge
-// generation themselves, but their summaries carry the held/released
-// effect into callers.
-func (x *G) lock()   { x.mu.Lock() }
-func (x *G) unlock() { x.mu.Unlock() }
-
-// WrapGH goes through the wrapper; the held set still tracks G.mu.
-func WrapGH() {
-	g.lock()
-	h.mu.Lock() // want "lockorder.H.mu acquired while lockorder.G.mu is held"
-	h.mu.Unlock()
-	g.unlock()
+// JthenDeepK reaches K.mu nine calls deep. The witness chain is capped;
+// the acquisition is not.
+func JthenDeepK() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	deep1() // want "call to lockorder.deep1 -> .* -> \.\.\. may acquire lockorder.K.mu while lockorder.J.mu is held"
 }
 
-// HthenG closes the wrapper cycle directly.
-func HthenG() {
-	h.mu.Lock()
-	g.mu.Lock() // want "lockorder.G.mu acquired while lockorder.H.mu is held"
-	g.mu.Unlock()
-	h.mu.Unlock()
+func deep1() { deep2() }
+func deep2() { deep3() }
+func deep3() { deep4() }
+func deep4() { deep5() }
+func deep5() { deep6() }
+func deep6() { deep7() }
+func deep7() { deep8() }
+func deep8() { deep9() }
+
+func deep9() {
+	k.mu.Lock()
+	k.mu.Unlock()
+}
+
+// KthenJ closes the deep cycle directly.
+func KthenJ() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	j.mu.Lock() // want "lockorder.J.mu acquired while lockorder.K.mu is held"
+	j.mu.Unlock()
 }
 
 type E struct{ mu sync.Mutex }

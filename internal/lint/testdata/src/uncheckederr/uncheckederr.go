@@ -20,8 +20,8 @@ func Persist(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()   // want "File.Close returns an error that is discarded"
-	f.Write(data)     // want "File.Write returns an error that is discarded"
+	defer f.Close() // want "File.Close returns an error that is discarded"
+	f.Write(data)   // want "File.Write returns an error that is discarded"
 	return nil
 }
 
