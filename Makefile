@@ -83,11 +83,13 @@ perfgate-manifest:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of each serving benchmark: compiles the harness, trains
-# the bench models, and proves the batched path still runs — a CI-cheap
-# guard against bit-rot in the throughput experiment.
+# One iteration of each serving benchmark and of the tree-kernel layer
+# benchmark: compiles the harnesses, trains the bench models, and proves
+# the batched paths still run — a CI-cheap guard against bit-rot in the
+# throughput experiment.
 bench-smoke:
-	$(GO) test -bench=Serving -benchtime=1x ./internal/serving/
+	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
+	$(GO) test -run='^$$' -bench=TreeKernel -benchtime=1x ./internal/ml/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged
 # scenario against the virtual world (fake clock, seeded faults) and

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"time"
 
+	"repro/internal/ml"
 	"repro/internal/serving"
 	"repro/internal/wire"
 )
@@ -47,12 +48,13 @@ type wireTxnReq struct {
 }
 
 // replicaErr places a backend error in wire's status table: typed errors
-// (shed, not found, down, closed) keep their own rows; anything else is a
-// refusal the coordinator treats as divergence — 409, not the 422 an
-// untagged error would get, and never a tag over "down", which the
-// coordinator must still see as a failover signal.
+// (shed, not found, down, closed, a row the model cannot take) keep their
+// own rows; anything else is a refusal the coordinator treats as
+// divergence — 409, not the 422 an untagged error would get, and never a
+// tag over "down", which the coordinator must still see as a failover
+// signal. A mismatched row is the caller's, not a diverged replica's.
 func replicaErr(err error) error {
-	if errors.Is(err, ErrReplicaDown) || errors.Is(err, serving.ErrClosed) {
+	if errors.Is(err, ErrReplicaDown) || errors.Is(err, serving.ErrClosed) || errors.Is(err, ml.ErrInput) {
 		return err
 	}
 	return wire.Conflict(err)

@@ -96,6 +96,10 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	if _, _, err := c.Predict(context.Background(), "demo", testInstances); err != nil {
 		t.Fatalf("predict after HTTP replica vanished: %v", err)
 	}
+	// The sweep demotes a member that fails its heartbeat once its last
+	// beat is older than the expiry; on the real clock the last one may
+	// be younger than a millisecond here, so let the expiry run out.
+	time.Sleep(2 * time.Millisecond)
 	c.TickHeartbeat() // sweep notices the dead transport and demotes it
 	st := c.Status()
 	for _, r := range st.Replicas {

@@ -5,14 +5,15 @@ import (
 )
 
 // BatchPredictor is implemented by classifiers with a batch-aware
-// prediction kernel. Tree ensembles traverse tree-major (every instance
-// through one tree before moving to the next) so a tree's node slice
-// stays hot in cache across the whole batch, and accumulate directly
-// into the output rows instead of allocating a probability slice per
-// tree per instance — the amortization the serving runtime's
-// micro-batching exists to exploit. The MLP blocks over instances instead
-// (four rows against each weight row), overlapping add chains that one row
-// alone must run end to end.
+// prediction kernel. Tree ensembles traverse tree-major, four instances
+// of the batch through one tree in lockstep before moving to the next:
+// the walk is branch-free, so what it amortises is the latency of its
+// dependent loads, which four independent rows overlap. They accumulate
+// directly into the output rows instead of allocating a probability
+// slice per tree per instance — the amortization the serving runtime's
+// micro-batching exists to exploit. The MLP blocks over instances too
+// (four rows against each weight row), overlapping add chains that one
+// row alone must run end to end.
 type BatchPredictor interface {
 	// PredictProbaBatch returns one probability row per instance. The
 	// result rows are owned by the caller.
@@ -50,19 +51,15 @@ func ArgmaxAll(probs [][]float64) []int {
 // probaRows allocates n contiguous probability rows of k classes backed
 // by one flat slice, keeping a batch's output cache-dense.
 func probaRows(n, k int) [][]float64 {
-	flat := make([]float64, n*k)
-	rows := make([][]float64, n)
-	for i := range rows {
-		rows[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
+	rows, _ := probaRowsScratch(n, k, 0)
 	return rows
 }
 
-// probaRowsScratch is probaRows plus n scratch floats carved from the
-// same backing array: batch kernels get a flat per-instance accumulator
-// without a third allocation.
-func probaRowsScratch(n, k int) ([][]float64, []float64) {
-	flat := make([]float64, n*k+n)
+// probaRowsScratch is probaRows plus extra scratch floats carved from the
+// same backing array: batch kernels get their key rows and accumulators
+// without another allocation.
+func probaRowsScratch(n, k, extra int) ([][]float64, []float64) {
+	flat := make([]float64, n*k+extra)
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i] = flat[i*k : (i+1)*k : (i+1)*k]

@@ -172,3 +172,40 @@ func TestPredictProbaAllFallback(t *testing.T) {
 		t.Fatal("empty batch should return nil")
 	}
 }
+
+// TestKeyOrderMatchesLessEq holds the compiled step to the comparison it
+// replaces: for every pair from a set of edge values and their neighbours
+// — signed zeros, denormals, ±Inf, NaN of both signs and two payloads —
+// a split on threshold t sends row value x right exactly when !(x <= t),
+// and a leaf never moves. NaN and ±Inf stand on the threshold side too: a
+// fitted model can carry them, though a JSON envelope cannot.
+func TestKeyOrderMatchesLessEq(t *testing.T) {
+	var vals []float64
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		1, -1, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000002),
+		math.Float64frombits(0xfff8000000000003), math.Float64frombits(0xfff0000000000004),
+	} {
+		vals = append(vals, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+	}
+	const left = 6
+	for _, thr := range vals {
+		split := step{feat: 1, left: left, key: splitKey(thr)}
+		for _, x := range vals {
+			keys := []uint64{0, rowKey(x)}
+			want := left
+			if !(x <= thr) {
+				want = left + 1
+			}
+			if got := split.next(keys); got != want {
+				t.Errorf("x %v (%#x), threshold %v (%#x): step to %d, want %d",
+					x, math.Float64bits(x), thr, math.Float64bits(thr), got, want)
+			}
+			leaf := step{left: left, key: splitKey(thr)}
+			if got := leaf.next(keys); got != left {
+				t.Errorf("leaf with payload %#x moved to %d on row value %v", leaf.key, got, x)
+			}
+		}
+	}
+}

@@ -31,6 +31,10 @@ type Forest struct {
 
 	Members []*Tree
 	classes int
+	// ens is every member compiled into one step array, probs their leaf
+	// tables in one (compileTrees); built at Fit and at load.
+	ens   ensemble
+	probs []float64
 }
 
 var _ Classifier = (*Forest)(nil)
@@ -72,6 +76,7 @@ func (f *Forest) Fit(d *dataset.Table) error {
 	}
 	close(jobs)
 	wg.Wait()
+	f.ens, f.probs, _ = compileTrees(f.Members)
 	return nil
 }
 
@@ -87,45 +92,39 @@ func (f *Forest) fitOne(d *dataset.Table, ti int) {
 		MinLeaf:     f.Cfg.MinLeaf,
 		MaxFeatures: f.Cfg.MaxFeatures,
 	})
-	tree.FitIndices(d, idx, rng)
+	tree.fitIndices(d, idx, rng)
 	f.Members[ti] = tree
 }
 
 // MinInputDim reports the narrowest row every member can score.
-func (f *Forest) MinInputDim() (w int) {
-	for _, t := range f.Members {
-		w = max(w, t.width)
-	}
-	return w
-}
+func (f *Forest) MinInputDim() int { return f.ens.width }
 
 // PredictProbaBatch implements BatchPredictor with a tree-major
-// traversal: each member tree scores the whole batch before the next is
-// touched, so its node slice stays cache-resident, and the leaf's row
-// accumulates straight into the output rows. The accumulation order per
+// traversal: each member tree takes the batch four rows at a time, walked
+// in lockstep, before the next tree is touched, and the leaf's row
+// accumulates straight into the output rows; the last len(X) mod 4 rows
+// take the one-row path, four trees at a time. The accumulation order per
 // instance matches PredictProba (member order), so results are
 // bit-identical to the per-instance path.
 func (f *Forest) PredictProbaBatch(X [][]float64) [][]float64 {
 	if len(f.Members) == 0 {
 		panic(ErrNotTrained)
 	}
-	k := f.classes
-	out := probaRows(len(X), k)
+	e := &f.ens
+	e.fits(X)
+	k, w, n := f.classes, e.width+1, len(X)
+	out, scratch := probaRowsScratch(n, k, n*w)
 	// Reslice hint: pin the length the allocation site guarantees so the
 	// row indexing below is provably in bounds.
-	out = out[:len(X)]
-	for _, t := range f.Members {
-		ns, probs := t.nodes, t.probs
-		if len(ns) == 0 {
-			panic(ErrNotTrained)
-		}
-		for i, x := range X {
-			at := int(ns.descend(x).Left)
-			row, leaf := out[i][:k], probs[at:at+k]
-			for c := 0; c < k; c++ {
-				row[c] += leaf[c]
-			}
-		}
+	out = out[:n]
+	keys := keyBits(scratch)
+	e.keys(keys, X)
+	n4 := n &^ 3
+	for _, root := range e.roots {
+		e.addTree(out[:n4], f.probs, int(root), keys)
+	}
+	for i := n4; i < n; i++ {
+		e.addRows(out[i], f.probs, keys[i*w:])
 	}
 	inv := 1 / float64(len(f.Members))
 	for _, row := range out {
@@ -136,27 +135,10 @@ func (f *Forest) PredictProbaBatch(X [][]float64) [][]float64 {
 	return out
 }
 
-// PredictProba implements Classifier by averaging the members' leaf rows —
-// the rows Tree.PredictProba copies, without the copy per member.
+// PredictProba implements Classifier by averaging the members' leaf rows.
 func (f *Forest) PredictProba(x []float64) []float64 {
 	if len(f.Members) == 0 {
 		panic(ErrNotTrained)
 	}
-	k := f.classes
-	acc := make([]float64, k)
-	for _, t := range f.Members {
-		if len(t.nodes) == 0 {
-			panic(ErrNotTrained)
-		}
-		at := int(t.nodes.descend(x).Left)
-		leaf := t.probs[at : at+k]
-		for c := 0; c < k; c++ {
-			acc[c] += leaf[c]
-		}
-	}
-	inv := 1 / float64(len(f.Members))
-	for c := range acc {
-		acc[c] *= inv
-	}
-	return acc
+	return f.ens.meanRow(f.probs, f.classes, x)
 }

@@ -3,6 +3,7 @@ package ml
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -259,11 +260,14 @@ type refTreeSpec struct {
 // FuzzTreeBatchMatchesSerial attacks the tree families the way
 // FuzzMLPBatchMatchesSerial attacks the networks, and from one step further
 // out: the model is an envelope built from the fuzzer's bytes (any shape
-// down to a single leaf, one member, one round or none, either node
-// layout, thresholds and leaf values as raw bit patterns), loaded through
-// UnmarshalModel, and its PredictProbaBatch must equal its PredictProba
-// must equal the old traversal walked over the envelope's own nodes, bit
-// for bit. Rows are raw bit patterns too: NaN, ±Inf, −0 and denormals.
+// down to a single leaf, one to eight members, zero to seven rounds, either
+// node layout, thresholds and leaf values as raw bit patterns), loaded
+// through UnmarshalModel, and both shapes of the compiled kernel must equal
+// the old traversal walked over the envelope's own nodes, bit for bit:
+// PredictProba, which walks one row through four trees at a time, and
+// PredictProbaBatch at every batch size from 1 to 11, so that four-row
+// lanes and the leftover rows both run. Rows are raw bit patterns too:
+// NaN, ±Inf, −0 and denormals.
 func FuzzTreeBatchMatchesSerial(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), []byte{})
 	f.Add(uint8(1), uint8(0x35), uint8(7), []byte("\x7f\xf8\x00\x00\x00\x00\x00\x01\x80\x00\x00\x00\x00\x00\x00\x00"))
@@ -272,7 +276,7 @@ func FuzzTreeBatchMatchesSerial(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, shape, rows uint8, raw []byte) {
 		s := &fuzzSource{raw: raw}
 		dim, classes, n := 1+int(shape&7), 1+int(shape>>3&3), 1+int(rows%11)
-		splits, leafwise, trees := int(shape>>5), rows&0x80 != 0, int(rows>>4&3)
+		splits, leafwise, trees := int(shape>>5), rows&0x80 != 0, int(rows>>4&7)
 		X := make([][]float64, n)
 		for i := range X {
 			X[i] = make([]float64, dim)
@@ -359,19 +363,31 @@ func FuzzTreeBatchMatchesSerial(f *testing.F) {
 			t.Fatalf("model over %d features claims to read %d", dim, w)
 		}
 
-		batch := PredictProbaAll(model, X)
-		for i, x := range X {
-			serial, want := model.PredictProba(x), ref(x)
-			if len(batch[i]) != len(want) || len(serial) != len(want) {
-				t.Fatalf("row %d: %d batch and %d serial classes, want %d", i, len(batch[i]), len(serial), len(want))
+		check := func(form string, i int, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s, row %d: %s has %d classes, want %d", envelope.Kind, i, form, len(got), len(want))
 			}
 			for c := range want {
 				// NaN payloads are not part of the contract.
-				for form, got := range map[string]float64{"batch": batch[i][c], "serial": serial[c]} {
-					if math.Float64bits(got) != math.Float64bits(want[c]) && !(math.IsNaN(got) && math.IsNaN(want[c])) {
-						t.Fatalf("%s, row %d class %d: %s %v != reference %v\n%s", envelope.Kind, i, c, form, got, want[c], blob)
-					}
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) && !(math.IsNaN(got[c]) && math.IsNaN(want[c])) {
+					t.Fatalf("%s, row %d class %d: %s %v != reference %v\n%s", envelope.Kind, i, c, form, got[c], want[c], blob)
 				}
+			}
+		}
+		want := make([][]float64, n)
+		for i, x := range X {
+			want[i] = ref(x)
+			check("serial", i, model.PredictProba(x), want[i])
+		}
+		// The drawn rows, repeated out to eleven, in batches of every size.
+		batch := make([][]float64, 11)
+		for i := range batch {
+			batch[i] = X[i%n]
+		}
+		for size := 1; size <= len(batch); size++ {
+			for i, got := range PredictProbaAll(model, batch[:size]) {
+				check(fmt.Sprintf("batch of %d", size), i, got, want[i%n])
 			}
 		}
 	})

@@ -68,6 +68,11 @@ type GBDT struct {
 	TreesPerClass [][]*gbTree
 	Base          []float64 // per-class prior log-odds
 	classes       int
+	// ens is every tree compiled into one step array, class by class in
+	// round order, and byClass[c] class c's roots in it; built at Fit and
+	// at load.
+	ens     ensemble
+	byClass [][]int32
 }
 
 var _ Classifier = (*GBDT)(nil)
@@ -93,17 +98,65 @@ func (g *GBDT) NumClasses() int { return g.classes }
 // gbTree is a regression tree over raw scores.
 type gbTree struct{ tree }
 
-func (t *gbTree) predict(x []float64) float64 { return t.nodes.descend(x).Threshold }
+// boostedLeaf is a boosted leaf's payload: its value's bits.
+func boostedLeaf(n node) uint64 { return math.Float64bits(n.Threshold) }
 
-// MinInputDim reports the narrowest row every tree can score.
-func (g *GBDT) MinInputDim() (w int) {
+// compile builds ens and byClass from TreesPerClass; it is false when a
+// decoded tree shares a child (see ensemble.add).
+func (g *GBDT) compile() bool {
+	steps, trees := 0, 0
 	for _, class := range g.TreesPerClass {
 		for _, tr := range class {
-			w = max(w, tr.width)
+			steps += len(tr.nodes)
+		}
+		trees += len(class)
+	}
+	// roots has its final capacity, so byClass's views of it stay valid.
+	e := ensemble{steps: make([]step, 0, steps), roots: make([]int32, 0, trees)}
+	g.byClass = make([][]int32, len(g.TreesPerClass))
+	for c, class := range g.TreesPerClass {
+		from := len(e.roots)
+		for _, tr := range class {
+			if !e.add(tr.nodes, boostedLeaf) {
+				return false
+			}
+		}
+		g.byClass[c] = e.roots[from:len(e.roots):len(e.roots)]
+	}
+	g.ens = e
+	return true
+}
+
+// sum returns s plus lr times the leaf value of each of roots' trees for
+// one row's keys, added in tree order.
+func (e *ensemble) sum(roots []int32, keys []uint64, s, lr float64) float64 {
+	for t := 0; t < len(roots); t += 4 {
+		leaves, n := e.leaves4(roots, t, keys)
+		for _, p := range leaves[:n] {
+			s += lr * math.Float64frombits(p)
 		}
 	}
-	return w
+	return s
 }
+
+// sumTree adds to each of col lr times the value of its row's leaf in the
+// tree at root, four rows at a time; len(col) is a multiple of four and
+// keys holds their key rows.
+func (e *ensemble) sumTree(col []float64, root int, keys []uint64, lr float64) {
+	w := e.width + 1
+	for i := 0; i+4 <= len(col); i += 4 {
+		k := keys[i*w:]
+		p0, p1, p2, p3 := e.walk4(root, root, root, root, k, k[w:], k[2*w:], k[3*w:])
+		lanes := col[i : i+4 : i+4]
+		lanes[0] += lr * math.Float64frombits(p0)
+		lanes[1] += lr * math.Float64frombits(p1)
+		lanes[2] += lr * math.Float64frombits(p2)
+		lanes[3] += lr * math.Float64frombits(p3)
+	}
+}
+
+// MinInputDim reports the narrowest row every tree can score.
+func (g *GBDT) MinInputDim() int { return g.ens.width }
 
 // Fit implements Classifier.
 func (g *GBDT) Fit(t *dataset.Table) error {
@@ -149,6 +202,12 @@ func (g *GBDT) Fit(t *dataset.Table) error {
 	for i := range all {
 		all[i] = i
 	}
+	// Each round's tree is compiled into latest and the table's key rows
+	// walked through it as a batch is.
+	latest := ensemble{width: t.NumFeatures()}
+	w, lr, n4 := latest.width+1, g.Cfg.LearningRate, n&^3
+	keys := make([]uint64, n*w)
+	latest.keys(keys, t.X)
 
 	for round := 0; round < g.Cfg.Rounds; round++ {
 		for c := 0; c < k; c++ {
@@ -166,11 +225,16 @@ func (g *GBDT) Fit(t *dataset.Table) error {
 			}
 			tree := b.build(grad, hess, all)
 			g.TreesPerClass[c] = append(g.TreesPerClass[c], tree)
-			for i := 0; i < n; i++ {
-				scores[c][i] += g.Cfg.LearningRate * tree.predict(t.X[i])
+			latest.steps, latest.roots = latest.steps[:0], latest.roots[:0]
+			latest.add(tree.nodes, boostedLeaf)
+			sc := scores[c]
+			latest.sumTree(sc[:n4], 0, keys, lr)
+			for i := n4; i < n; i++ {
+				sc[i] = latest.sum(latest.roots, keys[i*w:], sc[i], lr)
 			}
 		}
 	}
+	g.compile()
 	return nil
 }
 
@@ -183,14 +247,14 @@ func (g *GBDT) PredictProba(x []float64) []float64 {
 	// Reslice hints: pin the per-class slices to the class count so the
 	// indexing below is provably in bounds.
 	bases := g.Base[:k]
-	trees := g.TreesPerClass[:k]
-	logits := make([]float64, k)
-	for c := 0; c < k; c++ {
-		s := bases[c]
-		for _, tr := range trees[c] {
-			s += g.Cfg.LearningRate * tr.predict(x)
-		}
-		logits[c] = s
+	byClass := g.byClass[:k]
+	x = x[:g.ens.width]
+	logits := make([]float64, k+len(x)+1)
+	keys := keyBits(logits[k:])
+	logits = logits[:k:k]
+	g.ens.rowKeys(keys, x)
+	for c := range logits {
+		logits[c] = g.ens.sum(byClass[c], keys, bases[c], g.Cfg.LearningRate)
 	}
 	// In-place softmax: Softmax reads each index before writing it, so
 	// aliasing dst with logits is exact and saves the second allocation.
@@ -198,36 +262,36 @@ func (g *GBDT) PredictProba(x []float64) []float64 {
 }
 
 // PredictProbaBatch implements BatchPredictor with a tree-major
-// traversal: each boosted tree scores every instance before the next tree
-// is touched, keeping its node slice cache-resident across the batch. The
-// per-class logits accumulate in a flat column buffer instead of
-// scattering through out[i][c]. The per-(instance, class) accumulation
-// order matches PredictProba (tree order within each class), so the softmax
-// rows are bit-identical to the per-instance path.
+// traversal: each boosted tree takes the batch four rows at a time, walked
+// in lockstep, before the next tree is touched; the last len(X) mod 4 rows
+// take the one-row path, four trees at a time. The per-class logits
+// accumulate in a flat column buffer instead of scattering through
+// out[i][c]. The per-(instance, class) accumulation order matches
+// PredictProba (tree order within each class), so the softmax rows are
+// bit-identical to the per-instance path.
 func (g *GBDT) PredictProbaBatch(X [][]float64) [][]float64 {
 	if g.TreesPerClass == nil {
 		panic(ErrNotTrained)
 	}
-	k := g.classes
+	e := &g.ens
+	e.fits(X)
+	k, w, n := g.classes, e.width+1, len(X)
 	bases := g.Base[:k]
-	trees := g.TreesPerClass[:k]
-	out, col := probaRowsScratch(len(X), k)
-	out = out[:len(X)]
-	col = col[:len(X)]
-	lr := g.Cfg.LearningRate
+	byClass := g.byClass[:k]
+	out, scratch := probaRowsScratch(n, k, n+n*w)
+	out = out[:n]
+	col, keys := scratch[:n], keyBits(scratch[n:])
+	e.keys(keys, X)
+	lr, n4 := g.Cfg.LearningRate, n&^3
 	for c := 0; c < k; c++ {
-		base := bases[c]
 		for i := range col {
-			col[i] = base
+			col[i] = bases[c]
 		}
-		for _, tr := range trees[c] {
-			ns := tr.nodes
-			if len(ns) == 0 {
-				panic(ErrNotTrained)
-			}
-			for i, x := range X {
-				col[i] += lr * ns.descend(x).Threshold
-			}
+		for _, root := range byClass[c] {
+			e.sumTree(col[:n4], int(root), keys, lr)
+		}
+		for i := n4; i < n; i++ {
+			col[i] = e.sum(byClass[c], keys[i*w:], col[i], lr)
 		}
 		for i := range X {
 			row := out[i][:k]
@@ -411,8 +475,8 @@ func (b *gbBuilder) bestSplitHist(grad, hess []float64, idx []int) (gbSplit, boo
 }
 
 // partition fills the split's left/right index sets. The threshold
-// convention matches descend: x <= threshold goes left. Histogram
-// thresholds are bin edges, and binIdx was computed with
+// convention matches the compiled step's: x <= threshold goes left.
+// Histogram thresholds are bin edges, and binIdx was computed with
 // sort.SearchFloat64s so a sample in bin k has x <= edges[k] for the first
 // matching edge; comparing raw values against the edge keeps the two
 // consistent.

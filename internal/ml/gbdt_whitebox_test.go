@@ -5,11 +5,15 @@ import (
 	"unsafe"
 )
 
-// TestNodeSize holds the figure DESIGN §4c quotes: every tree in the package
-// walks one 24-byte node.
+// TestNodeSize holds the figures DESIGN §4c quotes: every tree in the
+// package is grown and serialised as one 24-byte node and walked as one
+// 16-byte compiled step.
 func TestNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(node{}); got != 24 {
 		t.Fatalf("node is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(step{}); got != 16 {
+		t.Fatalf("step is %d bytes, want 16", got)
 	}
 }
 

@@ -12,6 +12,7 @@ package ml
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
@@ -64,17 +65,44 @@ type inputError string
 func (e inputError) Error() string        { return string(e) }
 func (e inputError) Is(target error) bool { return target == ErrInput }
 
+// Widths is the range of row widths a classifier scores, read off it once
+// by InputWidths: a model's widths never change, so a caller that checks
+// many rows against one model (a serving line) keeps them rather than the
+// model.
+type Widths struct{ Min, Max int }
+
+// InputWidths reports the widths c scores. MLP and LogReg know their exact
+// input width; the tree families know only the widest feature they split
+// on; a model that declares neither takes any width.
+func InputWidths(c Classifier) Widths {
+	if m, ok := c.(interface{ InputDim() int }); ok {
+		return Widths{m.InputDim(), m.InputDim()}
+	}
+	if m, ok := c.(interface{ MinInputDim() int }); ok {
+		return Widths{m.MinInputDim(), math.MaxInt}
+	}
+	return Widths{0, math.MaxInt}
+}
+
+// Check reports why a row of width d is outside w; the error matches
+// ErrInput.
+func (w Widths) Check(d int) error {
+	switch {
+	case w.Min == w.Max && d != w.Min:
+		return inputError(fmt.Sprintf("model input dim %d != instance dim %d", w.Min, d))
+	case d < w.Min:
+		return inputError(fmt.Sprintf("model reads %d features, instance dim %d", w.Min, d))
+	}
+	return nil
+}
+
 // CheckInput reports why c cannot score rows of width d or be indexed by
 // labels (InputGradient(x, y), PredictProba(x)[y]; nil when no label
-// indexes the model). MLP and LogReg know their exact input width; the tree
-// families know only the widest feature they split on. Scoring a row that
-// fails this check panics or answers from whatever columns the model read.
+// indexes the model). Scoring a row that fails this check panics or
+// answers from whatever columns the model read.
 func CheckInput(c Classifier, d int, labels []int) error {
-	if m, ok := c.(interface{ InputDim() int }); ok && m.InputDim() != d {
-		return inputError(fmt.Sprintf("model input dim %d != instance dim %d", m.InputDim(), d))
-	}
-	if m, ok := c.(interface{ MinInputDim() int }); ok && m.MinInputDim() > d {
-		return inputError(fmt.Sprintf("model reads %d features, instance dim %d", m.MinInputDim(), d))
+	if err := InputWidths(c).Check(d); err != nil {
+		return err
 	}
 	k := c.NumClasses()
 	for i, y := range labels {

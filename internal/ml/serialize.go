@@ -2,6 +2,7 @@ package ml
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 
@@ -65,9 +66,10 @@ type gbNode struct {
 
 // load appends the next of a spec's total nodes to t; for a leaf, left and
 // threshold arrive holding its payload. Children must come after their
-// parent — the growers' append order, which is what guarantees that descend
-// terminates — and the feature must fit the node: a malformed or malicious
-// envelope is refused here, not at predict time.
+// parent — the growers' append order, which is what guarantees that a walk
+// terminates — and the feature must fit a compiled step (feature+1 is an
+// int32): a malformed or malicious envelope is refused here, not at
+// predict time.
 func (t *tree) load(feature int, threshold float64, left, right, total int) error {
 	i := len(t.nodes)
 	switch {
@@ -75,7 +77,7 @@ func (t *tree) load(feature int, threshold float64, left, right, total int) erro
 		t.addLeaf(left, threshold)
 	case left <= i || right <= i || left >= total || right >= total:
 		return fmt.Errorf("ml: tree node %d has invalid children (%d, %d)", i, left, right)
-	case feature > math.MaxInt32:
+	case feature >= math.MaxInt32:
 		return fmt.Errorf("ml: tree node %d splits on feature %d", i, feature)
 	default:
 		t.split(t.addLeaf(0, 0), feature, threshold, left, right)
@@ -108,13 +110,13 @@ func (s *treeSpec) rows() (n int) {
 	return n
 }
 
-// build checks the spec and builds the tree in storage carved from the slabs.
+// build checks the spec and builds the tree in storage carved from the
+// slabs; compileTrees makes it predict.
 func (s *treeSpec) build(ns *nodes, rows *[]float64) (*Tree, error) {
 	if len(s.Nodes) == 0 || s.Classes < 1 {
 		return nil, fmt.Errorf("ml: tree has %d nodes and %d classes", len(s.Nodes), s.Classes)
 	}
-	floats := s.rows()
-	t := &Tree{Cfg: s.Cfg, counts: carve(rows, floats), probs: carve(rows, floats)[:floats], classes: s.Classes}
+	t := &Tree{Cfg: s.Cfg, counts: carve(rows, s.rows()), classes: s.Classes}
 	t.nodes = carve(ns, len(s.Nodes))
 	for i := range s.Nodes {
 		n, left := &s.Nodes[i], s.Nodes[i].Left
@@ -133,7 +135,6 @@ func (s *treeSpec) build(ns *nodes, rows *[]float64) (*Tree, error) {
 			return nil, err
 		}
 	}
-	leafProbs(t.probs, t.counts, t.classes)
 	return t, nil
 }
 
@@ -155,26 +156,33 @@ type forestSpec struct {
 	Classes int          `json:"classes"`
 }
 
-// build checks and builds every member.
-func (s *forestSpec) build() ([]*Tree, error) {
+// errSharedChild refuses a decoded tree that is a graph, not a tree.
+var errSharedChild = errors.New("ml: a tree node is the child of two splits")
+
+// build checks and builds every member and compiles the forest.
+func (s *forestSpec) build() (*Forest, error) {
 	total, floats := 0, 0
 	for mi := range s.Members {
 		total += len(s.Members[mi].Nodes)
-		floats += 2 * s.Members[mi].rows()
+		floats += s.Members[mi].rows()
 	}
 	ns, rows := make(nodes, total), make([]float64, floats)
-	trees := make([]*Tree, len(s.Members))
+	f := &Forest{Cfg: s.Cfg, Members: make([]*Tree, len(s.Members)), classes: s.Classes}
 	for mi := range s.Members {
 		ts := &s.Members[mi]
 		if ts.Classes != s.Classes {
 			return nil, fmt.Errorf("ml: rf member %d has %d classes, forest %d", mi, ts.Classes, s.Classes)
 		}
 		var err error
-		if trees[mi], err = ts.build(&ns, &rows); err != nil {
+		if f.Members[mi], err = ts.build(&ns, &rows); err != nil {
 			return nil, fmt.Errorf("rf member %d: %w", mi, err)
 		}
 	}
-	return trees, nil
+	var ok bool
+	if f.ens, f.probs, ok = compileTrees(f.Members); !ok {
+		return nil, errSharedChild
+	}
+	return f, nil
 }
 
 type mlpSpec struct {
@@ -231,6 +239,9 @@ func (s *gbdtSpec) build() (Classifier, error) {
 			}
 			g.TreesPerClass[c][ti] = t
 		}
+	}
+	if !g.compile() {
+		return nil, errSharedChild
 	}
 	return g, nil
 }
@@ -334,11 +345,11 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Spec, &s); err != nil {
 			return nil, fmt.Errorf("unmarshal dt spec: %w", err)
 		}
-		trees, err := (&forestSpec{Members: []treeSpec{s}, Classes: s.Classes}).build()
+		f, err := (&forestSpec{Members: []treeSpec{s}, Classes: s.Classes}).build()
 		if err != nil {
 			return nil, err
 		}
-		return trees[0], nil
+		return f.Members[0], nil
 	case "rf":
 		var s forestSpec
 		if err := json.Unmarshal(env.Spec, &s); err != nil {
@@ -347,11 +358,7 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 		if len(s.Members) == 0 {
 			return nil, fmt.Errorf("ml: rf spec has no member trees")
 		}
-		members, err := s.build()
-		if err != nil {
-			return nil, err
-		}
-		return &Forest{Cfg: s.Cfg, Members: members, classes: s.Classes}, nil
+		return s.build()
 	case "mlp":
 		var s mlpSpec
 		if err := json.Unmarshal(env.Spec, &s); err != nil {

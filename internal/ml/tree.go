@@ -3,8 +3,10 @@ package ml
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"unsafe"
 
 	"repro/internal/dataset"
 )
@@ -22,12 +24,13 @@ func DefaultTreeConfig() TreeConfig {
 	return TreeConfig{MaxDepth: 16, MinLeaf: 2, MaxFeatures: 0, Seed: 1}
 }
 
-// node is one node of every tree in the package, in a flat slice with the
-// root first and children after their parent. A split sends x left when
-// x[Feature] <= Threshold. A leaf has Feature < 0 and carries its payload
-// in the fields it does not branch on: a classification leaf keeps in Left
-// the offset of its row in the tree's leaf table, a boosted leaf keeps its
-// one value in Threshold.
+// node is one node of every tree in the package as it is grown, serialised
+// and read for importance: a flat slice with the root first and children
+// after their parent. A split sends x left when x[Feature] <= Threshold. A
+// leaf has Feature < 0 and carries its payload in the fields it does not
+// branch on: a classification leaf keeps in Left the offset of its row in
+// the tree's leaf table, a boosted leaf keeps its one value in Threshold.
+// Nothing predicts from nodes; Fit and load compile them into an ensemble.
 type node struct {
 	Feature, Left, Right int32
 	Threshold            float64
@@ -35,27 +38,10 @@ type node struct {
 
 type nodes []node
 
-// descend walks x from the root to its leaf. It is the package's only
-// traversal: the serial and the batch form of every tree model call it. x
-// is indexed unchecked — a row narrower than the tree's width panics with
-// an index error, which the serving runtime recovers into a 422.
-func (ns nodes) descend(x []float64) *node {
-	n := &ns[0]
-	for n.Feature >= 0 {
-		if x[n.Feature] <= n.Threshold {
-			n = &ns[n.Left]
-		} else {
-			n = &ns[n.Right]
-		}
-	}
-	return n
-}
-
 // tree is what a classification and a boosted regression tree share. Its
 // addLeaf and split are where growers and decoder alike write a node.
 type tree struct {
 	nodes nodes
-	width int // 1 + widest split feature: the narrowest row descend can read
 }
 
 // addLeaf appends a leaf and returns its index. A grower that must number
@@ -68,12 +54,201 @@ func (t *tree) addLeaf(off int, value float64) int {
 // split turns node i into a split.
 func (t *tree) split(i, feature int, threshold float64, left, right int) {
 	t.nodes[i] = node{Feature: int32(feature), Left: int32(left), Right: int32(right), Threshold: threshold}
-	t.width = max(t.width, feature+1)
 }
 
-// MinInputDim reports the narrowest row the tree can score; the width it
-// was trained on is not in the envelope.
-func (t *tree) MinInputDim() int { return t.width }
+// step is one node of a compiled ensemble, 16 bytes. A split sends a row
+// to left when its key for feature feat−1 is at most key, and to left+1
+// otherwise. A leaf has feat 0, which reads the zero every key row starts
+// with, so it never borrows; it names itself in left and carries its
+// payload in key: the offset of its probability row, or a boosted value's
+// bits.
+type step struct {
+	feat int32
+	left int32
+	key  uint64
+}
+
+// ensemble is every tree of a model compiled into one step array, each
+// tree's root in roots, in the model's tree order. Trees are laid out
+// breadth-first, so a split's two children are adjacent.
+type ensemble struct {
+	steps []step
+	roots []int32
+	width int // 1 + widest split feature: the narrowest row the trees read
+}
+
+// add compiles a tree onto the end of e; leaf gives a leaf's payload. It
+// refuses (false) a decoded tree whose nodes share a child, which would
+// unfold into more steps than the tree has nodes.
+func (e *ensemble) add(ns nodes, leaf func(node) uint64) bool {
+	root := len(e.steps)
+	e.roots = append(e.roots, int32(root))
+	// Until a step is compiled its left holds the node it stands for.
+	e.steps = append(e.steps, step{})
+	for i := root; i < len(e.steps); i++ {
+		n := ns[e.steps[i].left]
+		if n.Feature < 0 {
+			e.steps[i] = step{left: int32(i), key: leaf(n)}
+			continue
+		}
+		if len(e.steps)+2-root > len(ns) {
+			return false
+		}
+		e.steps[i] = step{feat: n.Feature + 1, left: int32(len(e.steps)), key: splitKey(n.Threshold)}
+		e.steps = append(e.steps, step{left: n.Left}, step{left: n.Right})
+		e.width = max(e.width, int(n.Feature)+1)
+	}
+	return true
+}
+
+// rowKey maps x to a uint64 whose unsigned order is the order of <=: −0
+// takes +0's key, and NaN of either sign the largest, above +Inf's, so
+// that no split holds it.
+func rowKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	k := b ^ (uint64(int64(b)>>63) | 1<<63)
+	if x == 0 {
+		k = 1 << 63
+	}
+	if math.IsNaN(x) {
+		k = math.MaxUint64
+	}
+	return k
+}
+
+// splitKey is rowKey for a threshold, except that NaN takes 0, below every
+// row's key: x <= NaN holds for no x.
+func splitKey(t float64) uint64 {
+	if math.IsNaN(t) {
+		return 0
+	}
+	return rowKey(t)
+}
+
+// fits panics, before anything is allocated for them, if a row is
+// narrower than the trees read. The serving runtime and the explainers
+// refuse such a row first (CheckInput); this keeps a caller that did not
+// from indexing past it.
+func (e *ensemble) fits(X [][]float64) {
+	for _, x := range X {
+		_ = x[:e.width]
+	}
+}
+
+// keyBits views float64 scratch as the uint64 keys a kernel writes into
+// it, so that the keys come out of the allocation the kernel returns and
+// a step loads its key as an integer: through a float load and a move
+// across register files the walk measured about 15 % slower.
+func keyBits(scratch []float64) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(scratch))), len(scratch))
+}
+
+// rowKeys writes x's key row into dst: a zero for leaves, then one key per
+// feature the trees read.
+func (e *ensemble) rowKeys(dst []uint64, x []float64) {
+	x = x[:e.width]
+	dst = dst[:len(x)+1]
+	dst[0] = 0
+	for j, v := range x {
+		dst[j+1] = rowKey(v)
+	}
+}
+
+// keys writes the key rows of X into dst, width+1 columns a row.
+func (e *ensemble) keys(dst []uint64, X [][]float64) {
+	w := e.width + 1
+	for i, x := range X {
+		e.rowKeys(dst[i*w:], x)
+	}
+}
+
+// next is one step from s: x <= t exactly when key(t) − key(x) does not
+// borrow, and the right child is left plus the borrow.
+func (s *step) next(keys []uint64) int {
+	_, borrow := bits.Sub64(s.key, keys[s.feat], 0)
+	n, _ := bits.Add64(uint64(s.left), 0, borrow)
+	return int(n)
+}
+
+// walk4 is the package's one tree traversal: four lanes — four rows
+// through one tree, or one row through four trees — step down in lockstep
+// until all four sit on leaves, whose payloads it returns. No step
+// branches on the data, so the walk is bound by the latency of its loads,
+// not by mispredicted comparisons, and four lanes overlap four chains of
+// them (DESIGN §4c has what eight measured).
+func (e *ensemble) walk4(a, b, c, d int, ka, kb, kc, kd []uint64) (uint64, uint64, uint64, uint64) {
+	steps := e.steps
+	for {
+		sa, sb, sc, sd := &steps[a], &steps[b], &steps[c], &steps[d]
+		if sa.feat|sb.feat|sc.feat|sd.feat == 0 {
+			return sa.key, sb.key, sc.key, sd.key
+		}
+		a, b, c, d = sa.next(ka), sb.next(kb), sc.next(kc), sd.next(kd)
+	}
+}
+
+// leaves4 walks one row's keys through trees roots[t:t+4], the last lane
+// repeated where fewer remain, and returns their payloads in tree order
+// with how many are real.
+func (e *ensemble) leaves4(roots []int32, t int, keys []uint64) ([4]uint64, int) {
+	last := min(t+3, len(roots)-1)
+	a, b, c, d := e.walk4(int(roots[t]), int(roots[min(t+1, last)]), int(roots[min(t+2, last)]), int(roots[last]), keys, keys, keys, keys)
+	return [4]uint64{a, b, c, d}, last - t + 1
+}
+
+// addRows adds to acc, in tree order, the probability row each tree's leaf
+// names for one row's keys.
+func (e *ensemble) addRows(acc, probs []float64, keys []uint64) {
+	for t := 0; t < len(e.roots); t += 4 {
+		leaves, n := e.leaves4(e.roots, t, keys)
+		for _, p := range leaves[:n] {
+			addTo(acc, probs[p:])
+		}
+	}
+}
+
+// addTree adds to each row of out the probability row its leaf in the
+// tree at root names, four rows at a time; len(out) is a multiple of four
+// and keys holds their key rows.
+func (e *ensemble) addTree(out [][]float64, probs []float64, root int, keys []uint64) {
+	w := e.width + 1
+	for i := 0; i+4 <= len(out); i += 4 {
+		k := keys[i*w:]
+		p0, p1, p2, p3 := e.walk4(root, root, root, root, k, k[w:], k[2*w:], k[3*w:])
+		rows := out[i : i+4 : i+4]
+		addTo(rows[0], probs[p0:])
+		addTo(rows[1], probs[p1:])
+		addTo(rows[2], probs[p2:])
+		addTo(rows[3], probs[p3:])
+	}
+}
+
+// meanRow is the probability row of a tree or a forest for x: the mean of
+// the leaf rows, added in tree order.
+func (e *ensemble) meanRow(probs []float64, k int, x []float64) []float64 {
+	if len(e.roots) == 0 {
+		panic(ErrNotTrained)
+	}
+	x = x[:e.width]
+	acc := make([]float64, k+len(x)+1)
+	keys := keyBits(acc[k:])
+	acc = acc[:k:k]
+	e.rowKeys(keys, x)
+	e.addRows(acc, probs, keys)
+	inv := 1 / float64(len(e.roots))
+	for c := range acc {
+		acc[c] *= inv
+	}
+	return acc
+}
+
+// addTo adds src's leading len(dst) values to dst.
+func addTo(dst, src []float64) {
+	src = src[:len(dst)]
+	for c := range dst {
+		dst[c] += src[c]
+	}
+}
 
 // Tree is a CART classification tree with Gini-impurity splits. It is the
 // "DT" model of use case 1 and the building block of RandomForest.
@@ -81,10 +256,14 @@ type Tree struct {
 	Cfg TreeConfig
 
 	tree
-	// counts is the leaf table as serialised, classes floats per leaf;
-	// probs is each row Laplace-smoothed, derived once at Fit or load.
-	counts, probs []float64
-	classes       int
+	// counts is the leaf table as serialised, classes floats per leaf.
+	counts  []float64
+	classes int
+	// ens and probs are what PredictProba walks, built by compileTrees:
+	// probs is the Laplace-smoothed leaf table. A forest's members share
+	// the forest's, each with only its own root.
+	ens   ensemble
+	probs []float64
 }
 
 var _ Classifier = (*Tree)(nil)
@@ -107,22 +286,49 @@ func (t *Tree) Fit(d *dataset.Table) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.FitIndices(d, idx, rand.New(rand.NewSource(t.Cfg.Seed)))
+	t.fitIndices(d, idx, rand.New(rand.NewSource(t.Cfg.Seed)))
+	compileTrees([]*Tree{t})
 	return nil
 }
 
-// FitIndices trains the tree on the subset of d given by idx (used by the
-// forest's bootstrap without copying rows). rng picks the features a split
-// may use; the tree does not keep it.
-func (t *Tree) FitIndices(d *dataset.Table, idx []int, rng *rand.Rand) {
+// fitIndices grows the tree on the subset of d given by idx (the forest's
+// bootstrap, without copying rows); compileTrees makes it predict. rng
+// picks the features a split may use; the tree does not keep it.
+func (t *Tree) fitIndices(d *dataset.Table, idx []int, rng *rand.Rand) {
 	if t.Cfg.MinLeaf < 1 {
 		t.Cfg.MinLeaf = 1
 	}
 	t.classes = d.NumClasses()
 	t.tree, t.counts = tree{}, nil
 	t.grow(d, idx, 0, rng)
-	t.probs = make([]float64, len(t.counts))
-	leafProbs(t.probs, t.counts, t.classes)
+}
+
+// compileTrees compiles trees, in order, into one ensemble over one leaf
+// table — each leaf's payload the offset of its row — and gives every tree
+// that ensemble with only its own root. It is false when a decoded tree
+// shares a child (see ensemble.add); a grown one never does.
+func compileTrees(trees []*Tree) (ensemble, []float64, bool) {
+	steps, floats := 0, 0
+	for _, t := range trees {
+		steps += len(t.nodes)
+		floats += len(t.counts)
+	}
+	e := ensemble{steps: make([]step, 0, steps), roots: make([]int32, 0, len(trees))}
+	probs := make([]float64, floats)
+	floats = 0
+	for _, t := range trees {
+		base := uint64(floats)
+		floats += len(t.counts)
+		leafProbs(probs[base:floats], t.counts, t.classes)
+		if !e.add(t.nodes, func(n node) uint64 { return base + uint64(n.Left) }) {
+			return ensemble{}, nil, false
+		}
+	}
+	for i, t := range trees {
+		t.ens = ensemble{steps: e.steps, roots: e.roots[i : i+1 : i+1], width: e.width}
+		t.probs = probs
+	}
+	return e, probs, true
 }
 
 // leafProbs turns per-leaf class counts into per-leaf probabilities, with
@@ -270,11 +476,11 @@ func gini(counts []float64, n float64) float64 {
 	return s
 }
 
-// PredictProba implements Classifier.
+// MinInputDim reports the narrowest row the tree can score; the width it
+// was trained on is not in the envelope.
+func (t *Tree) MinInputDim() int { return t.ens.width }
+
+// PredictProba implements Classifier: its leaf's row, as the mean of one.
 func (t *Tree) PredictProba(x []float64) []float64 {
-	if len(t.nodes) == 0 {
-		panic(ErrNotTrained)
-	}
-	at := int(t.nodes.descend(x).Left)
-	return append([]float64(nil), t.probs[at:at+t.classes]...)
+	return t.ens.meanRow(t.probs, t.classes, x)
 }

@@ -36,12 +36,12 @@ func TestBuildProfilesSelf(t *testing.T) {
 	}
 
 	// The batch kernels must be in the hot set, flagged per-iteration
-	// work must reach the tree traversal, and the kernels must have
-	// recorded data loops.
+	// work must reach the tree traversal (the one-row path's loop over
+	// trees is addRows), and the kernels must have recorded data loops.
 	for _, want := range []string{
 		"(*repro/internal/ml.Forest).PredictProbaBatch",
 		"(*repro/internal/ml.GBDT).PredictProbaBatch",
-		"(*repro/internal/ml.Forest).PredictProba",
+		"(*repro/internal/ml.ensemble).addRows",
 	} {
 		p, ok := byFull[want]
 		if !ok {

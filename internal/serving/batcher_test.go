@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -284,13 +285,13 @@ func TestPredictErrors(t *testing.T) {
 		t.Fatalf("a request of exactly the watermark: %d rows, %v; want admitted", len(probs), err)
 	}
 
-	// A prediction panic (dimension mismatch) fails the call, not the
-	// worker: the runtime keeps serving afterwards.
+	// A dimension mismatch fails the call, not the line: the runtime keeps
+	// serving afterwards.
 	if _, _, err := rt.Predict(ctx, ref.Name, [][]float64{{1, 2, 3, 4, 5}}); err == nil {
 		t.Fatal("dimension mismatch should surface as an error")
 	}
 	if _, classes, err := rt.Predict(ctx, ref.Name, [][]float64{{2, 0}, {-2, 0}}); err != nil || classes[0] != 1 || classes[1] != 0 {
-		t.Fatalf("runtime dead after panic: %v %v", classes, err)
+		t.Fatalf("runtime dead after a mismatch: %v %v", classes, err)
 	}
 
 	// Context cancellation unblocks a Predict waiting on a busy worker.
@@ -315,5 +316,79 @@ func TestPredictErrors(t *testing.T) {
 	rt.Close() // idempotent
 	if _, _, err := rt.Predict(ctx, ref.Name, [][]float64{{2, 0}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("predict after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestNarrowRowFailsOnlyItsOwnCall: a row narrower than the model reads is
+// refused before it is queued, as ml.ErrInput (422 on the wire), so the
+// call it would have been coalesced with is still served — bit for bit
+// what the model answers it. Scored in one batch, the narrow row's index
+// panic used to fail both calls.
+func TestNarrowRowFailsOnlyItsOwnCall(t *testing.T) {
+	rt, _, _, _ := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1})
+	forest := ml.NewForest(ml.ForestConfig{Trees: 5, MinLeaf: 1, MaxFeatures: -1, Seed: 1})
+	if err := forest.Fit(sepTable(3, 120)); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := rt.Registry().Register("rf", forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	good := [][]float64{{2, 0.5}, {-2, -0.5}}
+	// The line reads the model's widths on its first call; then its one
+	// worker is held so that the next calls queue together.
+	if _, _, err := rt.Predict(ctx, ref.Name, good[:1]); err != nil {
+		t.Fatal(err)
+	}
+	g := gate(rt, ref)
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := rt.Predict(ctx, ref.Name, [][]float64{{0, 0}})
+		held <- err
+	}()
+	<-g.entered
+
+	type answer struct {
+		probs [][]float64
+		err   error
+	}
+	served := make(chan answer, 1)
+	go func() {
+		probs, _, err := rt.Predict(ctx, ref.Name, good)
+		served <- answer{probs, err}
+	}()
+	for queued(rt, ref) != len(good) {
+		time.Sleep(50 * time.Microsecond)
+	}
+	narrow := make(chan error, 1)
+	go func() {
+		_, _, err := rt.Predict(ctx, ref.Name, [][]float64{{}})
+		narrow <- err
+	}()
+	// Refused at once, or (the defect) queued beside the good rows.
+	for len(narrow) == 0 && queued(rt, ref) == len(good) {
+		time.Sleep(50 * time.Microsecond)
+	}
+	g.open()
+	if err := <-narrow; !errors.Is(err, ml.ErrInput) {
+		t.Errorf("narrow row: %v, want ml.ErrInput", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	got := <-served
+	if got.err != nil {
+		t.Fatalf("the good call failed beside the narrow one: %v", got.err)
+	}
+	for i, want := range ml.PredictProbaAll(forest, good) {
+		for c := range want {
+			if math.Float64bits(got.probs[i][c]) != math.Float64bits(want[c]) {
+				t.Fatalf("row %d class %d: served %v, model %v", i, c, got.probs[i][c], want[c])
+			}
+		}
+	}
+	if rt.InFlight() != 0 {
+		t.Fatalf("in-flight %d after every call returned", rt.InFlight())
 	}
 }

@@ -201,6 +201,31 @@ type line struct {
 	id       string
 	in       chan *item
 	inflight atomic.Int64
+	// widths is what the model's rows must measure, read off the model by
+	// the line's first Predict: a content id's model never changes.
+	widths atomic.Pointer[ml.Widths]
+}
+
+// check refuses, before any of them is queued, an instance the line's
+// model cannot score: scored, it would fail the batch it landed in and
+// with it every call coalesced there.
+func (r *Runtime) check(ln *line, instances [][]float64) error {
+	w := ln.widths.Load()
+	if w == nil {
+		model, err := r.reg.Model(ln.id)
+		if err != nil {
+			return err
+		}
+		widths := ml.InputWidths(model)
+		w = &widths
+		ln.widths.Store(w)
+	}
+	for i, x := range instances {
+		if err := w.Check(len(x)); err != nil {
+			return fmt.Errorf("serving: instance %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // line returns (creating and starting on first use) the pipeline for a
@@ -240,6 +265,9 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 	}
 	ln, err := r.line(id)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := r.check(ln, instances); err != nil {
 		return nil, nil, err
 	}
 
@@ -368,8 +396,8 @@ func (r *Runtime) runWorker(ln *line) {
 }
 
 // execute scores one batch and delivers per-item results. A model error
-// (or a prediction panic, e.g. a dimension mismatch) fails every item's
-// call instead of crashing the worker.
+// (or a prediction panic) fails every item's call instead of crashing the
+// worker; a row the model cannot take never gets here (check).
 func (r *Runtime) execute(ln *line, batch []*item, X [][]float64) {
 	first := batch[0].at
 	probs, err := r.scoreBatch(ln.id, batch, X)

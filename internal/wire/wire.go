@@ -76,8 +76,9 @@ var table = []struct {
 	{"down", http.StatusServiceUnavailable, serving.ErrClosed, false},
 	// A row or label the model cannot take (ml.CheckInput): the status an
 	// unmatched domain error gets anyway, named so a client can tell it
-	// from a failed computation.
-	{"mismatch", http.StatusUnprocessableEntity, ml.ErrInput, false},
+	// from a failed computation, and typed so the cluster front answers a
+	// replica's refusal as the same 422.
+	{"mismatch", http.StatusUnprocessableEntity, ml.ErrInput, true},
 }
 
 const kindOverloaded = "overloaded"
@@ -223,7 +224,7 @@ func Handle[Req, Resp any](fn func(context.Context, *Req) (Resp, error)) http.Ha
 // StatusError is a non-2xx answer as Do returns it. It unwraps to the
 // typed error the server wrote it from (serving.ErrNotFound,
 // serving.ErrTooManyInstances, *serving.OverloadedError, ErrReplicaDown,
-// ErrNoReplicas) when the envelope names one.
+// ErrNoReplicas, ml.ErrInput) when the envelope names one.
 type StatusError struct {
 	Status  int
 	Kind    string

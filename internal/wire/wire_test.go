@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ml"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
@@ -47,6 +49,7 @@ func TestErrorTableRoundTrip(t *testing.T) {
 		{"conflict tag beats down", Conflict(fmt.Errorf("aborted: %w", ErrReplicaDown)), 409, "conflict", "", nil},
 		{"internal", Tag(ErrInternal, errors.New("disk")), 500, "internal", "", nil},
 		{"domain error", errors.New("dimension mismatch"), 422, "", "", nil},
+		{"input mismatch", fmt.Errorf("serving: instance 0: %w", ml.Widths{Min: 2, Max: math.MaxInt}.Check(1)), 422, "mismatch", "", ml.ErrInput},
 		{"shed", fmt.Errorf("predict: %w", shed), 429, "overloaded", "2", nil},
 		{"replica down", fmt.Errorf("replica r1: %w", ErrReplicaDown), 503, "down", "", ErrReplicaDown},
 		{"no replicas", ErrNoReplicas, 503, "noreplicas", "", ErrNoReplicas},
