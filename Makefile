@@ -83,13 +83,14 @@ perfgate-manifest:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of each serving benchmark and of the tree-kernel layer
-# benchmark: compiles the harnesses, trains the bench models, and proves
-# the batched paths still run — a CI-cheap guard against bit-rot in the
-# throughput experiment.
+# One iteration of each serving benchmark and of the tree-kernel and
+# predict-decode layer benchmarks: compiles the harnesses, trains the bench
+# models, and proves the batched paths still run — a CI-cheap guard against
+# bit-rot in the throughput experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
 	$(GO) test -run='^$$' -bench=TreeKernel -benchtime=1x ./internal/ml/
+	$(GO) test -run='^$$' -bench=PredictDecode -benchtime=1x ./internal/wire/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged
 # scenario against the virtual world (fake clock, seeded faults) and
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMLPBatchMatchesSerial -fuzztime 30s ./internal/ml/
 	$(GO) test -fuzz FuzzTreeBatchMatchesSerial -fuzztime 30s ./internal/ml/
 	$(GO) test -fuzz FuzzPredictDecodeMatchesJSON -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzNumberMatchesParseFloat -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzPredictFrame -fuzztime 30s ./internal/wire/
 
 # Regenerate every paper table/figure (~15 min single-CPU).

@@ -280,56 +280,115 @@ func (s *scanner) matrix() ([][]float64, bool) {
 	return rows, true
 }
 
-// number reads one JSON number. The grammar is checked here because
-// strconv.ParseFloat takes more than JSON does (hex, "inf", underscores,
-// a bare leading or trailing point); the value is ParseFloat's, as it is
-// encoding/json's, and a number out of float64's range is refused as
-// encoding/json refuses it.
+// number reads one JSON number and gives it the value encoding/json would:
+// the nearest float64, or a refusal where that is out of range. The bytes
+// are read once. scanNumber checks JSON's grammar — narrower than
+// strconv.ParseFloat's, which also takes hex, "inf", underscores and a bare
+// leading or trailing point — and collects the decimal on the way; one
+// Eisel–Lemire step converts it. Only where that step cannot answer does
+// ParseFloat read the same bytes again. Both round correctly, so the bits
+// are the same whichever answers.
 func (s *scanner) number() (float64, bool) {
-	d, p := s.data, s.pos
-	if p < len(d) && d[p] == '-' {
-		p++
-	}
-	switch {
-	case p < len(d) && d[p] == '0':
-		p++
-	case p < len(d) && '1' <= d[p] && d[p] <= '9':
-		p = digits(d, p+1)
-	default:
+	text := s.data[s.pos:]
+	n, end, ok := scanNumber(text)
+	if !ok {
 		return 0, false
 	}
-	if p < len(d) && d[p] == '.' {
-		q := digits(d, p+1)
-		if q == p+1 {
+	f, ok := n.fast()
+	if !ok {
+		var err error
+		if f, err = strconv.ParseFloat(string(text[:end]), 64); err != nil {
 			return 0, false
 		}
-		p = q
 	}
-	if p < len(d) && (d[p] == 'e' || d[p] == 'E') {
-		p++
-		if p < len(d) && (d[p] == '+' || d[p] == '-') {
-			p++
-		}
-		q := digits(d, p)
-		if q == p {
-			return 0, false
-		}
-		p = q
-	}
-	f, err := strconv.ParseFloat(string(d[s.pos:p]), 64)
-	if err != nil {
-		return 0, false
-	}
-	s.pos = p
+	s.pos += end
 	return f, true
 }
 
-// digits returns the end of the run of decimal digits starting at p.
-func digits(d []byte, p int) int {
-	for p < len(d) && '0' <= d[p] && d[p] <= '9' {
-		p++
+// decimal is a number as scanNumber collects it: (-1)^neg × mant ×
+// 10^exp10, where mant holds the significant digits — all of them but the
+// zeros before the first nonzero one — if there are at most 19 of them.
+type decimal struct {
+	mant  uint64
+	exp10 int
+	neg   bool
+	long  bool // more than 19 significant digits: mant is not the value
+}
+
+// scanNumber reads the JSON number at the start of text and returns it and
+// its length; ok is false if text does not start with one. The exponent
+// stops growing past 10 000, as strconv's does: far outside pow10 already.
+func scanNumber(text []byte) (n decimal, end int, ok bool) {
+	d := text
+	if len(d) > 0 && d[0] == '-' {
+		n.neg, d = true, d[1:]
 	}
-	return p
+	if len(d) == 0 || d[0]-'0' > 9 {
+		return n, 0, false
+	}
+	sig := 0
+	if d[0] == '0' { // a leading 0 stands alone
+		d = d[1:]
+	} else {
+		n.mant, d, sig = accumulate(0, d)
+	}
+	if len(d) > 0 && d[0] == '.' {
+		d = d[1:]
+		frac := len(d)
+		if sig == 0 {
+			for len(d) > 0 && d[0] == '0' {
+				d = d[1:]
+			}
+			n.exp10 = len(d) - frac
+		}
+		var k int
+		n.mant, d, k = accumulate(n.mant, d)
+		if len(d) == frac {
+			return n, 0, false
+		}
+		sig += k
+		n.exp10 -= k
+	}
+	if len(d) > 0 && d[0]|0x20 == 'e' { // e or E
+		d = d[1:]
+		negExp := len(d) > 0 && d[0] == '-'
+		if len(d) > 0 && (d[0] == '-' || d[0] == '+') {
+			d = d[1:]
+		}
+		if len(d) == 0 || d[0]-'0' > 9 {
+			return n, 0, false
+		}
+		e := 0
+		for ; len(d) > 0 && d[0]-'0' <= 9; d = d[1:] {
+			if e < 10000 {
+				e = e*10 + int(d[0]-'0')
+			}
+		}
+		if negExp {
+			e = -e
+		}
+		n.exp10 += e
+	}
+	n.long = sig > 19
+	return n, len(text) - len(d), true
+}
+
+// accumulate appends the run of decimal digits that starts d to m, and
+// returns the sum, what follows the run and the run's length. Past 19
+// digits m wraps; scanNumber marks such a decimal long.
+func accumulate(m uint64, d []byte) (uint64, []byte, int) {
+	start := len(d)
+	for ; len(d) > 0 && d[0]-'0' <= 9; d = d[1:] {
+		m = m*10 + uint64(d[0]-'0')
+	}
+	return m, d, start - len(d)
+}
+
+// fast converts n with one Eisel–Lemire step; ok is false where that step
+// cannot answer, and then strconv.ParseFloat must.
+func (n decimal) fast() (float64, bool) {
+	f, ok := eiselLemire64(n.mant, n.exp10, n.neg)
+	return f, ok && !n.long
 }
 
 // appendRequestFrame appends the request frame of a rectangular matrix.

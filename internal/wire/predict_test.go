@@ -12,10 +12,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/serving"
 )
 
@@ -62,22 +67,67 @@ func serve(h http.Handler, contentType string, body []byte) *httptest.ResponseRe
 	return rec
 }
 
-// predictBody is a predict request as service.Client and bench/ send it.
+// predictBody is a predict request of rows × cols Gaussian values (σ = 3),
+// marshalled as service.Client marshals it.
 func predictBody(tb testing.TB, rows, cols int) (serving.PredictRequest, []byte) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(rows*1000 + cols)))
-	req := serving.PredictRequest{ModelID: "lgbm@2", Instances: make([][]float64, rows)}
-	for i := range req.Instances {
-		req.Instances[i] = make([]float64, cols)
-		for j := range req.Instances[i] {
-			req.Instances[i][j] = rng.NormFloat64() * 3
+	instances := make([][]float64, rows)
+	for i := range instances {
+		instances[i] = make([]float64, cols)
+		for j := range instances[i] {
+			instances[i][j] = rng.NormFloat64() * 3
 		}
 	}
+	return marshalPredict(tb, instances)
+}
+
+// marshalPredict is a predict request for instances and its JSON body.
+func marshalPredict(tb testing.TB, instances [][]float64) (serving.PredictRequest, []byte) {
+	tb.Helper()
+	req := serving.PredictRequest{ModelID: "lgbm@2", Instances: instances}
 	raw, err := json.Marshal(req)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return req, raw
+}
+
+// benchTable is the end-to-end benchmark's fixture: the UC2 flow table at
+// twice the paper's trace counts, min-max scaled into [0, 1].
+var benchTable = sync.OnceValues(func() (*dataset.Table, error) {
+	cfg := datagen.DefaultNetTrafficConfig()
+	cfg.Web, cfg.Interactive, cfg.Video = 2*cfg.Web, 2*cfg.Interactive, 2*cfg.Video
+	table, _, err := datagen.NetTraffic(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mm, err := dataset.FitMinMax(table)
+	if err != nil {
+		return nil, err
+	}
+	return table, mm.Transform(table)
+})
+
+// benchRows draws n rows of 21 values the way the end-to-end benchmark
+// draws its predict bodies: a fixture row plus N(0, 0.02²) jitter, clamped
+// to [0, 1]. Their shortest spellings are what the predict decoder reads
+// on the predict workloads; about a sixth of them are exactly 0 or 1.
+func benchRows(tb testing.TB, rng *rand.Rand, n int) [][]float64 {
+	tb.Helper()
+	table, err := benchTable()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := make([][]float64, n)
+	for i := range rows {
+		src := table.X[rng.Intn(table.Len())]
+		rows[i] = make([]float64, len(src))
+		for j, v := range src {
+			rows[i][j] = math.Min(1, math.Max(0, v+0.02*rng.NormFloat64()))
+		}
+	}
+	return rows
 }
 
 // sameMatrix compares two matrices bit for bit.
@@ -173,6 +223,116 @@ func TestPredictFastPath(t *testing.T) {
 			t.Errorf("%q: fast path took it = %v, want %v", body, ok, fast)
 		}
 		checkDecodeMatchesJSON(t, []byte(body))
+	}
+}
+
+// jsonNumber is JSON's number grammar (RFC 8259 §6); leftmost-longest, so
+// its match on a text is where the number at its start ends.
+var jsonNumber = regexp.MustCompilePOSIX(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+
+// FuzzNumberMatchesParseFloat holds the number decoder to strconv: what it
+// accepts ends where JSON's grammar ends and has ParseFloat's bits, and a
+// JSON number ParseFloat accepts is never refused.
+func FuzzNumberMatchesParseFloat(f *testing.F) {
+	for _, seed := range []string{
+		"9007199254740993",        // 2^53 + 1: halfway between two doubles
+		"2.2250738585072011e-308", // just under the smallest normal
+		"4.9406564584124654e-324", // the smallest subnormal
+		"2.4703282292062327e-324", // just under half of it: rounds to 0
+		"1.7976931348623157e308",  // the largest double
+		"1.7976931348623159e308",  // past it: out of range
+		"5e-324", "1e23", "8.41e21", "0.30000000000000004",
+		"0", "-0", "-0.0", "0e99999",
+		"9999999999999999999", "184467440737095516.1", "0.1234567890123456789", // 19 digits
+		"18446744073709551616", "12345678901234567890", "-0.12345678901234567891e-5", // 20
+		"1e-400", "1e99999", "-1e99999", "0." + strings.Repeat("0", 400) + "1",
+		"1.5,", "01", "1.", "1.e5", "-", "1e", "1e+", ".5", "+1", "0x1p-2", "1_0", "Inf",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s := scanner{data: []byte(text)}
+		got, ok := s.number()
+		num := jsonNumber.FindString(text)
+		want, err := strconv.ParseFloat(num, 64)
+		switch {
+		case ok && (num == "" || s.pos != len(num)):
+			t.Fatalf("%q: read %d bytes as a number, JSON's grammar reads %d", text, s.pos, len(num))
+		case ok && err != nil:
+			t.Fatalf("%q: read as %v, ParseFloat refuses it: %v", text, got, err)
+		case ok && math.Float64bits(got) != math.Float64bits(want):
+			t.Fatalf("%q: read as %v (%#x), ParseFloat reads %v (%#x)", text, got, math.Float64bits(got), want, math.Float64bits(want))
+		case !ok && num != "" && num == text && err == nil:
+			t.Fatalf("%q: refused a JSON number ParseFloat reads as %v", text, want)
+		}
+	})
+}
+
+// TestPow10Table holds the generated powers of ten to ParseFloat at every
+// power the table covers: wherever the Eisel–Lemire step answers, it
+// answers with ParseFloat's bits, and it answers for nearly all of them.
+func TestPow10Table(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	mants := []uint64{1, 1<<53 + 1, 1e19 - 1, rng.Uint64() % 1e19, rng.Uint64() % 1e19, rng.Uint64() % 1e19}
+	tried, answered := 0, 0
+	for exp10 := pow10Min; exp10 <= pow10Max; exp10++ {
+		for _, mant := range mants {
+			for _, neg := range []bool{false, true} {
+				text := fmt.Sprintf("%de%d", mant, exp10)
+				if neg {
+					text = "-" + text
+				}
+				want, err := strconv.ParseFloat(text, 64)
+				got, ok := decimal{mant: mant, exp10: exp10, neg: neg}.fast()
+				if ok && (err != nil || math.Float64bits(got) != math.Float64bits(want)) {
+					t.Fatalf("%s: step gives %v (%#x), ParseFloat %v (%#x), %v", text, got, math.Float64bits(got), want, math.Float64bits(want), err)
+				}
+				if err == nil && want != 0 && math.Abs(want) >= 0x1p-1022 {
+					tried++
+					if ok {
+						answered++
+					}
+				}
+			}
+		}
+	}
+	if answered < tried*999/1000 {
+		t.Errorf("the step answered %d of %d conversions to a normal float64", answered, tried)
+	}
+}
+
+// TestFastPathCoversMarshalledFloats: the shortest spellings of the floats
+// the predict path is sent convert without strconv.ParseFloat, so the
+// decoder's speed cannot drain into the fallback unnoticed.
+func TestFastPathCoversMarshalledFloats(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 100_000
+	unit := make([]float64, 0, n)
+	for _, row := range benchRows(t, rng, n/21+1) {
+		unit = append(unit, row...)
+	}
+	gauss := make([]float64, n)
+	for i := range gauss {
+		gauss[i] = rng.NormFloat64() * 3
+	}
+	for name, values := range map[string][]float64{"bench": unit[:n], "gaussian": gauss} {
+		fast := 0
+		for _, x := range values {
+			text := strconv.FormatFloat(x, 'g', -1, 64)
+			d, end, ok := scanNumber([]byte(text))
+			if !ok || end != len(text) {
+				t.Fatalf("%s: %q not read as one number", name, text)
+			}
+			if f, ok := d.fast(); ok {
+				fast++
+				if math.Float64bits(f) != math.Float64bits(x) {
+					t.Fatalf("%s: %q converted to %v", name, text, f)
+				}
+			}
+		}
+		if fast < n*999/1000 {
+			t.Errorf("%s: %d of %d values converted without ParseFloat, want at least 99.9 %%", name, fast, n)
+		}
 	}
 }
 
@@ -504,13 +664,25 @@ func TestPredictClient(t *testing.T) {
 	}
 }
 
-var benchShapes = []struct{ rows, cols int }{{1, 21}, {64, 21}, {256, 21}}
+// benchShapes are the predict workloads' matrix shapes with Gaussian
+// values, and 256 × 21 once more with the values the benchmark sends
+// (/unit): numbers of 1 to 17 significant digits in [0, 1], not 16–17
+// digits around ±3, so the two cost a number decoder differently.
+var benchShapes = []struct {
+	rows, cols int
+	unit       bool
+}{{1, 21, false}, {64, 21, false}, {256, 21, false}, {256, 21, true}}
 
 func benchDecode(b *testing.B, decode func(req serving.PredictRequest, body []byte) func() bool) {
 	for _, shape := range benchShapes {
+		name := fmt.Sprintf("%dx%d", shape.rows, shape.cols)
 		req, body := predictBody(b, shape.rows, shape.cols)
+		if shape.unit {
+			name += "/unit"
+			req, body = marshalPredict(b, benchRows(b, rand.New(rand.NewSource(int64(shape.rows))), shape.rows))
+		}
 		run := decode(req, body)
-		b.Run(fmt.Sprintf("%dx%d", shape.rows, shape.cols), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if !run() {
