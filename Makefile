@@ -83,13 +83,13 @@ perfgate-manifest:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of each serving benchmark and of the tree-kernel and
-# predict-decode layer benchmarks: compiles the harnesses, trains the bench
-# models, and proves the batched paths still run — a CI-cheap guard against
-# bit-rot in the throughput experiment.
+# One iteration of each serving benchmark and of the tree-kernel, MLP
+# batch-kernel and predict-decode layer benchmarks: compiles the harnesses,
+# trains the bench models, and proves the batched paths still run — a
+# CI-cheap guard against bit-rot in the throughput experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
-	$(GO) test -run='^$$' -bench=TreeKernel -benchtime=1x ./internal/ml/
+	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch' -benchtime=1x ./internal/ml/
 	$(GO) test -run='^$$' -bench=PredictDecode -benchtime=1x ./internal/wire/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged

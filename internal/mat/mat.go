@@ -65,6 +65,10 @@ func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
+// RowSpan returns a view of the k rows from row i on, stored back to back:
+// k·Cols values.
+func (m *Dense) RowSpan(i, k int) []float64 { return m.data[i*m.cols : (i+k)*m.cols] }
+
 // Clone returns a deep copy of the matrix.
 func (m *Dense) Clone() *Dense {
 	data := make([]float64, len(m.data))

@@ -11,9 +11,9 @@ import (
 // dependent loads, which four independent rows overlap. They accumulate
 // directly into the output rows instead of allocating a probability
 // slice per tree per instance — the amortization the serving runtime's
-// micro-batching exists to exploit. The MLP blocks over instances too
-// (four rows against each weight row), overlapping add chains that one
-// row alone must run end to end.
+// micro-batching exists to exploit. The MLP takes four instances at a
+// time too, as one lane-interleaved tile: four rows' add chains, which one
+// row alone must run end to end, advance together in one 256-bit vector.
 type BatchPredictor interface {
 	// PredictProbaBatch returns one probability row per instance. The
 	// result rows are owned by the caller.
@@ -48,16 +48,10 @@ func ArgmaxAll(probs [][]float64) []int {
 	return out
 }
 
-// probaRows allocates n contiguous probability rows of k classes backed
-// by one flat slice, keeping a batch's output cache-dense.
-func probaRows(n, k int) [][]float64 {
-	rows, _ := probaRowsScratch(n, k, 0)
-	return rows
-}
-
-// probaRowsScratch is probaRows plus extra scratch floats carved from the
-// same backing array: batch kernels get their key rows and accumulators
-// without another allocation.
+// probaRowsScratch allocates n contiguous probability rows of k classes
+// backed by one flat slice, keeping a batch's output cache-dense, plus
+// extra scratch floats carved from the same backing array: batch kernels
+// get their key rows, accumulators and tiles without another allocation.
 func probaRowsScratch(n, k, extra int) ([][]float64, []float64) {
 	flat := make([]float64, n*k+extra)
 	rows := make([][]float64, n)

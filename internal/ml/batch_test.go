@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,81 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 						t.Fatalf("%s batch of %d, row %d class %d: batch %v != serial %v",
 							m.Name(), n, i, c, got[i][c], want[c])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestTileKernelsMatchLayerRow holds both forms of the tile kernel to
+// layerRow, called directly: kernel4x4AVX (when the CPU has it) on four
+// neurons at once and neuronTile on each, for input widths from one to
+// the image net's 576, with −0, denormals and, in every other trial, NaN
+// and ±Inf among the weights, biases and inputs. The layer is an output
+// layer, so layerRow's values are the raw sums the kernels return.
+func TestTileKernelsMatchLayerRow(t *testing.T) {
+	if !hasAVX {
+		t.Log("no AVX on this CPU: kernel4x4AVX skipped, neuronTile checked alone")
+	}
+	rng := rand.New(rand.NewSource(1))
+	tame := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 0x1p-540, -0x1p-540}
+	wild := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{1, 2, 3, 4, 5, 21, 128, 576} {
+		for trial := 0; trial < 6; trial++ {
+			// Wild values are rare enough that most sums stay finite.
+			draw := func() float64 {
+				switch p := rng.Intn(4 * n); {
+				case trial%2 == 1 && p == 0:
+					return wild[rng.Intn(len(wild))]
+				case p < n:
+					return tame[rng.Intn(len(tame))]
+				}
+				return rng.NormFloat64()
+			}
+			m := NewMLP(MLPConfig{Hidden: []int{n}})
+			if err := m.Init(1, 4); err != nil {
+				t.Fatal(err)
+			}
+			last := len(m.Weights) - 1
+			w, bias := m.Weights[last], m.Biases[last]
+			for k := range bias {
+				bias[k] = draw()
+				for c := range w.Row(k) {
+					w.Row(k)[c] = draw()
+				}
+			}
+			tile := make([]float64, 4*n)
+			want := make([][]float64, 4) // want[l][k]: neuron k on row l
+			for l := range want {
+				x := make([]float64, n)
+				for c := range x {
+					x[c] = draw()
+					tile[4*c+l] = x[c]
+				}
+				want[l] = make([]float64, len(bias))
+				m.layerRow(last, x, want[l])
+			}
+			check := func(form string, k, l int, got float64) {
+				t.Helper()
+				// NaN payloads are not part of the contract.
+				if wv := want[l][k]; math.Float64bits(got) != math.Float64bits(wv) && !(math.IsNaN(got) && math.IsNaN(wv)) {
+					t.Fatalf("width %d trial %d: %s neuron %d lane %d = %v (%#x), layerRow %v (%#x)",
+						n, trial, form, k, l, got, math.Float64bits(got), wv, math.Float64bits(wv))
+				}
+			}
+			for k := range bias {
+				var o [4]float64
+				neuronTile(w.Row(k), tile, bias[k], &o)
+				for l, v := range o {
+					check("neuronTile", k, l, v)
+				}
+			}
+			if hasAVX {
+				var o [16]float64
+				kernel4x4AVX(w.RowSpan(0, 4), tile, (*[4]float64)(bias), &o)
+				for i, v := range o {
+					check("kernel4x4AVX", i/4, i%4, v)
 				}
 			}
 		}

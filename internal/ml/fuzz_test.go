@@ -72,13 +72,16 @@ func FuzzUnmarshalModel(f *testing.F) {
 
 // FuzzMLPBatchMatchesSerial attacks the claim the serving workers and the
 // explainers rest on: PredictProbaBatch returns PredictProba's bits, for
-// any geometry (down to one hidden unit), any batch size (every remainder
-// of the four-row block) and any float64 — raw is read eight bytes at a
-// time as bit patterns, so inputs and weights reach NaN, ±Inf, −0 and
-// denormals.
+// any geometry (down to one hidden unit, up to two groups of four neurons
+// and a leftover), any batch size (every remainder of the four-row tile)
+// and any float64 — raw is read eight bytes at a time as bit patterns, so
+// inputs and weights reach NaN, ±Inf, −0 and denormals.
 func FuzzMLPBatchMatchesSerial(f *testing.F) {
 	f.Add(uint8(2), uint8(0), uint8(4), []byte{})
 	f.Add(uint8(20), uint8(0x85), uint8(0xc8), []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00\xbf\xe0\x00\x00\x00\x00\x00\x00"))
+	// A 5→5→5→3 net and ten rows: each hidden layer is a four-neuron group
+	// and a leftover neuron, the batch two tiles and two leftover rows.
+	f.Add(uint8(4), uint8(0x82), uint8(64), []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\xc0\x04\x00\x00\x00\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, dim, hidden, rows uint8, raw []byte) {
 		d, h, n := 1+int(dim%8), 1+int(hidden%9), 1+int(rows%11)

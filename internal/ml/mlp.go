@@ -329,19 +329,17 @@ func (m *MLP) PredictProba(x []float64) []float64 {
 	return mat.CloneVec(acts[len(acts)-1])
 }
 
-// mlpTile is how many rows PredictProbaBatch takes through the layers at a
-// time: the two activation buffers hold one tile, whatever the batch.
-const mlpTile = 64
-
-// PredictProbaBatch implements BatchPredictor. It runs the batch through
-// the network a layer at a time, blocked over instances: four rows share
-// each weight row, so the four dot products' add chains overlap where
-// layerRow has one dependent chain per neuron. Every accumulator is still
-// layerRow's own sum — bias first, then one product per input in ascending
-// order — so the rows are bit-identical to PredictProba's (mat.Mul, which
-// adds the bias to a sum started from zero, would round differently).
-// Activations ping-pong between two buffers, so the allocation count does
-// not depend on the batch.
+// PredictProbaBatch implements BatchPredictor. Rows go through the network
+// four at a time as one lane-interleaved tile, t[4c+l] = feature c of row l
+// (scoreTile): every layer reads a tile and writes one, so a row is
+// transposed only going in and coming out, and a tile's lanes are one
+// 256-bit vector. Every lane's sum is still layerRow's own — bias first,
+// then one product per input in ascending order, each multiply and add
+// rounded on its own — so the rows are bit-identical to PredictProba's
+// (mat.Mul, which adds the bias to a sum started from zero, would round
+// differently). The one to three rows after the last full tile go through
+// layerRow itself. Both tiles are carved from the output's allocation, so
+// the allocation count does not depend on the batch.
 func (m *MLP) PredictProbaBatch(X [][]float64) [][]float64 {
 	if len(m.Weights) == 0 {
 		panic(ErrNotTrained)
@@ -351,22 +349,30 @@ func (m *MLP) PredictProbaBatch(X [][]float64) [][]float64 {
 	for _, x := range X {
 		m.checkInput(x)
 	}
-	out := probaRows(len(X), m.classes)
 	width := 0
-	for _, s := range m.sizes[1 : len(m.sizes)-1] {
+	for _, s := range m.sizes {
 		width = max(width, s)
 	}
-	tile := min(len(X), mlpTile)
-	cur, next := probaRows(tile, width), probaRows(tile, width)
+	// Two buffers of four lanes for tiles; a batch too short for a tile
+	// needs two of one lane, as PredictProba does.
+	lanes := 1
+	if len(X) >= 4 {
+		lanes = 4
+	}
+	out, scratch := probaRowsScratch(len(X), m.classes, 2*lanes*width)
+	cur, next := scratch[:lanes*width], scratch[lanes*width:]
+	i := 0
+	for ; i+4 <= len(X); i += 4 {
+		m.scoreTile((*[4][]float64)(X[i:i+4]), (*[4][]float64)(out[i:i+4]), cur, next)
+	}
 	last := len(m.Weights) - 1
-	for base := 0; base < len(X); base += tile {
-		end := min(base+tile, len(X))
-		in := X[base:end]
+	for ; i < len(X); i++ {
+		in, a, b := X[i], cur, next
 		for l := 0; l < last; l++ {
-			m.layerBatch(l, in, cur)
-			in, cur, next = cur[:end-base], next, cur
+			m.layerRow(l, in, a)
+			in, a, b = a, b, a
 		}
-		m.layerBatch(last, in, out[base:end])
+		m.layerRow(last, in, out[i])
 	}
 	for _, p := range out {
 		mat.Softmax(p, p)
@@ -374,54 +380,78 @@ func (m *MLP) PredictProbaBatch(X [][]float64) [][]float64 {
 	return out
 }
 
-// layerBatch scores every row of in through layer l into the leading
-// entries of out's rows: four rows at a time, then the rows left over one
-// at a time.
-func (m *MLP) layerBatch(l int, in, out [][]float64) {
-	out = out[:len(in)]
-	i := 0
-	for ; i+4 <= len(in); i += 4 {
-		m.layerBlock(l, (*[4][]float64)(in[i:i+4]), (*[4][]float64)(out[i:i+4]))
+// scoreTile runs the four rows x through the network and writes the output
+// layer's sums to the leading entries of o's rows. cur and next are tiles
+// of four lanes as wide as the widest layer; cur takes the transposed rows.
+func (m *MLP) scoreTile(x, o *[4][]float64, cur, next []float64) {
+	cols := m.sizes[0]
+	// Reslice hints: the rows were checked cols wide, the tile is 4·cols.
+	x0, x1, x2, x3 := x[0][:cols], x[1][:cols], x[2][:cols], x[3][:cols]
+	t := cur[:4*cols]
+	for c, v := range x0 {
+		lanes := (*[4]float64)(t[4*c:])
+		lanes[0], lanes[1], lanes[2], lanes[3] = v, x1[c], x2[c], x3[c]
 	}
-	for ; i < len(in); i++ {
-		m.layerRow(l, in[i], out[i])
+	for l := range m.Weights {
+		m.layerTile(l, cur, next)
+		cur, next = next, cur
+	}
+	k := m.classes
+	o0, o1, o2, o3 := o[0][:k], o[1][:k], o[2][:k], o[3][:k]
+	t = cur[:4*k]
+	for c := range o0 {
+		lanes := (*[4]float64)(t[4*c:])
+		o0[c], o1[c], o2[c], o3[c] = lanes[0], lanes[1], lanes[2], lanes[3]
 	}
 }
 
-// layerBlock is the batch kernel: layerRow for four rows at once, one
-// weight row against all four, each of the four sums accumulated exactly
-// as layerRow accumulates its one.
-func (m *MLP) layerBlock(l int, x, o *[4][]float64) {
-	w, bias, cols := m.Weights[l], m.Biases[l], m.sizes[l]
-	hidden := l < len(m.Weights)-1
-	// Reslice hints: inputs are cols wide (checked up front or written by
-	// the previous layer), outputs one per bias.
-	x0, x1, x2, x3 := x[0][:cols], x[1][:cols], x[2][:cols], x[3][:cols]
-	o0, o1, o2, o3 := o[0][:len(bias)], o[1][:len(bias)], o[2][:len(bias)], o[3][:len(bias)]
-	for r, b := range bias {
-		s0, s1, s2, s3 := b, b, b, b
-		for c, wv := range w.Row(r)[:cols] {
-			s0 += wv * x0[c]
-			s1 += wv * x1[c]
-			s2 += wv * x2[c]
-			s3 += wv * x3[c]
+// layerTile is layer l on a tile: in holds sizes[l] features of four lanes,
+// out receives one neuron's four lanes per bias, leaky ReLU applied if the
+// layer is hidden. Neurons go four at a time through kernel4x4AVX when the
+// CPU has it; the rest, and all of them on any other CPU, through
+// neuronTile.
+func (m *MLP) layerTile(l int, in, out []float64) {
+	w, bias := m.Weights[l], m.Biases[l]
+	// What kernel4x4AVX reads is exactly what it is handed: four weight
+	// rows of n, a tile of 4n, and two arrays.
+	n := w.Cols()
+	in, out = in[:4*n], out[:4*len(bias)]
+	r := 0
+	if hasAVX {
+		for ; r+4 <= len(bias); r += 4 {
+			kernel4x4AVX(w.RowSpan(r, 4), in, (*[4]float64)(bias[r:r+4]), (*[16]float64)(out[4*r:4*r+16]))
 		}
-		if hidden {
-			if s0 < 0 {
-				s0 *= leakySlope
-			}
-			if s1 < 0 {
-				s1 *= leakySlope
-			}
-			if s2 < 0 {
-				s2 *= leakySlope
-			}
-			if s3 < 0 {
-				s3 *= leakySlope
-			}
-		}
-		o0[r], o1[r], o2[r], o3[r] = s0, s1, s2, s3
 	}
+	for ; r < len(bias); r++ {
+		neuronTile(w.Row(r), in, bias[r], (*[4]float64)(out[4*r:4*r+4]))
+	}
+	if l < len(m.Weights)-1 {
+		for i, s := range out {
+			if s < 0 {
+				out[i] = s * leakySlope // leaky ReLU, as layerRow takes it
+			}
+		}
+	}
+}
+
+// neuronTile is the Go form of the tile kernel: one weight row against the
+// tile's four lanes, each lane's sum accumulated exactly as layerRow
+// accumulates its one. kernel4x4AVX is four of these at once.
+func neuronTile(w, t []float64, b float64, o *[4]float64) {
+	s0, s1, s2, s3 := b, b, b, b
+	for _, wv := range w {
+		// Never taken (t is 4·len(w)); it lets the compiler drop the
+		// bounds checks below.
+		if len(t) < 4 {
+			break
+		}
+		s0 += wv * t[0]
+		s1 += wv * t[1]
+		s2 += wv * t[2]
+		s3 += wv * t[3]
+		t = t[4:]
+	}
+	o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 }
 
 // InputGradient implements GradientClassifier: the cross-entropy gradient

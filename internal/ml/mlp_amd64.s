@@ -1,0 +1,69 @@
+#include "textflag.h"
+
+// func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64)
+//
+// Four neurons against the four lanes of a tile. Y0..Y3 hold neuron k's
+// four lane sums, started from b[k]; for each column c in ascending order
+// the tile's lanes t[4c..4c+3] are multiplied by the broadcast w[kn+c] and
+// the product added, a separate VMULPD and VADDPD so each rounds as
+// layerRow's scalar multiply and add do (an FMA would round once). n is
+// len(t)/4; the caller passes four rows of n weights and a tile of 4n.
+TEXT ·kernel4x4AVX(SB), NOSPLIT, $0-64
+	MOVQ w_base+0(FP), R8
+	MOVQ t_base+24(FP), SI
+	MOVQ t_len+32(FP), CX
+	SHRQ $2, CX
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	MOVQ b+48(FP), AX
+	MOVQ o+56(FP), DI
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	XORQ DX, DX
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	VMOVUPD      (SI), Y4
+	VBROADCASTSD (R8)(DX*8), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R9)(DX*8), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R10)(DX*8), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (R11)(DX*8), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $32, SI
+	INCQ         DX
+	CMPQ         DX, CX
+	JB           loop
+
+store:
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func cpuid1ECX() uint32
+TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	MOVL CX, ret+0(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
