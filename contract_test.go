@@ -367,15 +367,18 @@ func serviceCases(t *testing.T) []contractCase {
 	add("shap/explain dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0, 1}, Class: 1, Background: [][]float64{{0, 0}}})
 	add("shap/explain model dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: nn3, Instance: []float64{2, 0, 1, 1}, Class: 1, Background: [][]float64{{0, 0, 0, 0}}})
 	add("shap/explain tree dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Background: [][]float64{{0}}})
+	add("shap/explain too many samples", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{0, 0}}, Samples: 1 << 62})
 	add("shap/explain ok", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{-2, 0}, {0, 0}}, Samples: 64, Seed: 1})
 	add("lime/tabular missing model", lime, "POST", "/explain/tabular", `{"instance":[2,0],"scale":[1,1]}`)
 	add("lime/tabular undecodable model", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: garbage, Instance: []float64{2, 0}, Scale: []float64{1, 1}})
 	add("lime/tabular dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1}})
 	add("lime/tabular model dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: nn3, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}})
 	add("lime/tabular tree dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Scale: []float64{1}})
+	add("lime/tabular too many samples", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 1 << 62})
 	add("lime/tabular ok", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 64, Seed: 2})
 	add("lime/image missing model", lime, "POST", "/explain/image", `{"image":[0.9,0.1,0.8,0.2],"w":2,"h":2}`)
 	add("lime/image bad geometry", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, W: 3, H: 2, Patch: 1})
+	add("lime/image too many samples", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, Class: 1, W: 2, H: 2, Patch: 1, Samples: 1 << 62})
 	add("lime/image ok", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, Class: 1, W: 2, H: 2, Patch: 1, Samples: 32, Seed: 4})
 	for _, path := range []string{"/explain", "/explain/png"} {
 		add("occlusion"+path+" missing model", occ, "POST", path, `{"image":[0.9,0.1,0.8,0.2],"w":2,"h":2}`)

@@ -60,71 +60,106 @@ func TestBatchKernelsMatchSerial(t *testing.T) {
 // layerRow, called directly: kernel4x4AVX (when the CPU has it) on four
 // neurons at once and neuronTile on each, for input widths from one to
 // the image net's 576, with −0, denormals and, in every other trial, NaN
-// and ±Inf among the weights, biases and inputs. The layer is an output
-// layer, so layerRow's values are the raw sums the kernels return.
+// and ±Inf among the weights, biases and inputs. Each width is checked on
+// a hidden layer at leakySlope, where the kernels take the leaky ReLU as
+// they store, and on an output layer at slope 1, where they must return
+// the raw sums. A last trial pins every sum to an edge of the activation:
+// −0 and NaN, which compare false and are kept, ±Inf, and negative
+// denormals, whose scaled value rounds to −0 or stays a denormal.
 func TestTileKernelsMatchLayerRow(t *testing.T) {
 	if !hasAVX {
 		t.Log("no AVX on this CPU: kernel4x4AVX skipped, neuronTile checked alone")
 	}
 	rng := rand.New(rand.NewSource(1))
-	tame := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	negZero := math.Copysign(0, -1)
+	tame := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		math.Float64frombits(0x000fffffffffffff), 0x1p-540, -0x1p-540}
 	wild := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	edges := []float64{negZero, 0, -math.SmallestNonzeroFloat64, -0x1p-1070,
+		-math.Float64frombits(0x000fffffffffffff), math.NaN(), math.Inf(1), math.Inf(-1),
+		-1, -math.MaxFloat64, 0x1p-1074, 1}
+	const pinned = 6 // the trial whose sums are the edges
 	for _, n := range []int{1, 2, 3, 4, 5, 21, 128, 576} {
-		for trial := 0; trial < 6; trial++ {
-			// Wild values are rare enough that most sums stay finite.
-			draw := func() float64 {
-				switch p := rng.Intn(4 * n); {
-				case trial%2 == 1 && p == 0:
-					return wild[rng.Intn(len(wild))]
-				case p < n:
-					return tame[rng.Intn(len(tame))]
+		for _, hidden := range []bool{true, false} {
+			for trial := 0; trial <= pinned; trial++ {
+				// Wild values are rare enough that most sums stay finite.
+				draw := func() float64 {
+					switch p := rng.Intn(4 * n); {
+					case trial%2 == 1 && p == 0:
+						return wild[rng.Intn(len(wild))]
+					case p < n:
+						return tame[rng.Intn(len(tame))]
+					}
+					return rng.NormFloat64()
 				}
-				return rng.NormFloat64()
-			}
-			m := NewMLP(MLPConfig{Hidden: []int{n}})
-			if err := m.Init(1, 4); err != nil {
-				t.Fatal(err)
-			}
-			last := len(m.Weights) - 1
-			w, bias := m.Weights[last], m.Biases[last]
-			for k := range bias {
-				bias[k] = draw()
-				for c := range w.Row(k) {
-					w.Row(k)[c] = draw()
+				// Layer l reads n features into four neurons: the hidden
+				// layer of an n→4→4 net, or the output layer of a 1→n→4 one.
+				m, in, l, slope := NewMLP(MLPConfig{Hidden: []int{4}}), n, 0, leakySlope
+				if !hidden {
+					m, in, l, slope = NewMLP(MLPConfig{Hidden: []int{n}}), 1, 1, 1
 				}
-			}
-			tile := make([]float64, 4*n)
-			want := make([][]float64, 4) // want[l][k]: neuron k on row l
-			for l := range want {
-				x := make([]float64, n)
-				for c := range x {
-					x[c] = draw()
-					tile[4*c+l] = x[c]
+				if err := m.Init(in, 4); err != nil {
+					t.Fatal(err)
 				}
-				want[l] = make([]float64, len(bias))
-				m.layerRow(last, x, want[l])
-			}
-			check := func(form string, k, l int, got float64) {
-				t.Helper()
-				// NaN payloads are not part of the contract.
-				if wv := want[l][k]; math.Float64bits(got) != math.Float64bits(wv) && !(math.IsNaN(got) && math.IsNaN(wv)) {
-					t.Fatalf("width %d trial %d: %s neuron %d lane %d = %v (%#x), layerRow %v (%#x)",
-						n, trial, form, k, l, got, math.Float64bits(got), wv, math.Float64bits(wv))
+				w, bias := m.Weights[l], m.Biases[l]
+				for k := range bias {
+					bias[k] = draw()
+					for c := range w.Row(k) {
+						w.Row(k)[c] = draw()
+					}
 				}
-			}
-			for k := range bias {
-				var o [4]float64
-				neuronTile(w.Row(k), tile, bias[k], &o)
-				for l, v := range o {
-					check("neuronTile", k, l, v)
+				tile := make([]float64, 4*n)
+				x := make([][]float64, 4) // x[l]: the row on lane l
+				for lane := range x {
+					x[lane] = make([]float64, n)
+					for c := range x[lane] {
+						x[lane][c] = draw()
+					}
 				}
-			}
-			if hasAVX {
-				var o [16]float64
-				kernel4x4AVX(w.RowSpan(0, 4), tile, (*[4]float64)(bias), &o)
-				for i, v := range o {
-					check("kernel4x4AVX", i/4, i%4, v)
+				if trial == pinned {
+					// Every weight −0 and every input positive, so every
+					// product is −0 and each sum is its bias.
+					for k := range bias {
+						bias[k] = edges[(k+4*n)%len(edges)]
+						for c := range w.Row(k) {
+							w.Row(k)[c] = negZero
+						}
+					}
+					for lane := range x {
+						for c := range x[lane] {
+							x[lane][c] = math.Abs(x[lane][c]) + 1
+						}
+					}
+				}
+				want := make([][]float64, 4) // want[l][k]: neuron k on lane l
+				for lane := range want {
+					for c, v := range x[lane] {
+						tile[4*c+lane] = v
+					}
+					want[lane] = make([]float64, len(bias))
+					m.layerRow(l, x[lane], want[lane])
+				}
+				check := func(form string, k, lane int, got float64) {
+					t.Helper()
+					// NaN payloads are not part of the contract.
+					if wv := want[lane][k]; math.Float64bits(got) != math.Float64bits(wv) && !(math.IsNaN(got) && math.IsNaN(wv)) {
+						t.Fatalf("width %d hidden %v trial %d: %s neuron %d lane %d = %v (%#x), layerRow %v (%#x)",
+							n, hidden, trial, form, k, lane, got, math.Float64bits(got), wv, math.Float64bits(wv))
+					}
+				}
+				for k := range bias {
+					var o [4]float64
+					neuronTile(w.Row(k), tile, bias[k], &o, slope)
+					for lane, v := range o {
+						check("neuronTile", k, lane, v)
+					}
+				}
+				if hasAVX {
+					var o [16]float64
+					kernel4x4AVX(w.RowSpan(0, 4), tile, (*[4]float64)(bias), &o, slope)
+					for i, v := range o {
+						check("kernel4x4AVX", i/4, i%4, v)
+					}
 				}
 			}
 		}

@@ -72,8 +72,8 @@ func FuzzUnmarshalModel(f *testing.F) {
 
 // FuzzMLPBatchMatchesSerial attacks the claim the serving workers and the
 // explainers rest on: PredictProbaBatch returns PredictProba's bits, for
-// any geometry (down to one hidden unit, up to two groups of four neurons
-// and a leftover), any batch size (every remainder of the four-row tile)
+// any geometry (down to one hidden unit, up to three groups of four neurons
+// and two leftovers), any batch size (every remainder of the four-row tile)
 // and any float64 — raw is read eight bytes at a time as bit patterns, so
 // inputs and weights reach NaN, ±Inf, −0 and denormals.
 func FuzzMLPBatchMatchesSerial(f *testing.F) {
@@ -82,9 +82,13 @@ func FuzzMLPBatchMatchesSerial(f *testing.F) {
 	// A 5→5→5→3 net and ten rows: each hidden layer is a four-neuron group
 	// and a leftover neuron, the batch two tiles and two leftover rows.
 	f.Add(uint8(4), uint8(0x82), uint8(64), []byte("\x3f\xf0\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\xc0\x04\x00\x00\x00\x00\x00\x00"))
+	// A 6→13→13→2 net and ten rows: each hidden layer is three groups of
+	// four neurons, whose leaky ReLU the assembly takes, and one neuron
+	// after them, whose neuronTile takes.
+	f.Add(uint8(5), uint8(0x8a), uint8(9), []byte("\xbf\xf0\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x01"))
 
 	f.Fuzz(func(t *testing.T, dim, hidden, rows uint8, raw []byte) {
-		d, h, n := 1+int(dim%8), 1+int(hidden%9), 1+int(rows%11)
+		d, h, n := 1+int(dim%8), 1+int(hidden%14), 1+int(rows%11)
 		cfg := MLPConfig{Hidden: []int{h}, Seed: int64(dim) + 1}
 		if hidden&0x80 != 0 {
 			cfg.Hidden = []int{h, h}

@@ -409,9 +409,15 @@ func (m *MLP) scoreTile(x, o *[4][]float64, cur, next []float64) {
 // out receives one neuron's four lanes per bias, leaky ReLU applied if the
 // layer is hidden. Neurons go four at a time through kernel4x4AVX when the
 // CPU has it; the rest, and all of them on any other CPU, through
-// neuronTile.
+// neuronTile. Both take the activation as they store: a negative sum is
+// multiplied by slope, which is leakySlope on a hidden layer and 1 on the
+// output layer, where s·1 is s exactly.
 func (m *MLP) layerTile(l int, in, out []float64) {
 	w, bias := m.Weights[l], m.Biases[l]
+	slope := 1.0
+	if l < len(m.Weights)-1 {
+		slope = leakySlope
+	}
 	// What kernel4x4AVX reads is exactly what it is handed: four weight
 	// rows of n, a tile of 4n, and two arrays.
 	n := w.Cols()
@@ -419,25 +425,19 @@ func (m *MLP) layerTile(l int, in, out []float64) {
 	r := 0
 	if hasAVX {
 		for ; r+4 <= len(bias); r += 4 {
-			kernel4x4AVX(w.RowSpan(r, 4), in, (*[4]float64)(bias[r:r+4]), (*[16]float64)(out[4*r:4*r+16]))
+			kernel4x4AVX(w.RowSpan(r, 4), in, (*[4]float64)(bias[r:r+4]), (*[16]float64)(out[4*r:4*r+16]), slope)
 		}
 	}
 	for ; r < len(bias); r++ {
-		neuronTile(w.Row(r), in, bias[r], (*[4]float64)(out[4*r:4*r+4]))
-	}
-	if l < len(m.Weights)-1 {
-		for i, s := range out {
-			if s < 0 {
-				out[i] = s * leakySlope // leaky ReLU, as layerRow takes it
-			}
-		}
+		neuronTile(w.Row(r), in, bias[r], (*[4]float64)(out[4*r:4*r+4]), slope)
 	}
 }
 
 // neuronTile is the Go form of the tile kernel: one weight row against the
 // tile's four lanes, each lane's sum accumulated exactly as layerRow
-// accumulates its one. kernel4x4AVX is four of these at once.
-func neuronTile(w, t []float64, b float64, o *[4]float64) {
+// accumulates its one and multiplied by slope if it is below zero, as
+// layerRow takes the leaky ReLU. kernel4x4AVX is four of these at once.
+func neuronTile(w, t []float64, b float64, o *[4]float64, slope float64) {
 	s0, s1, s2, s3 := b, b, b, b
 	for _, wv := range w {
 		// Never taken (t is 4·len(w)); it lets the compiler drop the
@@ -451,7 +451,16 @@ func neuronTile(w, t []float64, b float64, o *[4]float64) {
 		s3 += wv * t[3]
 		t = t[4:]
 	}
-	o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	o[0], o[1], o[2], o[3] = leaky(s0, slope), leaky(s1, slope), leaky(s2, slope), leaky(s3, slope)
+}
+
+// leaky is layerRow's activation on one sum: s·slope if s < 0, else s
+// (−0 and NaN included).
+func leaky(s, slope float64) float64 {
+	if s < 0 {
+		return s * slope
+	}
+	return s
 }
 
 // InputGradient implements GradientClassifier: the cross-entropy gradient

@@ -6,11 +6,12 @@ var hasAVX = avxUsable()
 
 // kernel4x4AVX is the tile kernel on 256-bit vectors (mlp_amd64.s): w holds
 // four weight rows of n = len(t)/4 back to back, and o[4k+l] is neuron k's
-// sum on lane l, b[k] plus w[kn+c]·t[4c+l] for c ascending. It checks no
-// bounds: len(w) and len(t) must both be 4n.
+// sum on lane l, b[k] plus w[kn+c]·t[4c+l] for c ascending, times slope if
+// the sum is below zero. It checks no bounds: len(w) and len(t) must both
+// be 4n.
 //
 //go:noescape
-func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64)
+func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64, slope float64)
 
 // cpuid1ECX returns ECX of CPUID leaf 1; xgetbv0 the low word of XCR0.
 func cpuid1ECX() uint32

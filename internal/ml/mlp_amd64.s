@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64)
+// func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64, slope float64)
 //
 // Four neurons against the four lanes of a tile. Y0..Y3 hold neuron k's
 // four lane sums, started from b[k]; for each column c in ascending order
@@ -8,7 +8,12 @@
 // the product added, a separate VMULPD and VADDPD so each rounds as
 // layerRow's scalar multiply and add do (an FMA would round once). n is
 // len(t)/4; the caller passes four rows of n weights and a tile of 4n.
-TEXT ·kernel4x4AVX(SB), NOSPLIT, $0-64
+//
+// Each sum s is stored as s·slope where s < 0 and as s elsewhere: the
+// product is always formed, VCMPPD with LT_OQ (0x11) masks the lanes that
+// compare below zero (−0 and NaN do not) and VBLENDVPD picks the product
+// on those lanes only, so the branch layerRow takes costs no branch here.
+TEXT ·kernel4x4AVX(SB), NOSPLIT, $0-72
 	MOVQ w_base+0(FP), R8
 	MOVQ t_base+24(FP), SI
 	MOVQ t_len+32(FP), CX
@@ -46,10 +51,24 @@ loop:
 	JB           loop
 
 store:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	VBROADCASTSD slope+64(FP), Y9
+	VXORPD       Y10, Y10, Y10
+	VMULPD       Y9, Y0, Y4
+	VCMPPD       $0x11, Y10, Y0, Y5
+	VBLENDVPD    Y5, Y4, Y0, Y0
+	VMULPD       Y9, Y1, Y6
+	VCMPPD       $0x11, Y10, Y1, Y7
+	VBLENDVPD    Y7, Y6, Y1, Y1
+	VMULPD       Y9, Y2, Y4
+	VCMPPD       $0x11, Y10, Y2, Y5
+	VBLENDVPD    Y5, Y4, Y2, Y2
+	VMULPD       Y9, Y3, Y6
+	VCMPPD       $0x11, Y10, Y3, Y7
+	VBLENDVPD    Y7, Y6, Y3, Y3
+	VMOVUPD      Y0, 0(DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
 	VZEROUPPER
 	RET
 

@@ -7,6 +7,6 @@ const hasAVX = false
 
 // kernel4x4AVX exists off amd64 only so that layerTile compiles; hasAVX is
 // a false constant here, so nothing calls it.
-func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64) {
+func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64, slope float64) {
 	panic("ml: kernel4x4AVX called off amd64")
 }

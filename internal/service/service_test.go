@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/ml"
 	"repro/internal/wire"
+	"repro/internal/xai"
 )
 
 func sepTable(n int) *dataset.Table {
@@ -430,6 +432,37 @@ func TestExplainersAnswerNarrowTreeInstanceWith422(t *testing.T) {
 			if !errors.As(err, &status) || status.Status != http.StatusUnprocessableEntity ||
 				status.Message != "xai: model reads 3 features, instance dim 2" {
 				t.Errorf("%s %s: err = %v, want a 422 naming the width", name, route, err)
+			}
+		}
+	}
+}
+
+// TestExplainersAnswerHugeSampleBudgetWith422: a sample budget above
+// xai.MaxSamples is a 422 naming the limit from all three sampling
+// explainer routes. Without the bound, 1<<62 panics in makeslice inside
+// the handler, which the client reads as a transport EOF.
+func TestExplainersAnswerHugeSampleBudgetWith422(t *testing.T) {
+	m := ml.NewLogReg(ml.DefaultLogRegConfig())
+	if err := m.Fit(sepTable(40)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.MarshalModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shap, lime := httptest.NewServer(NewSHAPService()), httptest.NewServer(NewLIMEService())
+	defer shap.Close()
+	defer lime.Close()
+	ctx := context.Background()
+	for _, n := range []int{xai.MaxSamples + 1, 1 << 62} {
+		_, shapErr := (&Client{BaseURL: shap.URL}).SHAP(ctx, SHAPRequest{Model: blob, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{0, 0}}, Samples: n})
+		_, tabErr := (&Client{BaseURL: lime.URL}).LIMETabular(ctx, LIMETabularRequest{Model: blob, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: n})
+		_, imgErr := (&Client{BaseURL: lime.URL}).LIMEImage(ctx, LIMEImageRequest{Model: blob, Image: []float64{2, 0}, Class: 1, W: 2, H: 1, Patch: 1, Samples: n})
+		want := fmt.Sprintf("xai: %d samples exceeds the limit of %d", n, xai.MaxSamples)
+		for route, err := range map[string]error{"shap": shapErr, "lime tabular": tabErr, "lime image": imgErr} {
+			var status *wire.StatusError
+			if !errors.As(err, &status) || status.Status != http.StatusUnprocessableEntity || status.Message != want {
+				t.Errorf("%s, %d samples: err = %v, want a 422 %q", route, n, err, want)
 			}
 		}
 	}

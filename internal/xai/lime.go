@@ -19,7 +19,8 @@ type TabularLIME struct {
 	// Scale is the per-feature perturbation standard deviation.
 	// Typically the training-set feature standard deviations.
 	Scale []float64
-	// Samples is the number of perturbations (default 1000).
+	// Samples is the number of perturbations (default 1000, at most
+	// MaxSamples).
 	Samples int
 	// KernelWidth is the RBF kernel width in normalized distance units
 	// (default 0.75·sqrt(d), as in the reference implementation).
@@ -51,6 +52,9 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 	samples := l.Samples
 	if samples <= 0 {
 		samples = 1000
+	}
+	if err := checkSamples(samples); err != nil {
+		return nil, err
 	}
 	width := l.KernelWidth
 	if width <= 0 {
@@ -106,7 +110,8 @@ type ImageLIME struct {
 	Patch int
 	// Baseline is the pixel value used for masked segments.
 	Baseline float64
-	// Samples is the number of random masks (default 500).
+	// Samples is the number of random masks (default 500, at most
+	// MaxSamples).
 	Samples int
 	// Lambda is the ridge regularizer (default 1e-3).
 	Lambda float64
@@ -143,6 +148,9 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 	samples := l.Samples
 	if samples <= 0 {
 		samples = 500
+	}
+	if err := checkSamples(samples); err != nil {
+		return nil, err
 	}
 	lambda := l.Lambda
 	if lambda <= 0 {

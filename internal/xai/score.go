@@ -13,6 +13,21 @@ import (
 // is 390 rows of the probe's 21 features, enough to amortize a batch call.
 const blockFloats = 8192
 
+// MaxSamples is the largest sample budget KernelSHAP, TabularLIME and
+// ImageLIME accept. Each sample is a row of the surrogate regression's
+// design matrix, allocated before any is scored, and the budget arrives in
+// the request: without a bound, 1<<62 panics in makeslice and 1e8 asks for
+// gigabytes. The largest budget any caller in this module sets is 4 000.
+const MaxSamples = 1 << 16
+
+// checkSamples refuses a sample budget above MaxSamples.
+func checkSamples(n int) error {
+	if n > MaxSamples {
+		return fmt.Errorf("xai: %d samples exceeds the limit of %d", n, MaxSamples)
+	}
+	return nil
+}
+
 // scoreRows puts n perturbed rows of width d through the model and hands
 // back the class column. fill(i, row) writes row i into a reused buffer;
 // use(i, p) receives row i's probability of class. Both run in ascending i,

@@ -31,7 +31,7 @@ type KernelSHAP struct {
 	// "absent" features. A handful of rows is enough in practice.
 	Background [][]float64
 	// Samples is the number of sampled coalitions (min 2·d recommended;
-	// lower values are regularized).
+	// lower values are regularized; at most MaxSamples).
 	Samples int
 	// Lambda is the ridge regularizer for under-determined systems.
 	Lambda float64
@@ -65,6 +65,9 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 	samples := k.Samples
 	if samples <= 0 {
 		samples = 2*d + 512
+	}
+	if err := checkSamples(samples); err != nil {
+		return nil, err
 	}
 	lambda := k.Lambda
 	if lambda <= 0 {
