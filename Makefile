@@ -17,8 +17,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific invariants (determinism, telemetry cardinality, context
-# propagation, resource leaks, ...); exits nonzero on any unsuppressed
+# Project-specific invariants (telemetry cardinality, injectable clocks,
+# resource leaks, lock order, ...); exits nonzero on any unsuppressed
 # finding at warn severity or above. The only waiver is an inline
 # `//lint:ignore check reason`.
 lint:
@@ -29,12 +29,13 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/spatial-lint -sarif lint.sarif ./...
 
-# The five numbers every re-anchor recounts by hand: binaries, their
-# flags, non-test Go lines under internal/ + cmd/, the lint package's share
-# of them, and the perf manifest's contracts.
+# The six numbers every re-anchor recounts: binaries, their flags, lint
+# checks, non-test Go lines under internal/ + cmd/, the lint package's
+# share of them, and the perf manifest's contracts.
 counts:
 	@echo "binaries           $$(ls -d cmd/*/ | wc -l)"
 	@echo "flags              $$(cat cmd/*/*.go | grep -cE '\b(flag|fs)\.(Bool|String|Int|Int64|Float64|Duration|Var)\(')"
+	@echo "checks             $$($(GO) run ./cmd/spatial-lint -list | wc -l)"
 	@echo "non-test lines     $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "lint lines         $$(find internal/lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "manifest contracts $$(grep -c '"entry":' .perf-manifest.json)"

@@ -1,13 +1,12 @@
 // Command spatial-lint runs SPATIAL's project-specific static-analysis
-// suite (internal/lint) over the repository: determinism of the
-// fixed-seed experiment packages, telemetry label-cardinality bounds,
-// trace-context propagation across the serving tiers, float-equality
-// discipline in the numeric kernels, goroutine lifecycle hygiene,
-// unchecked I/O errors on the server edges, the flow-sensitive
-// checks (lock balance, response-body and context-cancel leaks,
-// wall-clock bypasses, append aliasing) built on the CFG dataflow
-// engine, map-order leaks, and the interprocedural checks (lock-order
-// cycles, the four race checks) built on the whole-module call graph.
+// suite (internal/lint) over the repository: telemetry label-cardinality
+// bounds, goroutine lifecycle hygiene, unchecked I/O errors on the server
+// edges, wall-clock bypasses of internal/clock, the flow-sensitive checks
+// (lock balance, response-body leaks, lost and diverged appends) built on
+// the CFG dataflow engine, and the interprocedural checks (lock-order
+// cycles, unguarded fields, one-sided channels, WaitGroup Adds inside the
+// awaited goroutine) built on the whole-module call graph. `-list` prints
+// the checks.
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Package clock abstracts the time source so components that schedule
 // work (sensor sampling loops, load-generator ramp-ups) can be driven
-// deterministically in tests. The spatial-lint nondeterminism analyzer
-// flags raw time.Now() in seed-critical packages; this package is the
+// deterministically in tests. The spatial-lint wall-clock analyzer flags
+// raw time.Now() in every other internal package; this package is the
 // sanctioned injection point: production code takes a Clock and defaults
 // to Real(), tests install a Fake and advance it explicitly, so timing
 // assertions stop depending on scheduler load.

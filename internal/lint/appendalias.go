@@ -6,8 +6,9 @@ import (
 	"go/types"
 )
 
-// AnalyzerAppendAlias flags three append misuses that silently corrupt
-// or drop data in the batch-assembly hot paths:
+// AnalyzerAppendAlias flags two append misuses that silently corrupt or
+// drop data in the batch-assembly hot paths, neither of which the race
+// detector sees (both happen on one goroutine):
 //
 //  1. dead append — `s = append(s, x)` where s is never read afterwards
 //     (classically: appending to a slice parameter, which the caller
@@ -17,16 +18,13 @@ import (
 //     exceeds len(base) the second append overwrites the element the
 //     first one placed. Forward dataflow; appends on mutually exclusive
 //     branches are not flagged.
-//  3. goroutine append race — `s = append(s, ...)` after spawning a
-//     goroutine whose closure also appends to s: an unsynchronized
-//     write-write race on both the slice header and the backing array.
 //
 // Severity is warn: each pattern has rare legitimate shapes (an
 // intentionally discarded scratch append, a caller that guarantees
 // exact capacity), which get a justified suppression.
 var AnalyzerAppendAlias = &Analyzer{
 	Name:         "append-alias",
-	Doc:          "flags appends whose result is lost or whose backing array is shared across aliases or goroutines",
+	Doc:          "flags appends whose result is lost or whose backing array is shared across aliases",
 	Severity:     SeverityWarn,
 	IncludeTests: true,
 	Run:          runAppendAlias,
@@ -228,50 +226,12 @@ func checkDeadAppend(p *Pass, fn fnBody, g *CFG) {
 	}
 }
 
-// --- patterns 2 and 3: aliased and goroutine-raced appends (forward) ---
+// --- pattern 2: diverged appends (forward) ---
 
-// aliasKind tags why a base slice is dangerous to append from again.
-type aliasKind int8
-
-const (
-	aliasDiverged aliasKind = iota + 1
-	aliasGoAppend
-)
-
-type aliasFact struct {
-	pos  int
-	kind aliasKind
-}
-
+// checkAliasedAppend tracks, per base slice, the position of the first
+// append whose result went to another variable.
 func checkAliasedAppend(p *Pass, fn fnBody, g *CFG) {
-	type fact = map[*types.Var]aliasFact
-
-	// goAppendVars lists, per go statement, the outer slice variables the
-	// spawned closure itself appends to.
-	goAppendTargets := func(gs *ast.GoStmt) []*types.Var {
-		lit, ok := gs.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return nil
-		}
-		var out []*types.Var
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if as, ok := m.(*ast.AssignStmt); ok {
-				appendAssigns(as, func(dst *ast.Ident, call *ast.CallExpr) {
-					v := p.useVar(dst)
-					if v == nil {
-						return
-					}
-					// Captured (declared outside the literal), not a
-					// variable local to the goroutine.
-					if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-						out = append(out, v)
-					}
-				})
-			}
-			return true
-		})
-		return out
-	}
+	type fact = map[*types.Var]int
 
 	baseVarOf := func(call *ast.CallExpr) *types.Var {
 		if len(call.Args) == 0 {
@@ -293,14 +253,7 @@ func checkAliasedAppend(p *Pass, fn fnBody, g *CFG) {
 
 	step := func(node ast.Node, in fact, reporting bool) fact {
 		out := cloneFacts(in)
-		switch n := node.(type) {
-		case *ast.GoStmt:
-			for _, v := range goAppendTargets(n) {
-				if _, ok := out[v]; !ok {
-					out[v] = aliasFact{pos: int(n.Pos()), kind: aliasGoAppend}
-				}
-			}
-		case *ast.AssignStmt:
+		if n, ok := node.(*ast.AssignStmt); ok {
 			handled := make(map[*types.Var]bool)
 			appendAssigns(n, func(dst *ast.Ident, call *ast.CallExpr) {
 				base := baseVarOf(call)
@@ -309,23 +262,16 @@ func checkAliasedAppend(p *Pass, fn fnBody, g *CFG) {
 					return
 				}
 				handled[base] = true
-				if info, tracked := out[base]; tracked {
+				if first, tracked := out[base]; tracked {
 					if reporting {
-						switch info.kind {
-						case aliasGoAppend:
-							report(int(call.Pos()),
-								"append to %s races with the goroutine spawned at line %d, which also appends to it; synchronize or give it a copy",
-								base.Name(), p.Fset.Position(token.Pos(info.pos)).Line)
-						case aliasDiverged:
-							report(int(call.Pos()),
-								"second append from %s may overwrite the element placed by the append at line %d (shared backing array); copy before branching the slice",
-								base.Name(), p.Fset.Position(token.Pos(info.pos)).Line)
-						}
+						report(int(call.Pos()),
+							"second append from %s may overwrite the element placed by the append at line %d (shared backing array); copy before branching the slice",
+							base.Name(), p.Fset.Position(token.Pos(first)).Line)
 					}
 					return
 				}
 				if dstVar != nil && dstVar != base {
-					out[base] = aliasFact{pos: int(call.Pos()), kind: aliasDiverged}
+					out[base] = int(call.Pos())
 				}
 			})
 			// A wholesale reassignment of a tracked base retires it.
@@ -354,15 +300,8 @@ func checkAliasedAppend(p *Pass, fn fnBody, g *CFG) {
 	facts := Solve(g, FlowProblem[fact]{
 		Boundary: func() fact { return fact{} },
 		Init:     func() fact { return fact{} },
-		Meet: func(a, b fact) fact {
-			return unionFacts(a, b, func(x, y aliasFact) aliasFact {
-				if y.pos < x.pos {
-					return y
-				}
-				return x
-			})
-		},
-		Equal: equalFacts[*types.Var, aliasFact],
+		Meet:     func(a, b fact) fact { return unionFacts(a, b, keepEarlier) },
+		Equal:    equalFacts[*types.Var, int],
 		Transfer: func(b *Block, f fact) fact {
 			for _, node := range b.Nodes {
 				f = step(node, f, false)

@@ -21,11 +21,10 @@ import "go/ast"
 // make, every make unbuffered, and no escape (argument pass, return,
 // store, rebind). Anything escaping is assumed correctly paired.
 var AnalyzerChanDeadlock = &Analyzer{
-	Name:         "chan-deadlock",
-	Doc:          "flags unbuffered channel ops with no counterpart in the spawn graph and select-default spin loops",
-	Severity:     SeverityWarn,
-	IncludeTests: true,
-	RunProgram:   runChanDeadlock,
+	Name:       "chan-deadlock",
+	Doc:        "flags unbuffered channel ops with no counterpart in the spawn graph and select-default spin loops",
+	Severity:   SeverityWarn,
+	RunProgram: runChanDeadlock,
 }
 
 func runChanDeadlock(pp *ProgramPass) {

@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the goroutine topology graph the concurrency checks
-// (atomic-mix, unguarded-field, chan-deadlock, wg-misuse) run on. It is a
+// (unguarded-field, chan-deadlock, wg-misuse) run on. It is a
 // module-wide view layered on the call graph: which functions may execute
 // on a spawned goroutine (go-reachability over call edges), every access
 // to a shared struct field classified as plain read/write, atomic, or

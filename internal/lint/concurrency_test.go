@@ -125,7 +125,8 @@ func TestConcurrencyMutexOwnership(t *testing.T) {
 }
 
 // TestConcurrencyMixedAccess: the count field records the atomic bump
-// and the plain read as distinct modes — the atomic-mix evidence.
+// and the plain read as distinct modes — the atomic mode is how
+// unguarded-field knows to skip the field.
 func TestConcurrencyMixedAccess(t *testing.T) {
 	_, conc := loadConcProgram(t)
 	fi := fieldBySuffix(t, conc, "conc.S.count")

@@ -13,19 +13,13 @@ import (
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		AnalyzerAppendAlias,
-		AnalyzerAtomicMix,
 		AnalyzerBodyLeak,
 		AnalyzerChanDeadlock,
 		AnalyzerUnguardedField,
 		AnalyzerWgMisuse,
-		AnalyzerCtxLeak,
-		AnalyzerCtxPropagation,
-		AnalyzerFloatEq,
 		AnalyzerGoroutineLeak,
 		AnalyzerLockBalance,
 		AnalyzerLockOrder,
-		AnalyzerMapOrderLeak,
-		AnalyzerNondeterminism,
 		AnalyzerTelemetryCardinality,
 		AnalyzerUncheckedErr,
 		AnalyzerWallClock,
@@ -79,8 +73,8 @@ type Options struct {
 	Patterns []string
 	// Analyzers restricts the run to a subset (nil runs the full suite).
 	Analyzers []*Analyzer
-	// Tests loads and analyzes test packages too. Analyzers opt in per
-	// check via Analyzer.IncludeTests.
+	// Tests loads and analyzes test packages too. Per-package analyzers
+	// opt in via Analyzer.IncludeTests; whole-program analyzers never do.
 	Tests bool
 }
 

@@ -217,11 +217,11 @@ func TestRepoTreeIsLintClean(t *testing.T) {
 
 // TestSelectAnalyzers covers the -checks flag plumbing.
 func TestSelectAnalyzers(t *testing.T) {
-	sel, err := SelectAnalyzers("float-eq,nondeterminism")
+	sel, err := SelectAnalyzers("lock-order,wall-clock")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].Name != "float-eq" || sel[1].Name != "nondeterminism" {
+	if len(sel) != 2 || sel[0].Name != "lock-order" || sel[1].Name != "wall-clock" {
 		t.Fatalf("selected %v", sel)
 	}
 	if _, err := SelectAnalyzers("no-such-check"); err == nil {

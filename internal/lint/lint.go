@@ -1,11 +1,10 @@
 // Package lint is SPATIAL's project-specific static-analysis suite. It
 // enforces, at review time, the invariants the paper's evaluation depends
-// on but no compiler checks: reproducibility of fixed-seed experiments
-// (Tables IV-VII), bounded metric-label cardinality in the telemetry
-// plane, X-Trace-Id context propagation across the micro-service tiers,
-// exact-float comparison discipline in the numeric kernels, goroutine
-// lifecycle hygiene under heavy concurrent traffic, and error-checking on
-// the server tiers' I/O edges.
+// on but neither the compiler, go vet, nor a test run checks: time read
+// through the injectable clock, bounded metric-label cardinality in the
+// telemetry plane, goroutine, lock and channel lifecycle hygiene under
+// heavy concurrent traffic, and error-checking on the server tiers' I/O
+// edges.
 //
 // The framework is built from scratch on the standard library's go/ast,
 // go/parser, and go/types packages — the repository stays free of
@@ -59,7 +58,7 @@ func (s Severity) AtLeast(min Severity) bool { return s.rank() >= min.rank() }
 
 // Finding is one diagnostic produced by an analyzer.
 type Finding struct {
-	// Check is the analyzer name, e.g. "float-eq".
+	// Check is the analyzer name, e.g. "lock-order".
 	Check string `json:"check"`
 	// Severity is the analyzer's gate weight ("error", "warn", "info").
 	Severity Severity `json:"severity"`
@@ -100,10 +99,11 @@ type Analyzer struct {
 	// analyzer on packages under the lint testdata corpus so golden
 	// files exercise scoped checks.
 	AppliesTo func(pkgPath string) bool
-	// IncludeTests opts the analyzer into test packages (in-package
-	// _test.go files and external package foo_test files). Resource- and
-	// concurrency-safety checks set it; style/scope checks whose failure
-	// modes only matter in production code leave it false.
+	// IncludeTests opts a per-package analyzer into test packages
+	// (in-package _test.go files and external package foo_test files).
+	// Resource-safety checks set it; style/scope checks whose failure modes
+	// only matter in production code leave it false. Whole-program
+	// analyzers (RunProgram) never see test packages and ignore it.
 	IncludeTests bool
 	// Run inspects the package and reports findings through the pass.
 	// Nil for whole-program analyzers, which set RunProgram instead.
@@ -291,24 +291,6 @@ func namedPath(t types.Type) (pkgPath, typeName string) {
 		return "", obj.Name()
 	}
 	return obj.Pkg().Path(), obj.Name()
-}
-
-// isMapType reports whether t's underlying type is a map.
-func isMapType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-// isFloat reports whether t has a floating-point underlying kind.
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, isBasic := t.Underlying().(*types.Basic)
-	return isBasic && b.Info()&types.IsFloat != 0
 }
 
 // pathHasAny reports whether the import path contains one of the given

@@ -1,6 +1,6 @@
 // Package appendalias is spatial-lint golden-corpus input for the
-// append-alias analyzer: appends whose result is lost, diverging appends
-// sharing a backing array, and appends racing with a goroutine.
+// append-alias analyzer: appends whose result is lost, and diverging
+// appends sharing a backing array.
 package appendalias
 
 // deadAppend grows a local slice nobody reads again.
@@ -53,19 +53,6 @@ func branchArms(base []int, hi bool) []int {
 		out = append(base, 2)
 	}
 	return out
-}
-
-// goroutineRace appends to a slice a spawned goroutine also appends to:
-// a write-write race on the slice header.
-func goroutineRace(s []int) []int {
-	done := make(chan struct{})
-	go func() {
-		s = append(s, 1)
-		close(done)
-	}()
-	s = append(s, 2) // want "append to s races with the goroutine"
-	<-done
-	return s
 }
 
 // waived shows the suppression syntax.

@@ -1,8 +1,6 @@
 // Package bodyleak is spatial-lint golden-corpus input for the
 // body-leak dataflow analyzer: every *http.Response acquired must have
-// its Body closed on every path out of the function. Functions are
-// unexported so the ctx-propagation check (which also runs over the
-// corpus) stays out of the way.
+// its Body closed on every path out of the function.
 package bodyleak
 
 import (

@@ -1,20 +1,20 @@
 // Package wgmisuse is spatial-lint golden-corpus input for the
-// wg-misuse check: WaitGroup Adds that can race a started Wait and Done
-// calls that can outnumber Adds.
+// wg-misuse check: a WaitGroup Add inside the goroutine the spawner is
+// already waiting on.
 package wgmisuse
 
 import "sync"
 
 func work() int { return 1 }
 
-// AddAfterWait re-arms the group on a path where Wait may already have
-// started; flagged at the Add.
+// AddAfterWait re-arms the group after a Wait that has returned; legal
+// sequential reuse, not flagged.
 func AddAfterWait(trigger bool) {
 	var wg sync.WaitGroup
 	if trigger {
 		wg.Wait()
 	}
-	wg.Add(1) // want "reachable after .*Wait has started"
+	wg.Add(1)
 	wg.Done()
 }
 
@@ -28,16 +28,6 @@ func AddInGoroutine() {
 		_ = work()
 	}()
 	wg.Wait()
-}
-
-// ConditionalAdd pairs an unconditional Done with an Add that only
-// happens on one branch; the counter can go negative and panic.
-func ConditionalAdd(arm bool) {
-	var wg sync.WaitGroup
-	if arm {
-		wg.Add(1)
-	}
-	wg.Done() // want "can run without a matching .*Add on this path"
 }
 
 // Balanced Adds once per goroutine before spawning; not flagged.
@@ -68,8 +58,7 @@ func WavesInLoop(rounds int) {
 }
 
 // Rearm re-arms a group sequentially after the first wave's Wait
-// returned — a two-phase barrier the check over-approximates; waived
-// with a reason.
+// returned — a two-phase barrier; not flagged.
 func Rearm() {
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -78,7 +67,7 @@ func Rearm() {
 		_ = work()
 	}()
 	wg.Wait()
-	wg.Add(1) //lint:ignore wg-misuse two-phase barrier re-arms only after the first wave's Wait returned
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		_ = work()

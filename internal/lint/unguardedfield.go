@@ -16,8 +16,8 @@ import "sort"
 // inferred guard is the coverage-majority lock rather than a proof, and
 // functions whose name ends in "Locked" are assumed to run under a
 // caller-held lock (the repo convention) and are never reported. Escaped
-// or atomically accessed fields are handed to atomic-mix / manual review
-// instead.
+// or atomically accessed fields are skipped; a plain access racing an
+// atomic one is `go test -race`'s to report.
 var AnalyzerUnguardedField = &Analyzer{
 	Name:       "unguarded-field",
 	Doc:        "flags fields written under a mutex in one function but accessed without it in another",
@@ -52,7 +52,8 @@ func runUnguardedField(pp *ProgramPass) {
 // non-confined ones and decides whether the field is shared across
 // goroutines: accessed from at least two functions, at least one of which
 // may run on a spawned goroutine. Fields with escapes or atomic accesses
-// return nil — they belong to other checks.
+// return nil: an escaped field cannot be tracked, and a plain access
+// racing an atomic one is the race detector's to report.
 func classifyShared(conc *Concurrency, fi *FieldInfo) (accesses, writes []*FieldAccess, shared bool) {
 	for _, a := range fi.Accesses {
 		switch a.Mode {

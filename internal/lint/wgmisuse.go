@@ -2,80 +2,40 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
 
-// AnalyzerWgMisuse flags the two sync.WaitGroup protocol violations the
-// race detector only catches when the schedule cooperates:
+// AnalyzerWgMisuse flags a sync.WaitGroup Add inside a go-spawned literal
+// while the spawning function Waits on the same group: the goroutine may
+// not have run when Wait checks the counter, so Wait sees zero, returns,
+// and the work is never counted. Neither the race detector (it models a
+// Wait that blocks, not one that returns at once) nor WaitGroup's own
+// panics see this shape; the other WaitGroup misuses are theirs (DESIGN
+// §11).
 //
-//  1. Add racing Wait — an Add that can execute after a Wait on the same
-//     WaitGroup has started: sequentially (Add reachable after Wait on a
-//     CFG path, outside a shared loop, where wave-style reuse is legal)
-//     or structurally (Add inside a go-spawned literal while the spawning
-//     function Waits — the goroutine may not have run when Wait checks
-//     the counter, so Wait returns before the work is counted).
-//  2. Unbalanced Done — a Done reachable on a CFG path whose minimum
-//     possible counter is already zero (an Add on one branch, the Done
-//     unconditional): the counter can go negative, which panics.
-//
-// WaitGroups are keyed per function by their receiver expression; only
-// constant Add deltas are path-counted (a variable delta poisons the
-// balance check for that key, never the race checks).
+// WaitGroups are keyed per function by their receiver expression.
 var AnalyzerWgMisuse = &Analyzer{
-	Name:         "wg-misuse",
-	Doc:          "flags WaitGroup Add-after-Wait races and Done calls that can outnumber Adds",
-	Severity:     SeverityError,
-	IncludeTests: true,
-	RunProgram:   runWgMisuse,
+	Name:       "wg-misuse",
+	Doc:        "flags WaitGroup Adds inside a spawned goroutine while the spawner Waits on the group",
+	Severity:   SeverityError,
+	RunProgram: runWgMisuse,
 }
 
 const (
 	wgAdd = iota
-	wgDone
 	wgWait
-)
-
-// wgMinFloor / wgMinCeil clamp the path-minimum counter so loops
-// converge; the floor stays below zero so a second unbalanced Done still
-// reports.
-const (
-	wgMinFloor = -4
-	wgMinCeil  = 64
 )
 
 // wgCall is one recognized WaitGroup operation.
 type wgCall struct {
 	key  string
 	kind int
-	// delta is the Add argument; known is false for non-constant deltas.
-	delta int
-	known bool
-	pos   token.Pos
-}
-
-// wgState is the per-key dataflow fact: has a Wait executed on some path
-// (and where), and the minimum possible counter value across paths.
-type wgState struct {
-	waited  bool
-	waitPos token.Pos
-	min     int
-	// poisoned disables the balance half after a non-constant Add.
-	poisoned bool
+	pos  token.Pos
 }
 
 func runWgMisuse(pp *ProgramPass) {
-	prog := pp.Prog
-	conc := prog.Concurrency()
-	for _, n := range prog.Nodes {
-		if n.Body() != nil {
-			checkWgNode(pp, n)
-		}
-	}
-	// Structural Add-in-goroutine: the spawned literal Adds to a group the
-	// spawner Waits on — Wait can pass before the goroutine has counted
-	// itself in.
+	conc := pp.Prog.Concurrency()
 	seen := make(map[token.Pos]bool)
 	for _, site := range conc.SpawnSites {
 		lit := site.Callee
@@ -100,9 +60,9 @@ func runWgMisuse(pp *ProgramPass) {
 	}
 }
 
-// wgOpOf recognizes wg.Add/Done/Wait with a sync.WaitGroup receiver,
-// keyed by the receiver's source text (the per-function canonical
-// identity, like the lock-balance check uses).
+// wgOpOf recognizes wg.Add/Wait with a sync.WaitGroup receiver, keyed by
+// the receiver's source text (the per-function canonical identity, like
+// the lock-balance check uses).
 func wgOpOf(pass *Pass, call *ast.CallExpr) (wgCall, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -112,8 +72,6 @@ func wgOpOf(pass *Pass, call *ast.CallExpr) (wgCall, bool) {
 	switch sel.Sel.Name {
 	case "Add":
 		kind = wgAdd
-	case "Done":
-		kind = wgDone
 	case "Wait":
 		kind = wgWait
 	default:
@@ -134,30 +92,16 @@ func wgOpOf(pass *Pass, call *ast.CallExpr) (wgCall, bool) {
 	if pkgPath, typeName := namedPath(sig.Recv().Type()); pkgPath != "sync" || typeName != "WaitGroup" {
 		return wgCall{}, false
 	}
-	op := wgCall{key: pass.ExprString(sel.X), kind: kind, pos: call.Pos()}
-	if kind == wgAdd && len(call.Args) == 1 {
-		if cv := pass.ConstValue(call.Args[0]); cv != nil && cv.Kind() == constant.Int {
-			if v, exact := constant.Int64Val(cv); exact {
-				op.delta, op.known = int(v), true
-			}
-		}
-	}
-	return op, true
+	return wgCall{key: pass.ExprString(sel.X), kind: kind, pos: call.Pos()}, true
 }
 
-// collectWgOps gathers every WaitGroup operation in a body, in AST order,
-// excluding go statements (concurrent context) and deferred Add/Wait
-// (deferred Done is kept: it runs exactly once at exit).
+// collectWgOps gathers every WaitGroup Add and Wait in a body, in AST
+// order, excluding go statements (concurrent context) and defers.
 func collectWgOps(pass *Pass, body *ast.BlockStmt) []wgCall {
 	var out []wgCall
 	inspectShallow(body, func(m ast.Node) bool {
 		switch m := m.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.DeferStmt:
-			if op, ok := wgOpOf(pass, m.Call); ok && op.kind == wgDone {
-				out = append(out, op)
-			}
+		case *ast.GoStmt, *ast.DeferStmt:
 			return false
 		case *ast.CallExpr:
 			if op, ok := wgOpOf(pass, m); ok {
@@ -167,188 +111,4 @@ func collectWgOps(pass *Pass, body *ast.BlockStmt) []wgCall {
 		return true
 	})
 	return out
-}
-
-// checkWgNode runs the per-function dataflow: forward min-counter and
-// waited-set over the CFG, then a deterministic replay that reports.
-func checkWgNode(pp *ProgramPass, n *Node) {
-	pass := pp.PassFor(n.Pkg)
-	all := collectWgOps(pass, n.Body())
-	if len(all) == 0 {
-		return
-	}
-	keys := make(map[string]bool)
-	hasAdd := make(map[string]bool)
-	for _, op := range all {
-		keys[op.key] = true
-		if op.kind == wgAdd {
-			hasAdd[op.key] = true
-		}
-	}
-	loops := collectLoopRanges(n.Body())
-
-	clamp := func(v int) int {
-		if v < wgMinFloor {
-			return wgMinFloor
-		}
-		if v > wgMinCeil {
-			return wgMinCeil
-		}
-		return v
-	}
-	apply := func(op wgCall, st wgState, emit bool) wgState {
-		switch op.kind {
-		case wgWait:
-			st.waited = true
-			if st.waitPos == token.NoPos || op.pos < st.waitPos {
-				st.waitPos = op.pos
-			}
-			// Wait returning means the counter hit zero; the group may be
-			// legally reused afterwards.
-			st.min = 0
-		case wgAdd:
-			if emit && st.waited && !sameLoop(loops, op.pos, st.waitPos) {
-				pp.Reportf(op.pos, "%s.Add is reachable after %s.Wait has started; Add must happen before Wait (or in the next wave, after Wait returns) — reorder or restructure the join", op.key, op.key)
-			}
-			if op.known {
-				st.min = clamp(st.min + op.delta)
-			} else {
-				st.poisoned = true
-			}
-		case wgDone:
-			if emit && hasAdd[op.key] && !st.poisoned && st.min < 1 {
-				pp.Reportf(op.pos, "%s.Done can run without a matching %s.Add on this path (counter may go negative, which panics); balance Add and Done on every path", op.key, op.key)
-			}
-			st.min = clamp(st.min - 1)
-		}
-		return st
-	}
-	step := func(node ast.Node, f map[string]wgState, emit bool) map[string]wgState {
-		if f == nil {
-			return nil
-		}
-		out := f
-		copied := false
-		visit := func(op wgCall) {
-			if !copied {
-				copied = true
-				out = cloneFacts(f)
-			}
-			out[op.key] = apply(op, out[op.key], emit)
-		}
-		switch s := node.(type) {
-		case *ast.GoStmt:
-			return out
-		case *ast.DeferStmt:
-			if op, ok := wgOpOf(pass, s.Call); ok && op.kind == wgDone {
-				visit(op)
-			}
-			return out
-		}
-		inspectShallow(node, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.GoStmt, *ast.DeferStmt:
-				return false
-			case *ast.CallExpr:
-				if op, ok := wgOpOf(pass, m); ok {
-					visit(op)
-				}
-			}
-			return true
-		})
-		return out
-	}
-
-	g := pass.BuildCFG(n.Body())
-	facts := Solve(g, FlowProblem[map[string]wgState]{
-		Boundary: func() map[string]wgState {
-			f := make(map[string]wgState, len(keys))
-			for k := range keys {
-				f[k] = wgState{}
-			}
-			return f
-		},
-		// nil is the unreached (top) fact: Meet passes the other side
-		// through, and Transfer leaves it untouched, so facts only flow
-		// along actually reachable paths.
-		Init: func() map[string]wgState { return nil },
-		Meet: meetWgFacts,
-		Equal: func(a, b map[string]wgState) bool {
-			if a == nil || b == nil {
-				return a == nil && b == nil
-			}
-			return equalFacts(a, b)
-		},
-		Transfer: func(b *Block, f map[string]wgState) map[string]wgState {
-			for _, node := range b.Nodes {
-				f = step(node, f, false)
-			}
-			return f
-		},
-	})
-	for _, b := range g.Blocks {
-		f := facts[b].In
-		for _, node := range b.Nodes {
-			f = step(node, f, true)
-		}
-	}
-}
-
-// meetWgFacts joins two path facts: waited is may (or), the counter
-// minimum is min, the witness Wait is the earliest.
-func meetWgFacts(a, b map[string]wgState) map[string]wgState {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return unionFacts(a, b, func(x, y wgState) wgState {
-		out := wgState{
-			waited:   x.waited || y.waited,
-			waitPos:  x.waitPos,
-			min:      x.min,
-			poisoned: x.poisoned || y.poisoned,
-		}
-		if out.waitPos == token.NoPos || (y.waitPos != token.NoPos && y.waitPos < out.waitPos) {
-			out.waitPos = y.waitPos
-		}
-		if y.min < out.min {
-			out.min = y.min
-		}
-		return out
-	})
-}
-
-// loopRange is the source extent of one for/range statement.
-type loopRange struct{ from, to token.Pos }
-
-// collectLoopRanges lists every loop extent in the body (shallow), so the
-// Add-after-Wait check can recognize legal wave-style reuse: an Add and a
-// Wait inside the same loop body alternate, they do not race.
-func collectLoopRanges(body *ast.BlockStmt) []loopRange {
-	var out []loopRange
-	inspectShallow(body, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.ForStmt:
-			out = append(out, loopRange{m.Pos(), m.End()})
-		case *ast.RangeStmt:
-			out = append(out, loopRange{m.Pos(), m.End()})
-		}
-		return true
-	})
-	return out
-}
-
-// sameLoop reports whether both positions fall inside one loop extent.
-func sameLoop(loops []loopRange, a, b token.Pos) bool {
-	if a == token.NoPos || b == token.NoPos {
-		return false
-	}
-	for _, l := range loops {
-		if l.from <= a && a < l.to && l.from <= b && b < l.to {
-			return true
-		}
-	}
-	return false
 }

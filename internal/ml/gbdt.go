@@ -410,7 +410,7 @@ func (b *gbBuilder) bestSplitExact(grad, hess []float64, idx []int) (gbSplit, bo
 			gl += grad[i]
 			hl += hess[i]
 			v, next := b.x[i][f], b.x[sorted[pos+1]][f]
-			//lint:ignore float-eq adjacent sorted stored values; exact equality dedups identical split candidates
+			// Adjacent sorted stored values; exact equality dedups identical split candidates.
 			if v == next {
 				continue
 			}

@@ -442,7 +442,7 @@ func (t *Tree) bestSplit(d *dataset.Table, idx []int, parentCounts []float64, rn
 			leftCounts[y]++
 			rightCounts[y]--
 			v, next := d.X[sorted[pos]][f], d.X[sorted[pos+1]][f]
-			//lint:ignore float-eq adjacent sorted stored values; exact equality dedups identical split candidates
+			// Adjacent sorted stored values; exact equality dedups identical split candidates.
 			if v == next {
 				continue // cannot split between equal values
 			}
