@@ -85,13 +85,14 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of each serving benchmark and of the tree-kernel, MLP
-# batch-kernel and predict-decode layer benchmarks: compiles the harnesses,
-# trains the bench models, and proves the batched paths still run — a
-# CI-cheap guard against bit-rot in the throughput experiment.
+# batch-kernel, predict-decode and explain-body decode layer benchmarks:
+# compiles the harnesses, trains the bench models, and proves the batched
+# paths still run — a CI-cheap guard against bit-rot in the throughput
+# experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
 	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch' -benchtime=1x ./internal/ml/
-	$(GO) test -run='^$$' -bench=PredictDecode -benchtime=1x ./internal/wire/
+	$(GO) test -run='^$$' -bench='PredictDecode|DecodeExplainBody' -benchtime=1x ./internal/wire/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged
 # scenario against the virtual world (fake clock, seeded faults) and
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPredictDecodeMatchesJSON -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzNumberMatchesParseFloat -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzPredictFrame -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeMatchesJSON -fuzztime 30s ./internal/wire/
 
 # Regenerate every paper table/figure (~15 min single-CPU).
 experiments:

@@ -93,42 +93,30 @@ func predictHandler(predict predictFunc, limit int64) http.HandlerFunc {
 // readPredict reads the body once, behind the same limits as Decode, and
 // decodes it. Nothing it returns points into the pooled buffer.
 func readPredict(w http.ResponseWriter, r *http.Request, framed bool, limit int64) (string, [][]float64, error) {
-	if err := declaredTooLarge(r, limit); err != nil {
+	b, err := readBody(w, r, limit)
+	if err != nil {
 		return "", nil, err
 	}
-	buf := getBody()
-	defer putBody(buf)
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	defer b.release()
 	if framed {
-		if readErr != nil {
-			return "", nil, decodeError(readErr)
+		if b.err != nil {
+			return "", nil, decodeError(b.err)
 		}
-		ref, instances, err := decodeRequestFrame(buf.Bytes())
+		ref, instances, err := decodeRequestFrame(b.Bytes())
 		if err != nil {
 			return "", nil, decodeError(err)
 		}
 		return ref, instances, nil
 	}
-	if readErr == nil {
-		if ref, instances, ok := parsePredict(buf.Bytes()); ok {
+	if b.err == nil {
+		if ref, instances, ok := parsePredict(b.Bytes()); ok {
 			return ref, instances, nil
 		}
 	}
-	// Not the canonical spelling, or cut short: encoding/json sees the
-	// bytes that arrived and then the error that ended them, and says why.
+	// Not the canonical spelling, or cut short: encoding/json says why.
 	var req serving.PredictRequest
-	err := decodeStream(io.MultiReader(bytes.NewReader(buf.Bytes()), failingReader{readErr}), &req)
+	err = b.replay(&req)
 	return req.ModelID, req.Instances, err
-}
-
-// failingReader ends a replayed body the way the original ended.
-type failingReader struct{ err error }
-
-func (f failingReader) Read([]byte) (int, error) {
-	if f.err == nil {
-		return 0, io.EOF
-	}
-	return 0, f.err
 }
 
 // rectangular reports the first row whose width differs from row 0's.
@@ -245,17 +233,15 @@ func (s *scanner) plainString() (string, bool) {
 
 // matrix reads [[number,…],…] into one row-major array and returns views
 // of its rows, each capped at its own end so an append to one row cannot
-// write into the next. Both arrays are sized before the first number from
-// what the text can hold at most — a number after the first follows a
-// comma and takes two bytes, a row opens with a bracket — so neither grows
-// and the views stay in the one array.
+// write into the next. Both arrays are sized before the first number by
+// bound, so neither grows and the views stay in the one array.
 func (s *scanner) matrix() ([][]float64, bool) {
 	if !s.eat('[') {
 		return nil, false
 	}
-	rest := s.data[s.pos:]
-	rows := make([][]float64, 0, bytes.Count(rest, []byte{'['}))
-	flat := make([]float64, 0, min(bytes.Count(rest, []byte{','}), len(rest)/2)+1)
+	cells, rows := s.bound()
+	flat := make([]float64, 0, cells)
+	out := make([][]float64, 0, rows)
 	for firstRow := true; !s.eat(']'); firstRow = false {
 		if !firstRow && !s.eat(',') {
 			return nil, false
@@ -264,20 +250,45 @@ func (s *scanner) matrix() ([][]float64, bool) {
 			return nil, false
 		}
 		start := len(flat)
-		for firstNum := true; !s.eat(']'); firstNum = false {
-			if !firstNum && !s.eat(',') {
-				return nil, false
-			}
-			s.space()
-			f, ok := s.number()
-			if !ok {
-				return nil, false
-			}
-			flat = append(flat, f)
+		var ok bool
+		if flat, ok = s.row(flat); !ok {
+			return nil, false
 		}
-		rows = append(rows, flat[start:len(flat):len(flat)])
+		out = append(out, flat[start:len(flat):len(flat)])
 	}
-	return rows, true
+	return out, true
+}
+
+// row appends the numbers up to the ']' that closes an array already
+// opened, and consumes it.
+func (s *scanner) row(flat []float64) ([]float64, bool) {
+	for first := true; !s.eat(']'); first = false {
+		if !first && !s.eat(',') {
+			return nil, false
+		}
+		s.space()
+		f, ok := s.number()
+		if !ok {
+			return nil, false
+		}
+		flat = append(flat, f)
+	}
+	return flat, true
+}
+
+// bound is what the arrays of numbers that start at the scanner's position
+// can hold at most: cells, as a number after the first follows a comma and
+// takes two bytes, and rows, as a row opens with a bracket and takes three
+// bytes with its comma. It counts only up to the next '"', which no such
+// array holds: its own extent, not a model or other field after it.
+func (s *scanner) bound() (cells, rows int) {
+	rest := s.data[s.pos:]
+	if i := bytes.IndexByte(rest, '"'); i >= 0 {
+		rest = rest[:i]
+	}
+	cells = min(bytes.Count(rest, []byte{','}), len(rest)/2) + 1
+	rows = min(bytes.Count(rest, []byte{'['}), len(rest)/3+1)
+	return cells, rows
 }
 
 // number reads one JSON number and gives it the value encoding/json would:

@@ -1,5 +1,6 @@
 // Package wire is the single holder of the HTTP/JSON request shape every
-// SPATIAL tier speaks: the strict request decoder, the response writer,
+// SPATIAL tier speaks: the strict request decoder (its one-pass form and
+// the one body reader in decode.go), the response writer,
 // the error envelope with its one error→status table, the generic typed
 // handler, the client round trip that turns an envelope back into the
 // typed error it was written from, (predict.go) the predict path's numeric
@@ -153,16 +154,30 @@ func WriteError(w http.ResponseWriter, err error) {
 // MaxBodyBytes, no unknown fields (contract drift fails loudly), nothing
 // but whitespace after it. Failures are tagged 400, or 413 when the body
 // is over the limit — refused on its declared length before a byte of it
-// is buffered where the client declared one.
+// is buffered where the client declared one. A request type the one-pass
+// decoder tables (decode.go) is read once and decoded in one pass; any
+// other streams through encoding/json.
 func Decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return decode(w, r, v, MaxBodyBytes)
 }
 
 func decode(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	if err := declaredTooLarge(r, limit); err != nil {
+	p := planFor(v)
+	if p == nil {
+		if err := declaredTooLarge(r, limit); err != nil {
+			return err
+		}
+		return decodeStream(http.MaxBytesReader(w, r.Body, limit), v)
+	}
+	b, err := readBody(w, r, limit)
+	if err != nil {
 		return err
 	}
-	return decodeStream(http.MaxBytesReader(w, r.Body, limit), v)
+	defer b.release()
+	if b.err == nil && p.decode(b.Bytes(), v) {
+		return nil
+	}
+	return b.replay(v)
 }
 
 // declaredTooLarge refuses a body on its declared length alone.
