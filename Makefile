@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build vet check lint lint-sarif counts test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean perfgate perfgate-manifest
+.PHONY: all build vet check lint lint-sarif counts test test-short race race-stress bench bench-all bench-smoke scenario-smoke cluster-smoke fuzz experiments experiments-quick examples clean
 
 all: build vet lint test
 
 # The umbrella static gate: everything CI checks without running a test
-# or a benchmark — vet, the full lint suite, and the perfgate's
-# compiler-diagnostics contracts. Seconds, not minutes; run it before push.
-check: vet lint perfgate
+# or a benchmark — vet and the full lint suite. Seconds, not minutes; run
+# it before push.
+check: vet lint
 
 build:
 	$(GO) build ./...
@@ -31,14 +31,14 @@ lint-sarif:
 
 # The six numbers every re-anchor recounts: binaries, their flags, lint
 # checks, non-test Go lines under internal/ + cmd/, the lint package's
-# share of them, and the perf manifest's contracts.
+# share of them, and the hand-written assembly beside them.
 counts:
 	@echo "binaries           $$(ls -d cmd/*/ | wc -l)"
 	@echo "flags              $$(cat cmd/*/*.go | grep -cE '\b(flag|fs)\.(Bool|String|Int|Int64|Float64|Duration|Var)\(')"
 	@echo "checks             $$($(GO) run ./cmd/spatial-lint -list | wc -l)"
 	@echo "non-test lines     $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@echo "lint lines         $$(find internal/lint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
-	@echo "manifest contracts $$(grep -c '"entry":' .perf-manifest.json)"
+	@echo "asm lines          $$(find internal cmd -name '*.s' | xargs cat | wc -l)"
 
 test:
 	$(GO) test ./...
@@ -67,19 +67,6 @@ race-stress:
 # their exact allocs/op are held by TestServingAllocCeilings.
 bench:
 	$(GO) test -bench=Serving -benchmem -run='^$$' ./internal/serving/
-
-# The perf gate, with the compiler as the witness: every hot-set function
-# checked against its committed .perf-manifest.json contract (inlining,
-# escapes, loop allocations, bounds checks). No benchmark runs; cheap
-# enough for every push. Artifact: perfgate-report.json.
-perfgate:
-	$(GO) run ./cmd/spatial-perfgate -report perfgate-report.json
-
-# Re-snapshot the optimization contracts after reviewing a deliberate
-# change to the hot path (ratchet: the new observed state becomes the
-# promise). Review the diff before committing.
-perfgate-manifest:
-	$(GO) run ./cmd/spatial-perfgate -write-manifest
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

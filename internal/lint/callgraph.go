@@ -64,12 +64,6 @@ type CallSite struct {
 	// InLoop marks sites lexically inside any for/range statement of the
 	// caller.
 	InLoop bool
-	// InDataLoop marks sites inside a data loop — a for with a
-	// condition/post clause or a range over a non-channel value. Event
-	// loops (bare `for {}`, `for range ch`) iterate per message, not per
-	// element, and are excluded so server accept loops do not mark their
-	// whole downstream call tree as per-iteration.
-	InDataLoop bool
 }
 
 // Node is one function in the call graph: a declaration or a literal.
@@ -103,28 +97,6 @@ func (n *Node) Body() *ast.BlockStmt {
 		return n.Decl.Body
 	}
 	return nil
-}
-
-// FuncType returns the function's signature syntax.
-func (n *Node) FuncType() *ast.FuncType {
-	if n.Lit != nil {
-		return n.Lit.Type
-	}
-	if n.Decl != nil {
-		return n.Decl.Type
-	}
-	return nil
-}
-
-// Pos locates the function for diagnostics.
-func (n *Node) Pos() token.Pos {
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return token.NoPos
 }
 
 // Program is the whole-module view the interprocedural analyzers share:
@@ -170,9 +142,9 @@ type implKey struct {
 	name  string
 }
 
-// BuildProgram constructs the call graph over pkgs (test packages and
+// buildProgram constructs the call graph over pkgs (test packages and
 // file-less packages are skipped).
-func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
+func buildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	prog := &Program{
 		Fset:      fset,
 		byFunc:    make(map[*types.Func]*Node),
@@ -219,7 +191,7 @@ func BuildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	for _, n := range prog.Nodes {
 		if n.Lit != nil && len(n.In) == 0 {
 			if owner := prog.enclosingDecl(n); owner != nil {
-				prog.addEdge(owner, n, n.Lit.Pos(), CallCallback, false, false)
+				prog.addEdge(owner, n, n.Lit.Pos(), CallCallback, false)
 			}
 		}
 	}
@@ -263,11 +235,11 @@ func (p *Program) enclosingDecl(lit *Node) *Node {
 	return best
 }
 
-func (p *Program) addEdge(from, to *Node, pos token.Pos, kind CallKind, inLoop, inDataLoop bool) {
+func (p *Program) addEdge(from, to *Node, pos token.Pos, kind CallKind, inLoop bool) {
 	if from == nil || to == nil {
 		return
 	}
-	s := &CallSite{Caller: from, Callee: to, Pos: pos, Kind: kind, InLoop: inLoop, InDataLoop: inDataLoop}
+	s := &CallSite{Caller: from, Callee: to, Pos: pos, Kind: kind, InLoop: inLoop}
 	from.Out = append(from.Out, s)
 	to.In = append(to.In, s)
 }
@@ -434,18 +406,18 @@ func (b *graphBuilder) recordCall(cur *Node, call *ast.CallExpr, stack []ast.Nod
 			kind = CallDefer
 		}
 	}
-	inLoop, inDataLoop := loopContext(b.pkg, stack)
+	inLoop := insideLoop(stack)
 
 	for _, callee := range b.resolveCallees(cur, call) {
 		k := kind
 		if callee.viaInterface && kind == CallStatic {
 			k = CallInterface
 		}
-		b.prog.addEdge(cur, callee.node, call.Pos(), k, inLoop, inDataLoop)
+		b.prog.addEdge(cur, callee.node, call.Pos(), k, inLoop)
 	}
 	for _, arg := range call.Args {
 		for _, t := range b.resolveFuncValue(cur, arg) {
-			b.prog.addEdge(cur, t, arg.Pos(), CallCallback, inLoop, inDataLoop)
+			b.prog.addEdge(cur, t, arg.Pos(), CallCallback, inLoop)
 		}
 	}
 }
@@ -546,26 +518,16 @@ func (b *graphBuilder) resolveFuncValue(cur *Node, arg ast.Expr) []*Node {
 	return nil
 }
 
-// loopContext reports whether the innermost statement is inside any loop
-// and inside a data loop (see CallSite.InDataLoop).
-func loopContext(pkg *Package, stack []ast.Node) (inLoop, inDataLoop bool) {
+// insideLoop reports whether the innermost statement is inside any for or
+// range statement.
+func insideLoop(stack []ast.Node) bool {
 	for _, n := range stack {
-		switch n := n.(type) {
-		case *ast.ForStmt:
-			inLoop = true
-			if n.Cond != nil || n.Init != nil || n.Post != nil {
-				inDataLoop = true
-			}
-		case *ast.RangeStmt:
-			inLoop = true
-			if t := pkg.Info.Types[n.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); !isChan {
-					inDataLoop = true
-				}
-			}
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			return true
 		}
 	}
-	return inLoop, inDataLoop
+	return false
 }
 
 // stronglyConnected is Tarjan's algorithm over the graph reachable from

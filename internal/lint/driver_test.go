@@ -66,7 +66,7 @@ func TestLoadsExternalTestPackages(t *testing.T) {
 // BenchmarkFullRepoRun measures the parallel driver end to end: load,
 // type-check, and analyze the whole module with all analyzers.
 func BenchmarkFullRepoRun(b *testing.B) {
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkFullRepoRun(b *testing.B) {
 func BenchmarkAnalyzeOnly(b *testing.B) {
 	loader, pkgs := loadModule(b)
 	analyzers := Analyzers()
-	prog := BuildProgram(loader.Fset(), pkgs)
+	prog := buildProgram(loader.Fset(), pkgs)
 	prog.EnsureSummaries()
 	b.ReportAllocs()
 	b.ResetTimer()

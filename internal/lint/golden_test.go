@@ -46,7 +46,7 @@ func loadCorpus(t testing.TB) (*Loader, []*Package) {
 // once.
 func loadModule(t testing.TB) (*Loader, []*Package) {
 	t.Helper()
-	root, err := ModuleRoot(".")
+	root, err := moduleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}

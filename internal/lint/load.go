@@ -83,8 +83,8 @@ type loadEntry struct {
 	err  error
 }
 
-// ModuleRoot walks upward from dir to the directory holding go.mod.
-func ModuleRoot(dir string) (string, error) {
+// moduleRoot walks upward from dir to the directory holding go.mod.
+func moduleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
@@ -123,7 +123,7 @@ func (l *Loader) init() error {
 		if dir == "" {
 			dir = "."
 		}
-		root, err := ModuleRoot(dir)
+		root, err := moduleRoot(dir)
 		if err != nil {
 			l.initErr = err
 			return
