@@ -78,7 +78,7 @@ bench-all:
 # experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
-	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch' -benchtime=1x ./internal/ml/
+	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch|MLPFit' -benchtime=1x ./internal/ml/
 	$(GO) test -run='^$$' -bench='PredictDecode|DecodeExplainBody' -benchtime=1x ./internal/wire/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged

@@ -53,3 +53,21 @@ func TestPredictAllocBudgets(t *testing.T) {
 		t.Errorf("mlp/batched: %v allocs for 1 row, %v for %d rows", one, all, data.Len())
 	}
 }
+
+// TestFitAllocsIndependentOfEpochs: Fit allocates its buffers once, so one
+// epoch and five cost the same allocations; a per-batch or per-epoch
+// allocation inside the training loop shows up as a difference.
+func TestFitAllocsIndependentOfEpochs(t *testing.T) {
+	data := blobs(3, 61, 6, 2, 1.5)
+	fits := func(epochs int) float64 {
+		cfg := MLPConfig{Hidden: []int{13, 13}, LearningRate: 0.05, Momentum: 0.9, Epochs: epochs, BatchSize: 7, Seed: 1}
+		return testing.AllocsPerRun(5, func() {
+			if err := NewMLP(cfg).Fit(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, five := fits(1), fits(5); one != five {
+		t.Errorf("Fit: %v allocs at 1 epoch, %v at 5", one, five)
+	}
+}

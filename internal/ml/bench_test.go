@@ -84,16 +84,10 @@ func BenchmarkUnmarshalModel(b *testing.B) {
 	}
 }
 
-// BenchmarkTreeKernel scores the end-to-end benchmark's tree fixture — the
-// UC2 flow table at twice the paper's trace counts, min-max scaled, with
-// lgbm and rf trained on it — at the shapes its predict workloads send:
-// 256-row lgbm batches, 64-row rf batches, and one rf row through
-// PredictProba. Each case cycles through 96 distinct batches drawn as the
-// benchmark draws its bodies (a training row plus jitter): on one batch
-// repeated, the branch predictor learns the walk and flatters a kernel
-// that branches on the data. It uses only exported names, so it runs
-// unchanged on either side of a change to the kernels.
-func BenchmarkTreeKernel(b *testing.B) {
+// benchTable is the end-to-end benchmark's training table: the UC2 flow
+// table at twice the paper's trace counts, min-max scaled.
+func benchTable(b *testing.B) *dataset.Table {
+	b.Helper()
 	cfg := datagen.DefaultNetTrafficConfig()
 	cfg.Web, cfg.Interactive, cfg.Video = 2*cfg.Web, 2*cfg.Interactive, 2*cfg.Video
 	table, _, err := datagen.NetTraffic(cfg)
@@ -107,6 +101,39 @@ func BenchmarkTreeKernel(b *testing.B) {
 	if err := mm.Transform(table); err != nil {
 		b.Fatal(err)
 	}
+	return table
+}
+
+// BenchmarkMLPFit trains the end-to-end benchmark's nn — the default
+// 21→128→64→3 network, seed 1 — on its table, for 10 of the 100 epochs
+// the benchmark's set-up runs, so one iteration stays well under a second.
+// It uses only exported names, so it runs unchanged on either side of a
+// change to training.
+func BenchmarkMLPFit(b *testing.B) {
+	table := benchTable(b)
+	cfg := DefaultMLPConfig()
+	cfg.Epochs = 10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewMLP(cfg).Fit(table); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTreeKernel scores the end-to-end benchmark's tree fixture — the
+// UC2 flow table at twice the paper's trace counts, min-max scaled, with
+// lgbm and rf trained on it — at the shapes its predict workloads send:
+// 256-row lgbm batches, 64-row rf batches, and one rf row through
+// PredictProba. Each case cycles through 96 distinct batches drawn as the
+// benchmark draws its bodies (a training row plus jitter): on one batch
+// repeated, the branch predictor learns the walk and flatters a kernel
+// that branches on the data. It uses only exported names, so it runs
+// unchanged on either side of a change to the kernels.
+func BenchmarkTreeKernel(b *testing.B) {
+	table := benchTable(b)
+	var err error
 	models := make(map[string]Classifier)
 	for _, name := range []string{"lgbm", "rf"} {
 		if models[name], err = NewByName(name, 1); err != nil {

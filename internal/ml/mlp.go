@@ -125,7 +125,17 @@ func (m *MLP) Fit(t *dataset.Table) error {
 	}
 	n := t.Len()
 	order := rng.Perm(n)
-	acts := m.newActivations()
+	// One set of activations per tile lane, and the two four-lane tiles
+	// forwardTile passes between layers.
+	var acts [4][][]float64
+	for i := range acts {
+		acts[i] = m.newActivations()
+	}
+	width := 0
+	for _, s := range m.sizes {
+		width = max(width, s)
+	}
+	cur, next := make([]float64, 4*width), make([]float64, 4*width)
 	deltas := m.newDeltas()
 
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
@@ -141,9 +151,20 @@ func (m *MLP) Fit(t *dataset.Table) error {
 				}
 				zero(gB[l])
 			}
-			for _, idx := range order[start:end] {
-				m.forward(t.X[idx], acts)
-				m.backward(t.X[idx], t.Y[idx], acts, deltas, gW, gB)
+			// The weights are fixed until the batch's update, so its
+			// samples go forward four to a tile; each is then taken
+			// backward in batch order, as one at a time would take it.
+			idx := order[start:end]
+			for ; len(idx) >= 4; idx = idx[4:] {
+				x := [4][]float64{t.X[idx[0]], t.X[idx[1]], t.X[idx[2]], t.X[idx[3]]}
+				m.forwardTile(&x, &acts, cur, next)
+				for i, j := range idx[:4] {
+					m.backward(x[i], t.Y[j], acts[i], deltas, gW, gB)
+				}
+			}
+			for _, j := range idx {
+				m.forward(t.X[j], acts[0])
+				m.backward(t.X[j], t.Y[j], acts[0], deltas, gW, gB)
 			}
 			// Global-norm clip of the mean batch gradient.
 			var gnorm2 float64
@@ -241,6 +262,24 @@ func (m *MLP) layerRow(l int, in, out []float64) {
 	}
 }
 
+// forwardTile is forward on four samples at once: x goes in as one
+// lane-interleaved tile, every layer runs through layerTile, and the tile
+// each layer writes is also transposed into that sample's acts. The lanes'
+// sums are layerRow's own (see PredictProbaBatch), so every acts[i] ends as
+// forward(x[i], acts[i]) would leave it. cur and next are as scoreTile's.
+func (m *MLP) forwardTile(x *[4][]float64, acts *[4][][]float64, cur, next []float64) {
+	toTile(x, cur, m.sizes[0])
+	for l := range m.Weights {
+		m.layerTile(l, cur, next)
+		fromTile(next, &[4][]float64{acts[0][l+1], acts[1][l+1], acts[2][l+1], acts[3][l+1]}, m.sizes[l+1])
+		cur, next = next, cur
+	}
+	for _, a := range acts {
+		out := a[len(m.Weights)]
+		mat.Softmax(out, out)
+	}
+}
+
 // backward accumulates gradients for one sample into gW/gB. acts must hold
 // the forward pass of x.
 func (m *MLP) backward(x []float64, y int, acts, deltas [][]float64, gW []*mat.Dense, gB [][]float64) {
@@ -257,38 +296,59 @@ func (m *MLP) backward(x []float64, y int, acts, deltas [][]float64, gW []*mat.D
 			inAct = acts[l]
 		}
 		d := deltas[l+1]
-		for r := 0; r < m.sizes[l+1]; r++ {
-			dr := d[r]
+		for r, dr := range d {
 			if dr == 0 {
 				continue
 			}
-			grow := gW[l].Row(r)
-			for c, v := range inAct {
-				grow[c] += dr * v
-			}
+			axpy(gW[l].Row(r), inAct, dr)
 			gB[l][r] += dr
 		}
 		if l > 0 {
-			prev := deltas[l]
-			zero(prev)
-			w := m.Weights[l]
-			for r := 0; r < m.sizes[l+1]; r++ {
-				dr := d[r]
-				if dr == 0 {
-					continue
-				}
-				row := w.Row(r)
-				for c := range prev {
-					prev[c] += dr * row[c]
-				}
-			}
-			// Leaky-ReLU derivative of the hidden activation.
-			for c := range prev {
-				if acts[l][c] < 0 {
-					prev[c] *= leakySlope
-				}
+			m.backDelta(l, d, deltas[l], acts[l])
+		}
+	}
+}
+
+// backDelta carries d, the loss gradient at layer l's outputs, back to its
+// inputs: prev[c] is the sum over rows r in ascending order of d[r]·W[r][c],
+// a row whose delta is zero skipped, and then, on a hidden input (l > 0),
+// times the leaky ReLU's slope where act, the activation prev belongs to,
+// is negative.
+func (m *MLP) backDelta(l int, d, prev, act []float64) {
+	zero(prev)
+	w := m.Weights[l]
+	for r, dr := range d {
+		if dr == 0 {
+			continue
+		}
+		axpy(prev, w.Row(r), dr)
+	}
+	if l > 0 {
+		for c := range prev {
+			if act[c] < 0 {
+				prev[c] *= leakySlope
 			}
 		}
+	}
+}
+
+// axpy is y[i] += a·x[i] over y, a multiply then an add, each rounded on
+// its own: axpyAVX four lanes at a time where the CPU has AVX, axpyGo
+// elsewhere. x must be at least as long as y.
+func axpy(y, x []float64, a float64) {
+	x = x[:len(y)]
+	if hasAVX {
+		axpyAVX(y, x, a)
+		return
+	}
+	axpyGo(y, x, a)
+}
+
+// axpyGo is axpy's Go form, the fallback and the test oracle.
+func axpyGo(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for i, v := range x {
+		y[i] += a * v
 	}
 }
 
@@ -384,21 +444,31 @@ func (m *MLP) PredictProbaBatch(X [][]float64) [][]float64 {
 // layer's sums to the leading entries of o's rows. cur and next are tiles
 // of four lanes as wide as the widest layer; cur takes the transposed rows.
 func (m *MLP) scoreTile(x, o *[4][]float64, cur, next []float64) {
-	cols := m.sizes[0]
-	// Reslice hints: the rows were checked cols wide, the tile is 4·cols.
-	x0, x1, x2, x3 := x[0][:cols], x[1][:cols], x[2][:cols], x[3][:cols]
-	t := cur[:4*cols]
-	for c, v := range x0 {
-		lanes := (*[4]float64)(t[4*c:])
-		lanes[0], lanes[1], lanes[2], lanes[3] = v, x1[c], x2[c], x3[c]
-	}
+	toTile(x, cur, m.sizes[0])
 	for l := range m.Weights {
 		m.layerTile(l, cur, next)
 		cur, next = next, cur
 	}
-	k := m.classes
-	o0, o1, o2, o3 := o[0][:k], o[1][:k], o[2][:k], o[3][:k]
-	t = cur[:4*k]
+	fromTile(cur, o, m.classes)
+}
+
+// toTile writes the leading n entries of the four rows x into t as one
+// tile, t[4c+l] = x[l][c].
+func toTile(x *[4][]float64, t []float64, n int) {
+	// Reslice hints: the rows are n wide, the tile is 4n.
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	t = t[:4*n]
+	for c, v := range x0 {
+		lanes := (*[4]float64)(t[4*c:])
+		lanes[0], lanes[1], lanes[2], lanes[3] = v, x1[c], x2[c], x3[c]
+	}
+}
+
+// fromTile is toTile's inverse: the n columns of the tile t go to the
+// leading n entries of the four rows o.
+func fromTile(t []float64, o *[4][]float64, n int) {
+	o0, o1, o2, o3 := o[0][:n], o[1][:n], o[2][:n], o[3][:n]
+	t = t[:4*n]
 	for c := range o0 {
 		lanes := (*[4]float64)(t[4*c:])
 		o0[c], o1[c], o2[c], o3[c] = lanes[0], lanes[1], lanes[2], lanes[3]
@@ -478,41 +548,11 @@ func (m *MLP) InputGradient(x []float64, class int) []float64 {
 	dOut := deltas[L]
 	copy(dOut, acts[L])
 	dOut[class] -= 1
-
 	for l := L - 1; l >= 1; l-- {
-		d := deltas[l+1]
-		prev := deltas[l]
-		zero(prev)
-		w := m.Weights[l]
-		for r := 0; r < m.sizes[l+1]; r++ {
-			dr := d[r]
-			if dr == 0 {
-				continue
-			}
-			row := w.Row(r)
-			for c := range prev {
-				prev[c] += dr * row[c]
-			}
-		}
-		for c := range prev {
-			if acts[l][c] < 0 {
-				prev[c] *= leakySlope
-			}
-		}
+		m.backDelta(l, deltas[l+1], deltas[l], acts[l])
 	}
 	// Final hop to the input.
 	g := make([]float64, m.sizes[0])
-	d := deltas[1]
-	w := m.Weights[0]
-	for r := 0; r < m.sizes[1]; r++ {
-		dr := d[r]
-		if dr == 0 {
-			continue
-		}
-		row := w.Row(r)
-		for c := range g {
-			g[c] += dr * row[c]
-		}
-	}
+	m.backDelta(0, deltas[1], g, nil)
 	return g
 }

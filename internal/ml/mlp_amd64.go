@@ -1,7 +1,8 @@
 package ml
 
-// hasAVX reports whether kernel4x4AVX may run: the CPU has AVX and the OS
-// saves the YMM registers across context switches. It is read once, here.
+// hasAVX reports whether kernel4x4AVX and axpyAVX may run: the CPU has AVX
+// and the OS saves the YMM registers across context switches. It is read
+// once, here.
 var hasAVX = avxUsable()
 
 // kernel4x4AVX is the tile kernel on 256-bit vectors (mlp_amd64.s): w holds
@@ -12,6 +13,12 @@ var hasAVX = avxUsable()
 //
 //go:noescape
 func kernel4x4AVX(w, t []float64, b *[4]float64, o *[16]float64, slope float64)
+
+// axpyAVX is axpy on 256-bit vectors (mlp_amd64.s). It checks no bounds:
+// x must be at least as long as y.
+//
+//go:noescape
+func axpyAVX(y, x []float64, a float64)
 
 // cpuid1ECX returns ECX of CPUID leaf 1; xgetbv0 the low word of XCR0.
 func cpuid1ECX() uint32

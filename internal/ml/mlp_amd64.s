@@ -72,6 +72,47 @@ store:
 	VZEROUPPER
 	RET
 
+// func axpyAVX(y, x []float64, a float64)
+//
+// y[i] += a·x[i] for i below len(y), four lanes a VMULPD then a VADDPD,
+// the one to three entries past the last four a VMULSD then a VADDSD:
+// each multiply and add rounds on its own, as axpyGo's do (an FMA would
+// round once), and each takes its operands in axpyGo's order, x·a then
+// (x·a)+y, so a NaN result carries the payload axpyGo's does.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-56
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSD a+48(FP), Y0
+	MOVQ         CX, DX
+	ANDQ         $-4, DX
+	XORQ         AX, AX
+	TESTQ        DX, DX
+	JZ           tail
+
+quad:
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, DX
+	JB      quad
+
+tail:
+	CMPQ   AX, CX
+	JAE    done
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X0, X1, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
 // func cpuid1ECX() uint32
 TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
 	MOVL $1, AX
