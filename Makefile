@@ -51,13 +51,19 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# Schedule-stress the concurrency-heavy tiers: rerun their -race suites
-# across a GOMAXPROCS × shuffle-seed matrix with GORACE halting on the
-# first report. Race logs, failing cell output, and summary.json land in
-# racestress-artifacts/. Override the matrix with RACESTRESS_FLAGS
-# (e.g. RACESTRESS_FLAGS='-procs 4 -seeds 7' to replay one cell).
+# Schedule-stress the concurrency-heavy tiers: rerun their full -race
+# suites at GOMAXPROCS 1, 2 and 4 (-cpu) under three shuffle seeds,
+# three times each, with GORACE halting on the first report. Stops at the
+# first failing seed; race logs land in racestress-artifacts/ as
+# race_s<seed>.<pid>. To replay one cell, run its go test command alone,
+# e.g. go test -race -cpu 4 -shuffle 2 ./internal/cluster/...
 race-stress:
-	$(GO) run ./cmd/spatial-racestress -out racestress-artifacts $(RACESTRESS_FLAGS)
+	@mkdir -p racestress-artifacts
+	@for s in 1 2 3; do \
+		GORACE="halt_on_error=1 log_path=$(CURDIR)/racestress-artifacts/race_s$$s" \
+		$(GO) test -race -cpu 1,2,4 -shuffle $$s -count 3 -timeout 30m \
+			./internal/cluster/... ./internal/serving/... || exit 1; \
+	done
 
 # The four serial-vs-batched serving micro-benchmarks at 128 clients,
 # printed and nothing else. They gate nothing by themselves: a number

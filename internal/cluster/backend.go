@@ -16,8 +16,8 @@ import (
 // wire package, beside the status table that maps it to 503.
 var ErrReplicaDown = wire.ErrReplicaDown
 
-// ErrNoReplicas is returned when no up, non-draining replica can take a
-// request. Servers surface it as 503.
+// ErrNoReplicas is returned when no up replica can take a request.
+// Servers surface it as 503.
 var ErrNoReplicas = wire.ErrNoReplicas
 
 // HeartbeatInfo is one replica's self-report, polled by the cluster on
@@ -31,9 +31,6 @@ type HeartbeatInfo struct {
 	// planning and the dashboard's cluster panel).
 	Models    int   `json:"models"`
 	WarmBytes int64 `json:"warmBytes"`
-	// Draining reports a replica that finishes in-flight work but must
-	// receive no new routes (cluster-coordinated restart).
-	Draining bool `json:"draining"`
 }
 
 // Backend is the coordinator's and router's view of one replica,

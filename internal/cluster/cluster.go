@@ -91,16 +91,15 @@ func (c Config) withDefaults() Config {
 }
 
 // member is the cluster's view of one replica. Hot-path routing state
-// (up, draining, load) is atomic so the pick path never takes the
-// cluster lock; bookkeeping read only by heartbeats and Status sits
-// behind Cluster.mu.
+// (up, load) is atomic so the pick path never takes the cluster lock;
+// bookkeeping read only by heartbeats and Status sits behind
+// Cluster.mu.
 type member struct {
 	id      string
 	backend Backend
 	met     replicaMetrics
 
-	up       atomic.Bool
-	draining atomic.Bool
+	up atomic.Bool
 	// load is the router-tracked in-flight instance count through this
 	// cluster (the bounded-load and least-loaded spillover signal).
 	load atomic.Int64
@@ -113,8 +112,8 @@ type member struct {
 }
 
 // routeTable is the immutable routing snapshot the predict path reads:
-// a ring over the routable (up, non-draining) members plus the member
-// structs aligned with the ring's ID order. Rebuilt on membership
+// a ring over the up members plus the member structs aligned with the
+// ring's ID order. Rebuilt on membership
 // change, swapped atomically.
 type routeTable struct {
 	ring    *Ring
@@ -223,7 +222,6 @@ func (c *Cluster) probe(m *member) error {
 	m.warmBytes = info.WarmBytes
 	c.mu.Unlock()
 	m.up.Store(true)
-	m.draining.Store(info.Draining)
 	m.met.up.Set(1)
 	m.met.hbAge.Set(0)
 	return nil
@@ -279,12 +277,6 @@ func (c *Cluster) TickHeartbeat() {
 			m.models = info.Models
 			m.warmBytes = info.WarmBytes
 			c.mu.Unlock()
-			// Swap, not load-compare-store: a concurrent SetDraining landing
-			// between a stale read and the store would have its rebuild
-			// decision erased, leaving the ring out of sync with the flag.
-			if prev := m.draining.Swap(info.Draining); prev != info.Draining {
-				changed = true
-			}
 			// A concurrent markDown may have demoted the member after this
 			// heartbeat answered; don't overwrite its gauge.
 			if m.up.Load() {
@@ -320,31 +312,14 @@ func (c *Cluster) markDown(m *member) {
 	}
 }
 
-// SetDraining marks a member as draining (or not) from the coordinator
-// side: it immediately leaves (or re-enters) the ring and receives no
-// new routes, while in-flight work completes. Replica-initiated drains
-// arrive via heartbeat instead.
-func (c *Cluster) SetDraining(id string, v bool) error {
-	c.mu.Lock()
-	m := c.members[id]
-	c.mu.Unlock()
-	if m == nil {
-		return fmt.Errorf("cluster: unknown replica %q", id)
-	}
-	if m.draining.Swap(v) != v {
-		c.rebuild()
-	}
-	return nil
-}
-
-// rebuild recomputes the route table from the routable member set and
+// rebuild recomputes the route table from the up member set and
 // swaps it in, counting vnode ownership moves into ring-moves telemetry.
 func (c *Cluster) rebuild() {
 	c.mu.Lock()
 	ids := make([]string, 0, len(c.ids))
 	for _, id := range c.ids {
 		m := c.members[id]
-		if m.up.Load() && !m.draining.Load() {
+		if m.up.Load() {
 			ids = append(ids, id)
 		}
 	}
@@ -427,7 +402,6 @@ func (c *Cluster) Stop() {
 type ReplicaStatus struct {
 	ID             string `json:"id"`
 	Up             bool   `json:"up"`
-	Draining       bool   `json:"draining"`
 	Load           int64  `json:"load"`
 	InFlight       int    `json:"inFlight"`
 	Models         int    `json:"models"`
@@ -462,7 +436,6 @@ func (c *Cluster) Status() StatusInfo {
 		st.Replicas = append(st.Replicas, ReplicaStatus{
 			ID:             id,
 			Up:             m.up.Load(),
-			Draining:       m.draining.Load(),
 			Load:           m.load.Load(),
 			InFlight:       m.inFlight,
 			Models:         m.models,

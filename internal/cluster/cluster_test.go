@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
 
@@ -142,47 +145,52 @@ func TestHeartbeatExpiryAndRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestDrainingStopsNewRoutes covers the coordinated-restart flow: a
-// draining member leaves the ring (no new routes) but stays a 2PC
-// participant, and undraining readmits it.
-func TestDrainingStopsNewRoutes(t *testing.T) {
-	tier := newTestTier(t, 3, Config{RPCTimeout: 10 * time.Second})
+// corruptingBackend flips one byte of every blob pushed through it, as a
+// faulty link or disk on the replica's side would.
+type corruptingBackend struct{ Backend }
+
+func (b corruptingBackend) Push(ctx context.Context, name, algo string, blob []byte) (serving.Ref, error) {
+	bad := append([]byte(nil), blob...)
+	bad[len(bad)/2] ^= 0xff
+	return b.Backend.Push(ctx, name, algo, bad)
+}
+
+// TestCorruptPushFailsSync: the coordinator checks every replica copy
+// against its content id on push. A replica that stores different bytes
+// fails its join, and one that was already up is demoted on the next
+// replication; either way it stays out of the ring.
+func TestCorruptPushFailsSync(t *testing.T) {
+	tier := newTestTier(t, 1, Config{RPCTimeout: 10 * time.Second})
 	c := tier.cluster
 	if _, err := c.Register("demo", trainedModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	owner := c.Owner("demo")
-	if err := c.SetDraining(owner, true); err != nil {
+	joiner := NewReplica("replica-joiner", serving.Config{MaxBatch: 1, Clock: tier.clk})
+	defer joiner.Close()
+	err := c.Join(corruptingBackend{joiner})
+	if err == nil || !strings.Contains(err.Error(), "canonical expects") {
+		t.Fatalf("join with corrupt pushes: %v, want the coordinator's canonical-expects error", err)
+	}
+	for _, when := range []string{"after the join", "after a re-probe"} {
+		if got := fmt.Sprint(c.Status().RingMembers); got != "[replica-0]" {
+			t.Fatalf("ring %s %s, want only the honest replica-0", got, when)
+		}
+		c.TickHeartbeat() // the re-probe resyncs and fails the same way
+	}
+
+	// A member that joins while the registry is empty has nothing to push;
+	// the first replication finds the corruption and demotes it.
+	fresh := New(Config{RPCTimeout: 10 * time.Second, Clock: tier.clk})
+	late := NewReplica("replica-late", serving.Config{MaxBatch: 1, Clock: tier.clk})
+	defer late.Close()
+	if err := fresh.Join(corruptingBackend{late}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Owner("demo"); got == owner {
-		t.Fatalf("draining member %s still owns the shard", owner)
-	}
-	if _, _, err := c.Predict(context.Background(), "demo", testInstances); err != nil {
-		t.Fatalf("predict while draining: %v", err)
-	}
-	// Promotes still reach the draining member.
-	if _, err := c.Register("demo", trainedModel(t, 2)); err != nil {
+	if _, err := fresh.Register("demo", trainedModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PromoteAll("demo", 2); err != nil {
-		t.Fatal(err)
-	}
-	aliases, err := tier.replica(t, owner).Aliases(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aliases[0].Current != 2 {
-		t.Fatalf("draining member missed the promote: %+v", aliases[0])
-	}
-	if err := c.SetDraining(owner, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Owner("demo"); got != owner {
-		t.Fatalf("undrained member did not regain its shard: owner %s, want %s", got, owner)
-	}
-	if err := c.SetDraining("nope", true); err == nil {
-		t.Fatal("SetDraining on unknown replica succeeded")
+	if got := fresh.Status().RingMembers; len(got) != 0 {
+		t.Fatalf("ring %v after a corrupt replication, want empty", got)
 	}
 }
 

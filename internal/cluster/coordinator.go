@@ -80,8 +80,6 @@ func (c *Cluster) canonicalAlias(name string) (serving.AliasInfo, bool) {
 
 // upMembers snapshots the up members in sorted-ID order (the
 // deterministic iteration order every control-plane fan-out uses).
-// Draining members are included: they still serve in-flight work and
-// may undrain, so their registries must not fall behind.
 func (c *Cluster) upMembers() []*member {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -170,11 +170,9 @@ func TestReplicaKilledMidFrame(t *testing.T) {
 					t.Fatalf("request %d: %d %s, want the survivor's %v", i, rec.Code, rec.Body, want)
 				}
 			}
-			if err := c.SetDraining("replica-healthy", true); err != nil {
-				t.Fatal(err)
-			}
+			healthy.Kill()
 			if _, _, err := c.Predict(context.Background(), "demo", testInstances); !errors.Is(err, ErrNoReplicas) {
-				t.Fatalf("dying replica alone in the ring: %v, want ErrNoReplicas", err)
+				t.Fatalf("both replicas dead: %v, want ErrNoReplicas", err)
 			}
 			rec := httptest.NewRecorder()
 			front.ServeHTTP(rec, httptest.NewRequest("POST", "/predict", strings.NewReader(`{"modelId":"demo","instances":[[2,0]]}`)))

@@ -25,11 +25,10 @@ type Replica struct {
 	clk clock.Clock
 	cfg serving.Config
 
-	mu       sync.Mutex
-	rt       *serving.Runtime
-	down     bool
-	draining bool
-	staged   map[string]stagedFlip
+	mu     sync.Mutex
+	rt     *serving.Runtime
+	down   bool
+	staged map[string]stagedFlip
 }
 
 // stagedFlip is one prepared-but-uncommitted alias flip.
@@ -99,17 +98,7 @@ func (rp *Replica) Restart() {
 		return
 	}
 	rp.down = false
-	rp.draining = false
 	rp.rt = serving.New(rp.cfg)
-}
-
-// SetDraining marks the replica as draining: it keeps serving what it
-// has, but its heartbeat tells the router to stop new routes so a
-// coordinated restart never errors in-flight requests.
-func (rp *Replica) SetDraining(v bool) {
-	rp.mu.Lock()
-	rp.draining = v
-	rp.mu.Unlock()
 }
 
 // Runtime exposes the live serving runtime (nil when killed) so launch
@@ -154,7 +143,6 @@ func (rp *Replica) Heartbeat(ctx context.Context) (HeartbeatInfo, error) {
 		InFlight:  rp.rt.InFlight(),
 		Models:    reg.Len(),
 		WarmBytes: reg.WarmBytes(),
-		Draining:  rp.draining,
 	}, nil
 }
 

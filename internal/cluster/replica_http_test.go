@@ -61,9 +61,13 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	}
 
 	// Predicts route to whichever member owns the shard; both must be
-	// reachable, so force the remote by draining the local one.
-	if err := c.SetDraining("replica-local", true); err != nil {
-		t.Fatal(err)
+	// reachable, so force the remote by killing the local one and letting
+	// a sweep demote it.
+	local.Kill()
+	time.Sleep(2 * time.Millisecond)
+	c.TickHeartbeat()
+	if got := c.Status().RingMembers; len(got) != 1 || got[0] != "replica-remote" {
+		t.Fatalf("ring %v after killing the local replica, want only the remote", got)
 	}
 	probs, classes, err := c.Predict(context.Background(), "demo", testInstances)
 	if err != nil {
@@ -85,9 +89,12 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	remote.Restart()
 
 	// Transport failure (server gone) also maps to ErrReplicaDown, and
-	// the router fails over to the surviving member.
-	if err := c.SetDraining("replica-local", false); err != nil {
-		t.Fatal(err)
+	// the router fails over to the surviving member: the local replica,
+	// restarted empty and resynced by the next sweep.
+	local.Restart()
+	c.TickHeartbeat()
+	if got := c.Status().RingMembers; len(got) != 2 {
+		t.Fatalf("ring %v after restarting the local replica, want both", got)
 	}
 	srv.Close()
 	if _, err := hb.Heartbeat(context.Background()); !errors.Is(err, ErrReplicaDown) {

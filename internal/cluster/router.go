@@ -41,8 +41,8 @@ func (c *Cluster) pick(t *routeTable, key string) (m *member, rerouted bool) {
 	t.ring.Walk(key, func(i int) bool {
 		cand := t.members[i]
 		// Membership can change between table swap and walk; re-check the
-		// live flags so a just-killed or just-draining member is skipped.
-		if !cand.up.Load() || cand.draining.Load() {
+		// live flag so a just-killed member is skipped.
+		if !cand.up.Load() {
 			first = false
 			return true
 		}
@@ -61,7 +61,7 @@ func (c *Cluster) pick(t *routeTable, key string) (m *member, rerouted bool) {
 	var best *member
 	var bestLoad int64
 	for _, cand := range t.members {
-		if !cand.up.Load() || cand.draining.Load() {
+		if !cand.up.Load() {
 			continue
 		}
 		if l := cand.load.Load(); best == nil || l < bestLoad {

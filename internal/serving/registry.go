@@ -4,11 +4,8 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,9 +123,9 @@ func (r *Registry) Register(name string, model ml.Classifier) (Ref, error) {
 	return r.appendVersionLocked(name, e.id), nil
 }
 
-// RegisterBytes stores an already-serialized envelope (e.g. restored
-// from disk or fetched from a peer) as a new version of name. The model
-// stays cold until first use.
+// RegisterBytes stores an already-serialized envelope (e.g. one pushed
+// by the cluster coordinator) as a new version of name. The model stays
+// cold until first use.
 func (r *Registry) RegisterBytes(name, algo string, blob []byte) (Ref, error) {
 	if name == "" || strings.ContainsAny(name, "@/\\") {
 		return Ref{}, fmt.Errorf("serving: invalid model name %q", name)
@@ -366,119 +363,4 @@ func (r *Registry) WarmBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.warmBytes
-}
-
-// --- persistence --------------------------------------------------------
-
-// registryIndex is the on-disk catalog: entry metadata plus alias state.
-// Model bytes live beside it, one envelope file per content id, in the
-// same one-file-per-model layout as the ML service's original store.
-type registryIndex struct {
-	Entries []registryEntry        `json:"entries"`
-	Aliases map[string]aliasRecord `json:"aliases"`
-}
-
-type registryEntry struct {
-	ID   string `json:"id"`
-	Algo string `json:"algo"`
-}
-
-type aliasRecord struct {
-	Versions []string `json:"versions"`
-	Current  int      `json:"current"`
-	History  []int    `json:"history,omitempty"`
-}
-
-// blobFile maps a content id onto its envelope filename.
-func blobFile(id string) string { return strings.TrimPrefix(id, idPrefix) + ".model.json" }
-
-// Save persists every entry (one JSON envelope per model) plus a
-// registry.json index with the alias state to dir.
-func (r *Registry) Save(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serving: create registry dir: %w", err)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	idx := registryIndex{Aliases: make(map[string]aliasRecord, len(r.aliases))}
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e := r.entries[id]
-		if err := os.WriteFile(filepath.Join(dir, blobFile(id)), e.blob, 0o644); err != nil {
-			return fmt.Errorf("serving: write %s: %w", id, err)
-		}
-		idx.Entries = append(idx.Entries, registryEntry{ID: id, Algo: e.algo})
-	}
-	for name, a := range r.aliases {
-		idx.Aliases[name] = aliasRecord{
-			Versions: append([]string(nil), a.versions...),
-			Current:  a.current,
-			History:  append([]int(nil), a.history...),
-		}
-	}
-	raw, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serving: marshal registry index: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "registry.json"), raw, 0o644); err != nil {
-		return fmt.Errorf("serving: write registry index: %w", err)
-	}
-	return nil
-}
-
-// Load restores a registry saved by Save, replacing the in-memory state.
-// Every envelope is integrity-checked against its content id; models
-// stay cold until first use.
-func (r *Registry) Load(dir string) error {
-	raw, err := os.ReadFile(filepath.Join(dir, "registry.json"))
-	if err != nil {
-		return fmt.Errorf("serving: read registry index: %w", err)
-	}
-	var idx registryIndex
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		return fmt.Errorf("serving: parse registry index: %w", err)
-	}
-	entries := make(map[string]*entry, len(idx.Entries))
-	for _, re := range idx.Entries {
-		if !strings.HasPrefix(re.ID, idPrefix) || strings.ContainsAny(re.ID, "/\\") {
-			return fmt.Errorf("serving: invalid content id %q in index", re.ID)
-		}
-		blob, err := os.ReadFile(filepath.Join(dir, blobFile(re.ID)))
-		if err != nil {
-			return fmt.Errorf("serving: read model %s: %w", re.ID, err)
-		}
-		if got := contentID(blob); got != re.ID {
-			return fmt.Errorf("serving: model %s fails integrity check (got %s)", re.ID, got)
-		}
-		entries[re.ID] = &entry{id: re.ID, algo: re.Algo, blob: blob}
-	}
-	aliases := make(map[string]*alias, len(idx.Aliases))
-	for name, rec := range idx.Aliases {
-		for _, id := range rec.Versions {
-			if _, ok := entries[id]; !ok {
-				return fmt.Errorf("serving: alias %q references unknown model %s", name, id)
-			}
-		}
-		if rec.Current < 0 || rec.Current > len(rec.Versions) {
-			return fmt.Errorf("serving: alias %q has invalid current version %d", name, rec.Current)
-		}
-		aliases[name] = &alias{
-			versions: append([]string(nil), rec.Versions...),
-			current:  rec.Current,
-			history:  append([]int(nil), rec.History...),
-		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries = entries
-	r.aliases = aliases
-	r.lru.Init()
-	r.warmBytes = 0
-	r.met.setModels(len(entries))
-	r.met.setWarmBytes(0)
-	return nil
 }

@@ -3,8 +3,6 @@ package serving
 import (
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -179,66 +177,6 @@ func TestRegistryLRUEvictionAndColdLoad(t *testing.T) {
 	}
 	if metricValue(t, tel, "spatial_serving_registry_models") != 2 {
 		t.Fatal("model gauge should report 2 entries")
-	}
-}
-
-func TestRegistrySaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	reg := NewRegistry(0)
-	m1 := trainedLogReg(t, 1)
-	ref1, err := reg.Register("fall", m1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Register("fall", trainedLogReg(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Promote("fall", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := NewRegistry(0)
-	if err := reg2.Load(dir); err != nil {
-		t.Fatal(err)
-	}
-	if reg2.Len() != 2 {
-		t.Fatalf("restored %d entries, want 2", reg2.Len())
-	}
-	if id, _ := reg2.Resolve("fall"); id == ref1.ID {
-		t.Fatal("promotion state lost on reload")
-	}
-	// Rollback history survives too.
-	back, err := reg2.Rollback("fall")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != ref1.ID {
-		t.Fatalf("rollback after reload -> %s, want %s", back.ID, ref1.ID)
-	}
-	restored, err := reg2.Model(ref1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{-2, 0}
-	if ml.Predict(restored, x) != ml.Predict(m1, x) {
-		t.Fatal("restored model predicts differently")
-	}
-
-	// Tampered blob fails the integrity check.
-	blob := blobFile(ref1.ID)
-	raw, err := os.ReadFile(filepath.Join(dir, blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, blob), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewRegistry(0).Load(dir); err == nil || !strings.Contains(err.Error(), "integrity") {
-		t.Fatalf("tampered blob: err %v, want integrity failure", err)
 	}
 }
 
