@@ -12,9 +12,9 @@
 //
 //	spatial-lint [flags] [patterns...]
 //
-// Patterns default to "./...". Exit status is 0 when no gating findings
-// exist, 1 when findings remain, 2 on usage or load errors. A finding
-// gates the run when it is unsuppressed and at least -fail-on severe.
+// Patterns default to "./...", test files included. Exit status is 0 when
+// no gating findings exist, 1 when findings remain, 2 on usage or load
+// errors. Every unsuppressed finding gates the run, whatever its severity.
 //
 // The only waiver is inline:
 //
@@ -42,8 +42,6 @@ func main() {
 		list       = flag.Bool("list", false, "list available checks and exit")
 		suppressed = flag.Bool("suppressed", false, "also print suppressed findings (with their reasons)")
 		dir        = flag.String("dir", ".", "directory patterns are resolved against")
-		tests      = flag.Bool("tests", true, "also analyze test files (checks opt in individually)")
-		failOn     = flag.String("fail-on", "warn", "minimum severity that fails the run: error, warn, or info")
 		sarifOut   = flag.String("sarif", "", "write the run as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
@@ -60,13 +58,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	minSev := lint.Severity(*failOn)
-	switch minSev {
-	case lint.SeverityError, lint.SeverityWarn, lint.SeverityInfo:
-	default:
-		fail(fmt.Errorf("spatial-lint: -fail-on must be error, warn, or info (got %q)", *failOn))
-	}
-
 	analyzers, err := lint.SelectAnalyzers(*checks)
 	if err != nil {
 		fail(err)
@@ -75,7 +66,7 @@ func main() {
 	res, err := lint.RunOpts(*dir, lint.Options{
 		Patterns:  flag.Args(),
 		Analyzers: analyzers,
-		Tests:     *tests,
+		Tests:     true,
 	})
 	if err != nil {
 		fail(err)
@@ -98,7 +89,7 @@ func main() {
 		}
 	}
 
-	gating := res.Gating(minSev)
+	gating := res.Gating()
 	if *jsonOut {
 		out := struct {
 			Findings   []lint.Finding `json:"findings"`

@@ -419,7 +419,7 @@ func serviceCases(t *testing.T) []contractCase {
 func clusterCases(t *testing.T) []contractCase {
 	t.Helper()
 	healthy := newContractTier(t, 3, serving.Config{MaxBatch: 1})
-	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1})
+	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, ShedWatermark: 1})
 	dead := newContractTier(t, 1, serving.Config{MaxBatch: 1})
 	dead.reps[0].Kill()
 	empty := cluster.New(cluster.Config{Clock: clock.NewFake(time.Unix(0, 0))})
@@ -516,7 +516,7 @@ func TestHTTPContract(t *testing.T) {
 	via("commit unknown txn", func() { _ = hb.Commit(ctx, "t1") })
 	via("abort ok", func() { _ = hb.Abort(ctx, "never-prepared") })
 
-	narrow := cluster.NewReplica("replica-narrow", serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, Clock: fake})
+	narrow := cluster.NewReplica("replica-narrow", serving.Config{MaxBatch: 1, ShedWatermark: 1, Clock: fake})
 	t.Cleanup(narrow.Close)
 	if _, err := narrow.Push(ctx, "demo", "lr", blob); err != nil {
 		t.Fatal(err)

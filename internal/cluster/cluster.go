@@ -29,29 +29,15 @@ import (
 // Config parameterizes a Cluster. The zero value is usable: every field
 // falls back to the documented default.
 type Config struct {
-	// VirtualNodes is the per-replica vnode count on the ring (default
-	// 64).
-	VirtualNodes int
-	// LoadFactor is the bounded-load factor c (default 1.25): a shard
-	// owner carrying more than c times the mean per-replica load stops
-	// receiving new shard traffic and the ring walks to its successor.
-	LoadFactor float64
 	// HeartbeatInterval is how often Start sweeps every member's
-	// heartbeat (default 1s).
+	// heartbeat (default 1s). A member whose last successful heartbeat is
+	// three intervals old is marked down.
 	HeartbeatInterval time.Duration
-	// HeartbeatExpiry is how stale a member's last successful heartbeat
-	// may grow before it is marked down (default 3x the interval).
-	HeartbeatExpiry time.Duration
-	// PrepareTTL bounds how long a prepared-but-uncommitted alias flip
-	// stays valid on a replica (default 5s).
-	PrepareTTL time.Duration
 	// RPCTimeout bounds each backend call the coordinator makes
-	// (default 2s).
+	// (default 2s). Every program runs with the default; the tests that
+	// drive real HTTP replicas on the real clock raise it to 10s, which
+	// an RPC under -race on a loaded machine can need.
 	RPCTimeout time.Duration
-	// WarmBytes is the canonical registry's warm-cache budget (default
-	// 128 MiB). The coordinator's copy mostly holds serialized blobs;
-	// replicas do the serving.
-	WarmBytes int64
 	// Clock is the time source; clock.Real() when nil.
 	Clock clock.Clock
 	// Telemetry is the metric registry cluster metrics record into; a
@@ -59,27 +45,22 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+const (
+	// loadFactor is the bounded-load factor c: a shard owner carrying
+	// more than c times the mean per-replica load stops receiving new
+	// shard traffic and the ring walks to its successor.
+	loadFactor = 1.25
+	// prepareTTL bounds how long a prepared-but-uncommitted alias flip
+	// stays valid on a replica.
+	prepareTTL = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = defaultVirtualNodes
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
 	}
-	if c.HeartbeatExpiry <= 0 {
-		c.HeartbeatExpiry = 3 * c.HeartbeatInterval
-	}
-	if c.PrepareTTL <= 0 {
-		c.PrepareTTL = 5 * time.Second
-	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = 2 * time.Second
-	}
-	if c.WarmBytes <= 0 {
-		c.WarmBytes = 128 << 20
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real()
@@ -160,10 +141,10 @@ func New(cfg Config) *Cluster {
 		cfg:       cfg,
 		clk:       cfg.Clock,
 		met:       newMetrics(cfg.Telemetry),
-		canonical: serving.NewRegistry(cfg.WarmBytes),
+		canonical: serving.NewRegistry(0),
 		members:   make(map[string]*member),
 	}
-	c.table.Store(&routeTable{ring: NewRing(nil, cfg.VirtualNodes)})
+	c.table.Store(&routeTable{ring: NewRing(nil, defaultVirtualNodes)})
 	return c
 }
 
@@ -240,7 +221,7 @@ func (c *Cluster) heartbeatOne(m *member) (HeartbeatInfo, error) {
 
 // TickHeartbeat runs one synchronous heartbeat sweep over every member
 // in sorted-ID order: refresh load reports, expire members whose last
-// successful heartbeat is older than HeartbeatExpiry, and re-probe
+// successful heartbeat is three intervals old, and re-probe
 // (anti-entropy included) members that were down but answer again.
 // Start calls it on a ticker; deterministic tests call it directly
 // after advancing the fake clock.
@@ -289,7 +270,7 @@ func (c *Cluster) TickHeartbeat() {
 		age := now.Sub(m.lastBeat)
 		c.mu.Unlock()
 		m.met.hbAge.Set(age.Seconds())
-		if age >= c.cfg.HeartbeatExpiry {
+		if age >= 3*c.cfg.HeartbeatInterval {
 			// CAS so an expiry racing markDown demotes (and rebuilds) once.
 			if m.up.CompareAndSwap(true, false) {
 				m.met.up.Set(0)
@@ -323,7 +304,7 @@ func (c *Cluster) rebuild() {
 			ids = append(ids, id)
 		}
 	}
-	ring := NewRing(ids, c.cfg.VirtualNodes)
+	ring := NewRing(ids, defaultVirtualNodes)
 	ringIDs := ring.IDs()
 	members := make([]*member, len(ringIDs))
 	for i, id := range ringIDs {
@@ -428,7 +409,7 @@ func (c *Cluster) Status() StatusInfo {
 	now := c.clk.Now()
 	st := StatusInfo{
 		RingMembers:  append([]string(nil), t.ring.IDs()...),
-		VirtualNodes: c.cfg.VirtualNodes,
+		VirtualNodes: defaultVirtualNodes,
 		Aliases:      c.canonical.Aliases(),
 	}
 	for _, id := range c.ids {

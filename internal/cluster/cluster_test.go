@@ -69,13 +69,12 @@ func TestFailoverReroutesNextRequest(t *testing.T) {
 }
 
 // TestHeartbeatExpiryAndRestartRecovery drives the sweep path: a killed
-// replica expires after HeartbeatExpiry of silence, and a restarted one
-// (empty registry) is re-synced by anti-entropy before rejoining the
-// ring.
+// replica expires after three heartbeat intervals of silence, and a
+// restarted one (empty registry) is re-synced by anti-entropy before
+// rejoining the ring.
 func TestHeartbeatExpiryAndRestartRecovery(t *testing.T) {
 	tier := newTestTier(t, 3, Config{
 		HeartbeatInterval: time.Second,
-		HeartbeatExpiry:   3 * time.Second,
 		RPCTimeout:        30 * time.Second,
 	})
 	c := tier.cluster
@@ -101,7 +100,7 @@ func TestHeartbeatExpiryAndRestartRecovery(t *testing.T) {
 	if got := len(c.Status().RingMembers); got != 3 {
 		t.Fatalf("ring shrank to %d members before expiry", got)
 	}
-	// Third silent second reaches HeartbeatExpiry.
+	// Third silent second reaches the expiry, three intervals.
 	tier.clk.Advance(time.Second)
 	c.TickHeartbeat()
 	st := c.Status()

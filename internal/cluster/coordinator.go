@@ -165,7 +165,7 @@ func (c *Cluster) syncBackend(m *member) error {
 		txn := c.nextTxn(want.Name)
 		id := want.Versions[want.Current-1]
 		err := c.callWithTimeout(func(ctx context.Context) error {
-			return m.backend.Prepare(ctx, txn, want.Name, want.Current, id, c.cfg.PrepareTTL)
+			return m.backend.Prepare(ctx, txn, want.Name, want.Current, id, prepareTTL)
 		})
 		if err != nil {
 			return err
@@ -234,7 +234,7 @@ func (c *Cluster) twoPhaseLocked(name string, version int, id string) error {
 	prepared := make([]*member, 0, len(members))
 	for _, m := range members {
 		err := c.callWithTimeout(func(ctx context.Context) error {
-			return m.backend.Prepare(ctx, txn, name, version, id, c.cfg.PrepareTTL)
+			return m.backend.Prepare(ctx, txn, name, version, id, prepareTTL)
 		})
 		if err != nil {
 			c.abortAll(prepared, txn)

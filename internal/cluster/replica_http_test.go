@@ -22,10 +22,10 @@ import (
 func TestHTTPBackendRoundTrip(t *testing.T) {
 	c := New(Config{
 		RPCTimeout: 10 * time.Second,
-		// Tiny expiry so one sweep after the server dies is enough to
+		// Tiny interval, so an expiry of three of them runs out in a
+		// short sleep and one sweep after the server dies is enough to
 		// demote it (this test runs on the real clock).
 		HeartbeatInterval: time.Millisecond,
-		HeartbeatExpiry:   time.Millisecond,
 	})
 
 	local := NewReplica("replica-local", serving.Config{MaxBatch: 1})
@@ -64,7 +64,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	// reachable, so force the remote by killing the local one and letting
 	// a sweep demote it.
 	local.Kill()
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(4 * time.Millisecond)
 	c.TickHeartbeat()
 	if got := c.Status().RingMembers; len(got) != 1 || got[0] != "replica-remote" {
 		t.Fatalf("ring %v after killing the local replica, want only the remote", got)
@@ -105,8 +105,8 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 	}
 	// The sweep demotes a member that fails its heartbeat once its last
 	// beat is older than the expiry; on the real clock the last one may
-	// be younger than a millisecond here, so let the expiry run out.
-	time.Sleep(2 * time.Millisecond)
+	// be younger than the 3 ms expiry here, so let the expiry run out.
+	time.Sleep(4 * time.Millisecond)
 	c.TickHeartbeat() // sweep notices the dead transport and demotes it
 	st := c.Status()
 	for _, r := range st.Replicas {
@@ -122,9 +122,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	rp := NewReplica("replica-shed", serving.Config{
 		MaxBatch:      1,
-		QueueDepth:    4,
 		ShedWatermark: 1,
-		RetryAfter:    750 * time.Millisecond,
 	})
 	defer rp.Close()
 	reg := rp.Runtime().Registry()
@@ -168,8 +166,8 @@ func TestHTTPBackendOverloadedRoundTrip(t *testing.T) {
 	if err := <-shed; !errors.As(err, &over) {
 		t.Fatalf("wire shed mapped to %v, want *serving.OverloadedError", err)
 	}
-	if over.RetryAfter != 750*time.Millisecond {
-		t.Fatalf("Retry-After hint %v survived as %v", 750*time.Millisecond, over.RetryAfter)
+	if over.RetryAfter != 250*time.Millisecond {
+		t.Fatalf("Retry-After hint %v survived as %v", 250*time.Millisecond, over.RetryAfter)
 	}
 	if over.Ref != "demo" {
 		t.Fatalf("reconstructed overload ref %q, want demo", over.Ref)

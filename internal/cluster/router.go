@@ -34,7 +34,7 @@ func (c *Cluster) pick(t *routeTable, key string) (m *member, rerouted bool) {
 	if t.ring.Len() == 0 {
 		return nil, false
 	}
-	bound := loadBound(t, c.cfg.LoadFactor)
+	bound := loadBound(t, loadFactor)
 	var chosen *member
 	first := true
 	ownerIsChoice := false

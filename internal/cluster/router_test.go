@@ -108,7 +108,7 @@ func TestShardKey(t *testing.T) {
 // bounded-load ceiling, the next request walks to a ring successor
 // instead of queueing behind the hot shard.
 func TestBoundedLoadSpillover(t *testing.T) {
-	c, backs := newInstrumentedTier(t, 3, Config{LoadFactor: 1.25, RPCTimeout: 10 * time.Second})
+	c, backs := newInstrumentedTier(t, 3, Config{RPCTimeout: 10 * time.Second})
 	if _, err := c.Register("demo", trainedModel(t, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ func run2PCAbortScenario(t *testing.T) (errMsg string, stateJSON []byte) {
 	tier := newTestTier(t, 2, Config{
 		HeartbeatInterval: time.Second,
 		RPCTimeout:        2 * time.Second,
-		PrepareTTL:        5 * time.Second,
 	})
 	c := tier.cluster
 	// Third member: same replica machinery, but prepares hang.

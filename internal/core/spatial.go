@@ -23,8 +23,6 @@ type Options struct {
 	Burst         int
 	// HealthInterval is the gateway's upstream health-check period.
 	HealthInterval time.Duration
-	// StoreCapacity bounds the dashboard's per-sensor history.
-	StoreCapacity int
 }
 
 // System is a fully assembled SPATIAL deployment: the metric
@@ -55,7 +53,7 @@ type System struct {
 // NewSystem builds the system in-process. Call DeployLocal to expose it
 // over loopback TCP, or use the handlers directly in tests.
 func NewSystem(opts Options) *System {
-	store := dashboard.NewStore(opts.StoreCapacity)
+	store := dashboard.NewStore(0)
 	sys := &System{
 		ML:         service.NewMLService(),
 		SHAP:       service.NewSHAPService(),

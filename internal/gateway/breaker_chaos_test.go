@@ -30,10 +30,10 @@ func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
 	defer proxy.Close()
 
 	const (
-		threshold = 3
-		cooldown  = 5 * time.Second
+		threshold = breakerThreshold
+		cooldown  = breakerCooldown
 	)
-	g := New(Config{BreakerThreshold: threshold, BreakerCooldown: cooldown, Clock: fake})
+	g := New(Config{Clock: fake})
 	if err := g.AddRoute("/svc", RoundRobin, proxy.URL); err != nil {
 		t.Fatal(err)
 	}

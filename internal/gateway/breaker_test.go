@@ -7,10 +7,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // TestCircuitBreakerHalfOpenRecovery: after the cooldown the breaker lets
-// a probe request through; a success closes the circuit again.
+// a probe request through; a success closes the circuit again. The
+// cooldown passes on a fake clock.
 func TestCircuitBreakerHalfOpenRecovery(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -29,13 +32,14 @@ func TestCircuitBreakerHalfOpenRecovery(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	g := New(Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond})
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	g := New(Config{Clock: fake})
 	if err := g.AddRoute("/svc", RoundRobin, backend.URL); err != nil {
 		t.Fatal(err)
 	}
 
 	// Trip the breaker.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if code, _ := get(t, g, "/svc/x", nil); code != http.StatusBadGateway {
 			t.Fatalf("expected 502, got %d", code)
 		}
@@ -47,7 +51,7 @@ func TestCircuitBreakerHalfOpenRecovery(t *testing.T) {
 	// Heal the backend; after the cooldown the probe succeeds and the
 	// circuit closes.
 	failing.Store(false)
-	time.Sleep(80 * time.Millisecond)
+	fake.Advance(breakerCooldown)
 	if code, _ := get(t, g, "/svc/x", nil); code != http.StatusOK {
 		t.Fatalf("half-open probe failed: %d", code)
 	}
@@ -60,7 +64,8 @@ func TestCircuitBreakerHalfOpenRecovery(t *testing.T) {
 }
 
 // TestCircuitBreakerReopensAfterFailedProbe: a failing probe during
-// half-open re-opens the circuit immediately.
+// half-open re-opens the circuit immediately. The cooldown passes on a
+// fake clock.
 func TestCircuitBreakerReopensAfterFailedProbe(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
@@ -73,17 +78,18 @@ func TestCircuitBreakerReopensAfterFailedProbe(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	g := New(Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond})
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	g := New(Config{Clock: fake})
 	if err := g.AddRoute("/svc", RoundRobin, backend.URL); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		get(t, g, "/svc/x", nil)
 	}
 	if code, _ := get(t, g, "/svc/x", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("breaker not open: %d", code)
 	}
-	time.Sleep(80 * time.Millisecond)
+	fake.Advance(breakerCooldown)
 	// Probe goes through to the (still broken) upstream -> 502 and the
 	// breaker re-opens at once (threshold already primed).
 	if code, _ := get(t, g, "/svc/x", nil); code != http.StatusBadGateway {
@@ -119,8 +125,10 @@ func TestUpstreamAbortMidBodyIsAccounted(t *testing.T) {
 	}))
 	defer backend.Close()
 
-	const threshold = 3
-	g := New(Config{BreakerThreshold: threshold, BreakerCooldown: time.Minute})
+	// On a fake clock the breaker cannot close again before the last
+	// request below, however slow the machine.
+	const threshold = breakerThreshold
+	g := New(Config{Clock: clock.NewFake(time.Unix(1700000000, 0))})
 	if err := g.AddRoute("/svc", LeastConnections, backend.URL); err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,6 @@ type Config struct {
 	// HealthInterval is the active health-check period (default 1s,
 	// used by Start).
 	HealthInterval time.Duration
-	// BreakerThreshold is the number of consecutive upstream failures
-	// that opens the circuit (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects an upstream
-	// before retrying it (default 5s).
-	BreakerCooldown time.Duration
 	// Telemetry is the metric registry the gateway records into; a
 	// private registry (with runtime metrics) is created when nil. The
 	// registry is exposed at /metrics, which bypasses auth and rate
@@ -62,6 +56,15 @@ type Config struct {
 	Clock clock.Clock
 }
 
+const (
+	// breakerThreshold is the number of consecutive upstream failures
+	// that opens the circuit.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open circuit rejects an upstream
+	// before letting one probe through.
+	breakerCooldown = 5 * time.Second
+)
+
 // upstream is one backend instance of a route.
 type upstream struct {
 	target  *url.URL
@@ -74,7 +77,7 @@ type upstream struct {
 	openUntil atomic.Int64 // unix nanos; 0 = closed
 }
 
-func (u *upstream) available(now time.Time, threshold int32) bool {
+func (u *upstream) available(now time.Time) bool {
 	if !u.healthy.Load() {
 		return false
 	}
@@ -88,7 +91,7 @@ func (u *upstream) available(now time.Time, threshold int32) bool {
 		if !u.openUntil.CompareAndSwap(openUntil, 0) {
 			return false
 		}
-		u.fails.Store(threshold - 1)
+		u.fails.Store(breakerThreshold - 1)
 	}
 	return true
 }
@@ -148,12 +151,6 @@ type Gateway struct {
 func New(cfg Config) *Gateway {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * time.Second
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -275,8 +272,8 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 }
 
 func (g *Gateway) onUpstreamFailure(u *upstream) {
-	if int(u.fails.Add(1)) >= g.cfg.BreakerThreshold {
-		u.openUntil.Store(g.clk.Now().Add(g.cfg.BreakerCooldown).UnixNano())
+	if u.fails.Add(1) >= breakerThreshold {
+		u.openUntil.Store(g.clk.Now().Add(breakerCooldown).UnixNano())
 	}
 }
 
@@ -297,10 +294,9 @@ func (g *Gateway) match(path string) *route {
 // pick selects an available upstream per the route policy.
 func (g *Gateway) pick(rt *route) *upstream {
 	now := g.clk.Now()
-	threshold := int32(g.cfg.BreakerThreshold)
 	candidates := make([]*upstream, 0, len(rt.upstreams))
 	for _, u := range rt.upstreams {
-		if u.available(now, threshold) {
+		if u.available(now) {
 			candidates = append(candidates, u)
 		}
 	}

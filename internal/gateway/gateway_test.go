@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // echoBackend returns a test server that identifies itself and echoes the
@@ -250,12 +252,12 @@ func TestCircuitBreakerOpens(t *testing.T) {
 	}))
 	defer failing.Close()
 
-	g := New(Config{BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	g := New(Config{Clock: clock.NewFake(time.Unix(1700000000, 0))})
 	if err := g.AddRoute("/svc", RoundRobin, failing.URL); err != nil {
 		t.Fatal(err)
 	}
-	// Two failures open the breaker.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold failures open the breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		code, _ := get(t, g, "/svc/x", nil)
 		if code != http.StatusBadGateway {
 			t.Fatalf("expected 502, got %d", code)

@@ -8,8 +8,8 @@ import (
 
 // AnalyzerBodyLeak flags *http.Response bodies that are not closed on
 // every path out of the function. A leaked body pins the underlying
-// connection, so the service client's retry loops and the gateway's
-// health prober slowly exhaust the transport's connection pool under the
+// connection, so the service client's calls and the gateway's health
+// prober slowly exhaust the transport's connection pool under the
 // capacity experiments. The analysis is a forward may-be-open dataflow:
 // acquiring a response opens it; Body.Close() (direct or deferred),
 // returning the response, or handing it to another function releases it.

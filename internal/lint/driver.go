@@ -42,26 +42,14 @@ type Result struct {
 	Packages int
 }
 
-// Unsuppressed returns the findings not matched by an ignore directive.
-func (r *Result) Unsuppressed() []Finding {
+// Gating returns the findings that fail a run: every one not matched by
+// an ignore directive.
+func (r *Result) Gating() []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
 		if !f.Suppressed {
 			out = append(out, f)
 		}
-	}
-	return out
-}
-
-// Gating returns the findings that should fail a run: unsuppressed and
-// at least min severe.
-func (r *Result) Gating(min Severity) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Suppressed || !f.Severity.AtLeast(min) {
-			continue
-		}
-		out = append(out, f)
 	}
 	return out
 }

@@ -135,25 +135,16 @@ func TestRepeatedRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSeverityGating pins the severity lattice the -fail-on flag selects
-// from.
+// TestSeverityGating: every unsuppressed finding gates, whatever its
+// severity; a waived one does not.
 func TestSeverityGating(t *testing.T) {
 	res := &Result{Findings: []Finding{
 		{Check: "a", Severity: SeverityError, File: "x.go", Message: "e"},
 		{Check: "b", Severity: SeverityWarn, File: "x.go", Message: "w"},
-		{Check: "c", Severity: SeverityInfo, File: "x.go", Message: "i"},
+		{Check: "c", Severity: SeverityError, File: "x.go", Message: "s", Suppressed: true},
 	}}
-	if n := len(res.Gating(SeverityInfo)); n != 3 {
-		t.Errorf("fail-on=info gates %d, want 3", n)
-	}
-	if n := len(res.Gating(SeverityWarn)); n != 2 {
-		t.Errorf("fail-on=warn gates %d, want 2", n)
-	}
-	if n := len(res.Gating(SeverityError)); n != 1 {
-		t.Errorf("fail-on=error gates %d, want 1", n)
-	}
-	// Unknown severities rank as error: a typo cannot soften a check.
-	if !Severity("banana").AtLeast(SeverityError) {
-		t.Error("unknown severity must gate like error")
+	got := res.Gating()
+	if len(got) != 2 || got[0].Check != "a" || got[1].Check != "b" {
+		t.Errorf("gating %v, want the error and the warn finding", got)
 	}
 }

@@ -29,38 +29,21 @@ import (
 	"strings"
 )
 
-// Severity ranks a finding's gate weight: error findings always fail the
-// build, warn findings fail at the default gate, info findings are
-// advisory.
+// Severity is how sure a check is of its finding: an error finding is a
+// defect, a warn finding has rare legitimate shapes. Both fail the build
+// unless waived; SARIF reports them as error and warning.
 type Severity string
 
 const (
 	SeverityError Severity = "error"
 	SeverityWarn  Severity = "warn"
-	SeverityInfo  Severity = "info"
 )
-
-// rank orders severities for gating; unknown severities gate like error
-// so a typo cannot silently soften a check.
-func (s Severity) rank() int {
-	switch s {
-	case SeverityInfo:
-		return 0
-	case SeverityWarn:
-		return 1
-	default:
-		return 2
-	}
-}
-
-// AtLeast reports whether s gates at or above min.
-func (s Severity) AtLeast(min Severity) bool { return s.rank() >= min.rank() }
 
 // Finding is one diagnostic produced by an analyzer.
 type Finding struct {
 	// Check is the analyzer name, e.g. "lock-order".
 	Check string `json:"check"`
-	// Severity is the analyzer's gate weight ("error", "warn", "info").
+	// Severity is the analyzer's severity ("error" or "warn").
 	Severity Severity `json:"severity"`
 	// File is the path of the offending file (module-root relative when
 	// produced by the driver).
@@ -91,7 +74,7 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by `spatial-lint -list`.
 	Doc string
-	// Severity is the gate weight of this analyzer's findings;
+	// Severity is the severity of this analyzer's findings;
 	// SeverityError when empty.
 	Severity Severity
 	// AppliesTo reports whether the analyzer runs on the given import
@@ -115,7 +98,7 @@ type Analyzer struct {
 	RunProgram func(*ProgramPass)
 }
 
-// EffectiveSeverity resolves the analyzer's gate weight, defaulting to
+// EffectiveSeverity resolves the analyzer's severity, defaulting to
 // error.
 func (a *Analyzer) EffectiveSeverity() Severity {
 	if a.Severity == "" {

@@ -87,16 +87,12 @@ type sarifSuppression struct {
 	Justification string `json:"justification,omitempty"`
 }
 
-// sarifLevel maps the gate weight onto SARIF's level vocabulary.
+// sarifLevel maps the severity onto SARIF's level vocabulary.
 func sarifLevel(s Severity) string {
-	switch s {
-	case SeverityInfo:
-		return "note"
-	case SeverityWarn:
+	if s == SeverityWarn {
 		return "warning"
-	default:
-		return "error"
 	}
+	return "error"
 }
 
 // WriteSARIF renders the run as a SARIF 2.1.0 log. Every analyzer of

@@ -13,7 +13,7 @@ import (
 func TestWriteSARIFShape(t *testing.T) {
 	res := &Result{Findings: []Finding{
 		{Check: "lock-order", Severity: SeverityError, File: "internal/serving/serving.go", Line: 42, Col: 3, Message: "deadlock"},
-		{Check: "lint-directive", Severity: SeverityInfo, File: "internal/ml/mlp.go", Line: 7, Message: "stale directive"},
+		{Check: "lint-directive", Severity: SeverityWarn, File: "internal/ml/mlp.go", Line: 7, Message: "stale directive"},
 		{Check: "telemetry-cardinality", Severity: SeverityError, File: "internal/gateway/gateway.go", Line: 9, Col: 2, Message: "unbounded label", Suppressed: true, SuppressReason: "bounded route set"},
 	}}
 	var buf bytes.Buffer
@@ -112,15 +112,15 @@ func TestWriteSARIFShape(t *testing.T) {
 		t.Errorf("uri = %q", first.Locations[0].PhysicalLocation.ArtifactLocation.URI)
 	}
 
-	info := run.Results[1]
-	if info.Level != "note" {
-		t.Errorf("info severity mapped to %q, want note", info.Level)
+	warn := run.Results[1]
+	if warn.Level != "warning" {
+		t.Errorf("warn severity mapped to %q, want warning", warn.Level)
 	}
-	if info.Locations[0].PhysicalLocation.Region.StartColumn != 1 {
-		t.Errorf("zero column not clamped to 1: %+v", info.Locations[0].PhysicalLocation.Region)
+	if warn.Locations[0].PhysicalLocation.Region.StartColumn != 1 {
+		t.Errorf("zero column not clamped to 1: %+v", warn.Locations[0].PhysicalLocation.Region)
 	}
-	if len(info.Suppressions) != 0 {
-		t.Errorf("unwaived finding carries suppressions: %+v", info.Suppressions)
+	if len(warn.Suppressions) != 0 {
+		t.Errorf("unwaived finding carries suppressions: %+v", warn.Suppressions)
 	}
 
 	waived := run.Results[2]

@@ -40,7 +40,6 @@ func TestScenarioServingShedsUnderOverload(t *testing.T) {
 	rt := serving.New(serving.Config{
 		MaxBatch:      4,
 		Workers:       1,
-		QueueDepth:    8,
 		ShedWatermark: 2,
 	})
 	defer rt.Close()

@@ -215,10 +215,10 @@ func TestBatcherSizeBoundFlush(t *testing.T) {
 
 // TestAdmissionControlSheds fills a line to its watermark — one instance
 // held in the classifier, three queued behind it — and asserts the next
-// request is shed with an *OverloadedError carrying the configured
+// request is shed with an *OverloadedError carrying the 250 ms
 // Retry-After, while the admitted requests still complete.
 func TestAdmissionControlSheds(t *testing.T) {
-	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1, QueueDepth: 8, ShedWatermark: 4})
+	rt, _, tel, ref := newTestRuntime(t, Config{MaxBatch: 64, Workers: 1, ShedWatermark: 4})
 	g := gate(rt, ref)
 	results := queueBehindHeldWorker(t, rt, ref, g, 3)
 
@@ -228,7 +228,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("err %v, want *OverloadedError", err)
 	}
 	if oe.RetryAfter != 250*time.Millisecond {
-		t.Fatalf("RetryAfter %v, want default 250ms", oe.RetryAfter)
+		t.Fatalf("RetryAfter %v, want 250ms", oe.RetryAfter)
 	}
 	if oe.Depth != 4 {
 		t.Fatalf("Depth %d, want 4", oe.Depth)

@@ -24,10 +24,10 @@ func TestRuntimeConcurrentUse(t *testing.T) {
 	rt := New(Config{
 		MaxBatch:  8,
 		Workers:   2,
-		WarmBytes: 1, // every cold load evicts: maximum cache churn
 		Telemetry: tel,
 	})
 	defer rt.Close()
+	rt.reg = newRegistry(1, rt.met) // every cold load evicts: maximum cache churn
 	reg := rt.Registry()
 
 	// Pre-marshal distinct model generations on the test goroutine

@@ -70,14 +70,19 @@ type Registry struct {
 	warmBytes int64
 }
 
+// defaultWarmBytes is a registry's warm-cache budget in serialized bytes
+// unless NewRegistry is given another: cold models deserialize on demand,
+// least recently used models are evicted back to bytes.
+const defaultWarmBytes = 128 << 20
+
 // NewRegistry builds a standalone registry with the given warm-cache
-// byte budget (<=0 selects the 128 MiB default). Registries owned by a
+// byte budget (<=0 selects defaultWarmBytes). Registries owned by a
 // Runtime share its telemetry; standalone ones record into a private
 // registry reachable via nothing — construct through New when metrics
 // matter.
 func NewRegistry(warmBytes int64) *Registry {
 	if warmBytes <= 0 {
-		warmBytes = 128 << 20
+		warmBytes = defaultWarmBytes
 	}
 	return newRegistry(warmBytes, nil)
 }

@@ -142,8 +142,9 @@ func TestRegistryResolveErrors(t *testing.T) {
 // loads it with identical results.
 func TestRegistryLRUEvictionAndColdLoad(t *testing.T) {
 	tel := telemetry.NewRegistry()
-	rt := New(Config{WarmBytes: 1, Telemetry: tel}) // budget smaller than any model
+	rt := New(Config{Telemetry: tel})
 	defer rt.Close()
+	rt.reg = newRegistry(1, rt.met) // budget smaller than any model
 	reg := rt.Registry()
 
 	m1 := trainedLogReg(t, 1)

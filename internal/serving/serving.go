@@ -42,21 +42,12 @@ type Config struct {
 	MaxBatch int
 	// Workers is the per-model worker-pool size (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the per-model request queue (default 1024).
-	QueueDepth int
 	// ShedWatermark is the in-flight instance count (queued + executing,
 	// per model) beyond which new requests are shed with an
-	// *OverloadedError (default 3/4 of QueueDepth, clamped to
-	// QueueDepth). It is also the most instances one request may carry:
-	// a larger one fails with ErrTooManyInstances.
+	// *OverloadedError (default 768). It is also the capacity of the
+	// model's queue, and the most instances one request may carry: a
+	// larger one fails with ErrTooManyInstances.
 	ShedWatermark int
-	// RetryAfter is the client back-off hint carried by shed responses
-	// (default 250ms).
-	RetryAfter time.Duration
-	// WarmBytes is the registry's warm-cache budget in serialized bytes
-	// (default 128 MiB): cold models deserialize on demand, least
-	// recently used models are evicted back to bytes.
-	WarmBytes int64
 	// Clock is the time source for latency measurements; clock.Real()
 	// when nil. Tests install a clock.Fake and assert exact virtual
 	// timelines.
@@ -66,6 +57,9 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+// retryAfter is the client back-off hint carried by shed responses.
+const retryAfter = 250 * time.Millisecond
+
 // withDefaults resolves zero fields to their documented defaults.
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -74,20 +68,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	if c.ShedWatermark <= 0 {
-		c.ShedWatermark = c.QueueDepth * 3 / 4
-	}
-	if c.ShedWatermark > c.QueueDepth {
-		c.ShedWatermark = c.QueueDepth
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.WarmBytes <= 0 {
-		c.WarmBytes = 128 << 20
+		c.ShedWatermark = 768
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real()
@@ -100,7 +82,7 @@ func (c Config) withDefaults() Config {
 
 // OverloadedError is returned when admission control sheds a request:
 // the model's in-flight depth is past the watermark. Servers surface it
-// as 429 with a Retry-After header; service.Client honors the hint.
+// as 429 with a Retry-After header.
 type OverloadedError struct {
 	// Ref is the model reference the shed request addressed.
 	Ref string
@@ -150,7 +132,7 @@ func New(cfg Config) *Runtime {
 		cfg:   cfg,
 		clk:   cfg.Clock,
 		met:   met,
-		reg:   newRegistry(cfg.WarmBytes, met),
+		reg:   newRegistry(defaultWarmBytes, met),
 		lines: make(map[string]*line),
 		stop:  make(chan struct{}),
 	}
@@ -239,7 +221,7 @@ func (r *Runtime) line(id string) (*line, error) {
 	if ln, ok := r.lines[id]; ok {
 		return ln, nil
 	}
-	ln := &line{id: id, in: make(chan *item, r.cfg.QueueDepth)}
+	ln := &line{id: id, in: make(chan *item, r.cfg.ShedWatermark)}
 	r.lines[id] = ln
 	r.wg.Add(r.cfg.Workers)
 	for w := 0; w < r.cfg.Workers; w++ {
@@ -279,7 +261,7 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 	if depth > int64(r.cfg.ShedWatermark) {
 		ln.inflight.Add(-n)
 		r.met.shed.Add(float64(n))
-		return nil, nil, &OverloadedError{Ref: ref, Depth: int(depth - n), RetryAfter: r.cfg.RetryAfter}
+		return nil, nil, &OverloadedError{Ref: ref, Depth: int(depth - n), RetryAfter: retryAfter}
 	}
 
 	c := &call{probs: make([][]float64, len(instances)), done: make(chan struct{})}
@@ -289,9 +271,10 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 	for i, x := range instances {
 		slab[i] = item{x: x, out: i, at: now, call: c}
 		// The reservation above guarantees queue room (channel occupancy
-		// never exceeds in-flight, which the watermark caps at or below
-		// the queue capacity), so this send cannot block on a full queue —
-		// a bare send, not a select, keeps it off the slow path.
+		// never exceeds in-flight, which the watermark caps, and the
+		// watermark is the queue's capacity), so this send cannot block on
+		// a full queue — a bare send, not a select, keeps it off the slow
+		// path.
 		ln.in <- &slab[i]
 	}
 

@@ -19,9 +19,6 @@ type MiddlewareConfig struct {
 	// r.URL.Path. Override in front of open-ended path spaces to avoid
 	// label-cardinality blowups.
 	Route func(r *http.Request) string
-	// Buckets overrides the latency histogram bounds (seconds);
-	// DefLatencyBuckets when nil.
-	Buckets []float64
 }
 
 // Shared metric family names recorded by the HTTP middleware, exported so
@@ -54,7 +51,7 @@ func NewMiddleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
 	//lint:ignore telemetry-cardinality service name is fixed once per process at construction
 	inFlight := inFlightVec.With(cfg.Service)
 	latency := cfg.Registry.Histogram(FamLatency,
-		"HTTP request latency in seconds.", cfg.Buckets, "service", "route")
+		"HTTP request latency in seconds.", DefLatencyBuckets, "service", "route")
 
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

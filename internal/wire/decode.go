@@ -15,7 +15,7 @@ import (
 // kinds below is decoded from the body in one pass over bytes read once:
 // an inline model (json.RawMessage) is checked against JSON's grammar in
 // place and copied out, and numbers are read as the predict path reads
-// them. Like parsePredict it has no error texts: a body it does not take —
+// them. It has no error texts: a body it does not take —
 // another key or spelling of one, a duplicate, null, an escape in a
 // string field, a number out of range, trailing data — goes, the same
 // bytes, through decodeStream, the only author of decode errors. The
@@ -90,7 +90,6 @@ type field struct {
 // plan is the field table of one request type; nil for a type the
 // one-pass decoder does not read, which keeps the streaming decode.
 type plan struct {
-	typ    reflect.Type
 	fields []field
 }
 
@@ -123,7 +122,7 @@ func newPlan(t reflect.Type) *plan {
 	if st.Kind() != reflect.Struct || st.NumField() > 64 {
 		return nil
 	}
-	p := &plan{typ: st}
+	p := &plan{}
 	names := map[string]bool{}
 	for i := 0; i < st.NumField(); i++ {
 		sf := st.Field(i)
@@ -162,16 +161,17 @@ func jsonName(sf reflect.StructField) (string, bool) {
 	return name, true
 }
 
-// decode reads data into v, which p tables, in one pass; false leaves v
-// untouched and means encoding/json must read data instead. Fields are
-// read into a fresh value and only those present copied into v, as
-// encoding/json leaves a field the body does not name as it was.
+// decode reads data into v, which p tables, in one pass, setting only the
+// fields the body names, as encoding/json leaves a field the body does not
+// name as it was. False means encoding/json must read data instead; v may
+// then hold some of the fields the body names, each of which encoding/json
+// sets again from the same key before it can succeed.
 func (p *plan) decode(data []byte, v any) bool {
 	s := scanner{data: data}
 	if !s.eat('{') {
 		return false
 	}
-	tmp := reflect.New(p.typ).Elem()
+	dst := reflect.ValueOf(v).Elem()
 	var seen uint64
 	for first := true; !s.eat('}'); first = false {
 		if !first && !s.eat(',') {
@@ -184,21 +184,12 @@ func (p *plan) decode(data []byte, v any) bool {
 		}
 		seen |= 1 << i
 		s.space()
-		if !s.value(tmp.Field(p.fields[i].index), p.fields[i].kind) {
+		if !s.value(dst.Field(p.fields[i].index), p.fields[i].kind) {
 			return false
 		}
 	}
 	s.space()
-	if s.pos != len(data) {
-		return false
-	}
-	dst := reflect.ValueOf(v).Elem()
-	for i, f := range p.fields {
-		if seen&(1<<i) != 0 {
-			dst.Field(f.index).Set(tmp.Field(f.index))
-		}
-	}
-	return true
+	return s.pos == len(data)
 }
 
 // key consumes the quoted key of one of fields, exactly as tabled, and

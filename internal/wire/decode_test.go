@@ -147,6 +147,21 @@ func checkDecodeMatchesJSON(t *testing.T, data []byte) {
 			t.Fatalf("%.200q as %T: %v", data, fast, err)
 		}
 	}
+	// Decode whole: where the one pass gives up midway, encoding/json
+	// reads the same bytes into what it left, and must end where it ends
+	// on a fresh value.
+	for _, newReq := range requestTypes {
+		got, want := newReq(), newReq()
+		gotErr, wantErr := decodeRequest(data, got), wire.DecodeStream(bytes.NewReader(data), want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%.200q as %T: Decode says %v, encoding/json %v", data, got, gotErr, wantErr)
+		}
+		if gotErr == nil {
+			if err := same(reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()); err != nil {
+				t.Fatalf("%.200q as %T through Decode: %v", data, got, err)
+			}
+		}
+	}
 }
 
 func nested(depth int) string { return strings.Repeat("[", depth) + strings.Repeat("]", depth) }

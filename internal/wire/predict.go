@@ -19,10 +19,11 @@ import (
 // reference and a matrix of floats, and it arrives in one of two forms:
 //
 //   - JSON, {"modelId": …, "instances": [[…], …]}, on every public mount
-//     and from anything that can run curl. parsePredict reads the
-//     canonical spelling of it straight into one row-major []float64; a
-//     body it does not recognise goes, the same bytes, through
-//     decodeStream, which stays the only author of decode errors.
+//     and from anything that can run curl. It is a request like any
+//     other (Decode): the one-pass decoder reads the canonical spelling
+//     of it, the matrix straight into one row-major []float64; a body it
+//     does not take goes, the same bytes, through decodeStream, which
+//     stays the only author of decode errors.
 //   - a frame (FrameType), between HTTPBackend and a replica, both ends in
 //     this repository: lengths first, then the float bits as they are in
 //     memory, little-endian.
@@ -93,30 +94,24 @@ func predictHandler(predict predictFunc, limit int64) http.HandlerFunc {
 // readPredict reads the body once, behind the same limits as Decode, and
 // decodes it. Nothing it returns points into the pooled buffer.
 func readPredict(w http.ResponseWriter, r *http.Request, framed bool, limit int64) (string, [][]float64, error) {
+	if !framed {
+		var req serving.PredictRequest
+		err := decode(w, r, &req, limit)
+		return req.ModelID, req.Instances, err
+	}
 	b, err := readBody(w, r, limit)
 	if err != nil {
 		return "", nil, err
 	}
 	defer b.release()
-	if framed {
-		if b.err != nil {
-			return "", nil, decodeError(b.err)
-		}
-		ref, instances, err := decodeRequestFrame(b.Bytes())
-		if err != nil {
-			return "", nil, decodeError(err)
-		}
-		return ref, instances, nil
+	if b.err != nil {
+		return "", nil, decodeError(b.err)
 	}
-	if b.err == nil {
-		if ref, instances, ok := parsePredict(b.Bytes()); ok {
-			return ref, instances, nil
-		}
+	ref, instances, err := decodeRequestFrame(b.Bytes())
+	if err != nil {
+		return "", nil, decodeError(err)
 	}
-	// Not the canonical spelling, or cut short: encoding/json says why.
-	var req serving.PredictRequest
-	err = b.replay(&req)
-	return req.ModelID, req.Instances, err
+	return ref, instances, nil
 }
 
 // rectangular reports the first row whose width differs from row 0's.
@@ -163,52 +158,6 @@ func (s *scanner) literal(lit string) bool {
 		return true
 	}
 	return false
-}
-
-// parsePredict is the fast path for a predict body: an object whose keys
-// are exactly "modelId" (a string of plain ASCII, no escapes) and
-// "instances" (an array of arrays of numbers), each at most once, in either
-// order, with nothing but whitespace around it. It has no error texts:
-// ok is false for anything else — other keys or spellings of them, null,
-// escapes, a number outside JSON's grammar or float64's range, a syntax
-// error, trailing data — and the caller hands the bytes to encoding/json.
-// The invariant (FuzzPredictDecodeMatchesJSON): whatever this accepts,
-// encoding/json accepts, with the same reference and bit-identical floats.
-func parsePredict(data []byte) (ref string, rows [][]float64, ok bool) {
-	s := scanner{data: data}
-	if !s.eat('{') {
-		return "", nil, false
-	}
-	var haveRef, haveRows bool
-	for first := true; !s.eat('}'); first = false {
-		if !first && !s.eat(',') {
-			return "", nil, false
-		}
-		s.space()
-		switch {
-		case !haveRef && s.literal(`"modelId"`):
-			haveRef = true
-			if !s.eat(':') {
-				return "", nil, false
-			}
-			s.space()
-			if ref, ok = s.plainString(); !ok {
-				return "", nil, false
-			}
-		case !haveRows && s.literal(`"instances"`):
-			haveRows = true
-			if !s.eat(':') {
-				return "", nil, false
-			}
-			if rows, ok = s.matrix(); !ok {
-				return "", nil, false
-			}
-		default:
-			return "", nil, false
-		}
-	}
-	s.space()
-	return ref, rows, s.pos == len(s.data)
 }
 
 // plainString reads a string that needs no unescaping: printable ASCII

@@ -148,10 +148,17 @@ func sameMatrix(got, want [][]float64) error {
 	return nil
 }
 
+// decodePredict is readPredict's one-pass decode of a JSON body alone.
+func decodePredict(data []byte) (ref string, rows [][]float64, ok bool) {
+	var req serving.PredictRequest
+	ok = planFor(&req).decode(data, &req)
+	return req.ModelID, req.Instances, ok
+}
+
 // checkDecodeMatchesJSON is the fuzz property, shared with the table test.
 func checkDecodeMatchesJSON(t *testing.T, data []byte) {
 	t.Helper()
-	if ref, rows, ok := parsePredict(data); ok {
+	if ref, rows, ok := decodePredict(data); ok {
 		var req serving.PredictRequest
 		if err := decodeStream(bytes.NewReader(data), &req); err != nil {
 			t.Fatalf("fast path accepted %q, encoding/json refuses it: %v", data, err)
@@ -219,7 +226,7 @@ func TestPredictFastPath(t *testing.T) {
 		`{"modelId":"m","instances":[[1]]`:                false,
 		``:                                                false,
 	} {
-		if _, _, ok := parsePredict([]byte(body)); ok != fast {
+		if _, _, ok := decodePredict([]byte(body)); ok != fast {
 			t.Errorf("%q: fast path took it = %v, want %v", body, ok, fast)
 		}
 		checkDecodeMatchesJSON(t, []byte(body))
@@ -338,11 +345,14 @@ func TestFastPathCoversMarshalledFloats(t *testing.T) {
 
 // TestPredictDecodeAllocs: the fast path allocates the flat array, the row
 // views and the reference, however many rows there are; a frame the same.
+// The request value is the caller's.
 func TestPredictDecodeAllocs(t *testing.T) {
 	for _, rows := range []int{1, 64, 256, 1024} {
 		req, body := predictBody(t, rows, 21)
+		var into serving.PredictRequest
+		p := planFor(&into)
 		got := testing.AllocsPerRun(20, func() {
-			if _, _, ok := parsePredict(body); !ok {
+			if !p.decode(body, &into) {
 				t.Fatal("fast path refused a marshalled request")
 			}
 		})
@@ -704,10 +714,12 @@ func BenchmarkPredictDecodeJSONStd(b *testing.B) {
 	})
 }
 
+// BenchmarkPredictDecodeJSONFast is readPredict's one-pass decode, the
+// request value included.
 func BenchmarkPredictDecodeJSONFast(b *testing.B) {
 	benchDecode(b, func(_ serving.PredictRequest, body []byte) func() bool {
 		return func() bool {
-			_, _, ok := parsePredict(body)
+			_, _, ok := decodePredict(body)
 			return ok
 		}
 	})

@@ -67,7 +67,7 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 	mlc := &service.Client{BaseURL: mlSrv.URL, HTTP: mlSrv.Client()}
 
 	healthy := newContractTier(t, 2, serving.Config{MaxBatch: 1})
-	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, QueueDepth: 4, ShedWatermark: 1, RetryAfter: 1500 * time.Millisecond})
+	narrow := newContractTier(t, 1, serving.Config{MaxBatch: 1, ShedWatermark: 1})
 	dead := newContractTier(t, 1, serving.Config{MaxBatch: 1})
 	dead.reps[0].Kill()
 	empty := cluster.New(cluster.Config{Clock: clock.NewFake(time.Unix(0, 0))})
@@ -111,7 +111,7 @@ func TestTypedErrorsSurviveTheWire(t *testing.T) {
 		after time.Duration
 	}{
 		{"ml predict", firstRefusal(t, func() error { return predict(mlc, "lr", manyRows[:768]) }), 250 * time.Millisecond},
-		{"cluster predict", firstRefusal(t, func() error { return predict(narrowFront, "demo", two[:1]) }), 1500 * time.Millisecond},
+		{"cluster predict", firstRefusal(t, func() error { return predict(narrowFront, "demo", two[:1]) }), 250 * time.Millisecond},
 	}
 	for _, tc := range sheds {
 		var over *serving.OverloadedError
