@@ -66,7 +66,6 @@ func main() {
 	res, err := lint.RunOpts(*dir, lint.Options{
 		Patterns:  flag.Args(),
 		Analyzers: analyzers,
-		Tests:     true,
 	})
 	if err != nil {
 		fail(err)

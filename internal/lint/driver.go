@@ -61,15 +61,14 @@ type Options struct {
 	Patterns []string
 	// Analyzers restricts the run to a subset (nil runs the full suite).
 	Analyzers []*Analyzer
-	// Tests loads and analyzes test packages too. Per-package analyzers
-	// opt in via Analyzer.IncludeTests; whole-program analyzers never do.
-	Tests bool
 }
 
 // RunOpts loads the packages matched by opts.Patterns (resolved against
-// dir) and analyzes them: one Loader.Load followed by one Analyze.
+// dir), test packages included, and analyzes them: one Loader.Load
+// followed by one Analyze. Per-package analyzers opt in to test packages
+// via Analyzer.IncludeTests; whole-program analyzers never do.
 func RunOpts(dir string, opts Options) (*Result, error) {
-	loader := &Loader{Dir: dir, Tests: opts.Tests}
+	loader := &Loader{Dir: dir, Tests: true}
 	pkgs, err := loader.Load(opts.Patterns)
 	if err != nil {
 		return nil, err

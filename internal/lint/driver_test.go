@@ -72,7 +72,7 @@ func BenchmarkFullRepoRun(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunOpts(root, Options{Tests: true}); err != nil {
+		if _, err := RunOpts(root, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -298,9 +298,9 @@ func TestDecodeDoesNotAliasPool(t *testing.T) {
 var raceEnabled bool
 
 // TestDecodeAllocs: the probe's body costs Decode a fixed handful of
-// allocations — the limit reader, the scratch request value, the model's
-// copy, the instance, the background's two arrays, and here the caller's
-// request value — where encoding/json makes 130.
+// allocations — the limit reader, the model's copy, the instance, the
+// background's two arrays, and here the caller's request value — where
+// encoding/json makes 130.
 func TestDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")

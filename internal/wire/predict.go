@@ -94,24 +94,45 @@ func predictHandler(predict predictFunc, limit int64) http.HandlerFunc {
 // readPredict reads the body once, behind the same limits as Decode, and
 // decodes it. Nothing it returns points into the pooled buffer.
 func readPredict(w http.ResponseWriter, r *http.Request, framed bool, limit int64) (string, [][]float64, error) {
-	if !framed {
-		var req serving.PredictRequest
-		err := decode(w, r, &req, limit)
-		return req.ModelID, req.Instances, err
-	}
 	b, err := readBody(w, r, limit)
 	if err != nil {
 		return "", nil, err
 	}
 	defer b.release()
-	if b.err != nil {
-		return "", nil, decodeError(b.err)
+	if framed {
+		if b.err != nil {
+			return "", nil, decodeError(b.err)
+		}
+		ref, instances, err := decodeRequestFrame(b.Bytes())
+		if err != nil {
+			return "", nil, decodeError(err)
+		}
+		return ref, instances, nil
 	}
-	ref, instances, err := decodeRequestFrame(b.Bytes())
-	if err != nil {
-		return "", nil, decodeError(err)
+	if b.err == nil {
+		if ref, instances, ok := decodePredict(b.Bytes()); ok {
+			return ref, instances, nil
+		}
 	}
-	return ref, instances, nil
+	// Not the canonical spelling, or cut short: encoding/json says why.
+	var req serving.PredictRequest
+	err = b.replay(&req)
+	return req.ModelID, req.Instances, err
+}
+
+// requests holds the values decodePredict decodes into. The plan reads
+// its value through an interface, so one declared per request would be
+// allocated per request; only the two fields copied out are.
+var requests = sync.Pool{New: func() any { return new(serving.PredictRequest) }}
+
+// decodePredict is the one-pass decode (decode.go) of a JSON predict body.
+func decodePredict(data []byte) (ref string, instances [][]float64, ok bool) {
+	req := requests.Get().(*serving.PredictRequest)
+	ok = planFor(req).decode(data, req)
+	ref, instances = req.ModelID, req.Instances
+	*req = serving.PredictRequest{}
+	requests.Put(req)
+	return ref, instances, ok
 }
 
 // rectangular reports the first row whose width differs from row 0's.

@@ -148,13 +148,6 @@ func sameMatrix(got, want [][]float64) error {
 	return nil
 }
 
-// decodePredict is readPredict's one-pass decode of a JSON body alone.
-func decodePredict(data []byte) (ref string, rows [][]float64, ok bool) {
-	var req serving.PredictRequest
-	ok = planFor(&req).decode(data, &req)
-	return req.ModelID, req.Instances, ok
-}
-
 // checkDecodeMatchesJSON is the fuzz property, shared with the table test.
 func checkDecodeMatchesJSON(t *testing.T, data []byte) {
 	t.Helper()
@@ -345,14 +338,11 @@ func TestFastPathCoversMarshalledFloats(t *testing.T) {
 
 // TestPredictDecodeAllocs: the fast path allocates the flat array, the row
 // views and the reference, however many rows there are; a frame the same.
-// The request value is the caller's.
 func TestPredictDecodeAllocs(t *testing.T) {
 	for _, rows := range []int{1, 64, 256, 1024} {
 		req, body := predictBody(t, rows, 21)
-		var into serving.PredictRequest
-		p := planFor(&into)
 		got := testing.AllocsPerRun(20, func() {
-			if !p.decode(body, &into) {
+			if _, _, ok := decodePredict(body); !ok {
 				t.Fatal("fast path refused a marshalled request")
 			}
 		})
@@ -714,8 +704,6 @@ func BenchmarkPredictDecodeJSONStd(b *testing.B) {
 	})
 }
 
-// BenchmarkPredictDecodeJSONFast is readPredict's one-pass decode, the
-// request value included.
 func BenchmarkPredictDecodeJSONFast(b *testing.B) {
 	benchDecode(b, func(_ serving.PredictRequest, body []byte) func() bool {
 		return func() bool {
