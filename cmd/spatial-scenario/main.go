@@ -14,7 +14,8 @@
 // in milliseconds and the scorecard bytes reproduce exactly across runs.
 // With -live the command self-hosts the real stack in-process — model
 // service behind the chaos proxy behind the API gateway — and drives it
-// with real HTTP load on the wall clock.
+// with real HTTP load on the wall clock. Scenarios with a cluster spec
+// run virtually only: -live refuses them, and -smoke -live skips them.
 package main
 
 import (
@@ -112,6 +113,10 @@ func run(args []string, stdout io.Writer) error {
 			sc.Seed = *seed
 		}
 		rec, err := execute(ctx, sc, *live)
+		if *smoke && errors.Is(err, scenario.ErrLiveCluster) {
+			fmt.Fprintf(stdout, "%-24s skipped: %v\n", sc.Name, scenario.ErrLiveCluster)
+			continue
+		}
 		if err != nil {
 			return fmt.Errorf("run %s: %w", sc.Name, err)
 		}

@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func TestRunList(t *testing.T) {
@@ -54,5 +57,16 @@ func TestRunArgErrors(t *testing.T) {
 	}
 	if err := run([]string{"-load", filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
 		t.Fatal("missing -load file accepted")
+	}
+}
+
+// TestRunLiveRefusesClusterScenario: the live stack has no replica tier,
+// so a replica-kill campaign would inject nothing and still pass. Live
+// mode must refuse it instead.
+func TestRunLiveRefusesClusterScenario(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-run", "cluster-failover", "-live"}, &out)
+	if !errors.Is(err, scenario.ErrLiveCluster) {
+		t.Fatalf("live cluster-failover: err=%v, output:\n%s", err, out.String())
 	}
 }

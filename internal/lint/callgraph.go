@@ -61,9 +61,6 @@ type CallSite struct {
 	// Pos is the call expression (or the literal, for escape edges).
 	Pos  token.Pos
 	Kind CallKind
-	// InLoop marks sites lexically inside any for/range statement of the
-	// caller.
-	InLoop bool
 }
 
 // Node is one function in the call graph: a declaration or a literal.
@@ -191,7 +188,7 @@ func buildProgram(fset *token.FileSet, pkgs []*Package) *Program {
 	for _, n := range prog.Nodes {
 		if n.Lit != nil && len(n.In) == 0 {
 			if owner := prog.enclosingDecl(n); owner != nil {
-				prog.addEdge(owner, n, n.Lit.Pos(), CallCallback, false)
+				prog.addEdge(owner, n, n.Lit.Pos(), CallCallback)
 			}
 		}
 	}
@@ -235,11 +232,11 @@ func (p *Program) enclosingDecl(lit *Node) *Node {
 	return best
 }
 
-func (p *Program) addEdge(from, to *Node, pos token.Pos, kind CallKind, inLoop bool) {
+func (p *Program) addEdge(from, to *Node, pos token.Pos, kind CallKind) {
 	if from == nil || to == nil {
 		return
 	}
-	s := &CallSite{Caller: from, Callee: to, Pos: pos, Kind: kind, InLoop: inLoop}
+	s := &CallSite{Caller: from, Callee: to, Pos: pos, Kind: kind}
 	from.Out = append(from.Out, s)
 	to.In = append(to.In, s)
 }
@@ -406,18 +403,16 @@ func (b *graphBuilder) recordCall(cur *Node, call *ast.CallExpr, stack []ast.Nod
 			kind = CallDefer
 		}
 	}
-	inLoop := insideLoop(stack)
-
 	for _, callee := range b.resolveCallees(cur, call) {
 		k := kind
 		if callee.viaInterface && kind == CallStatic {
 			k = CallInterface
 		}
-		b.prog.addEdge(cur, callee.node, call.Pos(), k, inLoop)
+		b.prog.addEdge(cur, callee.node, call.Pos(), k)
 	}
 	for _, arg := range call.Args {
 		for _, t := range b.resolveFuncValue(cur, arg) {
-			b.prog.addEdge(cur, t, arg.Pos(), CallCallback, inLoop)
+			b.prog.addEdge(cur, t, arg.Pos(), CallCallback)
 		}
 	}
 }
@@ -516,18 +511,6 @@ func (b *graphBuilder) resolveFuncValue(cur *Node, arg ast.Expr) []*Node {
 		}
 	}
 	return nil
-}
-
-// insideLoop reports whether the innermost statement is inside any for or
-// range statement.
-func insideLoop(stack []ast.Node) bool {
-	for _, n := range stack {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			return true
-		}
-	}
-	return false
 }
 
 // stronglyConnected is Tarjan's algorithm over the graph reachable from

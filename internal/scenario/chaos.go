@@ -18,7 +18,9 @@ import (
 // FaultReset/FaultDown decisions — the in-process stand-in for a TCP RST.
 var ErrInjectedReset = errors.New("scenario: injected connection reset")
 
-// ChaosStats counts the faults a proxy or virtual target actually injected.
+// ChaosStats counts what the fault engine did to each request: Delayed,
+// Errored, Reset and Passed partition the requests it decided. A request
+// the stack itself shed (429) was passed by the engine.
 type ChaosStats struct {
 	Delayed int64 `json:"delayed"`
 	Errored int64 `json:"errored"`
@@ -29,11 +31,12 @@ type ChaosStats struct {
 	Rerouted int64 `json:"rerouted"`
 }
 
-// chaosCore is the proxy's fault decision engine: a settable Fault plus a
-// seeded RNG so a fixed seed reproduces the same per-request decisions.
+// chaosCore is the one fault decision engine, shared by the chaos proxy
+// (live mode) and the virtual target (virtual mode): a settable Fault plus
+// a seeded RNG so a fixed seed reproduces the same per-request decisions.
+// Its counters partition the requests it decided: each is passed,
+// delayed, errored or reset, exactly once.
 type chaosCore struct {
-	clk clock.Clock
-
 	mu    sync.Mutex
 	fault *Fault
 	rng   *rand.Rand
@@ -44,11 +47,8 @@ type chaosCore struct {
 	passed  atomic.Int64
 }
 
-func newChaosCore(clk clock.Clock, seed int64) *chaosCore {
-	if clk == nil {
-		clk = clock.Real()
-	}
-	return &chaosCore{clk: clk, rng: rand.New(rand.NewSource(seed))}
+func newChaosCore(seed int64) *chaosCore {
+	return &chaosCore{rng: rand.New(rand.NewSource(seed))}
 }
 
 // SetFault installs (or, with nil, clears) the active fault. The
@@ -134,6 +134,7 @@ func (c *chaosCore) decide() decision {
 // the gateway route at that listener instead of the service.
 type ChaosProxy struct {
 	*chaosCore
+	clk   clock.Clock
 	proxy *httputil.ReverseProxy
 }
 
@@ -148,8 +149,12 @@ func NewChaosProxy(target string, clk clock.Clock, seed int64) (*ChaosProxy, err
 	if u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("scenario: chaos target %q must be an absolute URL", target)
 	}
+	if clk == nil {
+		clk = clock.Real()
+	}
 	return &ChaosProxy{
-		chaosCore: newChaosCore(clk, seed),
+		chaosCore: newChaosCore(seed),
+		clk:       clk,
 		proxy:     httputil.NewSingleHostReverseProxy(u),
 	}, nil
 }

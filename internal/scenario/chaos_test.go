@@ -106,7 +106,7 @@ func TestChaosProxyLatencyFault(t *testing.T) {
 
 func TestChaosDeterministicDecisions(t *testing.T) {
 	roll := func() []decision {
-		core := newChaosCore(clock.Real(), 11)
+		core := newChaosCore(11)
 		core.SetFault(&Fault{Kind: FaultErrorBurst, Rate: 0.5})
 		out := make([]decision, 40)
 		for i := range out {

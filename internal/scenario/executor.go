@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -14,25 +15,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// FaultInjector is anything that can install a phase's fault: the chaos
-// proxy, the chaos transport control, or the virtual target.
+// FaultInjector installs each phase's fault and counts what it did: the
+// chaos proxy in live mode, the virtual target or cluster in virtual mode.
 type FaultInjector interface {
+	// SetFault installs (or clears, with nil) the phase fault.
 	SetFault(*Fault)
-}
-
-// faultStats is implemented by injectors that count what they injected.
-type faultStats interface {
+	// Stats snapshots the injection counters.
 	Stats() ChaosStats
 }
 
 // VirtualSampler is the deterministic service model a virtual run drives:
 // the single closed-form VirtualTarget or the sharded VirtualCluster.
 type VirtualSampler interface {
+	FaultInjector
 	// Sample resolves one request at the given offered load.
 	Sample(offeredRPS float64) (time.Duration, error)
-	// SetFault installs (or clears, with nil) the phase fault.
-	SetFault(*Fault)
 }
+
+// liveMaxInFlight bounds live-mode in-flight requests.
+const liveMaxInFlight = 64
+
+// ErrLiveCluster is Run's refusal of a scenario with a Cluster spec in
+// live mode: the live stack has no replica tier for its faults to fail.
+var ErrLiveCluster = errors.New("live mode cannot fail replicas; run the cluster scenario virtually")
 
 // Env wires a scenario run to its world. Exactly one of Virtual and
 // Sampler must be set: Virtual runs the deterministic service model
@@ -61,8 +66,6 @@ type Env struct {
 	// Telemetry, when set, receives scenario progress metrics and is
 	// snapshotted into the record at the end of the run.
 	Telemetry *telemetry.Registry
-	// MaxConcurrent bounds live-mode in-flight requests (default 64).
-	MaxConcurrent int
 }
 
 // PhaseMark records one executed phase's window on the run timeline.
@@ -82,7 +85,7 @@ type Record struct {
 	Results  *loadgen.Results
 	Readings []sensor.Reading
 	Marks    []PhaseMark
-	// Chaos counts faults the injector actually delivered.
+	// Chaos is what the injector did to each request (see ChaosStats).
 	Chaos ChaosStats
 	// SensorErrors counts failed collections (they do not abort a run).
 	SensorErrors int
@@ -129,6 +132,9 @@ func Run(ctx context.Context, sc Scenario, env Env) (*Record, error) {
 	if env.Virtual != nil && !isFake {
 		return nil, fmt.Errorf("scenario: the virtual target requires clock.Fake (the executor owns the timeline)")
 	}
+	if env.Virtual == nil && sc.Cluster != nil {
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, ErrLiveCluster)
+	}
 	injector := env.Injector
 	if injector == nil && env.Virtual != nil {
 		injector = env.Virtual
@@ -136,10 +142,6 @@ func Run(ctx context.Context, sc Scenario, env Env) (*Record, error) {
 	var met *runMetrics
 	if env.Telemetry != nil {
 		met = newRunMetrics(env.Telemetry, sc.Name)
-	}
-	maxConc := env.MaxConcurrent
-	if maxConc <= 0 {
-		maxConc = 64
 	}
 
 	var sensorNames []string
@@ -162,7 +164,7 @@ func Run(ctx context.Context, sc Scenario, env Env) (*Record, error) {
 		spawned []loadgen.Sample
 		wg      sync.WaitGroup
 	)
-	sem := make(chan struct{}, maxConc)
+	sem := make(chan struct{}, liveMaxInFlight)
 	nextSensor := rec.Start.Add(sensorEvery)
 
 	for pi, phase := range sc.Phases {
@@ -289,8 +291,8 @@ func Run(ctx context.Context, sc Scenario, env Env) (*Record, error) {
 	sort.SliceStable(rec.Results.Samples, func(i, j int) bool {
 		return rec.Results.Samples[i].Start.Before(rec.Results.Samples[j].Start)
 	})
-	if st, ok := injector.(faultStats); ok && injector != nil {
-		rec.Chaos = st.Stats()
+	if injector != nil {
+		rec.Chaos = injector.Stats()
 	}
 	if env.Telemetry != nil {
 		rec.Families = env.Telemetry.Gather()

@@ -96,7 +96,7 @@ func TestRunEnvValidation(t *testing.T) {
 		t.Fatal("empty env accepted")
 	}
 	// Virtual without a fake clock.
-	if _, err := Run(ctx, sc, Env{Virtual: NewVirtualTarget(0, 0, 1)}); err == nil {
+	if _, err := Run(ctx, sc, Env{Virtual: NewVirtualTarget(1)}); err == nil {
 		t.Fatal("virtual target on the real clock accepted")
 	}
 	// Invalid scenario.

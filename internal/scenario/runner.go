@@ -22,9 +22,9 @@ func RunVirtual(ctx context.Context, sc Scenario) (*Record, error) {
 	fake := clock.NewFake(Epoch)
 	var virtual VirtualSampler
 	if c := sc.Cluster; c != nil {
-		virtual = NewVirtualCluster(c.Replicas, c.BaseLatency.D(), c.CapacityRPS, sc.Seed, sc.Workload)
+		virtual = NewVirtualCluster(c.Replicas, sc.Seed, sc.Workload)
 	} else {
-		virtual = NewVirtualTarget(0, 0, sc.Seed)
+		virtual = NewVirtualTarget(sc.Seed)
 	}
 
 	stream, err := BuildWorkload(sc.Workload, sc.Seed)

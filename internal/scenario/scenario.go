@@ -322,18 +322,11 @@ type ClusterSpec struct {
 	// Replicas is the member count (>= 2; there is nothing to fail over
 	// to with one).
 	Replicas int `json:"replicas"`
-	// CapacityRPS is each replica's admission watermark (default 150).
-	CapacityRPS float64 `json:"capacityRps,omitempty"`
-	// BaseLatency is each replica's unloaded latency (default 20ms).
-	BaseLatency Duration `json:"baseLatency,omitempty"`
 }
 
 func (c ClusterSpec) validate() error {
 	if c.Replicas < 2 {
 		return fmt.Errorf("cluster needs >= 2 replicas, got %d", c.Replicas)
-	}
-	if c.CapacityRPS < 0 || c.BaseLatency.D() < 0 {
-		return fmt.Errorf("cluster capacity/latency must be non-negative")
 	}
 	return nil
 }
@@ -401,7 +394,8 @@ type Scenario struct {
 	SensorEvery Duration `json:"sensorEvery,omitempty"`
 	SLO         SLO      `json:"slo"`
 	// Cluster, when set, runs the scenario against a virtual replica
-	// tier instead of a single virtual target (see ClusterSpec).
+	// tier instead of a single virtual target (see ClusterSpec). Live
+	// mode refuses such a scenario: it has no replica tier to fail.
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	Phases  []Phase      `json:"phases"`
 	// Smoke marks the scenario as a member of the deterministic

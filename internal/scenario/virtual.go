@@ -2,130 +2,64 @@ package scenario
 
 import (
 	"math"
-	"math/rand"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/loadgen"
 )
 
+// The virtual service model's constants: the unloaded latency and the
+// admission watermark past which offered load is shed with 429s while
+// served latency stays flat.
+const (
+	virtualBase     = 20 * time.Millisecond
+	virtualCapacity = 150.0
+)
+
 // VirtualTarget is the deterministic service model smoke scenarios run
-// against: a closed-form latency/shedding curve standing in for the
-// gateway + serving stack, with the same fault surface as the chaos
-// proxy. Under clock.Fake with a fixed seed every Sample sequence —
-// latencies, sheds, injected faults — reproduces bit-for-bit, which is
-// what makes scorecards byte-identical across runs.
+// against: the chaos proxy's decision core in front of a closed-form
+// latency/shedding curve standing in for the gateway + serving stack.
+// Under clock.Fake with a fixed seed every Sample sequence — latencies,
+// sheds, injected faults — reproduces bit-for-bit, which is what makes
+// scorecards byte-identical across runs.
 type VirtualTarget struct {
-	// BaseLatency is the unloaded service latency (default 20ms).
-	BaseLatency time.Duration
-	// CapacityRPS is the admission watermark: offered load beyond it is
-	// shed with 429s while served latency stays flat (default 150).
-	CapacityRPS float64
-
-	mu    sync.Mutex
-	fault *Fault
-	rng   *rand.Rand
-
-	stats ChaosStats
+	*chaosCore
 }
 
 // NewVirtualTarget builds the model with the given seed.
-func NewVirtualTarget(base time.Duration, capacity float64, seed int64) *VirtualTarget {
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	if capacity <= 0 {
-		capacity = 150
-	}
-	return &VirtualTarget{
-		BaseLatency: base,
-		CapacityRPS: capacity,
-		rng:         rand.New(rand.NewSource(seed)),
-	}
+func NewVirtualTarget(seed int64) *VirtualTarget {
+	return &VirtualTarget{newChaosCore(seed)}
 }
 
-// SetFault installs (or clears, with nil) the active fault — the virtual
-// equivalent of reconfiguring the chaos proxy.
-func (v *VirtualTarget) SetFault(f *Fault) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if f == nil {
-		v.fault = nil
-		return
-	}
-	cp := *f
-	v.fault = &cp
-}
-
-// Stats snapshots the injected-fault counters.
-func (v *VirtualTarget) Stats() ChaosStats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.stats
-}
-
-// Sample resolves one request at the given offered load. The latency
-// curve is base · (1 + 4·util³) up to the watermark; past it, admission
-// control sheds the excess fraction with 429s and served latency stays
-// clamped at 5·base — the "flat latency, rising sheds" signature a
-// healthy overloaded stack shows (a collapsing one would instead explode
-// the percentiles).
+// Sample resolves one request at the given offered load. The installed
+// fault decides first, as it does on the proxy: a reset or downed
+// upstream answers fast, an error burst answers with its code, a delay
+// adds to the modelled latency. The latency curve is base · (1 + 4·util³)
+// up to the watermark; past it, admission control sheds the excess
+// fraction with 429s and served latency stays clamped at 5·base — the
+// "flat latency, rising sheds" signature a healthy overloaded stack shows
+// (a collapsing one would instead explode the percentiles).
 func (v *VirtualTarget) Sample(offeredRPS float64) (time.Duration, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-
-	// Fault overlay first: a downed or resetting upstream answers
-	// before load modeling matters.
-	var extra time.Duration
-	if f := v.fault; f != nil {
-		switch f.Kind {
-		case FaultDown:
-			v.stats.Reset++
-			return v.BaseLatency / 10, ErrInjectedReset
-		case FaultReset:
-			if v.rng.Float64() < f.rate() {
-				v.stats.Reset++
-				return v.BaseLatency / 10, ErrInjectedReset
-			}
-		case FaultErrorBurst:
-			if v.rng.Float64() < f.rate() {
-				code := f.Code
-				if code == 0 {
-					code = http.StatusServiceUnavailable
-				}
-				v.stats.Errored++
-				return v.BaseLatency / 2, &loadgen.StatusError{Code: code}
-			}
-		case FaultLatency:
-			if v.rng.Float64() < f.rate() {
-				extra = f.Latency.D()
-				if j := f.Jitter.D(); j > 0 {
-					extra += time.Duration(v.rng.Int63n(int64(2*j))) - j
-				}
-				if extra < 0 {
-					extra = 0
-				}
-				v.stats.Delayed++
-			}
-		}
+	d := v.decide()
+	if d.reset {
+		return virtualBase / 10, ErrInjectedReset
+	}
+	if d.code > 0 {
+		return virtualBase / 2, &loadgen.StatusError{Code: d.code}
 	}
 
-	util := offeredRPS / v.CapacityRPS
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	util := offeredRPS / virtualCapacity
 	if util > 1 {
 		// Shed the excess fraction: P(shed) = 1 - 1/util keeps the
 		// served rate at the watermark.
 		if v.rng.Float64() < 1-1/util {
-			v.stats.Errored++
-			return v.BaseLatency / 4, &loadgen.StatusError{Code: http.StatusTooManyRequests}
+			return virtualBase / 4, &loadgen.StatusError{Code: http.StatusTooManyRequests}
 		}
 		util = 1.25 // served requests run at the clamped overload point
 	}
-	factor := 1 + 4*util*util*util
-	if factor > 9 {
-		factor = 9
-	}
-	lat := time.Duration(float64(v.BaseLatency) * factor * math.Exp(0.05*v.rng.NormFloat64()))
-	v.stats.Passed++
-	return lat + extra, nil
+	factor := min(1+4*util*util*util, 9)
+	lat := time.Duration(float64(virtualBase) * factor * math.Exp(0.05*v.rng.NormFloat64()))
+	return lat + d.delay, nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestVirtualTargetLoadCurve(t *testing.T) {
-	v := NewVirtualTarget(20*time.Millisecond, 100, 1)
+	v := NewVirtualTarget(1)
 
 	// Light load: latency near base, no errors.
 	for i := 0; i < 50; i++ {
@@ -23,12 +23,13 @@ func TestVirtualTargetLoadCurve(t *testing.T) {
 		}
 	}
 
-	// 3x overload: about 2/3 of requests shed with 429, served latency
-	// stays clamped (flat-latency-rising-sheds, not collapse).
+	// 3x overload of the 150 rps watermark: about 2/3 of requests shed
+	// with 429, served latency stays clamped (flat-latency-rising-sheds,
+	// not collapse).
 	sheds, served := 0, 0
 	var worst time.Duration
 	for i := 0; i < 600; i++ {
-		lat, err := v.Sample(300)
+		lat, err := v.Sample(450)
 		if err != nil {
 			var se *loadgen.StatusError
 			if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
@@ -49,14 +50,15 @@ func TestVirtualTargetLoadCurve(t *testing.T) {
 		t.Fatalf("served latency collapsed under overload: %v", worst)
 	}
 
-	st := v.Stats()
-	if int(st.Errored) != sheds || int(st.Passed) != 50+served {
+	// The fault engine injected nothing: a shed is the stack's answer to
+	// a request the engine passed, not an injected error.
+	if st := v.Stats(); st != (ChaosStats{Passed: 650}) {
 		t.Fatalf("stats: %+v (sheds=%d served=%d)", st, sheds, served)
 	}
 }
 
 func TestVirtualTargetFaults(t *testing.T) {
-	v := NewVirtualTarget(20*time.Millisecond, 100, 2)
+	v := NewVirtualTarget(2)
 
 	v.SetFault(&Fault{Kind: FaultDown})
 	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
@@ -83,10 +85,10 @@ func TestVirtualTargetFaults(t *testing.T) {
 
 func TestVirtualTargetDeterministic(t *testing.T) {
 	run := func() []time.Duration {
-		v := NewVirtualTarget(20*time.Millisecond, 100, 7)
+		v := NewVirtualTarget(7)
 		out := make([]time.Duration, 100)
 		for i := range out {
-			lat, _ := v.Sample(150)
+			lat, _ := v.Sample(225)
 			out[i] = lat
 		}
 		return out

@@ -32,10 +32,10 @@ type VirtualCluster struct {
 }
 
 // NewVirtualCluster builds n virtual replicas ("replica-0"...) sharing
-// one routing key. base and capacity default per NewVirtualTarget; each
-// replica draws from its own seed+index stream so routing decides which
-// stream advances and determinism survives failover.
-func NewVirtualCluster(n int, base time.Duration, capacity float64, seed int64, key string) *VirtualCluster {
+// one routing key. Each replica draws from its own seed+index stream so
+// routing decides which stream advances and determinism survives
+// failover.
+func NewVirtualCluster(n int, seed int64, key string) *VirtualCluster {
 	if n < 2 {
 		n = 2
 	}
@@ -55,7 +55,7 @@ func NewVirtualCluster(n int, base time.Duration, capacity float64, seed int64, 
 	// vc.ids in that exact order so the indices line up.
 	sort.Strings(vc.ids)
 	for i := 0; i < n; i++ {
-		vc.replicas[i] = NewVirtualTarget(base, capacity, seed+int64(i))
+		vc.replicas[i] = NewVirtualTarget(seed + int64(i))
 	}
 	vc.ring = cluster.NewRing(vc.ids, 0)
 	return vc
@@ -134,9 +134,8 @@ func (vc *VirtualCluster) Sample(offeredRPS float64) (time.Duration, error) {
 	idx, rerouted := vc.pickLocked()
 	if idx < 0 {
 		vc.dead++
-		base := vc.replicas[0].BaseLatency
 		vc.mu.Unlock()
-		return base / 10, ErrInjectedReset
+		return virtualBase / 10, ErrInjectedReset
 	}
 	if rerouted {
 		vc.rerouted++

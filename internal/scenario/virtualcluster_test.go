@@ -10,7 +10,7 @@ import (
 // owner reroutes every subsequent request, the kill sticks across phase
 // boundaries (SetFault(nil)), and only a restart revives the member.
 func TestVirtualClusterFailover(t *testing.T) {
-	vc := NewVirtualCluster(3, 20*time.Millisecond, 1000, 1, "model")
+	vc := NewVirtualCluster(3, 1, "model")
 	owner := vc.Owner()
 	if owner == "" {
 		t.Fatal("fresh cluster has no owner")
@@ -61,7 +61,7 @@ func TestVirtualClusterFailover(t *testing.T) {
 // TestVirtualClusterTransientFaults forwards non-replica faults to the
 // serving member like the single-target model.
 func TestVirtualClusterTransientFaults(t *testing.T) {
-	vc := NewVirtualCluster(2, 20*time.Millisecond, 1000, 1, "model")
+	vc := NewVirtualCluster(2, 1, "model")
 	vc.SetFault(&Fault{Kind: FaultDown})
 	if _, err := vc.Sample(10); err == nil {
 		t.Fatal("down fault did not refuse the request")

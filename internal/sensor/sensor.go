@@ -167,7 +167,6 @@ type Manager struct {
 	mu      sync.Mutex
 	sensors map[string]*Sensor
 	last    map[string]Reading
-	errs    map[string]int
 	tel     *managerMetrics
 
 	running bool
@@ -183,7 +182,6 @@ func NewManager(sink Sink) *Manager {
 		clock:   clock.Real(),
 		sensors: make(map[string]*Sensor),
 		last:    make(map[string]Reading),
-		errs:    make(map[string]int),
 	}
 }
 
@@ -330,9 +328,6 @@ func (m *Manager) collect(ctx context.Context, s *Sensor) {
 		if ctx.Err() != nil {
 			return
 		}
-		m.mu.Lock()
-		m.errs[s.Name]++
-		m.mu.Unlock()
 		log.Printf("sensor %q: collect: %v", s.Name, err)
 		return
 	}
@@ -403,13 +398,6 @@ func (m *Manager) Last(name string) (Reading, bool) {
 	defer m.mu.Unlock()
 	r, ok := m.last[name]
 	return r, ok
-}
-
-// ErrorCount reports how many collections of the named sensor failed.
-func (m *Manager) ErrorCount(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.errs[name]
 }
 
 // Float64Ptr is a convenience for building thresholds.

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 type memSink struct {
@@ -169,6 +171,9 @@ func TestManagerStartErrors(t *testing.T) {
 func TestCollectorErrorsAreCounted(t *testing.T) {
 	var calls atomic.Int64
 	m := NewManager(nil)
+	reg := telemetry.NewRegistry()
+	m.UseTelemetry(reg)
+	failed := reg.Counter("spatial_sensor_collect_errors_total", "", "sensor").With("flaky")
 	if err := m.Register(&Sensor{
 		Name:     "flaky",
 		Property: PropResilience,
@@ -184,7 +189,7 @@ func TestCollectorErrorsAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for m.ErrorCount("flaky") < 2 {
+	for failed.Value() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("errors not counted")
 		}
