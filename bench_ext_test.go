@@ -5,19 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/attack"
-	"repro/internal/audit"
 	"repro/internal/dataset"
-	"repro/internal/defense"
-	"repro/internal/drift"
-	"repro/internal/fairness"
-	"repro/internal/fedlearn"
-	"repro/internal/ml"
 	"repro/internal/privacy"
 )
 
-// benchBlobs builds a reusable two-class dataset for the extension
-// benchmarks.
+// benchBlobs builds a reusable two-class dataset for the DP ablation.
 func benchBlobs(b *testing.B, n int) *dataset.Table {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -33,43 +25,6 @@ func benchBlobs(b *testing.B, n int) *dataset.Table {
 		}
 	}
 	return tb
-}
-
-// BenchmarkLabelSanitization measures the kNN-consensus corrective action
-// (the operator response the paper's §VII recommends after a poisoning
-// alert).
-func BenchmarkLabelSanitization(b *testing.B) {
-	data := benchBlobs(b, 400)
-	poisoned, err := attack.LabelFlip(data, 0.2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := defense.SanitizeLabels(poisoned, 7, defense.Relabel); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMembershipInference measures the privacy sensor's attack run.
-func BenchmarkMembershipInference(b *testing.B) {
-	data := benchBlobs(b, 400)
-	rng := rand.New(rand.NewSource(2))
-	train, test, err := data.StratifiedSplit(rng, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := ml.NewTree(ml.TreeConfig{MaxDepth: 0, MinLeaf: 1, Seed: 1})
-	if err := model.Fit(train); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := privacy.MembershipInference(model, train, test); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkAblationDPNoise sweeps the DP-SGD noise multiplier — the
@@ -88,100 +43,5 @@ func BenchmarkAblationDPNoise(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFairnessEvaluate measures the fairness sensor's metric pass.
-func BenchmarkFairnessEvaluate(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 2000
-	pred := make([]int, n)
-	truth := make([]int, n)
-	group := make([]int, n)
-	for i := range pred {
-		pred[i] = rng.Intn(2)
-		truth[i] = rng.Intn(2)
-		group[i] = rng.Intn(2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fairness.Evaluate(pred, truth, group, 1, [2]string{"A", "B"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFederatedRound measures one FedAvg round over 8 clients.
-func BenchmarkFederatedRound(b *testing.B) {
-	data := benchBlobs(b, 800)
-	clients, err := fedlearn.PartitionIID(data, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	factory := func() (ml.ParamClassifier, error) {
-		return ml.NewLogReg(ml.LogRegConfig{LearningRate: 0.1, Epochs: 2, BatchSize: 32, WarmStart: true, Seed: 1}), nil
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		global := ml.NewLogReg(ml.DefaultLogRegConfig())
-		if err := global.Init(data.NumFeatures(), data.NumClasses()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := fedlearn.Run(global, factory, clients, data, fedlearn.Config{Rounds: 1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDriftDetect measures the monitoring-stage drift check.
-func BenchmarkDriftDetect(b *testing.B) {
-	ref := benchBlobs(b, 1000)
-	det, err := drift.Fit(ref, 0.01, 0.2, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := benchBlobs(b, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.Detect(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAuditAppendVerify measures the accountability trail under a
-// sensor-like write load plus a full chain verification.
-func BenchmarkAuditAppendVerify(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l := audit.NewLog()
-		for k := 0; k < 500; k++ {
-			if _, err := l.Append(audit.KindReading, "sensor", k); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := l.Verify(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkModelSteal measures the extraction attack at a fixed query
-// budget.
-func BenchmarkModelSteal(b *testing.B) {
-	data := benchBlobs(b, 300)
-	victim := ml.NewTree(ml.DefaultTreeConfig())
-	if err := victim.Fit(data); err != nil {
-		b.Fatal(err)
-	}
-	queries, err := attack.UniformQueries(data.X, 500, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := attack.StealModel(victim, ml.NewTree(ml.DefaultTreeConfig()), queries,
-			data.FeatureNames, data.ClassNames, data.X); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -204,24 +204,3 @@ func BenchmarkAblationGatewayPolicy(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkFGSMCraft measures the adversarial-sample crafting cost — the
-// paper's "complexity" metric (≈37.86 μs/sample on their hardware).
-func BenchmarkFGSMCraft(b *testing.B) {
-	model, test := uc2Model(b)
-	grad, ok := model.(ml.GradientClassifier)
-	if !ok {
-		b.Fatal("nn not differentiable")
-	}
-	single := test.Subset([]int{0})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := attack.FGSM(grad, single, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTaxonomy exercises the registry validation (trivial, but keeps
-// the taxonomy experiment covered by the bench suite).
-func BenchmarkTaxonomy(b *testing.B) { benchExperiment(b, "taxonomy") }

@@ -1,45 +1,30 @@
 // Command spatial-scenario runs declarative chaos + attack + drift
-// campaigns against the SPATIAL stack and emits telemetry-scored
-// verdicts.
+// campaigns against a deterministic model of the SPATIAL stack and emits
+// scored verdicts.
 //
 // Usage:
 //
 //	spatial-scenario -list
 //	spatial-scenario -run flash-crowd-poison -out scorecard.json
 //	spatial-scenario -smoke -out scorecards/
-//	spatial-scenario -run error-burst-breaker -live
 //
-// Without -live a scenario runs against the deterministic virtual world
-// (fake clock, closed-form service model): a 30-second campaign finishes
-// in milliseconds and the scorecard bytes reproduce exactly across runs.
-// With -live the command self-hosts the real stack in-process — model
-// service behind the chaos proxy behind the API gateway — and drives it
-// with real HTTP load on the wall clock. Scenarios with a cluster spec
-// run virtually only: -live refuses them, and -smoke -live skips them.
+// A scenario runs against the deterministic virtual world (fake clock,
+// closed-form service model): a 30-second campaign finishes in
+// milliseconds and the scorecard bytes reproduce exactly across runs.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
-	"repro/internal/clock"
-	"repro/internal/gateway"
-	"repro/internal/loadgen"
-	"repro/internal/ml"
 	"repro/internal/scenario"
-	"repro/internal/sensor"
-	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -56,7 +41,6 @@ func run(args []string, stdout io.Writer) error {
 	smoke := fs.Bool("smoke", false, "run the deterministic smoke subset")
 	out := fs.String("out", "", "scorecard output: file for -run, directory for -smoke (default stdout / .)")
 	load := fs.String("load", "", "JSON file with extra scenarios to register")
-	live := fs.Bool("live", false, "drive the real in-process stack over HTTP instead of the virtual world")
 	seed := fs.Int64("seed", 0, "override the scenario seed (0 = keep)")
 	strict := fs.Bool("strict", false, "exit non-zero when any scorecard verdict is \"fail\"")
 	if err := fs.Parse(args); err != nil {
@@ -112,11 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		if *seed != 0 {
 			sc.Seed = *seed
 		}
-		rec, err := execute(ctx, sc, *live)
-		if *smoke && errors.Is(err, scenario.ErrLiveCluster) {
-			fmt.Fprintf(stdout, "%-24s skipped: %v\n", sc.Name, scenario.ErrLiveCluster)
-			continue
-		}
+		rec, err := scenario.Run(ctx, sc)
 		if err != nil {
 			return fmt.Errorf("run %s: %w", sc.Name, err)
 		}
@@ -159,106 +139,4 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%d scenario(s) failed", failed)
 	}
 	return nil
-}
-
-// execute runs one scenario in the chosen mode.
-func execute(ctx context.Context, sc scenario.Scenario, live bool) (*scenario.Record, error) {
-	if !live {
-		return scenario.RunVirtual(ctx, sc)
-	}
-	return runLive(ctx, sc)
-}
-
-// predictRequest is the live model service's wire format.
-type predictRequest struct {
-	Features []float64 `json:"features"`
-}
-
-// predictResponse carries the predicted class index.
-type predictResponse struct {
-	Class int `json:"class"`
-}
-
-// runLive self-hosts the real stack — model service, chaos proxy, API
-// gateway — on loopback listeners and drives it with HTTP load on the
-// wall clock. The chaos proxy sits between the gateway and the service,
-// exactly where a misbehaving upstream would: latency faults slow the
-// route, error bursts surface as gateway 5xx, resets feed the gateway's
-// circuit breaker.
-func runLive(ctx context.Context, sc scenario.Scenario) (*scenario.Record, error) {
-	stream, err := scenario.BuildWorkload(sc.Workload, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	// Model service: score posted feature rows with the workload model.
-	// The gateway strips its route prefix before proxying, so the
-	// service answers on "/" (a request for gw/predict arrives here
-	// as a request for /).
-	model := stream.Model()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", wire.Handle(func(_ context.Context, req *predictRequest) (predictResponse, error) {
-		return predictResponse{Class: ml.Predict(model, req.Features)}, nil
-	}))
-
-	// One lifecycle for the three loopback servers. The gateway stops
-	// first at teardown: it owns the pooled connections into the proxy.
-	reg := telemetry.NewRegistry()
-	gw := gateway.New(gateway.Config{Telemetry: reg})
-	var servers wire.Servers
-	defer func() {
-		shutCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
-		defer cancel()
-		// The record is already built; a loopback server that failed to
-		// drain in a second was closed, which is all teardown needs.
-		_ = servers.Shutdown(shutCtx, gw.Stop)
-	}()
-	svcURL, err := servers.Listen("127.0.0.1:0", mux)
-	if err != nil {
-		return nil, err
-	}
-
-	chaos, err := scenario.NewChaosProxy(svcURL, clock.Real(), sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	chaosURL, err := servers.Listen("127.0.0.1:0", chaos)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := gw.AddRoute("/predict", gateway.RoundRobin, chaosURL); err != nil {
-		return nil, err
-	}
-	gwURL, err := servers.Listen("127.0.0.1:0", gw)
-	if err != nil {
-		return nil, err
-	}
-
-	body, err := json.Marshal(predictRequest{Features: stream.Reference().X[0]})
-	if err != nil {
-		return nil, err
-	}
-	sampler := &loadgen.HTTPSampler{
-		Method: http.MethodPost,
-		URL:    gwURL + "/predict",
-		Body:   body,
-		Client: &http.Client{Timeout: 5 * time.Second},
-	}
-
-	mgr := sensor.NewManager(nil)
-	if err := stream.RegisterSensors(mgr, scenario.Duration(sc.SensorPeriod())); err != nil {
-		return nil, err
-	}
-
-	fmt.Fprintf(os.Stderr, "live stack up: service=%s chaos=%s gateway=%s (%s, %s)\n",
-		svcURL, chaosURL, gwURL, sc.Name, sc.Duration())
-	return scenario.Run(ctx, sc, scenario.Env{
-		Clock:     clock.Real(),
-		Sampler:   sampler,
-		Injector:  chaos,
-		Stream:    stream,
-		Sensors:   mgr,
-		Telemetry: reg,
-	})
 }

@@ -3,38 +3,49 @@ package gateway
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/scenario"
 )
 
 // TestCircuitBreakerChaosRecoveryFakeClock walks the breaker through a
-// full open → half-open → closed cycle with the chaos proxy injecting
-// connection resets between the gateway and the upstream, entirely on a
-// fake clock: no sleeps, and the measured recovery time is an exact
-// virtual-time number instead of a scheduler-dependent estimate.
+// full open → half-open → closed cycle against an upstream that switches
+// between answering, failing with 503 and resetting the connection,
+// entirely on a fake clock: no sleeps, and the measured recovery time is
+// an exact virtual-time number instead of a scheduler-dependent estimate.
 func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
+	const (
+		modeOK = iota
+		modeErrorBurst
+		modeReset
+	)
+	var mode atomic.Int32
+	var errored, resets atomic.Int64
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
+		switch mode.Load() {
+		case modeErrorBurst:
+			errored.Add(1)
+			http.Error(w, "injected fault", http.StatusServiceUnavailable)
+		case modeReset:
+			resets.Add(1)
+			// Drop the connection without a response: the gateway's
+			// reverse proxy sees a transport error.
+			panic(http.ErrAbortHandler)
+		default:
+			w.WriteHeader(http.StatusOK)
+		}
 	}))
 	defer backend.Close()
 
 	fake := clock.NewFake(time.Date(2024, 7, 1, 0, 0, 0, 0, time.UTC))
-	chaos, err := scenario.NewChaosProxy(backend.URL, fake, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := httptest.NewServer(chaos)
-	defer proxy.Close()
-
 	const (
 		threshold = breakerThreshold
 		cooldown  = breakerCooldown
 	)
 	g := New(Config{Clock: fake})
-	if err := g.AddRoute("/svc", RoundRobin, proxy.URL); err != nil {
+	if err := g.AddRoute("/svc", RoundRobin, backend.URL); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,11 +54,11 @@ func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
 		t.Fatalf("clean request: expected 200, got %d", code)
 	}
 
-	// Error-burst faults surface as upstream 5xx but must NOT trip the
+	// Error bursts surface as upstream 5xx but must NOT trip the
 	// breaker: the upstream answered, so the transport is fine and
 	// opening the circuit would amplify an application error into an
 	// outage.
-	chaos.SetFault(&scenario.Fault{Kind: scenario.FaultErrorBurst, Code: http.StatusServiceUnavailable})
+	mode.Store(modeErrorBurst)
 	for i := 0; i < 2*threshold; i++ {
 		if code, _ := get(t, g, "/svc/x", nil); code != http.StatusServiceUnavailable {
 			t.Fatalf("error burst request %d: expected 503, got %d", i, code)
@@ -56,7 +67,7 @@ func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
 
 	// Connection resets are transport failures: threshold of them opens
 	// the circuit.
-	chaos.SetFault(&scenario.Fault{Kind: scenario.FaultReset})
+	mode.Store(modeReset)
 	for i := 0; i < threshold; i++ {
 		if code, _ := get(t, g, "/svc/x", nil); code != http.StatusBadGateway {
 			t.Fatalf("reset request %d: expected 502, got %d", i, code)
@@ -69,8 +80,8 @@ func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
 		t.Fatal("RouteMetrics should report the breaker open")
 	}
 
-	// Fault clears; the clock marks the moment recovery starts.
-	chaos.SetFault(nil)
+	// The upstream heals; the clock marks the moment recovery starts.
+	mode.Store(modeOK)
 	faultCleared := fake.Now()
 
 	// Mid-cooldown the circuit still rejects without probing.
@@ -100,12 +111,11 @@ func TestCircuitBreakerChaosRecoveryFakeClock(t *testing.T) {
 			t.Fatalf("post-recovery request %d: expected 200, got %d", i, code)
 		}
 	}
-	stats := chaos.Stats()
 	// >= threshold, not ==: net/http retries an idempotent request once
 	// when a reused connection dies, so one gateway-visible failure can
-	// cost two chaos-visible resets.
-	if stats.Reset < threshold || stats.Errored != 2*threshold {
-		t.Fatalf("chaos stats: got %+v", stats)
+	// cost two upstream-visible resets.
+	if resets.Load() < threshold || errored.Load() != 2*threshold {
+		t.Fatalf("upstream counts: resets=%d errored=%d", resets.Load(), errored.Load())
 	}
 }
 

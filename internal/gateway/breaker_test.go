@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,5 +171,169 @@ func TestUpstreamAbortMidBodyIsAccounted(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("request past an open breaker: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestCircuitBreakerHalfOpenAdmitsOneProbe: past the cooldown exactly one
+// request probes the upstream. Callers that arrive while the probe is in
+// flight are refused with 503 and never reach the upstream; the probe's
+// answer closes the circuit. The cooldown passes on a fake clock.
+func TestCircuitBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	var hits atomic.Int64
+	probeIn := make(chan struct{})
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failing.Load() {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+			return
+		}
+		// The first request to reach the healed upstream is held until
+		// the test releases it.
+		if hits.Add(1) == 1 {
+			close(probeIn)
+			<-release
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer backend.Close()
+	releaseProbe := sync.OnceFunc(func() { close(release) })
+	defer releaseProbe()
+
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	g := New(Config{Clock: fake})
+	if err := g.AddRoute("/svc", RoundRobin, backend.URL); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < breakerThreshold; i++ {
+		if code, _ := get(t, g, "/svc/x", nil); code != http.StatusBadGateway {
+			t.Fatalf("expected 502, got %d", code)
+		}
+	}
+	failing.Store(false)
+	fake.Advance(breakerCooldown)
+
+	// serve is get without t, for use off the test goroutine.
+	serve := func() int {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/svc/x", nil))
+		return rec.Code
+	}
+	probe := make(chan int, 1)
+	go func() { probe <- serve() }()
+	<-probeIn
+
+	const behind = 8
+	codes := make(chan int, behind)
+	var wg sync.WaitGroup
+	for i := 0; i < behind; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes <- serve()
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	refused := 0
+	for code := range codes {
+		if code == http.StatusServiceUnavailable {
+			refused++
+		}
+	}
+	if n := hits.Load(); n != 1 || refused != behind {
+		t.Fatalf("half-open: %d upstream hits (want 1), %d of %d callers refused with 503", n, refused, behind)
+	}
+
+	releaseProbe()
+	if code := <-probe; code != http.StatusOK {
+		t.Fatalf("probe: expected 200, got %d", code)
+	}
+	for i := 0; i < 3; i++ {
+		if code, _ := get(t, g, "/svc/x", nil); code != http.StatusOK {
+			t.Fatalf("post-probe request %d: expected 200, got %d", i, code)
+		}
+	}
+	if n := hits.Load(); n != 4 {
+		t.Fatalf("upstream hits after close: %d, want 4", n)
+	}
+}
+
+// TestCircuitBreakerAbortedProbeReopens: a probe whose upstream dies
+// mid-body (ReverseProxy panics with http.ErrAbortHandler) re-opens the
+// circuit for a full fresh cooldown, after which the next probe goes
+// through: the breaker is never left half-open.
+func TestCircuitBreakerAbortedProbeReopens(t *testing.T) {
+	var hits atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		hits.Add(1)
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		// Promise 100 bytes, deliver 5.
+		if _, err := buf.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhello"); err != nil {
+			t.Error(err)
+		}
+		if err := buf.Flush(); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer backend.Close()
+
+	fake := clock.NewFake(time.Unix(1700000000, 0))
+	g := New(Config{Clock: fake})
+	if err := g.AddRoute("/svc", RoundRobin, backend.URL); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(g)
+	defer front.Close()
+	defer g.Stop()
+
+	// send issues one request and reads the body to its end, so the
+	// gateway's accounting has run when it returns.
+	send := func() int {
+		resp, err := http.Get(front.URL + "/svc/x")
+		if err != nil {
+			return 0 // the abort may land before the client has the headers
+		}
+		defer resp.Body.Close()
+		_, _ = io.ReadAll(resp.Body)
+		return resp.StatusCode
+	}
+	for i := 0; i < breakerThreshold; i++ {
+		send()
+	}
+	if code := send(); code != http.StatusServiceUnavailable {
+		t.Fatalf("breaker not open: %d", code)
+	}
+
+	// Each round's probe re-opens the circuit, so the next round's probe
+	// is due one nanosecond after the 503 check.
+	wait := breakerCooldown
+	for round := 0; round < 2; round++ {
+		fake.Advance(wait)
+		before := hits.Load()
+		send() // the probe, aborted mid-body
+		if n := hits.Load() - before; n != 1 {
+			t.Fatalf("round %d: probe reached the upstream %d times, want 1", round, n)
+		}
+		fake.Advance(breakerCooldown - time.Nanosecond)
+		if code := send(); code != http.StatusServiceUnavailable {
+			t.Fatalf("round %d: within the fresh cooldown: got %d, want 503", round, code)
+		}
+		if n := hits.Load() - before; n != 1 {
+			t.Fatalf("round %d: request reached the upstream through the re-opened breaker", round)
+		}
+		wait = time.Nanosecond
 	}
 }

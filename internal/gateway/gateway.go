@@ -8,6 +8,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
@@ -63,6 +64,10 @@ const (
 	// breakerCooldown is how long an open circuit rejects an upstream
 	// before letting one probe through.
 	breakerCooldown = 5 * time.Second
+	// halfOpen is openUntil while the one probe past a cooldown is in
+	// flight: a deadline no clock reaches, so every other caller is
+	// refused until the probe ends.
+	halfOpen = math.MaxInt64
 )
 
 // upstream is one backend instance of a route.
@@ -74,26 +79,29 @@ type upstream struct {
 	conns atomic.Int64
 	// consecutive proxy failures and the breaker deadline.
 	fails     atomic.Int32
-	openUntil atomic.Int64 // unix nanos; 0 = closed
+	openUntil atomic.Int64 // unix nanos; 0 = closed, halfOpen = probing
 }
 
-func (u *upstream) available(now time.Time) bool {
+// available reports whether u may take a request now, and whether that
+// request is the breaker's half-open probe, which the caller must send.
+func (u *upstream) available(now time.Time) (ok, probe bool) {
 	if !u.healthy.Load() {
-		return false
+		return false, false
 	}
 	if openUntil := u.openUntil.Load(); openUntil != 0 {
 		if now.UnixNano() < openUntil {
-			return false
+			return false, false
 		}
-		// Half-open: exactly one caller wins the CAS and becomes the
-		// probe. Losers keep the breaker open, and a breaker concurrently
+		// Past the cooldown: exactly one caller wins the CAS and becomes
+		// the probe. The breaker stays half-open, refusing every other
+		// caller, until forward ends the probe. A breaker concurrently
 		// re-opened with a fresh deadline is not erased by a plain store.
-		if !u.openUntil.CompareAndSwap(openUntil, 0) {
-			return false
+		if !u.openUntil.CompareAndSwap(openUntil, halfOpen) {
+			return false, false
 		}
-		u.fails.Store(breakerThreshold - 1)
+		return true, true
 	}
-	return true
+	return true, false
 }
 
 // route maps a path prefix onto a backend pool. Per-route statistics
@@ -271,8 +279,12 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 	return nil
 }
 
+// onUpstreamFailure counts one transport failure. The threshold opens the
+// circuit, and any failure while it is half-open re-opens it with a fresh
+// cooldown: a request that succeeded while the circuit was open may have
+// reset the streak below the threshold.
 func (g *Gateway) onUpstreamFailure(u *upstream) {
-	if u.fails.Add(1) >= breakerThreshold {
+	if u.fails.Add(1) >= breakerThreshold || u.openUntil.Load() == halfOpen {
 		u.openUntil.Store(g.clk.Now().Add(breakerCooldown).UnixNano())
 	}
 }
@@ -291,17 +303,24 @@ func (g *Gateway) match(path string) *route {
 	return nil
 }
 
-// pick selects an available upstream per the route policy.
-func (g *Gateway) pick(rt *route) *upstream {
+// pick selects an available upstream per the route policy. The bool is
+// true when the request is that upstream's half-open probe: a probe goes
+// out whatever the policy, since an unsent one would leave the breaker
+// half-open.
+func (g *Gateway) pick(rt *route) (*upstream, bool) {
 	now := g.clk.Now()
 	candidates := make([]*upstream, 0, len(rt.upstreams))
 	for _, u := range rt.upstreams {
-		if u.available(now) {
+		ok, probe := u.available(now)
+		if probe {
+			return u, true
+		}
+		if ok {
 			candidates = append(candidates, u)
 		}
 	}
 	if len(candidates) == 0 {
-		return nil
+		return nil, false
 	}
 	switch rt.policy {
 	case LeastConnections:
@@ -311,9 +330,9 @@ func (g *Gateway) pick(rt *route) *upstream {
 				best = u
 			}
 		}
-		return best
+		return best, false
 	default: // RoundRobin
-		return candidates[rt.rr.Add(1)%uint64(len(candidates))]
+		return candidates[rt.rr.Add(1)%uint64(len(candidates))], false
 	}
 }
 
@@ -353,17 +372,18 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no route", http.StatusNotFound)
 		return
 	}
-	u := g.pick(rt)
+	u, probe := g.pick(rt)
 	if u == nil {
 		http.Error(w, "no healthy upstream", http.StatusServiceUnavailable)
 		return
 	}
-	g.forward(w, r, rt, u)
+	g.forward(w, r, rt, u, probe)
 }
 
 // forward proxies one admitted request to u and accounts for it: route
-// metrics, the breaker's failure streak, and one span.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream) {
+// metrics, the breaker's failure streak, and one span. A probe ends the
+// breaker's half-open state however it ends.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream, probe bool) {
 	// Trace propagation: adopt the caller's trace (or mint one), then
 	// hand our fresh span to the upstream as its parent so the gateway
 	// hop and the service hop correlate under one trace ID.
@@ -402,6 +422,11 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *
 			status = http.StatusBadGateway
 		} else if status < 500 {
 			u.fails.Store(0)
+		}
+		if probe {
+			// Any answer closes the circuit. A failed probe has already
+			// re-opened it with a fresh cooldown, which this CAS keeps.
+			u.openUntil.CompareAndSwap(halfOpen, 0)
 		}
 		elapsed := g.clk.Since(start)
 		rt.requests.Inc()

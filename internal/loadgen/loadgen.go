@@ -6,13 +6,13 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +78,7 @@ func (s *HTTPSampler) Sample(ctx context.Context) error {
 	}
 	var body io.Reader
 	if len(s.Body) > 0 {
-		body = strings.NewReader(string(s.Body))
+		body = bytes.NewReader(s.Body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, s.URL, body)
 	if err != nil {

@@ -104,9 +104,9 @@ func init() {
 		},
 	})
 
-	// A compressed day/night cycle with an induced-latency fault through
-	// the chaos proxy during the second crest: scored on SLO-violation
-	// seconds during the fault and recovery time after it clears.
+	// A compressed day/night cycle with an induced-latency fault during
+	// the second crest: scored on SLO-violation seconds during the fault
+	// and recovery time after it clears.
 	mustRegister(defaultLibrary, Scenario{
 		Name:        "diurnal-latency-chaos",
 		Description: "Diurnal traffic with an induced-latency fault at the crest; scored on SLO burn and recovery.",
@@ -126,10 +126,9 @@ func init() {
 		},
 	})
 
-	// An upstream error burst behind steady traffic: the gateway's
-	// breaker and the SLO error-rate bound absorb it; the scorecard's
-	// recovery time measures how fast the error rate returns under the
-	// bound once the burst ends.
+	// An upstream error burst behind steady traffic: the SLO error-rate
+	// bound absorbs it; the scorecard's recovery time measures how fast
+	// the error rate returns under the bound once the burst ends.
 	mustRegister(defaultLibrary, Scenario{
 		Name:        "error-burst-breaker",
 		Description: "Upstream error burst via the chaos proxy; scored on error-rate SLO burn and recovery time.",

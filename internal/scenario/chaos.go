@@ -2,16 +2,10 @@ package scenario
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // ErrInjectedReset is the error the virtual targets return for
@@ -31,20 +25,15 @@ type ChaosStats struct {
 	Rerouted int64 `json:"rerouted"`
 }
 
-// chaosCore is the one fault decision engine, shared by the chaos proxy
-// (live mode) and the virtual target (virtual mode): a settable Fault plus
-// a seeded RNG so a fixed seed reproduces the same per-request decisions.
-// Its counters partition the requests it decided: each is passed,
-// delayed, errored or reset, exactly once.
+// chaosCore is the fault decision engine of the virtual targets: a
+// settable Fault plus a seeded RNG so a fixed seed reproduces the same
+// per-request decisions. Its counters partition the requests it decided:
+// each is passed, delayed, errored or reset, exactly once.
 type chaosCore struct {
 	mu    sync.Mutex
 	fault *Fault
 	rng   *rand.Rand
-
-	delayed atomic.Int64
-	errored atomic.Int64
-	reset   atomic.Int64
-	passed  atomic.Int64
+	stats ChaosStats
 }
 
 func newChaosCore(seed int64) *chaosCore {
@@ -66,19 +55,16 @@ func (c *chaosCore) SetFault(f *Fault) {
 
 // Stats snapshots the injection counters.
 func (c *chaosCore) Stats() ChaosStats {
-	return ChaosStats{
-		Delayed: c.delayed.Load(),
-		Errored: c.errored.Load(),
-		Reset:   c.reset.Load(),
-		Passed:  c.passed.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 // decision is the resolved fate of one request.
 type decision struct {
 	delay time.Duration
 	code  int  // > 0: answer with this status
-	reset bool // abort the connection
+	reset bool // fail as a connection reset
 }
 
 // decide rolls the installed fault for one request.
@@ -87,16 +73,16 @@ func (c *chaosCore) decide() decision {
 	defer c.mu.Unlock()
 	f := c.fault
 	if f == nil {
-		c.passed.Add(1)
+		c.stats.Passed++
 		return decision{}
 	}
 	if f.Kind == FaultDown {
 		// A downed service refuses everything, no roll.
-		c.reset.Add(1)
+		c.stats.Reset++
 		return decision{reset: true}
 	}
 	if c.rng.Float64() >= f.rate() {
-		c.passed.Add(1)
+		c.stats.Passed++
 		return decision{}
 	}
 	switch f.Kind {
@@ -108,78 +94,20 @@ func (c *chaosCore) decide() decision {
 		if d < 0 {
 			d = 0
 		}
-		c.delayed.Add(1)
+		c.stats.Delayed++
 		return decision{delay: d}
 	case FaultErrorBurst:
 		code := f.Code
 		if code == 0 {
 			code = http.StatusServiceUnavailable
 		}
-		c.errored.Add(1)
+		c.stats.Errored++
 		return decision{code: code}
 	case FaultReset:
-		c.reset.Add(1)
+		c.stats.Reset++
 		return decision{reset: true}
 	default:
-		c.passed.Add(1)
+		c.stats.Passed++
 		return decision{}
 	}
-}
-
-// ChaosProxy is the in-process misbehaving-upstream proxy inserted
-// between the gateway and a service: it forwards requests to the target
-// untouched until a Fault is installed, then injects latency, error
-// bursts, connection resets, or a full outage without the upstream's
-// cooperation. It is an http.Handler — mount it on a listener and point
-// the gateway route at that listener instead of the service.
-type ChaosProxy struct {
-	*chaosCore
-	clk   clock.Clock
-	proxy *httputil.ReverseProxy
-}
-
-// NewChaosProxy builds a proxy forwarding to the target base URL. The
-// clock paces injected latency (tests pass clock.Fake); seed fixes the
-// per-request fault rolls.
-func NewChaosProxy(target string, clk clock.Clock, seed int64) (*ChaosProxy, error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: chaos target %q: %w", target, err)
-	}
-	if u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("scenario: chaos target %q must be an absolute URL", target)
-	}
-	if clk == nil {
-		clk = clock.Real()
-	}
-	return &ChaosProxy{
-		chaosCore: newChaosCore(seed),
-		clk:       clk,
-		proxy:     httputil.NewSingleHostReverseProxy(u),
-	}, nil
-}
-
-// ServeHTTP applies the active fault, then (unless the request was
-// consumed by it) forwards to the target.
-func (p *ChaosProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	d := p.decide()
-	if d.reset {
-		// http.ErrAbortHandler makes net/http drop the connection
-		// without a response — the closest in-process stand-in for a
-		// mid-flight TCP reset; the gateway's reverse proxy sees a
-		// transport error and feeds its circuit breaker.
-		panic(http.ErrAbortHandler)
-	}
-	if d.delay > 0 {
-		select {
-		case <-p.clk.After(d.delay):
-		case <-r.Context().Done():
-			return
-		}
-	}
-	if d.code > 0 {
-		http.Error(w, "injected fault", d.code)
-		return
-	}
-	p.proxy.ServeHTTP(w, r)
 }

@@ -5,8 +5,6 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // fixtureScenario is a short campaign exercising every moving part:
@@ -31,7 +29,7 @@ func fixtureScenario() Scenario {
 }
 
 func TestRunVirtualProducesFullRecord(t *testing.T) {
-	rec, err := RunVirtual(context.Background(), fixtureScenario())
+	rec, err := Run(context.Background(), fixtureScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +47,6 @@ func TestRunVirtualProducesFullRecord(t *testing.T) {
 	}
 	if rec.Chaos.Errored == 0 {
 		t.Fatal("error-burst fault injected nothing")
-	}
-	if rec.Families == nil {
-		t.Fatal("no telemetry snapshot")
 	}
 
 	card := Score(rec)
@@ -71,7 +66,7 @@ func TestRunVirtualProducesFullRecord(t *testing.T) {
 // scorecard reproduces bit for bit.
 func TestRunVirtualByteIdenticalScorecards(t *testing.T) {
 	render := func() []byte {
-		rec, err := RunVirtual(context.Background(), fixtureScenario())
+		rec, err := Run(context.Background(), fixtureScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,20 +82,10 @@ func TestRunVirtualByteIdenticalScorecards(t *testing.T) {
 	}
 }
 
+// TestRunEnvValidation: Run refuses an invalid scenario before it builds
+// the world to run it in.
 func TestRunEnvValidation(t *testing.T) {
-	sc := fixtureScenario()
-	ctx := context.Background()
-
-	// Neither Virtual nor Sampler.
-	if _, err := Run(ctx, sc, Env{Clock: clock.NewFake(Epoch)}); err == nil {
-		t.Fatal("empty env accepted")
-	}
-	// Virtual without a fake clock.
-	if _, err := Run(ctx, sc, Env{Virtual: NewVirtualTarget(1)}); err == nil {
-		t.Fatal("virtual target on the real clock accepted")
-	}
-	// Invalid scenario.
-	if _, err := Run(ctx, Scenario{}, Env{}); err == nil {
+	if _, err := Run(context.Background(), Scenario{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }
@@ -108,7 +93,7 @@ func TestRunEnvValidation(t *testing.T) {
 func TestRunHonorsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunVirtual(ctx, fixtureScenario())
+	_, err := Run(ctx, fixtureScenario())
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -124,7 +109,7 @@ func TestBuiltinSmokeSubsetRuns(t *testing.T) {
 	for _, sc := range Default().Smoke() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rec, err := RunVirtual(context.Background(), sc)
+			rec, err := Run(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,7 @@ func TestBuiltinFaultsPartitionRequests(t *testing.T) {
 		t.Skip("builtin runs train one model per workload; skipped in -short")
 	}
 	for _, sc := range Default().All() {
-		rec, err := RunVirtual(context.Background(), sc)
+		rec, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
@@ -47,7 +47,7 @@ func TestBuiltinScorecardsGolden(t *testing.T) {
 	}
 	all := Default().All()
 	for _, sc := range all {
-		rec, err := RunVirtual(context.Background(), sc)
+		rec, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}

@@ -10,11 +10,12 @@
 // latency, error bursts, connection resets, a downed service), and an
 // optional adversarial action reusing internal/attack and internal/drift
 // (label-flip poison wave, FGSM burst, covariate-shift ramp). The
-// executor drives internal/loadgen through the timeline on internal/clock
-// — so every scenario also runs deterministically under clock.Fake — and
-// the scorer reduces the run to a machine-readable scorecard (detection
-// delay, sheds, SLO-violation seconds, error-budget burn, recovery time)
-// read from the telemetry the run produced, not from prose.
+// executor walks the timeline on a clock.Fake against a closed-form model
+// of the serving stack, recording internal/loadgen samples — so every
+// scenario runs deterministically, in milliseconds — and the scorer
+// reduces the run to a machine-readable scorecard (detection delay, sheds,
+// SLO-violation seconds, error-budget burn, recovery time) read from what
+// the run recorded, not from prose.
 package scenario
 
 import (
@@ -186,15 +187,16 @@ func (s Shape) validate() error {
 // FaultKind names an injected infrastructure fault.
 type FaultKind string
 
-// Fault kinds the chaos proxy can inject between gateway and upstream.
+// Fault kinds the virtual targets' fault engine injects in front of the
+// modelled service.
 const (
 	// FaultLatency adds Latency (±Jitter) to affected requests.
 	FaultLatency FaultKind = "latency"
 	// FaultErrorBurst answers affected requests with Code (default 503)
 	// without touching the upstream.
 	FaultErrorBurst FaultKind = "error-burst"
-	// FaultReset aborts the connection of affected requests — the client
-	// sees a transport error, the breaker sees an upstream failure.
+	// FaultReset aborts affected requests: they fail fast with
+	// ErrInjectedReset, the stand-in for a TCP reset.
 	FaultReset FaultKind = "reset"
 	// FaultDown refuses every request for the fault window — a killed
 	// service; clearing the fault is the restart.
@@ -314,7 +316,7 @@ func (a Adversarial) validate() error {
 }
 
 // ClusterSpec sizes the virtual replica tier a scenario runs against.
-// When set, RunVirtual swaps the single VirtualTarget for a
+// When set, Run swaps the single VirtualTarget for a
 // VirtualCluster: shard-aware routing over N replicas, so replica-kill
 // and replica-restart faults become meaningful and the scorecard's
 // Faults.Rerouted counts failover traffic.
@@ -336,8 +338,8 @@ type Phase struct {
 	Name     string   `json:"name"`
 	Duration Duration `json:"duration"`
 	Shape    Shape    `json:"shape"`
-	// Fault, when set, is installed on the chaos proxy (or the virtual
-	// target) for the phase and cleared at its end.
+	// Fault, when set, is installed on the virtual target (or cluster)
+	// for the phase and cleared at its end.
 	Fault *Fault `json:"fault,omitempty"`
 	// Adversarial, when set, perturbs the data stream for the phase.
 	Adversarial *Adversarial `json:"adversarial,omitempty"`
@@ -394,8 +396,7 @@ type Scenario struct {
 	SensorEvery Duration `json:"sensorEvery,omitempty"`
 	SLO         SLO      `json:"slo"`
 	// Cluster, when set, runs the scenario against a virtual replica
-	// tier instead of a single virtual target (see ClusterSpec). Live
-	// mode refuses such a scenario: it has no replica tier to fail.
+	// tier instead of a single virtual target (see ClusterSpec).
 	Cluster *ClusterSpec `json:"cluster,omitempty"`
 	Phases  []Phase      `json:"phases"`
 	// Smoke marks the scenario as a member of the deterministic
@@ -418,10 +419,6 @@ func (sc Scenario) sensorEvery() time.Duration {
 	}
 	return 500 * time.Millisecond
 }
-
-// SensorPeriod is the effective sensor sampling period (exported for
-// runners assembling their own Env outside this package).
-func (sc Scenario) SensorPeriod() time.Duration { return sc.sensorEvery() }
 
 // Duration sums the phase durations.
 func (sc Scenario) Duration() time.Duration {

@@ -11,11 +11,10 @@ import (
 )
 
 // Scorecard is the machine-readable verdict of one scenario run. Every
-// number is derived from the telemetry the run produced — the recorded
-// samples, the sensor readings, and the stack's metric snapshot — so a
-// scorecard is evidence, not narrative. Durations are integer
-// nanoseconds; -1 marks "not applicable / never happened" so JSON
-// consumers need no null handling.
+// number is derived from what the run recorded — the samples, the sensor
+// readings and the fault counters — so a scorecard is evidence, not
+// narrative. Durations are integer nanoseconds; -1 marks "not applicable
+// / never happened" so JSON consumers need no null handling.
 type Scorecard struct {
 	Scenario    string `json:"scenario"`
 	Description string `json:"description,omitempty"`
@@ -54,12 +53,8 @@ type Scorecard struct {
 	// it. -1: never recovered (or nothing to recover from).
 	RecoveryNs int64 `json:"recoveryNs"`
 
-	// Faults the injector actually delivered.
+	// Faults the fault engine actually delivered.
 	Faults ChaosStats `json:"faults"`
-	// GatewayShed mirrors spatial_gateway_upstream_shed_total from the
-	// stack's telemetry snapshot when a live run provides one (-1
-	// without a registry).
-	GatewayShed int64 `json:"gatewayShed"`
 
 	Phases []PhaseScore `json:"phases"`
 
@@ -106,7 +101,6 @@ func Score(rec *Record) Scorecard {
 		Seed:        sc.Seed,
 		DurationNs:  rec.End.Sub(rec.Start).Nanoseconds(),
 		Faults:      rec.Chaos,
-		GatewayShed: -1,
 	}
 
 	sum := rec.Results.Summarize()
@@ -137,7 +131,6 @@ func Score(rec *Record) Scorecard {
 	card.Detected, card.DetectionDelayNs, card.FirstAlertSensor = detection(rec)
 	card.RecoveryNs = recovery(rec, windows, sc.SLO)
 	card.Phases = phaseScores(rec, sc.SLO, windows)
-	card.GatewayShed = gatewayShed(rec)
 
 	card.Verdict, card.Reasons = verdict(rec, card)
 	return card
@@ -278,22 +271,6 @@ func phaseScores(rec *Record, slo SLO, windows []*window) []PhaseScore {
 		out = append(out, ps)
 	}
 	return out
-}
-
-// gatewayShed extracts the gateway's shed counter from the telemetry
-// snapshot, or -1 without one.
-func gatewayShed(rec *Record) int64 {
-	for _, f := range rec.Families {
-		if f.Name != "spatial_gateway_upstream_shed_total" {
-			continue
-		}
-		var total float64
-		for _, s := range f.Series {
-			total += s.Value
-		}
-		return int64(total)
-	}
-	return -1
 }
 
 // verdict applies the pass/degraded/fail rules. The rules are

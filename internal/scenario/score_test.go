@@ -100,9 +100,6 @@ func TestScoreFixture(t *testing.T) {
 	if card.Phases[0].SLOViolationSeconds != 0 || card.Phases[1].SLOViolationSeconds != 3 {
 		t.Fatalf("phase violations: %+v", card.Phases)
 	}
-	if card.GatewayShed != -1 {
-		t.Fatalf("gateway shed without telemetry: %d", card.GatewayShed)
-	}
 }
 
 func TestScoreCleanRunPasses(t *testing.T) {

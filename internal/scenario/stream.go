@@ -146,13 +146,6 @@ func agreement(model ml.GradientClassifier, batch *dataset.Table) float64 {
 	return float64(agree) / float64(batch.Len())
 }
 
-// Reference exposes the clean reference table (live runners post its
-// rows as request bodies).
-func (s *Stream) Reference() *dataset.Table { return s.reference }
-
-// Model exposes the trained model backing the stream.
-func (s *Stream) Model() ml.GradientClassifier { return s.model }
-
 // Emit generates the next batch: clean rows resampled from the
 // reference, then perturbed by adv (nil = clean). progress in [0,1] is
 // the position inside the adversarial phase, consumed by ramping

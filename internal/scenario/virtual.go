@@ -16,8 +16,8 @@ const (
 	virtualCapacity = 150.0
 )
 
-// VirtualTarget is the deterministic service model smoke scenarios run
-// against: the chaos proxy's decision core in front of a closed-form
+// VirtualTarget is the deterministic service model scenarios run
+// against: the fault engine (chaosCore) in front of a closed-form
 // latency/shedding curve standing in for the gateway + serving stack.
 // Under clock.Fake with a fixed seed every Sample sequence — latencies,
 // sheds, injected faults — reproduces bit-for-bit, which is what makes
@@ -32,13 +32,13 @@ func NewVirtualTarget(seed int64) *VirtualTarget {
 }
 
 // Sample resolves one request at the given offered load. The installed
-// fault decides first, as it does on the proxy: a reset or downed
-// upstream answers fast, an error burst answers with its code, a delay
-// adds to the modelled latency. The latency curve is base · (1 + 4·util³)
-// up to the watermark; past it, admission control sheds the excess
-// fraction with 429s and served latency stays clamped at 5·base — the
-// "flat latency, rising sheds" signature a healthy overloaded stack shows
-// (a collapsing one would instead explode the percentiles).
+// fault decides first: a reset or downed upstream answers fast, an error
+// burst answers with its code, a delay adds to the modelled latency. The
+// latency curve is base · (1 + 4·util³) up to the watermark; past it,
+// admission control sheds the excess fraction with 429s and served
+// latency stays clamped at 5·base — the "flat latency, rising sheds"
+// signature a healthy overloaded stack shows (a collapsing one would
+// instead explode the percentiles).
 func (v *VirtualTarget) Sample(offeredRPS float64) (time.Duration, error) {
 	d := v.decide()
 	if d.reset {

@@ -64,6 +64,16 @@ func TestVirtualTargetFaults(t *testing.T) {
 	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("down: %v", err)
 	}
+	// A downed service refuses everything, whatever the rate.
+	v.SetFault(&Fault{Kind: FaultDown, Rate: 1e-6})
+	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
+		t.Fatalf("down at rate 1e-6: %v", err)
+	}
+
+	v.SetFault(&Fault{Kind: FaultReset})
+	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
+		t.Fatalf("reset: %v", err)
+	}
 
 	v.SetFault(&Fault{Kind: FaultErrorBurst, Code: 500})
 	var se *loadgen.StatusError
@@ -80,6 +90,12 @@ func TestVirtualTargetFaults(t *testing.T) {
 	v.SetFault(nil)
 	if lat, err := v.Sample(10); err != nil || lat > 100*time.Millisecond {
 		t.Fatalf("cleared fault: lat=%v err=%v", lat, err)
+	}
+
+	// Each request above was decided exactly once: two downs and a reset
+	// reset, one errored, one delayed, one passed.
+	if st := v.Stats(); st != (ChaosStats{Delayed: 1, Errored: 1, Reset: 3, Passed: 1}) {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 

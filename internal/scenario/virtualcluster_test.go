@@ -111,7 +111,7 @@ func TestClusterFailoverCampaignDeterministic(t *testing.T) {
 		t.Fatal("cluster-failover not in the builtin library")
 	}
 	run := func() ([]byte, Scorecard) {
-		rec, err := RunVirtual(context.Background(), sc)
+		rec, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
