@@ -86,6 +86,6 @@ func run(args []string) error {
 		return err
 	}
 	gw.Start()
-	fmt.Printf("gateway listening on http://%s (Prometheus exposition at /metrics, spans at /traces, route JSON at /gateway/metrics)\n", *addr)
+	fmt.Printf("gateway listening on http://%s (Prometheus exposition at /metrics, spans at /traces)\n", *addr)
 	return servers.Wait(context.Background(), gw.Stop)
 }

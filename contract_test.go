@@ -357,8 +357,6 @@ func serviceCases(t *testing.T) []contractCase {
 	add("ml/promote ok", mlSvc, "POST", "/models/promote", service.PromoteRequest{Name: "lr", Version: 2})
 	add("ml/rollback ok", mlSvc, "POST", "/models/rollback", service.RollbackRequest{Name: "lr"})
 	add("ml/healthz", mlSvc, "GET", "/healthz", nil)
-	add("ml/stats", mlSvc, "GET", "/stats", nil)
-	cases[len(cases)-1].mode = volatile
 
 	// Explainers: the model travels inline.
 	add("shap/explain missing model", shap, "POST", "/explain", `{"instance":[2,0],"background":[[0,0]]}`)

@@ -211,13 +211,13 @@ func run() error {
 	fmt.Printf("  %d samples, mean %v, p95 %v, %.1f req/s, %.0f%% errors (%d shed)\n",
 		s.Count, s.Mean.Round(time.Millisecond), s.P95.Round(time.Millisecond), s.Throughput, s.ErrorRate*100, s.Shed)
 
-	// 5. What the operator sees: gateway route metrics + dashboard data.
-	fmt.Println("\ngateway route metrics:")
+	// 5. What the operator sees: gateway upstream state + dashboard data.
+	// Request counts and latencies are on the gateway's /metrics.
+	fmt.Println("\ngateway upstreams:")
 	for _, m := range sys.Gateway.RouteMetrics() {
-		if m.Requests == 0 {
-			continue
+		for _, u := range m.Upstreams {
+			fmt.Printf("  %-12s %s healthy=%t breakerOpen=%t inFlight=%d\n", m.Prefix, u.URL, u.Healthy, u.BreakerOpen, u.InFlight)
 		}
-		fmt.Printf("  %-12s %4d requests, %d errors, mean %.1fms\n", m.Prefix, m.Requests, m.Errors, m.MeanLatencyMs)
 	}
 	store := sys.Dashboard.Store()
 	fmt.Println("dashboard sensors:", store.Sensors())

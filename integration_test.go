@@ -3,12 +3,14 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -177,23 +179,16 @@ func TestMultiProcessDeployment(t *testing.T) {
 	}
 
 	// The gateway's metrics endpoint saw the traffic.
-	mresp, err := http.Get("http://" + gwAddr + "/gateway/metrics")
+	mresp, err := http.Get("http://" + gwAddr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var metrics []struct {
-		Prefix   string `json:"prefix"`
-		Requests int64  `json:"requests"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
+	exposition, err := io.ReadAll(mresp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	total := int64(0)
-	for _, m := range metrics {
-		total += m.Requests
-	}
-	if total == 0 {
-		t.Fatal("gateway recorded no requests")
+	if !strings.Contains(string(exposition), `spatial_http_requests_total{service="gateway",route="/ml",method="POST",code="2xx"}`) {
+		t.Fatalf("gateway recorded no /ml requests:\n%s", exposition)
 	}
 }

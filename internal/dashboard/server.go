@@ -26,7 +26,6 @@ type Server struct {
 	trail   *audit.Log
 	mux     *http.ServeMux
 	tmpl    *template.Template
-	tel     *telemetry.Registry
 	tracer  *telemetry.Tracer
 	handler http.Handler
 	metricH http.Handler
@@ -47,7 +46,6 @@ func NewServer(store *Store) *Server {
 		trail:   audit.NewLog(),
 		mux:     http.NewServeMux(),
 		tmpl:    template.Must(template.New("index").Parse(indexHTML)),
-		tel:     tel,
 		tracer:  tracer,
 		metricH: tel.Handler(),
 		traceH:  tracer.Handler(),
@@ -195,10 +193,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf bytes.Buffer
 	if err := s.tmpl.Execute(&buf, map[string]any{
-		"Rows":    rows,
-		"Alerts":  s.store.Alerts(),
-		"Metrics": s.metricRows(),
-		"Spans":   s.tracer.Len(),
+		"Rows":   rows,
+		"Alerts": s.store.Alerts(),
+		"Spans":  s.tracer.Len(),
 	}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -207,49 +204,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		return
 	}
-}
-
-// metricRow is one line of the HTML telemetry snapshot.
-type metricRow struct {
-	Name   string
-	Labels string
-	Value  string
-}
-
-// metricRows flattens the registry snapshot for the HTML view: counters
-// and gauges verbatim, histograms as count/mean/p50/p95/p99.
-func (s *Server) metricRows() []metricRow {
-	var rows []metricRow
-	for _, fam := range s.tel.Gather() {
-		for _, se := range fam.Series {
-			var parts []string
-			for _, l := range se.Labels {
-				parts = append(parts, l.Name+"="+l.Value)
-			}
-			labels := strings.Join(parts, ", ")
-			switch fam.Type {
-			case telemetry.TypeHistogram:
-				mean := 0.0
-				if se.Count > 0 {
-					mean = se.Sum / float64(se.Count)
-				}
-				rows = append(rows, metricRow{
-					Name:   fam.Name,
-					Labels: labels,
-					Value: fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms",
-						se.Count, mean*1e3, se.Quantile(0.5)*1e3,
-						se.Quantile(0.95)*1e3, se.Quantile(0.99)*1e3),
-				})
-			default:
-				rows = append(rows, metricRow{
-					Name:   fam.Name,
-					Labels: labels,
-					Value:  strconv.FormatFloat(se.Value, 'g', 6, 64),
-				})
-			}
-		}
-	}
-	return rows
 }
 
 const indexHTML = `<!DOCTYPE html>
@@ -273,15 +227,9 @@ h1{font-size:1.4rem}
 {{end}}
 </table>
 <p>{{len .Alerts}} alert(s) recorded.</p>
-<h2>Telemetry snapshot</h2>
-<p>Live metrics of this dashboard process ({{.Spans}} span(s) retained;
-full exposition at <a href="/metrics">/metrics</a>, traces at
-<a href="/traces">/traces</a>).</p>
-<table>
-<tr><th>Metric</th><th>Labels</th><th>Value</th></tr>
-{{range .Metrics}}<tr><td>{{.Name}}</td><td>{{.Labels}}</td><td>{{.Value}}</td></tr>
-{{end}}
-</table>
+<p>Telemetry of this dashboard process: metrics at
+<a href="/metrics">/metrics</a>, {{.Spans}} span(s) retained at
+<a href="/traces">/traces</a>.</p>
 </body></html>`
 
 // Client publishes sensor readings to a dashboard over HTTP; it implements

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/telemetry"
 )
 
 // TestCircuitBreakerHalfOpenRecovery: after the cooldown the breaker lets
@@ -150,14 +151,13 @@ func TestUpstreamAbortMidBodyIsAccounted(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	if v := g.inFlight.Value(); v != 0 {
+	if v := g.Telemetry().Gauge(telemetry.FamInFlight, "", "service").With("gateway").Value(); v != 0 {
 		t.Errorf("in-flight gauge = %v after %d aborted requests, want 0", v, threshold)
 	}
-	rm := g.RouteMetrics()[0]
-	if rm.Requests != threshold || rm.Errors != threshold {
-		t.Errorf("requests = %d, errors = %d, want %d each", rm.Requests, rm.Errors, threshold)
+	if requests, errors := routeRequests(g, "/svc"); requests != threshold || errors != threshold {
+		t.Errorf("requests = %v, errors = %v, want %d each", requests, errors, threshold)
 	}
-	up := rm.Upstreams[0]
+	up := g.RouteMetrics()[0].Upstreams[0]
 	if up.InFlight != 0 {
 		t.Errorf("upstream in-flight = %d, want 0", up.InFlight)
 	}
@@ -172,6 +172,35 @@ func TestUpstreamAbortMidBodyIsAccounted(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("request past an open breaker: status %d, want 503", resp.StatusCode)
 	}
+}
+
+// routeRequests sums the gateway's request counter for one route: every
+// status class, and the 5xx class alone.
+func routeRequests(g *Gateway, prefix string) (requests, errors float64) {
+	for _, fam := range g.Telemetry().Gather() {
+		if fam.Name != telemetry.FamRequests {
+			continue
+		}
+		for _, se := range fam.Series {
+			var route, code string
+			for _, l := range se.Labels {
+				switch l.Name {
+				case "route":
+					route = l.Value
+				case "code":
+					code = l.Value
+				}
+			}
+			if route != prefix {
+				continue
+			}
+			requests += se.Value
+			if code == "5xx" {
+				errors += se.Value
+			}
+		}
+	}
+	return requests, errors
 }
 
 // TestCircuitBreakerHalfOpenAdmitsOneProbe: past the cooldown exactly one

@@ -1,11 +1,13 @@
 // Package gateway implements the micro-service API gateway SPATIAL fronts
 // its metric services with (the paper deploys Kong). It provides prefix
 // routing, round-robin and least-connections load balancing, active health
-// checks, token-bucket rate limiting, API-key authentication, per-route
-// latency metrics, and a per-upstream circuit breaker.
+// checks, token-bucket rate limiting, API-key authentication, a
+// per-upstream circuit breaker, and per-route request metrics and spans
+// recorded by the shared telemetry middleware.
 package gateway
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -42,18 +44,12 @@ type Config struct {
 	// HealthInterval is the active health-check period (default 1s,
 	// used by Start).
 	HealthInterval time.Duration
-	// Telemetry is the metric registry the gateway records into; a
-	// private registry (with runtime metrics) is created when nil. The
-	// registry is exposed at /metrics, which bypasses auth and rate
-	// limiting so scrapers need no API key.
-	Telemetry *telemetry.Registry
-	// Tracer records one span per proxied request; a private 1024-span
-	// tracer is created when nil. Served as JSON at /traces.
-	Tracer *telemetry.Tracer
-	// Clock is the time source for request latencies, the circuit
-	// breaker, and the health-check ticker; clock.Real() when nil.
+	// Clock is the time source for the circuit breaker, the rate
+	// limiter, and the health-check ticker; clock.Real() when nil.
 	// Tests inject clock.Fake so breaker open/half-open/closed
 	// transitions run on a virtual timeline instead of real sleeps.
+	// Request latencies and spans are timed by the telemetry middleware,
+	// on the real clock.
 	Clock clock.Clock
 }
 
@@ -104,20 +100,15 @@ func (u *upstream) available(now time.Time) (ok, probe bool) {
 	return true, false
 }
 
-// route maps a path prefix onto a backend pool. Per-route statistics
-// live in the telemetry registry (handles below), so /gateway/metrics,
-// RouteMetrics, and the Prometheus /metrics exposition all read the same
-// counters instead of keeping parallel private copies.
+// route maps a path prefix onto a backend pool. handler picks an
+// upstream and forwards to it, inside the telemetry middleware that
+// counts, times and spans each request under the route's prefix.
 type route struct {
 	prefix    string
 	policy    Balancing
 	upstreams []*upstream
 	rr        atomic.Uint64
-
-	// telemetry handles, resolved once at AddRoute.
-	requests *telemetry.Counter
-	errors   *telemetry.Counter
-	latency  *telemetry.Histogram
+	handler   http.Handler
 }
 
 // Gateway is the HTTP entry point. Create with New, register routes with
@@ -142,12 +133,7 @@ type Gateway struct {
 	tracer  *telemetry.Tracer
 	metricH http.Handler
 	traceH  http.Handler
-	// telemetry family handles shared across routes.
-	reqVec   *telemetry.CounterVec
-	errVec   *telemetry.CounterVec
-	latVec   *telemetry.HistogramVec
-	inFlight *telemetry.Gauge
-	shed     *telemetry.Counter
+	shed    *telemetry.Counter
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -160,15 +146,9 @@ func New(cfg Config) *Gateway {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.NewRegistry()
-	}
+	tel := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(tel)
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = telemetry.NewTracer(1024)
-	}
+	tracer := telemetry.NewTracer(1024)
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.Real()
@@ -185,14 +165,6 @@ func New(cfg Config) *Gateway {
 		tracer:    tracer,
 		metricH:   tel.Handler(),
 		traceH:    tracer.Handler(),
-		reqVec: tel.Counter("spatial_gateway_requests_total",
-			"Requests handled by the gateway, per route.", "route"),
-		errVec: tel.Counter("spatial_gateway_errors_total",
-			"Requests that ended in a 5xx, per route.", "route"),
-		latVec: tel.Histogram("spatial_gateway_request_duration_seconds",
-			"Gateway request latency in seconds, per route.", nil, "route"),
-		inFlight: tel.Gauge("spatial_gateway_in_flight_requests",
-			"Requests currently traversing the gateway.").With(),
 		shed: tel.Counter("spatial_gateway_upstream_shed_total",
 			"Proxied requests an upstream shed with 429 (serving admission control); the Retry-After hint passes through to the client.").With(),
 		stop: make(chan struct{}),
@@ -231,14 +203,7 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 	if policy != RoundRobin && policy != LeastConnections {
 		return fmt.Errorf("gateway: unknown balancing policy %d", policy)
 	}
-	cleanPrefix := strings.TrimSuffix(prefix, "/")
-	rt := &route{
-		prefix:   cleanPrefix,
-		policy:   policy,
-		requests: g.reqVec.With(cleanPrefix), //lint:ignore telemetry-cardinality route prefixes are the operator-configured -route set
-		errors:   g.errVec.With(cleanPrefix), //lint:ignore telemetry-cardinality route prefixes are the operator-configured -route set
-		latency:  g.latVec.With(cleanPrefix), //lint:ignore telemetry-cardinality route prefixes are the operator-configured -route set
-	}
+	rt := &route{prefix: strings.TrimSuffix(prefix, "/"), policy: policy}
 	for _, b := range backends {
 		target, err := url.Parse(b)
 		if err != nil {
@@ -256,6 +221,9 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 			// response; drop the upstream's echo so the header is
 			// not duplicated.
 			resp.Header.Del(telemetry.HeaderTraceID)
+			if status, ok := resp.Request.Context().Value(statusKey{}).(*int); ok {
+				*status = resp.StatusCode
+			}
 			return nil
 		}
 		proxy.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
@@ -265,6 +233,19 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 		u.proxy = proxy
 		rt.upstreams = append(rt.upstreams, u)
 	}
+	rt.handler = telemetry.NewMiddleware(telemetry.MiddlewareConfig{
+		Registry: g.tel,
+		Tracer:   g.tracer,
+		Service:  "gateway",
+		Route:    func(*http.Request) string { return rt.prefix },
+	})(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		u, probe := g.pick(rt)
+		if u == nil {
+			http.Error(w, "no healthy upstream", http.StatusServiceUnavailable)
+			return
+		}
+		g.forward(w, r, rt, u, probe)
+	}))
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -342,11 +323,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// scrapers and operators need no API key and are never shed.
 	switch r.URL.Path {
 	case "/gateway/healthz":
+		g.mu.RLock()
+		n := len(g.routes)
+		g.mu.RUnlock()
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"status":"ok","routes":%d}`, len(g.RouteMetrics()))
-		return
-	case "/gateway/metrics":
-		g.serveMetrics(w)
+		fmt.Fprintf(w, `{"status":"ok","routes":%d}`, n)
 		return
 	case "/metrics":
 		g.metricH.ServeHTTP(w, r)
@@ -372,102 +353,61 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no route", http.StatusNotFound)
 		return
 	}
-	u, probe := g.pick(rt)
-	if u == nil {
-		http.Error(w, "no healthy upstream", http.StatusServiceUnavailable)
-		return
-	}
-	g.forward(w, r, rt, u, probe)
+	rt.handler.ServeHTTP(w, r)
 }
 
-// forward proxies one admitted request to u and accounts for it: route
-// metrics, the breaker's failure streak, and one span. A probe ends the
-// breaker's half-open state however it ends.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream, probe bool) {
-	// Trace propagation: adopt the caller's trace (or mint one), then
-	// hand our fresh span to the upstream as its parent so the gateway
-	// hop and the service hop correlate under one trace ID.
-	start := g.clk.Now()
-	traceID, parentID := telemetry.Extract(r.Header)
-	if traceID == "" {
-		traceID = telemetry.NewTraceID()
-	}
-	spanID := telemetry.NewSpanID()
-	w.Header().Set(telemetry.HeaderTraceID, traceID)
+// statusKey carries forward's slot for the upstream's status code, in the
+// outbound request's context, to the proxy's ModifyResponse.
+type statusKey struct{}
 
-	// Strip the route prefix.
-	r2 := r.Clone(telemetry.ContextWithTrace(r.Context(), traceID, spanID))
+// forward proxies one request to u; the route's middleware counts, times
+// and spans it. forward keeps what is the gateway's own: the breaker's
+// failure streak, the least-connections count and the shed counter. A
+// probe ends the breaker's half-open state however it ends.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream, probe bool) {
+	// status stays 0 when no response arrives: ErrorHandler has then
+	// already booked the transport failure.
+	var status int
+	r2 := r.Clone(context.WithValue(r.Context(), statusKey{}, &status))
 	r2.URL.Path = strings.TrimPrefix(r.URL.Path, rt.prefix)
 	if r2.URL.Path == "" {
 		r2.URL.Path = "/"
 	}
-	r2.Header.Set(telemetry.HeaderTraceID, traceID)
-	r2.Header.Set(telemetry.HeaderSpanID, spanID)
+	// The middleware's span is the upstream's parent.
+	telemetry.Inject(r2.Context(), r2.Header)
 
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-	g.inFlight.Inc()
 	u.conns.Add(1)
 	// The accounting is deferred because ReverseProxy does not always
 	// return: when the upstream dies mid-body it panics with
 	// http.ErrAbortHandler so that net/http aborts the client connection.
 	// The panic passes through untouched; the request is booked as an
-	// upstream failure and a 502, whatever status line was already sent.
+	// upstream failure, whatever status line was already sent.
 	aborted := true
 	defer func() {
 		u.conns.Add(-1)
-		g.inFlight.Dec()
-		status := rec.status
 		if aborted {
 			g.onUpstreamFailure(u)
-			status = http.StatusBadGateway
-		} else if status < 500 {
+		} else if status != 0 && status < 500 {
 			u.fails.Store(0)
+		}
+		if !aborted && status == http.StatusTooManyRequests {
+			g.shed.Inc()
 		}
 		if probe {
 			// Any answer closes the circuit. A failed probe has already
 			// re-opened it with a fresh cooldown, which this CAS keeps.
 			u.openUntil.CompareAndSwap(halfOpen, 0)
 		}
-		elapsed := g.clk.Since(start)
-		rt.requests.Inc()
-		rt.latency.Observe(elapsed.Seconds())
-		if status >= 500 {
-			rt.errors.Inc()
-		}
-		if status == http.StatusTooManyRequests {
-			g.shed.Inc()
-		}
-		g.tracer.Record(telemetry.Span{
-			TraceID:  traceID,
-			SpanID:   spanID,
-			ParentID: parentID,
-			Service:  "gateway",
-			Name:     "proxy " + rt.prefix,
-			Start:    start,
-			Duration: float64(elapsed.Nanoseconds()) / 1e6,
-			Status:   status,
-		})
 	}()
-	u.proxy.ServeHTTP(rec, r2)
+	u.proxy.ServeHTTP(w, r2)
 	aborted = false
 }
 
-// Telemetry exposes the gateway's metric registry (for sharing with other
-// components in the same process or scraping programmatically).
+// Telemetry exposes the gateway's metric registry, served at /metrics.
 func (g *Gateway) Telemetry() *telemetry.Registry { return g.tel }
 
 // Tracer exposes the gateway's span ring buffer.
 func (g *Gateway) Tracer() *telemetry.Tracer { return g.tracer }
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
 
 func clientKey(r *http.Request) string {
 	if k := r.Header.Get("X-API-Key"); k != "" {
@@ -476,13 +416,12 @@ func clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// RouteMetric is the exported per-route statistics record.
+// RouteMetric is one route's upstream state. Its request counts and
+// latencies are the spatial_http_* series labelled service="gateway" and
+// route=Prefix in the registry served at /metrics.
 type RouteMetric struct {
-	Prefix        string           `json:"prefix"`
-	Requests      int64            `json:"requests"`
-	Errors        int64            `json:"errors"`
-	MeanLatencyMs float64          `json:"meanLatencyMs"`
-	Upstreams     []UpstreamStatus `json:"upstreams"`
+	Prefix    string           `json:"prefix"`
+	Upstreams []UpstreamStatus `json:"upstreams"`
 }
 
 // UpstreamStatus reports one backend's health.
@@ -493,22 +432,14 @@ type UpstreamStatus struct {
 	InFlight    int64  `json:"inFlight"`
 }
 
-// RouteMetrics snapshots per-route statistics from the telemetry
-// registry.
+// RouteMetrics snapshots each route's upstream state.
 func (g *Gateway) RouteMetrics() []RouteMetric {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	now := g.clk.Now().UnixNano()
 	out := make([]RouteMetric, 0, len(g.routes))
 	for _, rt := range g.routes {
-		m := RouteMetric{
-			Prefix:   rt.prefix,
-			Requests: int64(rt.requests.Value()),
-			Errors:   int64(rt.errors.Value()),
-		}
-		if n := rt.latency.Count(); n > 0 {
-			m.MeanLatencyMs = rt.latency.Sum() / float64(n) * 1e3
-		}
+		m := RouteMetric{Prefix: rt.prefix}
 		for _, u := range rt.upstreams {
 			m.Upstreams = append(m.Upstreams, UpstreamStatus{
 				URL:         u.target.String(),
@@ -520,20 +451,6 @@ func (g *Gateway) RouteMetrics() []RouteMetric {
 		out = append(out, m)
 	}
 	return out
-}
-
-func (g *Gateway) serveMetrics(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	metrics := g.RouteMetrics()
-	fmt.Fprint(w, "[")
-	for i, m := range metrics {
-		if i > 0 {
-			fmt.Fprint(w, ",")
-		}
-		fmt.Fprintf(w, `{"prefix":%q,"requests":%d,"errors":%d,"meanLatencyMs":%.3f}`,
-			m.Prefix, m.Requests, m.Errors, m.MeanLatencyMs)
-	}
-	fmt.Fprint(w, "]")
 }
 
 // Start launches the active health checker. Call Stop to shut it down.

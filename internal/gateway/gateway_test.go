@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,17 +282,19 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	get(t, g, "/svc/x", nil)
-	code, body := get(t, g, "/gateway/metrics", nil)
-	if code != http.StatusOK || body == "[]" {
+	code, body := get(t, g, "/metrics", nil)
+	if code != http.StatusOK {
 		t.Fatalf("metrics: %d %q", code, body)
 	}
-	ms := g.RouteMetrics()
-	if len(ms) != 1 || ms[0].Requests != 1 || ms[0].Errors != 0 {
-		t.Fatalf("route metrics %+v", ms)
+	if want := `spatial_http_requests_total{service="gateway",route="/svc",method="GET",code="2xx"} 1`; !strings.Contains(body, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, body)
 	}
-	code, _ = get(t, g, "/gateway/healthz", nil)
-	if code != http.StatusOK {
-		t.Fatalf("gateway healthz %d", code)
+	if strings.Contains(body, `code="5xx"`) {
+		t.Fatalf("metrics count an error:\n%s", body)
+	}
+	code, body = get(t, g, "/gateway/healthz", nil)
+	if code != http.StatusOK || body != `{"status":"ok","routes":1}` {
+		t.Fatalf("gateway healthz %d %q", code, body)
 	}
 }
 

@@ -33,8 +33,8 @@ func TestMetricsEndpointBypassesAuthAndRateLimit(t *testing.T) {
 			t.Fatalf("metrics status %d on attempt %d", code, i)
 		}
 		for _, want := range []string{
-			`spatial_gateway_requests_total{route="/shap"} 1`,
-			"spatial_gateway_request_duration_seconds_bucket",
+			`spatial_http_requests_total{service="gateway",route="/shap",method="GET",code="2xx"} 1`,
+			`spatial_http_request_duration_seconds_bucket{service="gateway",route="/shap"`,
 			`quantile="0.99"`,
 			"go_goroutines",
 		} {
@@ -89,7 +89,7 @@ func TestGatewayRecordsSpansAndPropagatesTrace(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("gateway spans = %+v", spans)
 	}
-	if spans[0].Service != "gateway" || spans[0].Name != "proxy /ml" || spans[0].SpanID != gotSpan {
+	if spans[0].Service != "gateway" || spans[0].Name != "GET /ml" || spans[0].SpanID != gotSpan {
 		t.Errorf("span = %+v (upstream parent %q)", spans[0], gotSpan)
 	}
 }
@@ -112,22 +112,5 @@ func TestGatewayMintsTraceWhenAbsent(t *testing.T) {
 	}
 	if spans := g.Tracer().Spans(minted, 0); len(spans) != 1 {
 		t.Errorf("spans for minted trace = %+v", spans)
-	}
-}
-
-// TestSharedRegistryAcrossGateways: two gateways can share one registry
-// without re-registration panics (family get-or-create semantics).
-func TestSharedRegistryAcrossGateways(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	g1 := New(Config{Telemetry: reg})
-	g2 := New(Config{Telemetry: reg})
-	if g1.Telemetry() != reg || g2.Telemetry() != reg {
-		t.Fatal("registry not shared")
-	}
-	if err := g1.AddRoute("/a", RoundRobin, "http://127.0.0.1:1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.AddRoute("/b", RoundRobin, "http://127.0.0.1:1"); err != nil {
-		t.Fatal(err)
 	}
 }

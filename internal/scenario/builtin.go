@@ -131,7 +131,7 @@ func init() {
 	// the error rate returns under the bound once the burst ends.
 	mustRegister(defaultLibrary, Scenario{
 		Name:        "error-burst-breaker",
-		Description: "Upstream error burst via the chaos proxy; scored on error-rate SLO burn and recovery time.",
+		Description: "Upstream error burst from the fault engine; scored on error-rate SLO burn and recovery time.",
 		UseCase:     "chaos",
 		Workload:    WorkloadSynthetic,
 		Seed:        6,

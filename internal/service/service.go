@@ -69,73 +69,13 @@ type Health struct {
 	UptimeS int64  `json:"uptimeS"`
 }
 
-// Stats is a read-only view over a service's telemetry registry,
-// aggregating the per-route middleware metrics into the totals the
-// paper's capacity experiments read off the deployment.
-type Stats struct {
-	reg *telemetry.Registry
-}
-
-// statsSkipRoutes are infrastructure routes excluded from the Stats
-// aggregate — liveness polls and stats scrapes are not service load.
-var statsSkipRoutes = map[string]bool{"/healthz": true, "/stats": true}
-
-func statsSkip(labels []telemetry.Label) bool {
-	for _, l := range labels {
-		if l.Name == "route" && statsSkipRoutes[l.Value] {
-			return true
-		}
-	}
-	return false
-}
-
-// Snapshot returns (requests, errors, mean latency) summed across every
-// instrumented application route (infrastructure routes like /healthz are
-// excluded). Errors count 4xx and 5xx responses.
-func (s *Stats) Snapshot() (requests, errors int64, meanLatency time.Duration) {
-	if s.reg == nil {
-		return 0, 0, 0
-	}
-	var sum float64
-	var count uint64
-	for _, fam := range s.reg.Gather() {
-		switch fam.Name {
-		case telemetry.FamRequests:
-			for _, se := range fam.Series {
-				if statsSkip(se.Labels) {
-					continue
-				}
-				requests += int64(se.Value)
-				for _, l := range se.Labels {
-					if l.Name == "code" && (l.Value == "4xx" || l.Value == "5xx") {
-						errors += int64(se.Value)
-					}
-				}
-			}
-		case telemetry.FamLatency:
-			for _, se := range fam.Series {
-				if statsSkip(se.Labels) {
-					continue
-				}
-				sum += se.Sum
-				count += se.Count
-			}
-		}
-	}
-	if count > 0 {
-		meanLatency = time.Duration(sum / float64(count) * float64(time.Second))
-	}
-	return requests, errors, meanLatency
-}
-
-// base builds the shared surface of a service: /healthz, /stats, the
+// base builds the shared surface of a service: /healthz, the
 // Prometheus exposition at /metrics, span JSON at /traces, and telemetry
 // middleware (metrics + trace propagation) around every handler
 // registered via handle.
 type base struct {
 	name    string
 	mux     *http.ServeMux
-	stats   Stats
 	clk     clock.Clock
 	started time.Time
 	tel     *telemetry.Registry
@@ -151,7 +91,6 @@ func newBase(name string) *base {
 	b := &base{
 		name:    name,
 		mux:     http.NewServeMux(),
-		stats:   Stats{reg: tel},
 		clk:     clk,
 		started: clk.Now(),
 		tel:     tel,
@@ -163,15 +102,6 @@ func newBase(name string) *base {
 			Service: b.name,
 			Status:  "ok",
 			UptimeS: int64(b.clk.Since(b.started).Seconds()),
-		})
-	})
-	b.handle("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		req, errs, mean := b.stats.Snapshot()
-		wire.Write(w, http.StatusOK, map[string]any{
-			"service":       b.name,
-			"requests":      req,
-			"errors":        errs,
-			"meanLatencyMs": float64(mean.Microseconds()) / 1e3,
 		})
 	})
 	b.mux.Handle("GET /metrics", tel.Handler())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -378,10 +379,22 @@ func TestStatsEndpointCountsRequests(t *testing.T) {
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
 	ctx := context.Background()
-	_, _ = c.Predict(ctx, PredictRequest{ModelID: "nope"}) // 404 -> error count
-	req, errs, _ := mls.stats.Snapshot()
-	if req != 1 || errs != 1 {
-		t.Fatalf("stats %d/%d, want 1/1", req, errs)
+	_, _ = c.Predict(ctx, PredictRequest{ModelID: "nope"}) // 404
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	if want := `spatial_http_requests_total{service="ml-pipeline",route="/predict",method="POST",code="4xx"} 1`; !strings.Contains(text, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, text)
+	}
+	if n := strings.Count(text, "\nspatial_http_requests_total{"); n != 1 {
+		t.Fatalf("%d request series, want 1:\n%s", n, text)
 	}
 }
 

@@ -7,23 +7,23 @@ import (
 	"repro/internal/clock"
 )
 
-// MiddlewareConfig parameterizes NewMiddleware.
+// MiddlewareConfig parameterizes NewMiddleware. Every field but Service
+// is required.
 type MiddlewareConfig struct {
-	// Registry records the request metrics; required.
+	// Registry records the request metrics.
 	Registry *Registry
-	// Tracer records one span per request; nil disables tracing.
+	// Tracer records one span per request.
 	Tracer *Tracer
 	// Service names the component in metric labels and spans.
 	Service string
-	// Route derives the bounded route label from a request; defaults to
-	// r.URL.Path. Override in front of open-ended path spaces to avoid
-	// label-cardinality blowups.
+	// Route derives the bounded route label from a request. It must map
+	// open-ended path spaces onto a fixed set, or a client could mint
+	// new label series.
 	Route func(r *http.Request) string
 }
 
 // Shared metric family names recorded by the HTTP middleware, exported so
-// consumers (service /stats, dashboard snapshot) can find them in Gather
-// output.
+// tests can find them in Gather output.
 const (
 	FamRequests = "spatial_http_requests_total"
 	FamInFlight = "spatial_http_in_flight_requests"
@@ -32,17 +32,12 @@ const (
 
 // NewMiddleware builds an http.Handler wrapper that, per request:
 // counts it by (service, route, method, status class), tracks in-flight
-// requests, observes latency into a histogram, and — when a Tracer is
-// configured — extracts or mints trace IDs, exposes them to the handler
-// via the request context, echoes X-Trace-Id on the response, and records
-// a server span.
+// requests, observes latency into a histogram, extracts or mints trace
+// IDs, exposes them to the handler via the request context, echoes
+// X-Trace-Id on the response, and records a server span.
 func NewMiddleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
-	if cfg.Registry == nil {
-		panic("telemetry: MiddlewareConfig.Registry is required")
-	}
-	routeOf := cfg.Route
-	if routeOf == nil {
-		routeOf = func(r *http.Request) string { return r.URL.Path }
+	if cfg.Registry == nil || cfg.Tracer == nil || cfg.Route == nil {
+		panic("telemetry: MiddlewareConfig.Registry, Tracer and Route are required")
 	}
 	requests := cfg.Registry.Counter(FamRequests,
 		"HTTP requests served.", "service", "route", "method", "code")
@@ -55,31 +50,36 @@ func NewMiddleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
 
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			route := routeOf(r)
+			route := cfg.Route(r)
 			start := clock.Real().Now()
-			inFlight.Inc()
-			defer inFlight.Dec()
-
-			var traceID, parentID, spanID string
-			if cfg.Tracer != nil {
-				traceID, parentID = Extract(r.Header)
-				if traceID == "" {
-					traceID = NewTraceID()
-				}
-				spanID = NewSpanID()
-				r = r.WithContext(ContextWithTrace(r.Context(), traceID, spanID))
-				w.Header().Set(HeaderTraceID, traceID)
+			traceID, parentID := Extract(r.Header)
+			if traceID == "" {
+				traceID = NewTraceID()
 			}
+			spanID := NewSpanID()
+			r = r.WithContext(ContextWithTrace(r.Context(), traceID, spanID))
+			w.Header().Set(HeaderTraceID, traceID)
 
 			rec := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-			next.ServeHTTP(rec, r)
-
-			elapsed := clock.Real().Since(start)
-			//lint:ignore telemetry-cardinality service is fixed per process, route comes from cfg.Route's bounded table, method and code are normalized to fixed enums
-			requests.With(cfg.Service, route, normalizeMethod(r.Method), statusClass(rec.status)).Inc()
-			//lint:ignore telemetry-cardinality service is fixed per process, route comes from cfg.Route's bounded table
-			latency.With(cfg.Service, route).Observe(elapsed.Seconds())
-			if cfg.Tracer != nil {
+			inFlight.Inc()
+			// The accounting is deferred because a handler does not always
+			// return: net/http aborts a connection by the handler panicking
+			// with http.ErrAbortHandler, as ReverseProxy does when its
+			// upstream dies mid-body. The panic passes through untouched;
+			// the request is booked as a 500, whatever status line was
+			// already sent.
+			aborted := true
+			defer func() {
+				inFlight.Dec()
+				status := rec.status
+				if aborted {
+					status = http.StatusInternalServerError
+				}
+				elapsed := clock.Real().Since(start)
+				//lint:ignore telemetry-cardinality service is fixed per process, route comes from cfg.Route's bounded table, method and code are normalized to fixed enums
+				requests.With(cfg.Service, route, normalizeMethod(r.Method), statusClass(status)).Inc()
+				//lint:ignore telemetry-cardinality service is fixed per process, route comes from cfg.Route's bounded table
+				latency.With(cfg.Service, route).Observe(elapsed.Seconds())
 				cfg.Tracer.Record(Span{
 					TraceID:  traceID,
 					SpanID:   spanID,
@@ -88,9 +88,11 @@ func NewMiddleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
 					Name:     r.Method + " " + route,
 					Start:    start,
 					Duration: float64(elapsed.Nanoseconds()) / 1e6,
-					Status:   rec.status,
+					Status:   status,
 				})
-			}
+			}()
+			next.ServeHTTP(rec, r)
+			aborted = false
 		})
 	}
 }

@@ -15,6 +15,7 @@ func TestMiddlewareMetricsAndTrace(t *testing.T) {
 		Registry: reg,
 		Tracer:   tr,
 		Service:  "svc",
+		Route:    func(r *http.Request) string { return r.URL.Path },
 	})(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var ok bool
 		sawTrace, sawSpan, ok = TraceFromContext(r.Context())
@@ -65,7 +66,8 @@ func TestMiddlewareMetricsAndTrace(t *testing.T) {
 func TestMiddlewareMintsTraceWhenAbsent(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(16)
-	handler := NewMiddleware(MiddlewareConfig{Registry: reg, Tracer: tr, Service: "svc"})(
+	handler := NewMiddleware(MiddlewareConfig{Registry: reg, Tracer: tr, Service: "svc",
+		Route: func(*http.Request) string { return "/x" }})(
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	rr := httptest.NewRecorder()
 	handler.ServeHTTP(rr, httptest.NewRequest("GET", "/x", nil))
@@ -82,6 +84,7 @@ func TestMiddlewareCustomRouteLabel(t *testing.T) {
 	reg := NewRegistry()
 	handler := NewMiddleware(MiddlewareConfig{
 		Registry: reg,
+		Tracer:   NewTracer(16),
 		Service:  "gw",
 		Route:    func(r *http.Request) string { return "/fixed" },
 	})(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
@@ -97,5 +100,56 @@ func TestMiddlewareCustomRouteLabel(t *testing.T) {
 	}
 	if strings.Contains(out, `route="/a"`) {
 		t.Errorf("raw path leaked into labels:\n%s", out)
+	}
+}
+
+// TestMiddlewareCountsAbortedHandler: a handler that unwinds by panicking
+// with http.ErrAbortHandler (how net/http aborts a response, and how
+// ReverseProxy reports an upstream that died mid-body) is still counted as
+// a 5xx, timed and spanned, and leaves in-flight at 0. Behind a real
+// server, so net/http swallows the panic the middleware lets through.
+func TestMiddlewareCountsAbortedHandler(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(16)
+	srv := httptest.NewServer(NewMiddleware(MiddlewareConfig{
+		Registry: reg,
+		Tracer:   tr,
+		Service:  "svc",
+		Route:    func(*http.Request) string { return "/abort" },
+	})(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler)
+	})))
+	defer srv.Close()
+
+	const n = 3
+	for i := 0; i < n; i++ {
+		// The connection is closed only after the handler has unwound, so
+		// the error comes back once the middleware's accounting has run.
+		resp, err := http.Get(srv.URL + "/x")
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("request %d: aborted handler answered %d", i, resp.StatusCode)
+		}
+	}
+
+	if got := reg.Counter(FamRequests, "", "service", "route", "method", "code").
+		With("svc", "/abort", "GET", "5xx").Value(); got != n {
+		t.Errorf("5xx request counter = %v, want %d", got, n)
+	}
+	if got := reg.Histogram(FamLatency, "", nil, "service", "route").
+		With("svc", "/abort").Count(); got != n {
+		t.Errorf("latency count = %d, want %d", got, n)
+	}
+	spans := tr.Spans("", 0)
+	if len(spans) != n {
+		t.Fatalf("spans = %+v, want %d", spans, n)
+	}
+	for _, s := range spans {
+		if s.Status != http.StatusInternalServerError || s.Name != "GET /abort" {
+			t.Errorf("span = %+v", s)
+		}
+	}
+	if got := reg.Gauge(FamInFlight, "", "service").With("svc").Value(); got != 0 {
+		t.Errorf("in-flight = %v, want 0", got)
 	}
 }

@@ -125,9 +125,9 @@ func TestMetricsExposedOnEveryTier(t *testing.T) {
 
 	gwText := scrape(front.URL)
 	for _, want := range []string{
-		`spatial_gateway_requests_total{route="/shap"} 1`,
-		`spatial_gateway_request_duration_seconds_bucket{route="/shap",le="+Inf"} 1`,
-		`spatial_gateway_request_duration_seconds_quantile{route="/shap",quantile="0.95"}`,
+		`spatial_http_requests_total{service="gateway",route="/shap",method="GET",code="2xx"} 1`,
+		`spatial_http_request_duration_seconds_bucket{service="gateway",route="/shap",le="+Inf"} 1`,
+		`spatial_http_request_duration_seconds_quantile{service="gateway",route="/shap",quantile="0.95"}`,
 		"go_heap_alloc_bytes",
 	} {
 		if !strings.Contains(gwText, want) {
