@@ -83,14 +83,17 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of each serving benchmark and of the tree-kernel, MLP
-# batch-kernel, predict-decode and explain-body decode layer benchmarks:
-# compiles the harnesses, trains the bench models, and proves the batched
-# paths still run — a CI-cheap guard against bit-rot in the throughput
-# experiment.
+# batch-kernel, predict-decode, explain-body decode, ridge-solve,
+# explainer and model-cache layer benchmarks: compiles the harnesses,
+# trains the bench models, and proves the batched paths still run — a
+# CI-cheap guard against bit-rot in the throughput experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
 	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch|MLPFit' -benchtime=1x ./internal/ml/
 	$(GO) test -run='^$$' -bench='PredictDecode|DecodeExplainBody' -benchtime=1x ./internal/wire/
+	$(GO) test -run='^$$' -bench=RidgeWLS -benchtime=1x ./internal/mat/
+	$(GO) test -run='^$$' -bench='ExplainSHAP|ExplainLIME' -benchtime=1x ./internal/xai/
+	$(GO) test -run='^$$' -bench=DecodeModelHit -benchtime=1x ./internal/service/
 
 # Deterministic chaos/attack/drift campaigns: run every Smoke-tagged
 # scenario against the virtual world (fake clock, seeded faults) and
@@ -115,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzNumberMatchesParseFloat -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzPredictFrame -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeMatchesJSON -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz FuzzRidgeWLSMatchesLoop -fuzztime 30s ./internal/mat/
 
 # Regenerate every paper table/figure (~15 min single-CPU).
 experiments:

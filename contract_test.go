@@ -299,6 +299,7 @@ func serviceCases(t *testing.T) []contractCase {
 	// A valid table whose third class the two-class models have no row for.
 	thirdClass := service.TableJSON{FeatureNames: []string{"f0", "f1"}, ClassNames: []string{"a", "b", "c"}, X: [][]float64{{2, 0}, {-2, 0}}, Y: []int{0, 2}}
 	image := []float64{0.9, 0.1, 0.8, 0.2}
+	huge := []float64{1e308, 1e308, -1e308}
 	manyRows := make([][]float64, 800) // more than the default limit of 768 a request
 	for i := range manyRows {
 		manyRows[i] = []float64{2, 0}
@@ -356,6 +357,8 @@ func serviceCases(t *testing.T) []contractCase {
 	add("ml/rollback nothing to roll back", mlSvc, "POST", "/models/rollback", service.RollbackRequest{Name: "lr"})
 	add("ml/promote ok", mlSvc, "POST", "/models/promote", service.PromoteRequest{Name: "lr", Version: 2})
 	add("ml/rollback ok", mlSvc, "POST", "/models/rollback", service.RollbackRequest{Name: "lr"})
+	add("ml/train ok nn", mlSvc, "POST", "/train", service.TrainRequest{Algorithm: "nn", Train: good, Seed: 1})
+	add("ml/predict non-finite output", mlSvc, "POST", "/predict", service.PredictRequest{ModelID: "nn", Instances: [][]float64{{1e308, 1e308}}})
 	add("ml/healthz", mlSvc, "GET", "/healthz", nil)
 
 	// Explainers: the model travels inline.
@@ -367,6 +370,9 @@ func serviceCases(t *testing.T) []contractCase {
 	add("shap/explain tree dimension mismatch", shap, "POST", "/explain", service.SHAPRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Background: [][]float64{{0}}})
 	add("shap/explain too many samples", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{0, 0}}, Samples: 1 << 62})
 	add("shap/explain ok", shap, "POST", "/explain", service.SHAPRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Background: [][]float64{{-2, 0}, {0, 0}}, Samples: 64, Seed: 1})
+	// A finite instance the network scores as NaN (its sums overflow): the
+	// surrogate regression refuses it with a 422.
+	add("shap/explain non-finite model output", shap, "POST", "/explain", service.SHAPRequest{Model: nn3, Instance: huge, Class: 1, Background: [][]float64{{0, 0, 0}}, Samples: 16, Seed: 1})
 	add("lime/tabular missing model", lime, "POST", "/explain/tabular", `{"instance":[2,0],"scale":[1,1]}`)
 	add("lime/tabular undecodable model", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: garbage, Instance: []float64{2, 0}, Scale: []float64{1, 1}})
 	add("lime/tabular dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1}})
@@ -374,6 +380,7 @@ func serviceCases(t *testing.T) []contractCase {
 	add("lime/tabular tree dimension mismatch", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: wideTree, Instance: []float64{2}, Class: 1, Scale: []float64{1}})
 	add("lime/tabular too many samples", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 1 << 62})
 	add("lime/tabular ok", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: blob2, Instance: []float64{2, 0}, Class: 1, Scale: []float64{1, 1}, Samples: 64, Seed: 2})
+	add("lime/tabular non-finite model output", lime, "POST", "/explain/tabular", service.LIMETabularRequest{Model: nn3, Instance: huge, Class: 1, Scale: []float64{1, 1, 1}, Samples: 16, Seed: 1})
 	add("lime/image missing model", lime, "POST", "/explain/image", `{"image":[0.9,0.1,0.8,0.2],"w":2,"h":2}`)
 	add("lime/image bad geometry", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, W: 3, H: 2, Patch: 1})
 	add("lime/image too many samples", lime, "POST", "/explain/image", service.LIMEImageRequest{Model: blob4, Image: image, Class: 1, W: 2, H: 2, Patch: 1, Samples: 1 << 62})

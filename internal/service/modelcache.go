@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -16,18 +15,20 @@ import (
 // keeps decoded. An AI sensor sends the same envelope with every probe
 // (SHAP then LIME, per collection), so a few dozen models of the probe's
 // size cover a deployment's working set; past the budget the least
-// recently used go first.
+// recently used go first. Each envelope is its entry's key, so the cache
+// holds the budget in envelopes plus the models decoded from them.
 const modelCacheBytes = 16 << 20
 
 // modelCache keeps the classifiers decoded from inline envelopes, keyed
-// by the SHA-256 of the envelope bytes. Only successful decodes are kept.
-// A hit hands out the shared classifier: every ml model is safe for
-// concurrent prediction and no endpoint trains or re-parameterizes the
-// model it is sent, the rule the serving registry's warm models already
-// live by.
+// by the envelope bytes themselves: a hit is an envelope equal byte for
+// byte, so two envelopes never get each other's model. Only successful
+// decodes are kept. A hit hands out the shared classifier: every ml model
+// is safe for concurrent prediction and no endpoint trains or
+// re-parameterizes the model it is sent, the rule the serving registry's
+// warm models already live by.
 type modelCache struct {
 	mu    sync.Mutex
-	byKey map[[sha256.Size]byte]*list.Element
+	byKey map[string]*list.Element
 	lru   *list.List // of *cachedModel, most recently used first
 	bytes int
 
@@ -35,16 +36,15 @@ type modelCache struct {
 }
 
 type cachedModel struct {
-	key   [sha256.Size]byte
-	model ml.Classifier
-	size  int
+	envelope string // the entry's key in byKey
+	model    ml.Classifier
 }
 
 func newModelCache(reg *telemetry.Registry) *modelCache {
 	decodes := reg.Counter("spatial_service_model_decode_total",
 		"Inline model envelopes by whether the decoded model was already cached.", "result")
 	return &modelCache{
-		byKey: make(map[[sha256.Size]byte]*list.Element),
+		byKey: make(map[string]*list.Element),
 		lru:   list.New(),
 		hit:   decodes.With("hit"),
 		miss:  decodes.With("miss"),
@@ -59,8 +59,7 @@ func (b *base) decodeModel(raw json.RawMessage) (ml.Classifier, error) {
 		return nil, wire.BadRequest(fmt.Errorf("missing model envelope"))
 	}
 	c := b.models
-	key := sha256.Sum256(raw)
-	if model := c.lookup(key); model != nil {
+	if model := c.lookup(raw); model != nil {
 		c.hit.Inc()
 		return model, nil
 	}
@@ -71,13 +70,15 @@ func (b *base) decodeModel(raw json.RawMessage) (ml.Classifier, error) {
 	if err != nil {
 		return nil, wire.BadRequest(err)
 	}
-	return c.insert(key, model, len(raw)), nil
+	return c.insert(raw, model), nil
 }
 
-func (c *modelCache) lookup(key [sha256.Size]byte) ml.Classifier {
+// lookup returns the model decoded from envelope, or nil. The map index
+// by string(envelope) neither copies nor allocates.
+func (c *modelCache) lookup(envelope []byte) ml.Classifier {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	el, ok := c.byKey[string(envelope)]
 	if !ok {
 		return nil
 	}
@@ -85,21 +86,23 @@ func (c *modelCache) lookup(key [sha256.Size]byte) ml.Classifier {
 	return el.Value.(*cachedModel).model
 }
 
-// insert stores model under key unless a racing request already did, evicts
-// from the cold end until the budget holds (an envelope larger than the
-// whole budget evicts itself), and returns the model to use.
-func (c *modelCache) insert(key [sha256.Size]byte, model ml.Classifier, size int) ml.Classifier {
+// insert stores model under a copy of envelope unless a racing request
+// already did, evicts from the cold end until the budget holds (an
+// envelope larger than the whole budget evicts itself), and returns the
+// model to use.
+func (c *modelCache) insert(envelope []byte, model ml.Classifier) ml.Classifier {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
+	if el, ok := c.byKey[string(envelope)]; ok {
 		return el.Value.(*cachedModel).model
 	}
-	c.byKey[key] = c.lru.PushFront(&cachedModel{key: key, model: model, size: size})
-	c.bytes += size
+	key := string(envelope)
+	c.byKey[key] = c.lru.PushFront(&cachedModel{envelope: key, model: model})
+	c.bytes += len(key)
 	for c.bytes > modelCacheBytes {
 		cold := c.lru.Remove(c.lru.Back()).(*cachedModel)
-		delete(c.byKey, cold.key)
-		c.bytes -= cold.size
+		delete(c.byKey, cold.envelope)
+		c.bytes -= len(cold.envelope)
 	}
 	return model
 }

@@ -191,7 +191,7 @@ func TestModelCacheStaysWithinBudget(t *testing.T) {
 	c := svc.models
 	var sum int
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		sum += el.Value.(*cachedModel).size
+		sum += len(el.Value.(*cachedModel).envelope)
 	}
 	if sum != c.bytes || len(c.byKey) != c.lru.Len() {
 		t.Fatalf("books do not balance: %d bytes counted, %d listed; %d keys, %d entries", c.bytes, sum, len(c.byKey), c.lru.Len())

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -533,5 +535,55 @@ func TestTrustRoutesAnswerMismatchedTableWith422(t *testing.T) {
 	}
 	if _, err := (&Client{BaseURL: priv.URL}).Membership(ctx, MembershipRequest{Model: blob, Members: good, NonMembers: good}); err != nil {
 		t.Errorf("well-formed membership request: %v", err)
+	}
+}
+
+// TestNonFiniteAnswersAre422: an untrained 3-feature network scores the
+// finite instance [1e308, 1e308, -1e308] as NaN. The predict route
+// cannot encode that and the explainers' regressions cannot fit it; each
+// answers a 422 envelope saying so. Before, each wrote 200 and then
+// failed to encode the body, so the client read 200 with nothing in it.
+func TestNonFiniteAnswersAre422(t *testing.T) {
+	m := ml.NewMLP(ml.DefaultMLPConfig())
+	if err := m.Init(3, 2); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ml.MarshalModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlSvc := NewMLService()
+	defer mlSvc.Close()
+	if _, err := mlSvc.StoreModel("nn", m, ml.Metrics{}); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1e308, 1e308, -1e308}
+	for _, tc := range []struct {
+		route string
+		h     http.Handler
+		path  string
+		body  any
+		want  string
+	}{
+		{"ml/predict", mlSvc, "/predict", PredictRequest{ModelID: "nn", Instances: [][]float64{x}},
+			"wire: encode response: json: unsupported value: NaN"},
+		{"shap/explain", NewSHAPService(), "/explain", SHAPRequest{Model: blob, Instance: x, Class: 1, Background: [][]float64{{0, 0, 0}}, Samples: 16, Seed: 1},
+			"kernelshap solve: mat: RidgeWLS normal equations are not finite"},
+		{"lime/explain/tabular", NewLIMEService(), "/explain/tabular", LIMETabularRequest{Model: blob, Instance: x, Class: 1, Scale: []float64{1, 1, 1}, Samples: 16, Seed: 1},
+			"lime solve: mat: RidgeWLS normal equations are not finite"},
+	} {
+		t.Run(tc.route, func(t *testing.T) {
+			body, err := json.Marshal(tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(body)))
+			var env wire.Envelope
+			if rec.Code != http.StatusUnprocessableEntity || rec.Header().Get("Content-Type") != "application/json" ||
+				json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error != tc.want {
+				t.Errorf("%d %q, want 422 {\"error\":%q}", rec.Code, rec.Body, tc.want)
+			}
+		})
 	}
 }

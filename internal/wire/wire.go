@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"strconv"
 	"time"
@@ -120,13 +119,19 @@ type Envelope struct {
 	RetryAfterMs int64  `json:"retryAfterMs,omitempty"`
 }
 
-// Write writes v as JSON with the given status.
+// Write writes v as JSON with the given status. v is encoded before the
+// status is written, so a value JSON cannot carry (a NaN, an infinity) is
+// answered as an error envelope, 422, and never as a status with no body.
 func Write(w http.ResponseWriter, status int, v any) {
+	buf := getBody()
+	defer putBody(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		WriteError(w, fmt.Errorf("wire: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("wire: encode response: %v", err)
-	}
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone; there is no one to tell
 }
 
 // WriteError writes err as the envelope under the status the table gives

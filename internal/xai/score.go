@@ -10,8 +10,17 @@ import (
 // a time: they fill that many, score them in one ml.PredictProbaAll call
 // (the model's batch kernel when it has one) and refill. A constant, so an
 // explanation's memory does not grow with its sample budget; 8 192 floats
-// is 390 rows of the probe's 21 features, enough to amortize a batch call.
+// is 388 rows of the probe's 21 features (blockRows), enough to amortize a
+// batch call.
 const blockFloats = 8192
+
+// blockRows is how many rows of width d a scored block holds: as many as
+// blockFloats takes, rounded down to whole four-row tiles of the MLP's
+// batch kernel and never under one tile. A block that ends mid-tile would
+// send its last rows down the kernel's one-row path in every block.
+func blockRows(d int) int {
+	return max(4, blockFloats/d&^3)
+}
 
 // MaxSamples is the largest sample budget KernelSHAP, TabularLIME and
 // ImageLIME accept. Each sample is a row of the surrogate regression's
@@ -37,7 +46,7 @@ func scoreRows(model ml.Classifier, class, d, n int, fill func(i int, row []floa
 	if err := ml.CheckInput(model, d, nil); err != nil {
 		return fmt.Errorf("xai: %w", err)
 	}
-	per := min(n, max(1, blockFloats/d))
+	per := min(n, blockRows(d))
 	flat := make([]float64, per*d)
 	rows := make([][]float64, per)
 	for i := range rows {

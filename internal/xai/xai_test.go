@@ -471,3 +471,18 @@ func TestExplainersRejectNarrowTreeInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockRowsAreWholeTiles: every block is a whole number of four-row
+// tiles, at least one, and holds no more floats than blockFloats or one
+// tile of the row width, whichever is more.
+func TestBlockRowsAreWholeTiles(t *testing.T) {
+	for d := 1; d <= 4096; d++ {
+		per := blockRows(d)
+		if per < 4 || per%4 != 0 || per*d > max(blockFloats, 4*d) {
+			t.Fatalf("d = %d: %d rows a block (%d floats)", d, per, per*d)
+		}
+	}
+	if got := blockRows(21); got != 388 {
+		t.Fatalf("the probe's 21 features: %d rows a block, want 388", got)
+	}
+}
