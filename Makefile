@@ -95,12 +95,13 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='ExplainSHAP|ExplainLIME' -benchtime=1x ./internal/xai/
 	$(GO) test -run='^$$' -bench=DecodeModelHit -benchtime=1x ./internal/service/
 
-# Deterministic chaos/attack/drift campaigns: run every Smoke-tagged
-# scenario against the virtual world (fake clock, seeded faults) and
-# write one scorecard JSON per scenario into scorecards/. The bytes are
-# reproducible run-to-run, so CI can diff them.
+# Deterministic chaos/attack/drift campaigns: run every built-in
+# scenario against the virtual world (fake clock, seeded faults), write
+# one scorecard JSON per scenario into scorecards/, and fail unless they
+# equal the committed goldens byte for byte.
 scenario-smoke:
 	$(GO) run ./cmd/spatial-scenario -smoke -out scorecards
+	diff -r scorecards internal/scenario/testdata
 
 # Cluster failover on real components: three in-process replicas behind
 # the real gateway, a cluster-wide 2PC promote, then kill the shard

@@ -52,7 +52,4 @@ func TestRunArgErrors(t *testing.T) {
 	if err := run([]string{"-run", "no-such-campaign"}, &out); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if err := run([]string{"-load", filepath.Join(t.TempDir(), "missing.json")}, &out); err == nil {
-		t.Fatal("missing -load file accepted")
-	}
 }

@@ -33,14 +33,21 @@ type SamplerFunc func(ctx context.Context) error
 func (f SamplerFunc) Sample(ctx context.Context) error { return f(ctx) }
 
 // StatusError reports a sample that reached the server but came back with
-// an error status. Listeners can distinguish shed load (429 from serving
-// admission control) from hard failures via errors.As.
+// an error status. IsShed tells shed load (429 from serving admission
+// control) from hard failures.
 type StatusError struct {
 	Code int
 }
 
 // Error implements error, keeping the historical "status NNN" shape.
 func (e *StatusError) Error() string { return fmt.Sprintf("status %d", e.Code) }
+
+// IsShed reports whether err is a shed: a *StatusError with code 429, the
+// admission controller's answer rather than a failure of the stack.
+func IsShed(err error) bool {
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == http.StatusTooManyRequests
+}
 
 // DefaultClientTimeout bounds requests of samplers that did not inject
 // their own client. http.DefaultClient has no timeout at all, so one
@@ -258,8 +265,7 @@ func (r *Results) Summarize() Summary {
 	for _, smp := range r.Samples {
 		if smp.Err != nil {
 			s.Errors++
-			var se *StatusError
-			if errors.As(smp.Err, &se) && se.Code == http.StatusTooManyRequests {
+			if IsShed(smp.Err) {
 				s.Shed++
 			}
 		}

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -101,6 +102,26 @@ func TestSummaryEmpty(t *testing.T) {
 	s := (&Results{}).Summarize()
 	if s.Count != 0 || s.Mean != 0 {
 		t.Fatalf("empty summary %+v", s)
+	}
+}
+
+// TestIsShed: only a 429 StatusError, wrapped or not, is a shed; every
+// other failure is the stack failing.
+func TestIsShed(t *testing.T) {
+	shed := &StatusError{Code: http.StatusTooManyRequests}
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{shed, true},
+		{fmt.Errorf("sample: %w", shed), true},
+		{&StatusError{Code: http.StatusServiceUnavailable}, false},
+		{errors.New("status 429"), false},
+		{nil, false},
+	} {
+		if got := IsShed(tc.err); got != tc.want {
+			t.Errorf("IsShed(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }
 

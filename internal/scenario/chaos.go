@@ -3,17 +3,17 @@ package scenario
 import (
 	"errors"
 	"math/rand"
-	"net/http"
 	"sync"
 	"time"
 )
 
-// ErrInjectedReset is the error the virtual targets return for
-// FaultReset/FaultDown decisions — the in-process stand-in for a TCP RST.
+// ErrInjectedReset is the virtual cluster's answer when every replica is
+// down — the in-process stand-in for a refused connection.
 var ErrInjectedReset = errors.New("scenario: injected connection reset")
 
 // ChaosStats counts what the fault engine did to each request: Delayed,
-// Errored, Reset and Passed partition the requests it decided. A request
+// Errored, Reset and Passed partition the requests. Reset counts the
+// requests a virtual cluster refused with every replica down. A request
 // the stack itself shed (429) was passed by the engine.
 type ChaosStats struct {
 	Delayed int64 `json:"delayed"`
@@ -26,9 +26,9 @@ type ChaosStats struct {
 }
 
 // chaosCore is the fault decision engine of the virtual targets: a
-// settable Fault plus a seeded RNG so a fixed seed reproduces the same
-// per-request decisions. Its counters partition the requests it decided:
-// each is passed, delayed, errored or reset, exactly once.
+// settable latency or error-burst Fault plus a seeded RNG so a fixed seed
+// reproduces the same per-request decisions. Its counters partition the
+// requests it decided: each is passed, delayed or errored, exactly once.
 type chaosCore struct {
 	mu    sync.Mutex
 	fault *Fault
@@ -62,9 +62,8 @@ func (c *chaosCore) Stats() ChaosStats {
 
 // decision is the resolved fate of one request.
 type decision struct {
-	delay time.Duration
-	code  int  // > 0: answer with this status
-	reset bool // fail as a connection reset
+	delay   time.Duration
+	errored bool // answer with 503
 }
 
 // decide rolls the installed fault for one request.
@@ -72,42 +71,18 @@ func (c *chaosCore) decide() decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f := c.fault
-	if f == nil {
+	if f == nil || c.rng.Float64() >= f.Rate {
 		c.stats.Passed++
 		return decision{}
 	}
-	if f.Kind == FaultDown {
-		// A downed service refuses everything, no roll.
-		c.stats.Reset++
-		return decision{reset: true}
-	}
-	if c.rng.Float64() >= f.rate() {
-		c.stats.Passed++
-		return decision{}
-	}
-	switch f.Kind {
-	case FaultLatency:
-		d := f.Latency.D()
-		if j := f.Jitter.D(); j > 0 {
-			d += time.Duration(c.rng.Int63n(int64(2*j))) - j
-		}
-		if d < 0 {
-			d = 0
-		}
-		c.stats.Delayed++
-		return decision{delay: d}
-	case FaultErrorBurst:
-		code := f.Code
-		if code == 0 {
-			code = http.StatusServiceUnavailable
-		}
+	if f.Kind == FaultErrorBurst {
 		c.stats.Errored++
-		return decision{code: code}
-	case FaultReset:
-		c.stats.Reset++
-		return decision{reset: true}
-	default:
-		c.stats.Passed++
-		return decision{}
+		return decision{errored: true}
 	}
+	d := f.Latency
+	if j := f.Jitter; j > 0 {
+		d += time.Duration(c.rng.Int63n(int64(2*j))) - j
+	}
+	c.stats.Delayed++
+	return decision{delay: max(d, 0)}
 }

@@ -28,11 +28,11 @@ type target interface {
 
 // PhaseMark records one executed phase's window on the run timeline.
 type PhaseMark struct {
-	Name        string       `json:"name"`
-	Start       time.Time    `json:"start"`
-	End         time.Time    `json:"end"`
-	Fault       *Fault       `json:"fault,omitempty"`
-	Adversarial *Adversarial `json:"adversarial,omitempty"`
+	Name        string
+	Start       time.Time
+	End         time.Time
+	Fault       *Fault
+	Adversarial *Adversarial
 }
 
 // Record is everything a run produced; Score reduces it to a Scorecard.
@@ -71,17 +71,15 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	sensorEvery := sc.sensorEvery()
 	sensors := sensor.NewManager(nil)
 	sensors.UseClock(clk)
-	if err := stream.RegisterSensors(sensors, Duration(sensorEvery)); err != nil {
+	if err := stream.RegisterSensors(sensors); err != nil {
 		return nil, err
 	}
 	sensorNames := sensors.Names()
 	sort.Strings(sensorNames)
 
 	rng := rand.New(rand.NewSource(sc.Seed))
-	tick := sc.tick()
 
 	rec := &Record{Scenario: sc, Start: clk.Now()}
 	var samples []loadgen.Sample
@@ -98,7 +96,7 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 			Fault:       phase.Fault,
 			Adversarial: phase.Adversarial,
 		}
-		phaseDur := phase.Duration.D()
+		phaseDur := phase.Duration
 		acc := 0.0
 		for elapsed := time.Duration(0); elapsed < phaseDur; elapsed += tick {
 			if ctx.Err() != nil {

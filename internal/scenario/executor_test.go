@@ -14,14 +14,14 @@ func fixtureScenario() Scenario {
 		Name:     "executor-fixture",
 		Workload: WorkloadSynthetic,
 		Seed:     21,
-		SLO:      SLO{LatencyP95: Duration(150 * time.Millisecond), MaxErrorRate: 0.05},
+		SLO:      SLO{LatencyP95: 150 * time.Millisecond, MaxErrorRate: 0.05},
 		Phases: []Phase{
-			{Name: "baseline", Duration: Duration(2 * time.Second),
+			{Name: "baseline", Duration: 2 * time.Second,
 				Shape: Shape{Kind: ShapeSteady, BaseRPS: 30}},
-			{Name: "burst", Duration: Duration(2 * time.Second),
+			{Name: "burst", Duration: 2 * time.Second,
 				Shape: Shape{Kind: ShapeRamp, BaseRPS: 30, PeakRPS: 120},
 				Fault: &Fault{Kind: FaultErrorBurst, Rate: 0.4}},
-			{Name: "shift", Duration: Duration(2 * time.Second),
+			{Name: "shift", Duration: 2 * time.Second,
 				Shape:       Shape{Kind: ShapeSteady, BaseRPS: 30},
 				Adversarial: &Adversarial{Kind: AdvCovariateShift, Magnitude: 3}},
 		},
@@ -99,14 +99,14 @@ func TestRunHonorsContextCancel(t *testing.T) {
 	}
 }
 
-// TestBuiltinSmokeSubsetRuns executes every Smoke-tagged library
-// scenario end to end in the virtual world — the same thing CI does —
+// TestBuiltinSmokeSubsetRuns executes every built-in end to end in the
+// virtual world — the set `spatial-scenario -smoke` runs, as CI does —
 // and sanity-checks the headline scorecard numbers.
 func TestBuiltinSmokeSubsetRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builtin smoke runs train one model per workload; skipped in -short")
 	}
-	for _, sc := range Default().Smoke() {
+	for _, sc := range Builtins() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			rec, err := Run(context.Background(), sc)

@@ -18,7 +18,7 @@ func TestBuiltinFaultsPartitionRequests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builtin runs train one model per workload; skipped in -short")
 	}
-	for _, sc := range Default().All() {
+	for _, sc := range Builtins() {
 		rec, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
@@ -45,7 +45,7 @@ func TestBuiltinScorecardsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builtin runs train one model per workload; skipped in -short")
 	}
-	all := Default().All()
+	all := Builtins()
 	for _, sc := range all {
 		rec, err := Run(context.Background(), sc)
 		if err != nil {

@@ -1,39 +1,10 @@
 package scenario
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
 )
-
-func TestDurationJSONRoundTrip(t *testing.T) {
-	d := Duration(2500 * time.Millisecond)
-	b, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != `"2.5s"` {
-		t.Fatalf("marshal: got %s", b)
-	}
-	var back Duration
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != d {
-		t.Fatalf("round trip: got %v, want %v", back.D(), d.D())
-	}
-	// Numeric nanoseconds are accepted too (hand-written JSON).
-	if err := json.Unmarshal([]byte(`1500000000`), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.D() != 1500*time.Millisecond {
-		t.Fatalf("numeric: got %v", back.D())
-	}
-	if err := json.Unmarshal([]byte(`"bogus"`), &back); err == nil {
-		t.Fatal("expected error for bogus duration string")
-	}
-}
 
 func TestShapeRPS(t *testing.T) {
 	phase := 10 * time.Second
@@ -51,7 +22,7 @@ func TestShapeRPS(t *testing.T) {
 		t.Fatalf("ramp mid: got %v", got)
 	}
 
-	di := Shape{Kind: ShapeDiurnal, BaseRPS: 20, PeakRPS: 80, Period: Duration(phase)}
+	di := Shape{Kind: ShapeDiurnal, BaseRPS: 20, PeakRPS: 80}
 	if got := di.RPS(0, phase, 0.5); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("diurnal trough: got %v", got)
 	}
@@ -67,7 +38,7 @@ func TestShapeRPS(t *testing.T) {
 		t.Fatalf("flash-crowd at spike: got %v", got)
 	}
 
-	ht := Shape{Kind: ShapeHeavyTail, BaseRPS: 50, PeakRPS: 500, Alpha: 1.5}
+	ht := Shape{Kind: ShapeHeavyTail, BaseRPS: 50, PeakRPS: 500}
 	// burstU near 1 -> multiplier near 1 -> base rate.
 	if got := ht.RPS(0, phase, 0.999999); math.Abs(got-50) > 1 {
 		t.Fatalf("heavy-tail calm: got %v", got)
@@ -80,37 +51,50 @@ func TestShapeRPS(t *testing.T) {
 
 func TestScenarioValidate(t *testing.T) {
 	ok := Scenario{
-		Name: "t",
-		SLO:  SLO{LatencyP95: Duration(100 * time.Millisecond)},
+		Name:     "t",
+		Workload: WorkloadSynthetic,
+		SLO:      SLO{LatencyP95: 100 * time.Millisecond},
 		Phases: []Phase{
-			{Name: "a", Duration: Duration(time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
+			{Name: "a", Duration: time.Second, Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
 		},
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
 	}
+	phase := func(shape Shape, f *Fault) []Phase {
+		return []Phase{{Name: "a", Duration: time.Second, Shape: shape, Fault: f}}
+	}
+	steady := Shape{Kind: ShapeSteady, BaseRPS: 1}
 
-	bad := []Scenario{
-		{},                       // no name
-		{Name: "x", SLO: ok.SLO}, // no phases
-		{Name: "x", SLO: SLO{}, Phases: ok.Phases},                    // no SLO latency
-		{Name: "x", SLO: ok.SLO, Workload: "nope", Phases: ok.Phases}, // unknown workload
-		{Name: "x", SLO: ok.SLO, Phases: []Phase{ // duplicate phase names
-			{Name: "a", Duration: Duration(time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 1}},
-			{Name: "a", Duration: Duration(time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 1}},
+	bad := map[string]Scenario{
+		"no name":          {},
+		"no phases":        {Name: "x", Workload: ok.Workload, SLO: ok.SLO},
+		"no SLO latency":   {Name: "x", Workload: ok.Workload, Phases: ok.Phases},
+		"unknown workload": {Name: "x", Workload: "nope", SLO: ok.SLO, Phases: ok.Phases},
+		"empty workload":   {Name: "x", SLO: ok.SLO, Phases: ok.Phases},
+		"duplicate phase names": {Name: "x", Workload: ok.Workload, SLO: ok.SLO, Phases: []Phase{
+			{Name: "a", Duration: time.Second, Shape: steady},
+			{Name: "a", Duration: time.Second, Shape: steady},
 		}},
-		{Name: "x", SLO: ok.SLO, Phases: []Phase{ // bad fault kind
-			{Name: "a", Duration: Duration(time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 1},
-				Fault: &Fault{Kind: "meteor"}},
-		}},
-		{Name: "x", SLO: ok.SLO, Phases: []Phase{ // bad adversarial kind
-			{Name: "a", Duration: Duration(time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 1},
-				Adversarial: &Adversarial{Kind: "meteor"}},
+		"flash-crowd without peakAt": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(Shape{Kind: ShapeFlashCrowd, BaseRPS: 1, PeakRPS: 9, PeakWidth: 0.2}, nil)},
+		"flash-crowd without peakWidth": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(Shape{Kind: ShapeFlashCrowd, BaseRPS: 1, PeakRPS: 9, PeakAt: 0.4}, nil)},
+		"heavy-tail without peakRps": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(Shape{Kind: ShapeHeavyTail, BaseRPS: 1}, nil)},
+		"latency fault without rate": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(steady, &Fault{Kind: FaultLatency, Latency: time.Millisecond})},
+		"error-burst fault without rate": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(steady, &Fault{Kind: FaultErrorBurst})},
+		"bad fault kind": {Name: "x", Workload: ok.Workload, SLO: ok.SLO,
+			Phases: phase(steady, &Fault{Kind: "meteor", Rate: 1})},
+		"bad adversarial kind": {Name: "x", Workload: ok.Workload, SLO: ok.SLO, Phases: []Phase{
+			{Name: "a", Duration: time.Second, Shape: steady, Adversarial: &Adversarial{Kind: "meteor"}},
 		}},
 	}
-	for i, sc := range bad {
+	for name, sc := range bad {
 		if err := sc.Validate(); err == nil {
-			t.Errorf("bad scenario %d accepted", i)
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"errors"
-	"net/http"
 	"sort"
 	"time"
 
@@ -35,11 +33,11 @@ type Scorecard struct {
 	P99Ns         int64   `json:"p99Ns"`
 	ThroughputRPS float64 `json:"throughputRps"`
 
-	// SLO accounting over fixed windows (SLO.Window wide).
+	// SLO accounting over fixed one-second windows (sloWindow).
 	SLOViolationSeconds float64 `json:"sloViolationSeconds"`
 	// ErrorBudgetBurn is violation time over the run's allowed
-	// violation time (SLO.ErrorBudget · duration); > 1 means the budget
-	// is blown.
+	// violation time (errorBudget, 1 %, of the duration); > 1 means the
+	// budget is blown.
 	ErrorBudgetBurn float64 `json:"errorBudgetBurn"`
 
 	// Detection: delay from the first adversarial (or, failing that,
@@ -120,17 +118,17 @@ func Score(rec *Record) Scorecard {
 	var violationSec float64
 	for _, w := range windows {
 		if w.violated {
-			violationSec += sc.SLO.window().Seconds()
+			violationSec += sloWindow.Seconds()
 		}
 	}
 	card.SLOViolationSeconds = violationSec
 	if dur := rec.End.Sub(rec.Start).Seconds(); dur > 0 {
-		card.ErrorBudgetBurn = violationSec / (sc.SLO.budget() * dur)
+		card.ErrorBudgetBurn = violationSec / (errorBudget * dur)
 	}
 
 	card.Detected, card.DetectionDelayNs, card.FirstAlertSensor = detection(rec)
-	card.RecoveryNs = recovery(rec, windows, sc.SLO)
-	card.Phases = phaseScores(rec, sc.SLO, windows)
+	card.RecoveryNs = recovery(rec, windows)
+	card.Phases = phaseScores(rec, windows)
 
 	card.Verdict, card.Reasons = verdict(rec, card)
 	return card
@@ -138,24 +136,20 @@ func Score(rec *Record) Scorecard {
 
 // bucketize folds the samples into SLO windows and marks violations.
 func bucketize(rec *Record, slo SLO) []*window {
-	width := slo.window()
 	byIdx := make(map[int]*window)
 	for _, s := range rec.Results.Samples {
-		idx := int(s.Start.Sub(rec.Start) / width)
+		idx := int(s.Start.Sub(rec.Start) / sloWindow)
 		w, ok := byIdx[idx]
 		if !ok {
-			w = &window{start: rec.Start.Add(time.Duration(idx) * width)}
+			w = &window{start: rec.Start.Add(time.Duration(idx) * sloWindow)}
 			byIdx[idx] = w
 		}
 		w.count++
 		w.lats = append(w.lats, s.Latency)
-		if s.Err != nil {
-			var se *loadgen.StatusError
-			if errors.As(s.Err, &se) && se.Code == http.StatusTooManyRequests {
-				w.shed++
-			} else {
-				w.errs++
-			}
+		if loadgen.IsShed(s.Err) {
+			w.shed++
+		} else if s.Err != nil {
+			w.errs++
 		}
 	}
 	out := make([]*window, 0, len(byIdx))
@@ -167,7 +161,7 @@ func bucketize(rec *Record, slo SLO) []*window {
 		sort.Slice(w.lats, func(i, j int) bool { return w.lats[i] < w.lats[j] })
 		p95 := percentileDur(w.lats, 0.95)
 		errRate := float64(w.errs) / float64(w.count)
-		w.violated = p95 > slo.LatencyP95.D() || errRate > slo.MaxErrorRate
+		w.violated = p95 > slo.LatencyP95 || errRate > slo.MaxErrorRate
 	}
 	return out
 }
@@ -225,23 +219,22 @@ func detection(rec *Record) (bool, int64, string) {
 
 // recovery measures disruption-end to the end of the first healthy
 // window after it.
-func recovery(rec *Record, windows []*window, slo SLO) int64 {
+func recovery(rec *Record, windows []*window) int64 {
 	_, _, anyEnd, _, hasAny := disruptionWindow(rec)
 	if !hasAny {
 		return -1
 	}
-	width := slo.window()
 	for _, w := range windows {
 		if w.start.Before(anyEnd) || w.violated {
 			continue
 		}
-		return w.start.Add(width).Sub(anyEnd).Nanoseconds()
+		return w.start.Add(sloWindow).Sub(anyEnd).Nanoseconds()
 	}
 	return -1
 }
 
 // phaseScores slices the totals per phase mark.
-func phaseScores(rec *Record, slo SLO, windows []*window) []PhaseScore {
+func phaseScores(rec *Record, windows []*window) []PhaseScore {
 	out := make([]PhaseScore, 0, len(rec.Marks))
 	for _, m := range rec.Marks {
 		ps := PhaseScore{Phase: m.Name}
@@ -252,20 +245,17 @@ func phaseScores(rec *Record, slo SLO, windows []*window) []PhaseScore {
 			}
 			ps.Requests++
 			lats = append(lats, s.Latency)
-			if s.Err != nil {
-				var se *loadgen.StatusError
-				if errors.As(s.Err, &se) && se.Code == http.StatusTooManyRequests {
-					ps.Shed++
-				} else {
-					ps.Errors++
-				}
+			if loadgen.IsShed(s.Err) {
+				ps.Shed++
+			} else if s.Err != nil {
+				ps.Errors++
 			}
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		ps.P95Ns = percentileDur(lats, 0.95).Nanoseconds()
 		for _, w := range windows {
 			if w.violated && !w.start.Before(m.Start) && w.start.Before(m.End) {
-				ps.SLOViolationSeconds += slo.window().Seconds()
+				ps.SLOViolationSeconds += sloWindow.Seconds()
 			}
 		}
 		out = append(out, ps)

@@ -18,12 +18,12 @@ func buildRecord() *Record {
 	sc := Scenario{
 		Name: "fixture",
 		Seed: 1,
-		SLO:  SLO{LatencyP95: Duration(100 * time.Millisecond), MaxErrorRate: 0.1},
+		SLO:  SLO{LatencyP95: 100 * time.Millisecond, MaxErrorRate: 0.1},
 		Phases: []Phase{
-			{Name: "warm", Duration: Duration(3 * time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
-			{Name: "burst", Duration: Duration(3 * time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 10},
+			{Name: "warm", Duration: 3 * time.Second, Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
+			{Name: "burst", Duration: 3 * time.Second, Shape: Shape{Kind: ShapeSteady, BaseRPS: 10},
 				Fault: &Fault{Kind: FaultErrorBurst, Rate: 0.5}},
-			{Name: "cool", Duration: Duration(3 * time.Second), Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
+			{Name: "cool", Duration: 3 * time.Second, Shape: Shape{Kind: ShapeSteady, BaseRPS: 10}},
 		},
 	}
 	rec := &Record{

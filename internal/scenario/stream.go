@@ -129,12 +129,6 @@ func (s *Stream) calibrate() error {
 	return nil
 }
 
-// AlertLines reports the calibrated drift and agreement alert
-// thresholds.
-func (s *Stream) AlertLines() (driftBelow, agreementBelow float64) {
-	return s.driftAlert, s.agreeAlert
-}
-
 // agreement is the fraction of rows the model predicts to their label.
 func agreement(model ml.GradientClassifier, batch *dataset.Table) float64 {
 	agree := 0
@@ -247,13 +241,13 @@ func (s *Stream) AgreementCollector() sensor.Collector {
 }
 
 // RegisterSensors registers the stream's drift and agreement sensors on
-// the manager with the given sampling interval and the calibrated alert
+// the manager, sampled every sensorEvery, with the calibrated alert
 // thresholds.
-func (s *Stream) RegisterSensors(m *sensor.Manager, interval Duration) error {
+func (s *Stream) RegisterSensors(m *sensor.Manager) error {
 	if err := m.Register(&sensor.Sensor{
 		Name:      SensorDrift,
 		Property:  sensor.PropPerformance,
-		Interval:  interval.D(),
+		Interval:  sensorEvery,
 		Collector: s.DriftCollector(),
 		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(s.driftAlert)},
 	}); err != nil {
@@ -262,7 +256,7 @@ func (s *Stream) RegisterSensors(m *sensor.Manager, interval Duration) error {
 	return m.Register(&sensor.Sensor{
 		Name:      SensorAgreement,
 		Property:  sensor.PropResilience,
-		Interval:  interval.D(),
+		Interval:  sensorEvery,
 		Collector: s.AgreementCollector(),
 		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(s.agreeAlert)},
 	})
@@ -275,7 +269,7 @@ func (s *Stream) RegisterSensors(m *sensor.Manager, interval Duration) error {
 func BuildWorkload(name string, seed int64) (*Stream, error) {
 	var table *dataset.Table
 	switch name {
-	case "", WorkloadSynthetic:
+	case WorkloadSynthetic:
 		table = syntheticTable(seed)
 	case WorkloadFall:
 		cfg := datagen.DefaultUniMiBConfig()

@@ -6,18 +6,20 @@ import (
 )
 
 func TestBuildWorkloadKinds(t *testing.T) {
-	for _, wl := range []string{WorkloadSynthetic, WorkloadFall, WorkloadNetTraffic, ""} {
+	for _, wl := range []string{WorkloadSynthetic, WorkloadFall, WorkloadNetTraffic} {
 		s, err := BuildWorkload(wl, 3)
 		if err != nil {
 			t.Fatalf("%q: %v", wl, err)
 		}
-		dLine, aLine := s.AlertLines()
+		dLine, aLine := s.driftAlert, s.agreeAlert
 		if dLine <= 0 || dLine >= 1 || aLine <= 0 || aLine >= 1 {
 			t.Fatalf("%q: calibrated alert lines out of range: drift=%v agree=%v", wl, dLine, aLine)
 		}
 	}
-	if _, err := BuildWorkload("martian", 3); err == nil {
-		t.Fatal("unknown workload accepted")
+	for _, wl := range []string{"martian", ""} {
+		if _, err := BuildWorkload(wl, 3); err == nil {
+			t.Fatalf("workload %q accepted", wl)
+		}
 	}
 }
 
@@ -27,7 +29,7 @@ func TestStreamAdversarialActionsMoveSensors(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	driftLine, agreeLine := s.AlertLines()
+	driftLine, agreeLine := s.driftAlert, s.agreeAlert
 
 	// Clean batches stay above both alert lines.
 	for i := 0; i < 5; i++ {

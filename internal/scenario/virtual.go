@@ -32,20 +32,16 @@ func NewVirtualTarget(seed int64) *VirtualTarget {
 }
 
 // Sample resolves one request at the given offered load. The installed
-// fault decides first: a reset or downed upstream answers fast, an error
-// burst answers with its code, a delay adds to the modelled latency. The
-// latency curve is base · (1 + 4·util³) up to the watermark; past it,
-// admission control sheds the excess fraction with 429s and served
-// latency stays clamped at 5·base — the "flat latency, rising sheds"
-// signature a healthy overloaded stack shows (a collapsing one would
-// instead explode the percentiles).
+// fault decides first: an error burst answers 503, a delay adds to the
+// modelled latency. The latency curve is base · (1 + 4·util³) up to the
+// watermark; past it, admission control sheds the excess fraction with
+// 429s and served latency stays clamped at 5·base — the "flat latency,
+// rising sheds" signature a healthy overloaded stack shows (a collapsing
+// one would instead explode the percentiles).
 func (v *VirtualTarget) Sample(offeredRPS float64) (time.Duration, error) {
 	d := v.decide()
-	if d.reset {
-		return virtualBase / 10, ErrInjectedReset
-	}
-	if d.code > 0 {
-		return virtualBase / 2, &loadgen.StatusError{Code: d.code}
+	if d.errored {
+		return virtualBase / 2, &loadgen.StatusError{Code: http.StatusServiceUnavailable}
 	}
 
 	v.mu.Lock()

@@ -60,28 +60,13 @@ func TestVirtualTargetLoadCurve(t *testing.T) {
 func TestVirtualTargetFaults(t *testing.T) {
 	v := NewVirtualTarget(2)
 
-	v.SetFault(&Fault{Kind: FaultDown})
-	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("down: %v", err)
-	}
-	// A downed service refuses everything, whatever the rate.
-	v.SetFault(&Fault{Kind: FaultDown, Rate: 1e-6})
-	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("down at rate 1e-6: %v", err)
-	}
-
-	v.SetFault(&Fault{Kind: FaultReset})
-	if _, err := v.Sample(10); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("reset: %v", err)
-	}
-
-	v.SetFault(&Fault{Kind: FaultErrorBurst, Code: 500})
+	v.SetFault(&Fault{Kind: FaultErrorBurst, Rate: 1})
 	var se *loadgen.StatusError
-	if _, err := v.Sample(10); !errors.As(err, &se) || se.Code != 500 {
-		t.Fatalf("error burst: %v", err)
+	if _, err := v.Sample(10); !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("error burst: %v, want status 503", err)
 	}
 
-	v.SetFault(&Fault{Kind: FaultLatency, Latency: Duration(200 * time.Millisecond)})
+	v.SetFault(&Fault{Kind: FaultLatency, Latency: 200 * time.Millisecond, Rate: 1})
 	lat, err := v.Sample(10)
 	if err != nil || lat < 200*time.Millisecond {
 		t.Fatalf("latency fault: lat=%v err=%v", lat, err)
@@ -92,9 +77,9 @@ func TestVirtualTargetFaults(t *testing.T) {
 		t.Fatalf("cleared fault: lat=%v err=%v", lat, err)
 	}
 
-	// Each request above was decided exactly once: two downs and a reset
-	// reset, one errored, one delayed, one passed.
-	if st := v.Stats(); st != (ChaosStats{Delayed: 1, Errored: 1, Reset: 3, Passed: 1}) {
+	// Each request above was decided exactly once: one errored, one
+	// delayed, one passed.
+	if st := v.Stats(); st != (ChaosStats{Delayed: 1, Errored: 1, Passed: 1}) {
 		t.Fatalf("stats: %+v", st)
 	}
 }

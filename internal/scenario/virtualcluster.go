@@ -36,12 +36,6 @@ type VirtualCluster struct {
 // routing decides which stream advances and determinism survives
 // failover.
 func NewVirtualCluster(n int, seed int64, key string) *VirtualCluster {
-	if n < 2 {
-		n = 2
-	}
-	if key == "" {
-		key = "model"
-	}
 	vc := &VirtualCluster{
 		key:      key,
 		ids:      make([]string, n),
@@ -92,32 +86,20 @@ func (vc *VirtualCluster) pickLocked() (idx int, rerouted bool) {
 }
 
 // SetFault installs the phase fault. Replica faults mutate the tier's
-// membership (and stick until reversed); every other kind — including
-// nil at phase end — is forwarded to all replicas so the usual
-// latency/error/reset overlays apply to whichever member serves.
+// membership (and stick until reversed): a kill takes out the member
+// serving the routing key, a restart revives every member. Every other
+// kind — including nil at phase end — is forwarded to all replicas so
+// the latency/error overlays apply to whichever member serves.
 func (vc *VirtualCluster) SetFault(f *Fault) {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	if f != nil && f.clusterFault() {
-		switch f.Kind {
-		case FaultReplicaKill:
-			target := f.Replica
-			if target == "" {
-				if idx, _ := vc.pickLocked(); idx >= 0 {
-					target = vc.ids[idx]
-				}
+		if f.Kind == FaultReplicaKill {
+			if idx, _ := vc.pickLocked(); idx >= 0 {
+				vc.down[idx] = true
 			}
-			for i, id := range vc.ids {
-				if id == target {
-					vc.down[i] = true
-				}
-			}
-		case FaultReplicaRestart:
-			for i, id := range vc.ids {
-				if f.Replica == "" || id == f.Replica {
-					vc.down[i] = false
-				}
-			}
+		} else {
+			clear(vc.down)
 		}
 		// A replica fault replaces the transient overlay for the phase.
 		f = nil

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -46,15 +47,20 @@ func TestVirtualClusterFailover(t *testing.T) {
 		t.Fatalf("restart did not restore the owner: %q, want %q", got, owner)
 	}
 
-	// Killing everything refuses requests with a reset.
-	vc.SetFault(&Fault{Kind: FaultReplicaKill, Replica: "replica-0"})
-	vc.SetFault(&Fault{Kind: FaultReplicaKill, Replica: "replica-1"})
-	vc.SetFault(&Fault{Kind: FaultReplicaKill, Replica: "replica-2"})
-	if _, err := vc.Sample(10); err == nil {
-		t.Fatal("sample on a fully dead tier succeeded")
+	// Killing the owner three times takes the whole tier down: every
+	// request is then refused with ErrInjectedReset, counted in Reset.
+	for i := 0; i < 3; i++ {
+		vc.SetFault(&Fault{Kind: FaultReplicaKill})
 	}
 	if got := vc.Owner(); got != "" {
 		t.Fatalf("dead tier still names owner %q", got)
+	}
+	before := vc.Stats()
+	if _, err := vc.Sample(10); !errors.Is(err, ErrInjectedReset) {
+		t.Fatalf("sample on a fully dead tier: %v, want ErrInjectedReset", err)
+	}
+	if got := vc.Stats(); got.Reset != before.Reset+1 || got.Passed != before.Passed {
+		t.Fatalf("refusal counted as %+v (was %+v), want one more Reset", got, before)
 	}
 }
 
@@ -62,9 +68,9 @@ func TestVirtualClusterFailover(t *testing.T) {
 // serving member like the single-target model.
 func TestVirtualClusterTransientFaults(t *testing.T) {
 	vc := NewVirtualCluster(2, 1, "model")
-	vc.SetFault(&Fault{Kind: FaultDown})
+	vc.SetFault(&Fault{Kind: FaultErrorBurst, Rate: 1})
 	if _, err := vc.Sample(10); err == nil {
-		t.Fatal("down fault did not refuse the request")
+		t.Fatal("error burst did not fail the request")
 	}
 	vc.SetFault(nil) // transient faults clear at phase end
 	if _, err := vc.Sample(10); err != nil {
@@ -73,13 +79,13 @@ func TestVirtualClusterTransientFaults(t *testing.T) {
 }
 
 // TestClusterFaultValidation rejects replica faults without a cluster
-// spec and misuse of the replica target.
+// spec and a cluster too small to fail over.
 func TestClusterFaultValidation(t *testing.T) {
 	base := Scenario{
-		Name: "v", Seed: 1,
-		SLO: SLO{LatencyP95: dur(100 * time.Millisecond)},
+		Name: "v", Seed: 1, Workload: WorkloadSynthetic,
+		SLO: SLO{LatencyP95: 100 * time.Millisecond},
 		Phases: []Phase{{
-			Name: "p", Duration: dur(time.Second),
+			Name: "p", Duration: time.Second,
 			Shape: Shape{Kind: ShapeSteady, BaseRPS: 10},
 			Fault: &Fault{Kind: FaultReplicaKill},
 		}},
@@ -95,21 +101,13 @@ func TestClusterFaultValidation(t *testing.T) {
 	if err := base.Validate(); err == nil {
 		t.Fatal("single-replica cluster validated")
 	}
-	base.Cluster.Replicas = 3
-	base.Phases[0].Fault = &Fault{Kind: FaultLatency, Latency: dur(time.Millisecond), Replica: "replica-0"}
-	if err := base.Validate(); err == nil {
-		t.Fatal("replica target on a non-replica fault validated")
-	}
 }
 
 // TestClusterFailoverCampaignDeterministic runs the builtin end to end
 // twice: the scorecards must be byte-identical, count real reroutes, and
 // record a recovery after the restart phase.
 func TestClusterFailoverCampaignDeterministic(t *testing.T) {
-	sc, ok := Default().Get("cluster-failover")
-	if !ok {
-		t.Fatal("cluster-failover not in the builtin library")
-	}
+	sc := builtin(t, "cluster-failover")
 	run := func() ([]byte, Scorecard) {
 		rec, err := Run(context.Background(), sc)
 		if err != nil {

@@ -319,6 +319,72 @@ func TestPredictErrors(t *testing.T) {
 	}
 }
 
+// TestAbandonedRowsNeverReachTheKernel: callers that stop waiting leave
+// their rows queued behind a held worker, and those rows must not be
+// scored for nobody — the worker drops them at dequeue, returns their
+// reservation and counts them, so the line is free for live requests.
+// gated.entered sees every row that reaches the kernel.
+func TestAbandonedRowsNeverReachTheKernel(t *testing.T) {
+	const abandoned = 15
+	rt, _, tel, ref := newTestRuntime(t, Config{Workers: 1, ShedWatermark: 16})
+	g := gate(rt, ref)
+	held := make(chan error, 1)
+	go func() {
+		_, _, err := rt.Predict(context.Background(), ref.Name, [][]float64{{0, 0}})
+		held <- err
+	}()
+	<-g.entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	results := make(chan error, abandoned)
+	for i := 1; i <= abandoned; i++ {
+		go func() {
+			_, _, err := rt.Predict(ctx, ref.Name, [][]float64{{float64(i), 0}})
+			results <- err
+		}()
+		for queued(rt, ref) != i {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	cancel()
+	for i := 0; i < abandoned; i++ {
+		if err := <-results; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled caller: %v, want context.Canceled", err)
+		}
+	}
+
+	// Release the held batch, then let through whatever the worker takes
+	// next until nothing is in flight.
+	g.release <- struct{}{}
+	scored := 0
+	for rt.InFlight() != 0 {
+		select {
+		case rows := <-g.entered:
+			scored += len(rows)
+			g.release <- struct{}{}
+		default:
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if scored != 0 {
+		t.Fatalf("%d abandoned rows reached the kernel, want 0", scored)
+	}
+	if got := metricValue(t, tel, "spatial_serving_abandoned_total"); got != abandoned {
+		t.Fatalf("abandoned counter %v, want %d", got, abandoned)
+	}
+
+	g.open()
+	if _, classes, err := rt.Predict(context.Background(), ref.Name, [][]float64{{2, 0}}); err != nil || classes[0] != 1 {
+		t.Fatalf("fresh request after the release: %v %v, want served", classes, err)
+	}
+	if rt.InFlight() != 0 {
+		t.Fatalf("in-flight %d after every call returned", rt.InFlight())
+	}
+}
+
 // TestNarrowRowFailsOnlyItsOwnCall: a row narrower than the model reads is
 // refused before it is queued, as ml.ErrInput (422 on the wire), so the
 // call it would have been coalesced with is still served — bit for bit

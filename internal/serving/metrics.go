@@ -17,6 +17,7 @@ var defBatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 type metrics struct {
 	predictions  *telemetry.Counter
 	shed         *telemetry.Counter
+	abandoned    *telemetry.Counter
 	coldLoads    *telemetry.Counter
 	evictions    *telemetry.Counter
 	models       *telemetry.Gauge
@@ -59,6 +60,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Instances scored by the serving runtime.").With(),
 		shed: reg.Counter("spatial_serving_shed_total",
 			"Instances shed by admission control past the queue watermark.").With(),
+		abandoned: reg.Counter("spatial_serving_abandoned_total",
+			"Queued instances dropped unscored because their caller stopped waiting.").With(),
 		coldLoads: reg.Counter("spatial_serving_cold_loads_total",
 			"Registry models deserialized on demand (warm-cache misses).").With(),
 		evictions: reg.Counter("spatial_serving_evictions_total",

@@ -161,6 +161,10 @@ type call struct {
 	remaining atomic.Int64
 	err       atomic.Pointer[error]
 	done      chan struct{}
+	// abandoned is set when Predict stops waiting (its context is done):
+	// a worker then drops the call's rows that are still queued instead
+	// of scoring them for nobody.
+	abandoned atomic.Bool
 }
 
 func (c *call) deliver(i int, p []float64) {
@@ -291,6 +295,7 @@ func (r *Runtime) Predict(ctx context.Context, ref string, instances [][]float64
 		select {
 		case <-c.done:
 		case <-ctxDone:
+			c.abandoned.Store(true)
 			r.release(ln)
 			return nil, nil, ctx.Err()
 		case <-r.stop:
@@ -326,13 +331,29 @@ func (r *Runtime) release(ln *line) {
 	}
 }
 
+// keep reports whether a dequeued instance still has a caller waiting
+// for it. An abandoned call's instance is dropped here: its reservation
+// is returned and it is counted, never scored. Dropping at dequeue keeps
+// channel occupancy ≤ in-flight ≤ watermark, which Predict's bare send
+// relies on.
+func (r *Runtime) keep(ln *line, it *item) bool {
+	if !it.call.abandoned.Load() {
+		return true
+	}
+	ln.inflight.Add(-1)
+	r.met.abandoned.Inc()
+	return false
+}
+
 // take appends what is queued right now, up to cap(batch), without
-// blocking.
-func (ln *line) take(batch []*item) []*item {
+// blocking, dropping the instances nobody waits for.
+func (r *Runtime) take(ln *line, batch []*item) []*item {
 	for len(batch) < cap(batch) {
 		select {
 		case it := <-ln.in:
-			batch = append(batch, it)
+			if r.keep(ln, it) {
+				batch = append(batch, it)
+			}
 		default:
 			return batch
 		}
@@ -352,9 +373,16 @@ func (r *Runtime) runWorker(ln *line) {
 	for {
 		select {
 		case first := <-ln.in:
-			batch = ln.take(append(batch[:0], first))
+			batch = batch[:0]
+			if r.keep(ln, first) {
+				batch = append(batch, first)
+			}
+			batch = r.take(ln, batch)
 		case <-r.stop:
 			return
+		}
+		if len(batch) == 0 {
+			continue
 		}
 		// The send that woke this worker handed it the processor ahead of
 		// every caller that was about to enqueue, so what it sees is one
@@ -367,7 +395,7 @@ func (r *Runtime) runWorker(ln *line) {
 		for len(batch) < cap(batch) {
 			n := len(batch)
 			runtime.Gosched()
-			if batch = ln.take(batch); len(batch) == n {
+			if batch = r.take(ln, batch); len(batch) == n {
 				break
 			}
 		}
