@@ -84,9 +84,10 @@ bench-all:
 
 # One iteration of each serving benchmark and of the tree-kernel, MLP
 # batch-kernel, predict-decode, explain-body decode, ridge-solve,
-# explainer and model-cache layer benchmarks: compiles the harnesses,
-# trains the bench models, and proves the batched paths still run — a
-# CI-cheap guard against bit-rot in the throughput experiment.
+# explainer, model-cache and gateway-proxy layer benchmarks: compiles
+# the harnesses, trains the bench models, and proves the batched paths
+# still run — a CI-cheap guard against bit-rot in the throughput
+# experiment.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Serving -benchtime=1x ./internal/serving/
 	$(GO) test -run='^$$' -bench='TreeKernel|MLPPredictBatch|MLPFit' -benchtime=1x ./internal/ml/
@@ -94,6 +95,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=RidgeWLS -benchtime=1x ./internal/mat/
 	$(GO) test -run='^$$' -bench='ExplainSHAP|ExplainLIME' -benchtime=1x ./internal/xai/
 	$(GO) test -run='^$$' -bench=DecodeModelHit -benchtime=1x ./internal/service/
+	$(GO) test -run='^$$' -bench=GatewayProxy -benchtime=1x ./internal/gateway/
 
 # Deterministic chaos/attack/drift campaigns: run every built-in
 # scenario against the virtual world (fake clock, seeded faults), write

@@ -215,7 +215,23 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 		u := &upstream{target: target}
 		u.healthy.Store(true) // optimistic until the first health check
 		proxy := httputil.NewSingleHostReverseProxy(target)
+		direct := proxy.Director
+		// The Director runs on the proxy's own clone of the request, so
+		// the inbound request is never mutated.
+		proxy.Director = func(out *http.Request) {
+			// Strip both spellings of the path, as http.StripPrefix does:
+			// an escaped segment (a%2Fb) must reach the upstream escaped.
+			out.URL.Path = strings.TrimPrefix(out.URL.Path, rt.prefix)
+			out.URL.RawPath = strings.TrimPrefix(out.URL.RawPath, rt.prefix)
+			if out.URL.Path == "" {
+				out.URL.Path = "/"
+			}
+			direct(out)
+			// The middleware's span is the upstream's parent.
+			telemetry.Inject(out.Context(), out.Header)
+		}
 		proxy.Transport = g.transport
+		proxy.BufferPool = copyBuffers{}
 		proxy.ModifyResponse = func(resp *http.Response) error {
 			// The gateway already stamped X-Trace-Id on the client
 			// response; drop the upstream's echo so the header is
@@ -244,7 +260,7 @@ func (g *Gateway) AddRoute(prefix string, policy Balancing, backends ...string) 
 			http.Error(w, "no healthy upstream", http.StatusServiceUnavailable)
 			return
 		}
-		g.forward(w, r, rt, u, probe)
+		g.forward(w, r, u, probe)
 	}))
 
 	g.mu.Lock()
@@ -356,6 +372,23 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.handler.ServeHTTP(w, r)
 }
 
+// copyBufferSize is httputil's own default copy buffer.
+const copyBufferSize = 32 << 10
+
+// copyBufferPool holds the response copy buffers of every gateway proxy.
+// It stores array pointers, so a Put boxes nothing.
+var copyBufferPool = sync.Pool{New: func() any { return new([copyBufferSize]byte) }}
+
+// copyBuffers is the httputil.BufferPool of every gateway proxy: without
+// one, ReverseProxy allocates and zeroes a fresh 32 KiB buffer for every
+// response it relays.
+type copyBuffers struct{}
+
+func (copyBuffers) Get() []byte { return copyBufferPool.Get().(*[copyBufferSize]byte)[:] }
+
+// Put takes back only what Get handed out, so the conversion cannot fail.
+func (copyBuffers) Put(b []byte) { copyBufferPool.Put((*[copyBufferSize]byte)(b)) }
+
 // statusKey carries forward's slot for the upstream's status code, in the
 // outbound request's context, to the proxy's ModifyResponse.
 type statusKey struct{}
@@ -363,18 +396,14 @@ type statusKey struct{}
 // forward proxies one request to u; the route's middleware counts, times
 // and spans it. forward keeps what is the gateway's own: the breaker's
 // failure streak, the least-connections count and the shed counter. A
-// probe ends the breaker's half-open state however it ends.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, u *upstream, probe bool) {
+// probe ends the breaker's half-open state however it ends. r is passed
+// on uncloned: the proxy makes the one outbound copy, and its Director
+// strips the route prefix there.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, u *upstream, probe bool) {
 	// status stays 0 when no response arrives: ErrorHandler has then
 	// already booked the transport failure.
 	var status int
-	r2 := r.Clone(context.WithValue(r.Context(), statusKey{}, &status))
-	r2.URL.Path = strings.TrimPrefix(r.URL.Path, rt.prefix)
-	if r2.URL.Path == "" {
-		r2.URL.Path = "/"
-	}
-	// The middleware's span is the upstream's parent.
-	telemetry.Inject(r2.Context(), r2.Header)
+	r2 := r.WithContext(context.WithValue(r.Context(), statusKey{}, &status))
 
 	u.conns.Add(1)
 	// The accounting is deferred because ReverseProxy does not always

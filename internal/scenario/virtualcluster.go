@@ -55,18 +55,6 @@ func NewVirtualCluster(n int, seed int64, key string) *VirtualCluster {
 	return vc
 }
 
-// Owner returns the live member currently serving the routing key, or
-// "" when the whole tier is down.
-func (vc *VirtualCluster) Owner() string {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	idx, _ := vc.pickLocked()
-	if idx < 0 {
-		return ""
-	}
-	return vc.ids[idx]
-}
-
 // pickLocked walks the ring from the shard owner to the first live
 // member. rerouted is true when that member is not the owner.
 func (vc *VirtualCluster) pickLocked() (idx int, rerouted bool) {
