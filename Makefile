@@ -30,12 +30,14 @@ lint-sarif:
 	$(GO) run ./cmd/spatial-lint -sarif lint.sarif ./...
 
 # The seven numbers every re-anchor recounts: binaries, their flags, the
-# exported fields of the request-path config structs (every *Config,
-# *Options and *Policy struct in non-test files of serving, cluster,
-# gateway, core, telemetry and service), lint checks, non-test Go lines
-# under internal/ + cmd/, the lint package's share of them, and the
-# hand-written assembly beside them.
-OPTION_PKGS = serving cluster gateway core telemetry service
+# exported fields of the config structs (every *Config, *Options and
+# *Policy struct in non-test files of the request path's serving,
+# cluster, gateway, core, telemetry and service, and of datagen,
+# fedlearn, privacy, experiments, attack, xai, drift, sensor, dashboard
+# and loadgen), lint checks, non-test Go lines under internal/ + cmd/,
+# the lint package's share of them, and the hand-written assembly beside
+# them.
+OPTION_PKGS = serving cluster gateway core telemetry service datagen fedlearn privacy experiments attack xai drift sensor dashboard loadgen
 counts:
 	@echo "binaries           $$(ls -d cmd/*/ | wc -l)"
 	@echo "flags              $$(cat cmd/*/*.go | grep -cE '\b(flag|fs)\.(Bool|String|Int|Int64|Float64|Duration|Var)\(')"

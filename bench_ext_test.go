@@ -35,7 +35,6 @@ func BenchmarkAblationDPNoise(b *testing.B) {
 		b.Run(fmt.Sprintf("noise=%.1f", noise), func(b *testing.B) {
 			cfg := privacy.DefaultDPLogRegConfig()
 			cfg.NoiseMultiplier = noise
-			cfg.Epochs = 15
 			for i := 0; i < b.N; i++ {
 				m := privacy.NewDPLogReg(cfg)
 				if err := m.Fit(data); err != nil {

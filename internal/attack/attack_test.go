@@ -248,7 +248,7 @@ func TestFGSMValidation(t *testing.T) {
 
 func TestGMMSynthesizerSamplesNearClassMeans(t *testing.T) {
 	tb := toyTable(t, 300, 3)
-	g := &GMMSynthesizer{Seed: 1}
+	g := &gmmSynthesizer{seed: 1}
 	if err := g.Fit(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestGMMSynthesizerSamplesNearClassMeans(t *testing.T) {
 }
 
 func TestGMMSynthesizerValidation(t *testing.T) {
-	g := &GMMSynthesizer{}
+	g := &gmmSynthesizer{}
 	if _, err := g.Sample(0, 5, 1); err == nil {
 		t.Fatal("expected not-fitted error")
 	}

@@ -9,29 +9,31 @@ import (
 	"repro/internal/mat"
 )
 
-// GMMSynthesizer is the stand-in for the paper's CTGAN-based poisoning
+// gmmSynthesizer is the stand-in for the paper's CTGAN-based poisoning
 // generator: a per-class Gaussian mixture fitted to the training data
 // generates samples that are near the data manifold but smooth away the
 // decision-relevant detail. See DESIGN.md §3 for the substitution
 // rationale.
-type GMMSynthesizer struct {
-	// Components is the number of mixture components per class
-	// (default 3).
-	Components int
-	// KMeansIters bounds the clustering iterations (default 10).
-	KMeansIters int
-	// StdScale shrinks (<1) or inflates (>1) the fitted per-feature
-	// standard deviations when sampling. Values below 1 concentrate
-	// synthetic samples on the data manifold, which is what makes
-	// mislabeled synthetic poison collide with real samples (default 1).
-	StdScale float64
-	// Seed drives fitting.
-	Seed int64
+type gmmSynthesizer struct {
+	// seed drives fitting.
+	seed int64
 
 	classes  int
 	dim      int
 	mixtures [][]gmmComponent // per class
 }
+
+const (
+	// gmmComponents is the number of mixture components per class.
+	gmmComponents = 3
+	// kMeansIters bounds the clustering iterations.
+	kMeansIters = 10
+	// stdScale shrinks the fitted per-feature standard deviations when
+	// sampling. Below 1 it concentrates synthetic samples on the data
+	// manifold, which is what makes mislabeled synthetic poison collide
+	// with real samples.
+	stdScale = 0.5
+)
 
 type gmmComponent struct {
 	weight float64
@@ -40,20 +42,14 @@ type gmmComponent struct {
 }
 
 // Fit estimates the per-class mixtures from t.
-func (g *GMMSynthesizer) Fit(t *dataset.Table) error {
+func (g *gmmSynthesizer) Fit(t *dataset.Table) error {
 	if t.Len() == 0 {
 		return fmt.Errorf("attack: synthesizer fit on empty dataset")
-	}
-	if g.Components <= 0 {
-		g.Components = 3
-	}
-	if g.KMeansIters <= 0 {
-		g.KMeansIters = 10
 	}
 	g.classes = t.NumClasses()
 	g.dim = t.NumFeatures()
 	g.mixtures = make([][]gmmComponent, g.classes)
-	rng := rand.New(rand.NewSource(g.Seed))
+	rng := rand.New(rand.NewSource(g.seed))
 
 	for c := 0; c < g.classes; c++ {
 		var rows [][]float64
@@ -65,11 +61,11 @@ func (g *GMMSynthesizer) Fit(t *dataset.Table) error {
 		if len(rows) == 0 {
 			continue
 		}
-		k := g.Components
+		k := gmmComponents
 		if k > len(rows) {
 			k = len(rows)
 		}
-		assign := kMeans(rng, rows, k, g.KMeansIters)
+		assign := kMeans(rng, rows, k, kMeansIters)
 		comps := make([]gmmComponent, 0, k)
 		for cl := 0; cl < k; cl++ {
 			var members [][]float64
@@ -111,7 +107,7 @@ func (g *GMMSynthesizer) Fit(t *dataset.Table) error {
 }
 
 // Sample draws n synthetic rows for class c.
-func (g *GMMSynthesizer) Sample(c, n int, seed int64) ([][]float64, error) {
+func (g *gmmSynthesizer) Sample(c, n int, seed int64) ([][]float64, error) {
 	if g.mixtures == nil {
 		return nil, fmt.Errorf("attack: synthesizer not fitted")
 	}
@@ -122,17 +118,13 @@ func (g *GMMSynthesizer) Sample(c, n int, seed int64) ([][]float64, error) {
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("attack: class %d has no fitted components", c)
 	}
-	scale := g.StdScale
-	if scale <= 0 {
-		scale = 1
-	}
 	rng := rand.New(rand.NewSource(seed))
 	out := make([][]float64, n)
 	for i := range out {
 		comp := pickComponent(rng, comps)
 		row := make([]float64, g.dim)
 		for j := range row {
-			row[j] = comp.mean[j] + rng.NormFloat64()*comp.std[j]*scale
+			row[j] = comp.mean[j] + rng.NormFloat64()*comp.std[j]*stdScale
 		}
 		out[i] = row
 	}
@@ -244,7 +236,7 @@ func PoisonSynthetic(t *dataset.Table, count int, mislabel float64, seed int64) 
 	if err := validateRate(mislabel); err != nil {
 		return nil, err
 	}
-	synth := &GMMSynthesizer{Seed: seed, StdScale: 0.5}
+	synth := &gmmSynthesizer{seed: seed}
 	if err := synth.Fit(t); err != nil {
 		return nil, err
 	}

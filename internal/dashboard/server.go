@@ -232,21 +232,19 @@ h1{font-size:1.4rem}
 <a href="/traces">/traces</a>.</p>
 </body></html>`
 
-// Client publishes sensor readings to a dashboard over HTTP; it implements
-// sensor.Sink.
+// Client publishes sensor readings to a dashboard over HTTP through
+// wire.DefaultClient (30 s timeout), so a hung dashboard cannot hang a
+// sensor forever; it implements sensor.Sink.
 type Client struct {
 	// BaseURL is the dashboard root, e.g. "http://localhost:8088".
 	BaseURL string
-	// HTTP is the underlying client; wire.DefaultClient (30 s timeout)
-	// when nil, so a hung dashboard cannot hang a sensor forever.
-	HTTP *http.Client
 }
 
 var _ sensor.Sink = (*Client)(nil)
 
 // Publish implements sensor.Sink.
 func (c *Client) Publish(ctx context.Context, r sensor.Reading) error {
-	if err := wire.Do(ctx, c.HTTP, http.MethodPost, c.BaseURL+"/api/readings", nil, r, nil); err != nil {
+	if err := wire.Do(ctx, nil, http.MethodPost, c.BaseURL+"/api/readings", nil, r, nil); err != nil {
 		return fmt.Errorf("publish reading: %w", err)
 	}
 	return nil

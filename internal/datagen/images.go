@@ -23,11 +23,12 @@ type ShapesConfig struct {
 	Samples int
 	// Size is the square image side length (default 24).
 	Size int
-	// NoiseStd is additive pixel noise (default 0.1).
-	NoiseStd float64
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// shapesNoiseStd is the additive pixel noise.
+const shapesNoiseStd = 0.1
 
 // Shapes generates flattened grayscale images of a box outline, a cross,
 // or a filled disc at jittered positions and scales. Pixel values are in
@@ -38,9 +39,6 @@ func Shapes(cfg ShapesConfig) (*dataset.Table, error) {
 	}
 	if cfg.Size <= 7 {
 		cfg.Size = 24
-	}
-	if cfg.NoiseStd <= 0 {
-		cfg.NoiseStd = 0.1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	size := cfg.Size
@@ -68,7 +66,7 @@ func Shapes(cfg ShapesConfig) (*dataset.Table, error) {
 			drawDisc(img, size, cx, cy, r)
 		}
 		for p := range img {
-			img[p] += rng.NormFloat64() * cfg.NoiseStd
+			img[p] += rng.NormFloat64() * shapesNoiseStd
 		}
 		if err := t.Append(img, class); err != nil {
 			return nil, err

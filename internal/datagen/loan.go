@@ -18,19 +18,22 @@ import (
 type LoanConfig struct {
 	// Samples is the number of applicants.
 	Samples int
-	// MinorityFrac is the fraction of group-B applicants (default 0.3).
-	MinorityFrac float64
-	// Bias is the extra approval-score margin demanded of group B in
-	// the historical labels (0 = fair history; default 1.5).
-	Bias float64
 	// Seed drives all randomness.
 	Seed int64
 }
 
 // DefaultLoanConfig returns the calibrated generator settings.
 func DefaultLoanConfig() LoanConfig {
-	return LoanConfig{Samples: 1000, MinorityFrac: 0.3, Bias: 1.5, Seed: 1}
+	return LoanConfig{Samples: 1000, Seed: 1}
 }
+
+const (
+	// minorityFrac is the fraction of group-B applicants.
+	minorityFrac = 0.3
+	// loanBias is the extra approval-score margin demanded of group B in
+	// the historical labels.
+	loanBias = 1.5
+)
 
 // LoanGroupFeature is the index of the protected-attribute column in the
 // generated table (0 = group A, 1 = group B).
@@ -49,19 +52,13 @@ func Loan(cfg LoanConfig) (*dataset.Table, []int, error) {
 	if cfg.Samples <= 0 {
 		return nil, nil, fmt.Errorf("datagen: Samples must be positive, got %d", cfg.Samples)
 	}
-	if cfg.MinorityFrac < 0 || cfg.MinorityFrac > 1 {
-		return nil, nil, fmt.Errorf("datagen: MinorityFrac %v outside [0,1]", cfg.MinorityFrac)
-	}
-	if cfg.MinorityFrac == 0 {
-		cfg.MinorityFrac = 0.3
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := dataset.New("loan-synthetic", loanFeatureNames, []string{"denied", "approved"})
 	groups := make([]int, 0, cfg.Samples)
 
 	for i := 0; i < cfg.Samples; i++ {
 		group := 0
-		if rng.Float64() < cfg.MinorityFrac {
+		if rng.Float64() < minorityFrac {
 			group = 1
 		}
 		// Identical creditworthiness distributions for both groups.
@@ -77,7 +74,7 @@ func Loan(cfg LoanConfig) (*dataset.Table, []int, error) {
 		// Historical decision: group B was held to a stricter bar.
 		threshold := 0.5
 		if group == 1 {
-			threshold += cfg.Bias
+			threshold += loanBias
 		}
 		label := 0
 		if score > threshold {

@@ -42,23 +42,25 @@ type UniMiBConfig struct {
 	Samples int
 	// Seed drives all randomness.
 	Seed int64
-	// NoiseStd is the per-sample sensor noise in g.
-	NoiseStd float64
-	// FullRotationFrac is the fraction of windows recorded with a
-	// completely arbitrary device orientation (phone loose in a
-	// pocket); the rest vary only in yaw. Arbitrary orientations remove
-	// the linear orientation cue while leaving magnitude patterns
-	// intact, which is what caps the linear baseline well below the
-	// nonlinear models, as in the real dataset. The zero value selects
-	// the calibrated default (0.45).
-	FullRotationFrac float64
 }
 
 // DefaultUniMiBConfig mirrors the real dataset's class mix at a
 // laptop-friendly size.
 func DefaultUniMiBConfig() UniMiBConfig {
-	return UniMiBConfig{Samples: 2400, Seed: 1, NoiseStd: 0.12}
+	return UniMiBConfig{Samples: 2400, Seed: 1}
 }
+
+const (
+	// uniMiBNoiseStd is the per-sample sensor noise in g.
+	uniMiBNoiseStd = 0.12
+	// fullRotationFrac is the fraction of windows recorded with a
+	// completely arbitrary device orientation (phone loose in a
+	// pocket); the rest vary only in yaw. Arbitrary orientations remove
+	// the linear orientation cue while leaving magnitude patterns
+	// intact, which is what caps the linear baseline well below the
+	// nonlinear models, as in the real dataset.
+	fullRotationFrac = 0.45
+)
 
 // adlProfile describes the signal generator for one ADL class.
 type adlProfile struct {
@@ -115,12 +117,6 @@ func UniMiB(cfg UniMiBConfig) (*dataset.Table, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("datagen: Samples must be positive, got %d", cfg.Samples)
 	}
-	if cfg.NoiseStd <= 0 {
-		cfg.NoiseStd = 0.12
-	}
-	if cfg.FullRotationFrac == 0 || cfg.FullRotationFrac < 0 || cfg.FullRotationFrac > 1 {
-		cfg.FullRotationFrac = 0.45
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	featNames := make([]string, 0, uniMiBWindow*uniMiBAxes)
@@ -135,16 +131,16 @@ func UniMiB(cfg UniMiBConfig) (*dataset.Table, error) {
 	nADLs := cfg.Samples - nFalls
 	for i := 0; i < nADLs; i++ {
 		class := i % len(uniMiBADLs)
-		row := genADLWindow(rng, adlProfiles[class], cfg.NoiseStd)
-		rotateWindow(rng, row, rng.Float64() < cfg.FullRotationFrac)
+		row := genADLWindow(rng, adlProfiles[class], uniMiBNoiseStd)
+		rotateWindow(rng, row, rng.Float64() < fullRotationFrac)
 		if err := t.Append(row, class); err != nil {
 			return nil, err
 		}
 	}
 	for i := 0; i < nFalls; i++ {
 		class := i % len(uniMiBFalls)
-		row := genFallWindow(rng, fallProfiles[class], cfg.NoiseStd)
-		rotateWindow(rng, row, rng.Float64() < cfg.FullRotationFrac)
+		row := genFallWindow(rng, fallProfiles[class], uniMiBNoiseStd)
+		rotateWindow(rng, row, rng.Float64() < fullRotationFrac)
 		if err := t.Append(row, len(uniMiBADLs)+class); err != nil {
 			return nil, err
 		}

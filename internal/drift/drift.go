@@ -35,13 +35,13 @@ type Report struct {
 
 // Detector holds the reference distribution fitted from training data.
 type Detector struct {
-	// Alpha is the KS significance level (default 0.01).
-	Alpha float64
-	// PSIThreshold flags a feature when its PSI exceeds it; the
+	// alpha is the KS significance level (default 0.01).
+	alpha float64
+	// psiThreshold flags a feature when its PSI exceeds it; the
 	// conventional "significant shift" bar is 0.2 (default).
-	PSIThreshold float64
-	// Bins is the PSI histogram resolution (default 10).
-	Bins int
+	psiThreshold float64
+	// bins is the PSI histogram resolution (default 10).
+	bins int
 
 	featureNames []string
 	// sortedRef[j] is feature j's reference sample, sorted.
@@ -68,9 +68,9 @@ func Fit(reference *dataset.Table, alpha, psiThreshold float64, bins int) (*Dete
 	}
 	d := reference.NumFeatures()
 	det := &Detector{
-		Alpha:        alpha,
-		PSIThreshold: psiThreshold,
-		Bins:         bins,
+		alpha:        alpha,
+		psiThreshold: psiThreshold,
+		bins:         bins,
 		featureNames: append([]string(nil), reference.FeatureNames...),
 		sortedRef:    make([][]float64, d),
 		binEdges:     make([][]float64, d),
@@ -117,14 +117,14 @@ func (det *Detector) Detect(batch *dataset.Table) (Report, error) {
 		sort.Float64s(col)
 
 		ks := ksStatistic(det.sortedRef[j], col)
-		pLow := ksSignificant(ks, len(det.sortedRef[j]), len(col), det.Alpha)
+		pLow := ksSignificant(ks, len(det.sortedRef[j]), len(col), det.alpha)
 		psi := psiValue(det.refFrac[j], histogramFrac(col, det.binEdges[j]))
 		fr := FeatureReport{
 			Feature: det.featureNames[j],
 			KS:      ks,
 			KSPLow:  pLow,
 			PSI:     psi,
-			Drifted: pLow || psi > det.PSIThreshold,
+			Drifted: pLow || psi > det.psiThreshold,
 		}
 		if fr.Drifted {
 			drifted++

@@ -146,7 +146,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if det.Alpha != 0.01 || det.PSIThreshold != 0.2 || det.Bins != 10 {
+	if det.alpha != 0.01 || det.psiThreshold != 0.2 || det.bins != 10 {
 		t.Fatalf("defaults %+v", det)
 	}
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -321,8 +323,41 @@ func TestExtPrivacyTradeoff(t *testing.T) {
 	if last.Noise <= first.Noise {
 		t.Fatal("sweep not ordered")
 	}
-	if last.Epsilon >= first.Epsilon && first.Noise > 0 {
+	// The sweep starts at noise 0, whose epsilon is +Inf.
+	if last.Epsilon >= first.Epsilon {
 		t.Errorf("epsilon should shrink with noise: %.2f -> %.2f", first.Epsilon, last.Epsilon)
+	}
+}
+
+// TestExtPrivacyJSON: the noise-0 point spends an infinite budget, and
+// -json must still write the run, with that epsilon as null.
+func TestExtPrivacyJSON(t *testing.T) {
+	res, err := ExtPrivacy(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.Points[0]
+	if first.Noise != 0 || !math.IsInf(first.Epsilon, 1) {
+		t.Fatalf("first point: noise %v, epsilon %v; want 0 and +Inf", first.Noise, first.Epsilon)
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var back struct {
+		Points []struct {
+			Noise   float64  `json:"noise"`
+			Epsilon *float64 `json:"epsilon"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Points) != len(res.Points) || back.Points[0].Epsilon != nil {
+		t.Fatalf("noise-0 epsilon should be null: %s", raw)
+	}
+	if e := back.Points[1].Epsilon; e == nil || *e != res.Points[1].Epsilon || back.Points[1].Noise != res.Points[1].Noise {
+		t.Fatalf("finite point did not round-trip: %s", raw)
 	}
 }
 

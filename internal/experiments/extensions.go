@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/attack"
@@ -98,12 +100,28 @@ func ExtDefense(cfg Config) (ExtDefenseResult, error) {
 	return res, nil
 }
 
-// ExtPrivacyPoint is one row of the DP privacy/utility sweep.
+// ExtPrivacyPoint is one row of the DP privacy/utility sweep. Epsilon is
+// +Inf at noise 0: training without noise spends an unbounded budget.
 type ExtPrivacyPoint struct {
 	Noise     float64 `json:"noise"`
 	Epsilon   float64 `json:"epsilon"`
 	Accuracy  float64 `json:"accuracy"`
 	Advantage float64 `json:"advantage"`
+}
+
+// MarshalJSON writes an infinite Epsilon as null, since JSON has no
+// infinity; the printed table keeps "+Inf".
+func (p ExtPrivacyPoint) MarshalJSON() ([]byte, error) {
+	var eps *float64
+	if !math.IsInf(p.Epsilon, 0) {
+		eps = &p.Epsilon
+	}
+	return json.Marshal(struct {
+		Noise     float64  `json:"noise"`
+		Epsilon   *float64 `json:"epsilon"`
+		Accuracy  float64  `json:"accuracy"`
+		Advantage float64  `json:"advantage"`
+	}{p.Noise, eps, p.Accuracy, p.Advantage})
 }
 
 // ExtPrivacyResult reports the privacy/utility trade of DP-SGD training on

@@ -117,24 +117,30 @@ func TestBiasedLoanHistoryProducesUnfairModel(t *testing.T) {
 	}
 }
 
-// TestFairHistoryProducesFairerModel: with Bias=0 the same pipeline shows
-// much smaller disparity, confirming the metric tracks the injected bias
-// rather than generator artifacts.
+// TestFairHistoryProducesFairerModel: the same history with the group
+// column shuffled across applicants — so group membership no longer says
+// who was held to the stricter bar — shows a much smaller disparity,
+// confirming the metric tracks the injected bias rather than generator
+// artifacts.
 func TestFairHistoryProducesFairerModel(t *testing.T) {
-	biasedGap := loanGap(t, 1.5)
-	fairGap := loanGap(t, 0.0001)
+	biasedGap := loanGap(t, false)
+	fairGap := loanGap(t, true)
 	if fairGap >= biasedGap {
 		t.Fatalf("fair history gap %.3f should be below biased gap %.3f", fairGap, biasedGap)
 	}
 }
 
-func loanGap(t *testing.T, bias float64) float64 {
+func loanGap(t *testing.T, shuffleGroups bool) float64 {
 	t.Helper()
-	cfg := datagen.DefaultLoanConfig()
-	cfg.Bias = bias
-	data, _, err := datagen.Loan(cfg)
+	data, _, err := datagen.Loan(datagen.DefaultLoanConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if shuffleGroups {
+		g := datagen.LoanGroupFeature
+		rand.New(rand.NewSource(3)).Shuffle(data.Len(), func(i, j int) {
+			data.X[i][g], data.X[j][g] = data.X[j][g], data.X[i][g]
+		})
 	}
 	rng := rand.New(rand.NewSource(2))
 	train, test, err := data.StratifiedSplit(rng, 0.8)
@@ -160,9 +166,6 @@ func loanGap(t *testing.T, bias float64) float64 {
 func TestLoanGeneratorValidation(t *testing.T) {
 	if _, _, err := datagen.Loan(datagen.LoanConfig{Samples: 0}); err == nil {
 		t.Fatal("expected samples error")
-	}
-	if _, _, err := datagen.Loan(datagen.LoanConfig{Samples: 10, MinorityFrac: 2}); err == nil {
-		t.Fatal("expected minority-frac error")
 	}
 	data, groups, err := datagen.Loan(datagen.LoanConfig{Samples: 200, Seed: 3})
 	if err != nil {

@@ -42,16 +42,14 @@ type Client struct {
 type Config struct {
 	// Rounds is the number of federation rounds.
 	Rounds int
-	// ClientFraction is the fraction of clients sampled per round
-	// (default 1 = all).
-	ClientFraction float64
 	// Aggregator selects the combination rule (default FedAvg).
 	Aggregator Aggregator
-	// TrimFraction is the per-side trim of TrimmedMean (default 0.2).
-	TrimFraction float64
 	// Seed drives client sampling.
 	Seed int64
 }
+
+// trimFraction is the per-side trim of TrimmedMean.
+const trimFraction = 0.2
 
 // RoundStat reports one federation round.
 type RoundStat struct {
@@ -84,14 +82,8 @@ func Run(global ml.ParamClassifier, factory func() (ml.ParamClassifier, error), 
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fedlearn: Rounds must be positive")
 	}
-	if cfg.ClientFraction <= 0 || cfg.ClientFraction > 1 {
-		cfg.ClientFraction = 1
-	}
 	if cfg.Aggregator == 0 {
 		cfg.Aggregator = FedAvg
-	}
-	if cfg.TrimFraction <= 0 || cfg.TrimFraction >= 0.5 {
-		cfg.TrimFraction = 0.2
 	}
 	globalParams := global.Parameters()
 	if len(globalParams) == 0 {
@@ -99,19 +91,16 @@ func Run(global ml.ParamClassifier, factory func() (ml.ParamClassifier, error), 
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	perRound := int(cfg.ClientFraction * float64(len(clients)))
-	if perRound < 1 {
-		perRound = 1
-	}
-
 	var stats []RoundStat
 	for round := 0; round < cfg.Rounds; round++ {
-		picked := rng.Perm(len(clients))[:perRound]
+		// The sample is the whole population (client fraction 1), so every
+		// client joins every round, in client order.
+		picked := rng.Perm(len(clients))
 		sort.Ints(picked)
 
-		updates := make([][]float64, 0, perRound)
-		weights := make([]float64, 0, perRound)
-		names := make([]string, 0, perRound)
+		updates := make([][]float64, 0, len(picked))
+		weights := make([]float64, 0, len(picked))
+		names := make([]string, 0, len(picked))
 		for _, ci := range picked {
 			c := clients[ci]
 			local, err := factory()
@@ -132,7 +121,7 @@ func Run(global ml.ParamClassifier, factory func() (ml.ParamClassifier, error), 
 			names = append(names, c.Name)
 		}
 
-		agg, err := aggregate(updates, weights, cfg)
+		agg, err := aggregate(updates, weights, cfg.Aggregator)
 		if err != nil {
 			return nil, fmt.Errorf("fedlearn: round %d: %w", round, err)
 		}
@@ -149,7 +138,7 @@ func Run(global ml.ParamClassifier, factory func() (ml.ParamClassifier, error), 
 	return stats, nil
 }
 
-func aggregate(updates [][]float64, weights []float64, cfg Config) ([]float64, error) {
+func aggregate(updates [][]float64, weights []float64, rule Aggregator) ([]float64, error) {
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("no updates to aggregate")
 	}
@@ -160,7 +149,7 @@ func aggregate(updates [][]float64, weights []float64, cfg Config) ([]float64, e
 		}
 	}
 	out := make([]float64, dim)
-	switch cfg.Aggregator {
+	switch rule {
 	case FedAvg:
 		var wsum float64
 		for _, w := range weights {
@@ -173,7 +162,7 @@ func aggregate(updates [][]float64, weights []float64, cfg Config) ([]float64, e
 			}
 		}
 	case TrimmedMean:
-		k := int(cfg.TrimFraction * float64(len(updates)))
+		k := int(trimFraction * float64(len(updates)))
 		col := make([]float64, len(updates))
 		for j := 0; j < dim; j++ {
 			for i, u := range updates {
@@ -202,7 +191,7 @@ func aggregate(updates [][]float64, weights []float64, cfg Config) ([]float64, e
 			}
 		}
 	default:
-		return nil, fmt.Errorf("unknown aggregator %d", cfg.Aggregator)
+		return nil, fmt.Errorf("unknown aggregator %d", rule)
 	}
 	return out, nil
 }

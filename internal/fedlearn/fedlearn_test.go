@@ -101,13 +101,19 @@ func TestClientFractionSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := newGlobalLR(t, data.NumFeatures(), data.NumClasses())
-	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 3, ClientFraction: 0.3, Seed: 3})
+	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fraction is 1: every client joins every round, in client order.
 	for _, s := range stats {
-		if len(s.Participants) != 3 {
-			t.Fatalf("round %d had %d participants, want 3", s.Round, len(s.Participants))
+		if len(s.Participants) != len(clients) {
+			t.Fatalf("round %d had %d participants, want %d", s.Round, len(s.Participants), len(clients))
+		}
+		for i, name := range s.Participants {
+			if name != clients[i].Name {
+				t.Fatalf("round %d participant %d is %s, want %s", s.Round, i, name, clients[i].Name)
+			}
 		}
 	}
 }
@@ -201,24 +207,31 @@ func TestPartitionIID(t *testing.T) {
 }
 
 func TestAggregateTrimmedMeanAndMedian(t *testing.T) {
-	updates := [][]float64{{1, 10}, {2, 20}, {3, 30}, {100, -100}}
-	weights := []float64{1, 1, 1, 1}
-	trimmed, err := aggregate(updates, weights, Config{Aggregator: TrimmedMean, TrimFraction: 0.25})
+	updates := [][]float64{{1, 10}, {2, 20}, {3, 30}, {4, 40}, {100, -100}}
+	weights := []float64{1, 1, 1, 1, 1}
+	trimmed, err := aggregate(updates, weights, TrimmedMean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Trim 1 from each side: mean of {2,3} and {10,20}.
-	if trimmed[0] != 2.5 || trimmed[1] != 15 {
+	// Trim 0.2 of 5 = 1 from each side: mean of {2,3,4} and {10,20,30}.
+	if trimmed[0] != 3 || trimmed[1] != 20 {
 		t.Fatalf("trimmed %v", trimmed)
 	}
-	median, err := aggregate(updates, weights, Config{Aggregator: Median})
+	median, err := aggregate(updates, weights, Median)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if median[0] != 2.5 || median[1] != 15 {
+	if median[0] != 3 || median[1] != 20 {
 		t.Fatalf("median %v", median)
 	}
-	if _, err := aggregate([][]float64{{1}, {1, 2}}, []float64{1, 1}, Config{Aggregator: FedAvg}); err == nil {
+	even, err := aggregate([][]float64{{1, 10}, {2, 20}, {3, 30}, {100, -100}}, weights[:4], Median)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if even[0] != 2.5 || even[1] != 15 {
+		t.Fatalf("median of four %v", even)
+	}
+	if _, err := aggregate([][]float64{{1}, {1, 2}}, []float64{1, 1}, FedAvg); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
 }

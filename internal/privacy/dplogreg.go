@@ -13,25 +13,28 @@ import (
 // DPLogRegConfig configures differentially-private multinomial logistic
 // regression (DP-SGD: per-sample gradient clipping + Gaussian noise).
 type DPLogRegConfig struct {
-	LearningRate    float64 `json:"learningRate"`
-	Epochs          int     `json:"epochs"`
-	BatchSize       int     `json:"batchSize"`
-	ClipNorm        float64 `json:"clipNorm"`
 	NoiseMultiplier float64 `json:"noiseMultiplier"`
 	Seed            int64   `json:"seed"`
 }
 
 // DefaultDPLogRegConfig returns a moderate-privacy configuration.
 func DefaultDPLogRegConfig() DPLogRegConfig {
-	return DPLogRegConfig{
-		LearningRate: 0.1, Epochs: 40, BatchSize: 32,
-		ClipNorm: 1.0, NoiseMultiplier: 1.0, Seed: 1,
-	}
+	return DPLogRegConfig{NoiseMultiplier: 1.0, Seed: 1}
 }
 
+// The DP-SGD schedule: dpEpochs passes of minibatches of dpBatchSize
+// (the whole set when it is smaller) at step size dpLearningRate.
+const (
+	dpLearningRate = 0.1
+	dpEpochs       = 40
+	dpBatchSize    = 32
+	// dpClipNorm bounds each sample's gradient in L2.
+	dpClipNorm = 1.0
+)
+
 // DPLogReg is the differentially-private variant of ml.LogReg. Per-sample
-// gradients are L2-clipped to ClipNorm and batch sums are perturbed with
-// Gaussian noise of scale NoiseMultiplier·ClipNorm before the update.
+// gradients are L2-clipped to dpClipNorm and batch sums are perturbed with
+// Gaussian noise of scale NoiseMultiplier·dpClipNorm before the update.
 type DPLogReg struct {
 	Cfg DPLogRegConfig
 
@@ -59,12 +62,6 @@ func (m *DPLogReg) Fit(t *dataset.Table) error {
 	if t.Len() == 0 {
 		return fmt.Errorf("dp-lr fit: empty dataset")
 	}
-	if m.Cfg.Epochs <= 0 || m.Cfg.LearningRate <= 0 {
-		return fmt.Errorf("dp-lr fit: invalid config %+v", m.Cfg)
-	}
-	if m.Cfg.ClipNorm <= 0 {
-		return fmt.Errorf("dp-lr fit: ClipNorm must be positive")
-	}
 	if m.Cfg.NoiseMultiplier < 0 {
 		return fmt.Errorf("dp-lr fit: NoiseMultiplier must be non-negative")
 	}
@@ -75,19 +72,16 @@ func (m *DPLogReg) Fit(t *dataset.Table) error {
 	m.W = mat.NewDense(m.classes, m.dim+1)
 	rng := rand.New(rand.NewSource(m.Cfg.Seed))
 
-	batch := m.Cfg.BatchSize
-	if batch <= 0 || batch > t.Len() {
-		batch = t.Len()
-	}
+	batch := min(dpBatchSize, t.Len())
 	n := t.Len()
 	order := rng.Perm(n)
 	logits := make([]float64, m.classes)
 	probs := make([]float64, m.classes)
 	sampleGrad := mat.NewDense(m.classes, m.dim+1)
 	batchGrad := mat.NewDense(m.classes, m.dim+1)
-	noiseStd := m.Cfg.NoiseMultiplier * m.Cfg.ClipNorm
+	noiseStd := m.Cfg.NoiseMultiplier * dpClipNorm
 
-	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < dpEpochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < n; start += batch {
 			end := start + batch
@@ -102,10 +96,10 @@ func (m *DPLogReg) Fit(t *dataset.Table) error {
 			}
 			for _, idx := range order[start:end] {
 				m.sampleGradient(t.X[idx], t.Y[idx], logits, probs, sampleGrad)
-				clipInto(sampleGrad, batchGrad, m.Cfg.ClipNorm)
+				clipInto(sampleGrad, batchGrad, dpClipNorm)
 			}
 			// Gaussian mechanism on the summed clipped gradients.
-			scale := m.Cfg.LearningRate / float64(end-start)
+			scale := dpLearningRate / float64(end-start)
 			for r := 0; r < m.classes; r++ {
 				wrow := m.W.Row(r)
 				grow := batchGrad.Row(r)
@@ -194,10 +188,6 @@ func (m *DPLogReg) Epsilon(delta float64) (float64, error) {
 	if m.Cfg.NoiseMultiplier == 0 {
 		return math.Inf(1), nil
 	}
-	batch := m.Cfg.BatchSize
-	if batch <= 0 || batch > m.samples {
-		batch = m.samples
-	}
-	q := float64(batch) / float64(m.samples)
+	q := float64(min(dpBatchSize, m.samples)) / float64(m.samples)
 	return ApproxEpsilon(m.Cfg.NoiseMultiplier, q, m.steps, delta)
 }

@@ -175,13 +175,8 @@ func TestDPLogRegEpsilonUntrained(t *testing.T) {
 func TestDPLogRegValidation(t *testing.T) {
 	data := noisyBlobs(7, 50)
 	bad := DefaultDPLogRegConfig()
-	bad.ClipNorm = 0
+	bad.NoiseMultiplier = -1
 	if err := NewDPLogReg(bad).Fit(data); err == nil {
-		t.Fatal("expected clip error")
-	}
-	bad2 := DefaultDPLogRegConfig()
-	bad2.NoiseMultiplier = -1
-	if err := NewDPLogReg(bad2).Fit(data); err == nil {
 		t.Fatal("expected noise error")
 	}
 	empty := dataset.New("e", data.FeatureNames, data.ClassNames)

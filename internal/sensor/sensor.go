@@ -57,20 +57,16 @@ func (f CollectorFunc) Collect(ctx context.Context) (float64, map[string]float64
 	return f(ctx)
 }
 
-// Threshold bounds acceptable sensor values; readings outside [Min, Max]
-// raise an alert. Use nil to leave a side unbounded.
+// Threshold bounds acceptable sensor values from below; a reading under
+// Min raises an alert. A nil Min leaves the sensor unbounded.
 type Threshold struct {
 	Min *float64
-	Max *float64
 }
 
 // check returns an alert message for out-of-range values, or "".
 func (t Threshold) check(v float64) string {
 	if t.Min != nil && v < *t.Min {
 		return fmt.Sprintf("value %.4g below minimum %.4g", v, *t.Min)
-	}
-	if t.Max != nil && v > *t.Max {
-		return fmt.Sprintf("value %.4g above maximum %.4g", v, *t.Max)
 	}
 	return ""
 }

@@ -101,7 +101,7 @@ func TestThresholdAlerts(t *testing.T) {
 		Name:      "imp",
 		Property:  PropResilience,
 		Collector: constCollector(0.8),
-		Threshold: Threshold{Max: Float64Ptr(0.5)},
+		Threshold: Threshold{Min: Float64Ptr(0.5)},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func TestThresholdAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Alert {
-		t.Fatal("expected max-threshold alert")
+	if r.Alert || r.AlertMsg != "" {
+		t.Fatalf("in-range reading alerted: %+v", r)
 	}
 }
 
@@ -206,14 +206,14 @@ func TestThresholdCheck(t *testing.T) {
 	if msg := none.check(123); msg != "" {
 		t.Fatalf("unbounded threshold alerted: %s", msg)
 	}
-	both := Threshold{Min: Float64Ptr(0), Max: Float64Ptr(1)}
-	if msg := both.check(0.5); msg != "" {
+	floor := Threshold{Min: Float64Ptr(0)}
+	if msg := floor.check(0.5); msg != "" {
 		t.Fatalf("in-range value alerted: %s", msg)
 	}
-	if msg := both.check(-1); msg == "" {
-		t.Fatal("below-min not alerted")
+	if msg := floor.check(0); msg != "" {
+		t.Fatalf("value at the minimum alerted: %s", msg)
 	}
-	if msg := both.check(2); msg == "" {
-		t.Fatal("above-max not alerted")
+	if msg := floor.check(-1); msg == "" {
+		t.Fatal("below-min not alerted")
 	}
 }

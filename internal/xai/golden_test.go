@@ -79,8 +79,8 @@ func goldenModel(t *testing.T, name string, tb *dataset.Table) ml.Classifier {
 // the input width), leaving the explainers the per-row fallback.
 type serialOnly struct{ ml.Classifier }
 
-// goldenAttributions runs the six explainers at three seeds on the tabular
-// (6 features, 3 classes) and image/series (144 inputs, 2 classes) models.
+// goldenAttributions runs the five explainers at three seeds on the tabular
+// (6 features, 3 classes) and image (144 inputs, 2 classes) models.
 // Budgets are sized so every explainer scores more than one block.
 func goldenAttributions(t *testing.T, wrap func(ml.Classifier) ml.Classifier) map[string][]float64 {
 	t.Helper()
@@ -107,7 +107,6 @@ func goldenAttributions(t *testing.T, wrap func(ml.Classifier) ml.Classifier) ma
 				{"ExactSHAP", &ExactSHAP{Model: tm, Background: tab.X[30:60]}, tx},
 				{"ImageLIME", &ImageLIME{Model: im, W: 12, H: 12, Patch: 3, Samples: 300, Seed: seed}, ix},
 				{"Occlusion", &Occlusion{Model: im, W: 12, H: 12, Window: 3, Stride: 1, Baseline: 0.5}, ix},
-				{"Occlusion1D", &Occlusion1D{Model: im, Channels: 2, Steps: 72, Window: 4, Stride: 1}, ix},
 			}
 			for _, r := range runs {
 				attr, err := r.e.Explain(r.x, class)

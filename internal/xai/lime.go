@@ -22,16 +22,14 @@ type TabularLIME struct {
 	// Samples is the number of perturbations (default 1000, at most
 	// MaxSamples).
 	Samples int
-	// KernelWidth is the RBF kernel width in normalized distance units
-	// (default 0.75·sqrt(d), as in the reference implementation).
-	KernelWidth float64
-	// Lambda is the ridge regularizer (default 1e-3).
-	Lambda float64
 	// Seed drives perturbation sampling.
 	Seed int64
 }
 
 var _ Explainer = (*TabularLIME)(nil)
+
+// limeLambda is the ridge regularizer of both LIME surrogates.
+const limeLambda = 1e-3
 
 // Explain returns per-feature local slopes for class probability around x.
 // The final entry of the internal regression (the intercept) is dropped.
@@ -56,14 +54,9 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 	if err := checkSamples(samples); err != nil {
 		return nil, err
 	}
-	width := l.KernelWidth
-	if width <= 0 {
-		width = 0.75 * math.Sqrt(float64(d))
-	}
-	lambda := l.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
+	// RBF kernel width in normalized distance units, as in the reference
+	// implementation.
+	width := 0.75 * math.Sqrt(float64(d))
 	rng := rand.New(rand.NewSource(l.Seed))
 
 	// Design matrix in standardized offsets, plus an intercept column.
@@ -90,7 +83,7 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 		return nil, err
 	}
 
-	beta, err := mat.RidgeWLS(design, y, w, lambda)
+	beta, err := mat.RidgeWLS(design, y, w, limeLambda)
 	if err != nil {
 		return nil, fmt.Errorf("lime solve: %w", err)
 	}
@@ -98,9 +91,9 @@ func (l *TabularLIME) Explain(x []float64, class int) ([]float64, error) {
 }
 
 // ImageLIME explains an image model by superpixel masking: the W×H input
-// is tiled into Patch×Patch segments, random segment subsets are replaced
-// by a baseline value, and a weighted ridge regression over the binary
-// masks assigns each segment a contribution.
+// is tiled into Patch×Patch segments, random segment subsets are set to
+// zero, and a weighted ridge regression over the binary masks assigns
+// each segment a contribution.
 type ImageLIME struct {
 	// Model is the classifier over flattened W×H inputs.
 	Model ml.Classifier
@@ -108,13 +101,9 @@ type ImageLIME struct {
 	W, H int
 	// Patch is the superpixel side length (default 4).
 	Patch int
-	// Baseline is the pixel value used for masked segments.
-	Baseline float64
 	// Samples is the number of random masks (default 500, at most
 	// MaxSamples).
 	Samples int
-	// Lambda is the ridge regularizer (default 1e-3).
-	Lambda float64
 	// Seed drives mask sampling.
 	Seed int64
 }
@@ -152,10 +141,6 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 	if err := checkSamples(samples); err != nil {
 		return nil, err
 	}
-	lambda := l.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
 	px := (l.W + patch - 1) / patch
 	py := (l.H + patch - 1) / patch
 	segs := px * py
@@ -182,7 +167,7 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 			sx, sy := (s%px)*patch, (s/px)*patch
 			for yy := sy; yy < sy+patch && yy < l.H; yy++ {
 				for xx := sx; xx < sx+patch && xx < l.W; xx++ {
-					masked[yy*l.W+xx] = l.Baseline
+					masked[yy*l.W+xx] = 0
 				}
 			}
 		}
@@ -194,7 +179,7 @@ func (l *ImageLIME) Explain(x []float64, class int) ([]float64, error) {
 		return nil, err
 	}
 
-	beta, err := mat.RidgeWLS(design, y, w, lambda)
+	beta, err := mat.RidgeWLS(design, y, w, limeLambda)
 	if err != nil {
 		return nil, fmt.Errorf("image lime solve: %w", err)
 	}

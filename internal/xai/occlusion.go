@@ -61,14 +61,34 @@ func (o *Occlusion) Explain(x []float64, class int) ([]float64, error) {
 		return nil, fmt.Errorf("xai: window %d larger than image %dx%d", win, o.W, o.H)
 	}
 	cols, rows := o.HeatmapSize()
-	return occlusionDrops(o.Model, class, x, cols*rows, func(p int, occluded []float64) {
-		ox, oy := p%cols*stride, p/cols*stride
-		for yy := oy; yy < oy+win; yy++ {
-			for xx := ox; xx < ox+win; xx++ {
-				occluded[yy*o.W+xx] = o.Baseline
+	out := make([]float64, cols*rows)
+	// Row 0 is x itself; row 1+p is x with window position p occluded.
+	var base float64
+	err := scoreRows(o.Model, class, len(x), 1+len(out),
+		func(i int, row []float64) {
+			copy(row, x)
+			if i == 0 {
+				return
 			}
-		}
-	})
+			p := i - 1
+			ox, oy := p%cols*stride, p/cols*stride
+			for yy := oy; yy < oy+win; yy++ {
+				for xx := ox; xx < ox+win; xx++ {
+					row[yy*o.W+xx] = o.Baseline
+				}
+			}
+		},
+		func(i int, p float64) {
+			if i == 0 {
+				base = p
+				return
+			}
+			out[i-1] = base - p
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 var _ Explainer = (*Occlusion)(nil)

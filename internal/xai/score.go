@@ -92,30 +92,3 @@ func coalitionValues(model ml.Classifier, class int, x []float64, background [][
 		})
 	return values, err
 }
-
-// occlusionDrops returns, for each of n occluded variants of x, how far
-// the class probability falls below x's own. occlude(p, row) masks variant
-// p in row, which arrives as a copy of x.
-func occlusionDrops(model ml.Classifier, class int, x []float64, n int, occlude func(p int, row []float64)) ([]float64, error) {
-	out := make([]float64, n)
-	// Row 0 is x itself; row 1+p is variant p.
-	var base float64
-	err := scoreRows(model, class, len(x), 1+n,
-		func(i int, row []float64) {
-			copy(row, x)
-			if i > 0 {
-				occlude(i-1, row)
-			}
-		},
-		func(i int, p float64) {
-			if i == 0 {
-				base = p
-				return
-			}
-			out[i-1] = base - p
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

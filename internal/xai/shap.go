@@ -31,15 +31,17 @@ type KernelSHAP struct {
 	// "absent" features. A handful of rows is enough in practice.
 	Background [][]float64
 	// Samples is the number of sampled coalitions (min 2·d recommended;
-	// lower values are regularized; at most MaxSamples).
+	// lower values are regularized by shapLambda; at most MaxSamples).
 	Samples int
-	// Lambda is the ridge regularizer for under-determined systems.
-	Lambda float64
 	// Seed drives coalition sampling.
 	Seed int64
 }
 
 var _ Explainer = (*KernelSHAP)(nil)
+
+// shapLambda is KernelSHAP's ridge regularizer for under-determined
+// systems.
+const shapLambda = 1e-6
 
 // Explain returns the d-dimensional SHAP attribution of class probability
 // for instance x.
@@ -68,10 +70,6 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 	}
 	if err := checkSamples(samples); err != nil {
 		return nil, err
-	}
-	lambda := k.Lambda
-	if lambda <= 0 {
-		lambda = 1e-6
 	}
 	if d == 1 {
 		v, err := coalitionValues(k.Model, class, x, k.Background, 2, func(c, _ int) bool { return c == 1 })
@@ -157,7 +155,7 @@ func (k *KernelSHAP) Explain(x []float64, class int) ([]float64, error) {
 		w[i] = 1
 	}
 
-	phiHead, err := mat.RidgeWLS(z, y, w, lambda)
+	phiHead, err := mat.RidgeWLS(z, y, w, shapLambda)
 	if err != nil {
 		return nil, fmt.Errorf("kernelshap solve: %w", err)
 	}

@@ -429,7 +429,6 @@ func TestExplainersRejectWrongModelWidth(t *testing.T) {
 				"TabularLIME": &TabularLIME{Model: m, Scale: x, Samples: 8},
 				"ImageLIME":   &ImageLIME{Model: m, W: d, H: 1, Patch: 1, Samples: 8},
 				"Occlusion":   &Occlusion{Model: m, W: d, H: 1, Window: 1},
-				"Occlusion1D": &Occlusion1D{Model: m, Channels: 1, Steps: d, Window: 1},
 			} {
 				if _, err := e.Explain(x, 1); err == nil || err.Error() != want {
 					t.Errorf("%s on %s, %d-wide instance: err = %v, want %q", ename, name, d, err, want)
@@ -459,7 +458,6 @@ func TestExplainersRejectNarrowTreeInstance(t *testing.T) {
 				"TabularLIME": &TabularLIME{Model: m, Scale: []float64{1, 1, 1, 1}[:d], Samples: 8},
 				"ImageLIME":   &ImageLIME{Model: m, W: d, H: 1, Patch: 1, Samples: 8},
 				"Occlusion":   &Occlusion{Model: m, W: d, H: 1, Window: 1},
-				"Occlusion1D": &Occlusion1D{Model: m, Channels: 1, Steps: d, Window: 1},
 			} {
 				_, err := e.Explain(x, 1)
 				if want := fmt.Sprintf("xai: model reads %d features, instance dim %d", w, d); d < w && (err == nil || err.Error() != want) {
