@@ -58,9 +58,7 @@ func run() error {
 		if err := global.Init(train.NumFeatures(), train.NumClasses()); err != nil {
 			return nil, err
 		}
-		return fedlearn.Run(global, factory, clients, eval, fedlearn.Config{
-			Rounds: 10, Aggregator: agg, Seed: 1,
-		})
+		return fedlearn.Run(global, factory, clients, eval, fedlearn.Config{Rounds: 10, Aggregator: agg})
 	}
 
 	fmt.Println("\nhonest federation (FedAvg):")

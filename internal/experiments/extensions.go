@@ -218,7 +218,7 @@ func ExtFederated(cfg Config) (ExtFederatedResult, error) {
 		if err := global.Init(train.NumFeatures(), train.NumClasses()); err != nil {
 			return nil, err
 		}
-		return fedlearn.Run(global, factory, cs, test, fedlearn.Config{Rounds: rounds, Aggregator: agg, Seed: cfg.seed()})
+		return fedlearn.Run(global, factory, cs, test, fedlearn.Config{Rounds: rounds, Aggregator: agg})
 	}
 
 	honest, err := runFL(clients, fedlearn.FedAvg)

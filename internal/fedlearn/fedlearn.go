@@ -44,8 +44,6 @@ type Config struct {
 	Rounds int
 	// Aggregator selects the combination rule (default FedAvg).
 	Aggregator Aggregator
-	// Seed drives client sampling.
-	Seed int64
 }
 
 // trimFraction is the per-side trim of TrimmedMean.
@@ -89,20 +87,13 @@ func Run(global ml.ParamClassifier, factory func() (ml.ParamClassifier, error), 
 	if len(globalParams) == 0 {
 		return nil, fmt.Errorf("fedlearn: global model has no parameters; call Init first")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
 	var stats []RoundStat
 	for round := 0; round < cfg.Rounds; round++ {
-		// The sample is the whole population (client fraction 1), so every
-		// client joins every round, in client order.
-		picked := rng.Perm(len(clients))
-		sort.Ints(picked)
-
-		updates := make([][]float64, 0, len(picked))
-		weights := make([]float64, 0, len(picked))
-		names := make([]string, 0, len(picked))
-		for _, ci := range picked {
-			c := clients[ci]
+		// Every client joins every round, in client order.
+		updates := make([][]float64, 0, len(clients))
+		weights := make([]float64, 0, len(clients))
+		names := make([]string, 0, len(clients))
+		for _, c := range clients {
 			local, err := factory()
 			if err != nil {
 				return nil, fmt.Errorf("fedlearn: factory: %w", err)

@@ -52,7 +52,7 @@ func TestFedAvgConvergesOnIIDShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := newGlobalLR(t, train.NumFeatures(), train.NumClasses())
-	stats, err := Run(global, localLRFactory, clients, eval, Config{Rounds: 15, Seed: 1})
+	stats, err := Run(global, localLRFactory, clients, eval, Config{Rounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFedAvgWithMLPClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := func() (ml.ParamClassifier, error) { return ml.NewMLP(mlpCfg), nil }
-	stats, err := Run(global, factory, clients, eval, Config{Rounds: 10, Seed: 2})
+	stats, err := Run(global, factory, clients, eval, Config{Rounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestClientFractionSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	global := newGlobalLR(t, data.NumFeatures(), data.NumClasses())
-	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 3, Seed: 3})
+	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRobustAggregationResistsPoisonedClient(t *testing.T) {
 
 	accWith := func(agg Aggregator) float64 {
 		global := newGlobalLR(t, train.NumFeatures(), train.NumClasses())
-		stats, err := Run(global, localLRFactory, clients, eval, Config{Rounds: 12, Aggregator: agg, Seed: 4})
+		stats, err := Run(global, localLRFactory, clients, eval, Config{Rounds: 12, Aggregator: agg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestFedAvgStillLearnsUnderNonIID(t *testing.T) {
 		clients[c] = Client{Name: "skewed", Data: data.Subset(idx)}
 	}
 	global := newGlobalLR(t, data.NumFeatures(), data.NumClasses())
-	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 15, Seed: 3})
+	stats, err := Run(global, localLRFactory, clients, data, Config{Rounds: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,10 +280,10 @@ func (r *Results) Summarize() Summary {
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	s.Mean = total / time.Duration(s.Count)
-	s.P50 = percentile(lats, 0.50)
-	s.P90 = percentile(lats, 0.90)
-	s.P95 = percentile(lats, 0.95)
-	s.P99 = percentile(lats, 0.99)
+	s.P50 = Percentile(lats, 0.50)
+	s.P90 = Percentile(lats, 0.90)
+	s.P95 = Percentile(lats, 0.95)
+	s.P99 = Percentile(lats, 0.99)
 	s.ErrorRate = float64(s.Errors) / float64(s.Count)
 	if r.Wall > 0 {
 		s.Throughput = float64(s.Count) / r.Wall.Seconds()
@@ -312,7 +312,9 @@ func (r *Results) slowestTraces(n int) []TraceSample {
 	return out
 }
 
-func percentile(sorted []time.Duration, q float64) time.Duration {
+// Percentile reads the q-quantile of an ascending slice at index
+// ⌊q·(n−1)⌋; it is 0 for an empty slice.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -35,11 +35,12 @@ func Builtins() []Scenario {
 		},
 
 		// The cluster tier's failover story: a flash crowd builds, the
-		// shard owner is killed at its peak, traffic reroutes to ring
-		// successors (counted in Faults.Rerouted) while the crowd is still
-		// up, and the replica restarts before the cooldown. Scored on
-		// recovery time after the restart and on the rerouted-request
-		// count — both deterministic under the fake clock.
+		// shard owner is killed at its peak, the tier fails over to the
+		// ring successor (the failover request counts in
+		// Faults.Rerouted) while the crowd is still up, and the replica
+		// restarts before the cooldown, rejoining at the next heartbeat
+		// sweep. Scored on recovery time after the restart and on the
+		// reroute count — both deterministic under the fake clock.
 		{
 			Name:        "cluster-failover",
 			Description: "Kill the shard owner mid-flash-crowd; score rerouted traffic and post-restart recovery.",

@@ -1,27 +1,24 @@
 package scenario
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"time"
 )
 
-// ErrInjectedReset is the virtual cluster's answer when every replica is
-// down — the in-process stand-in for a refused connection.
-var ErrInjectedReset = errors.New("scenario: injected connection reset")
-
 // ChaosStats counts what the fault engine did to each request: Delayed,
 // Errored, Reset and Passed partition the requests. Reset counts the
-// requests a virtual cluster refused with every replica down. A request
-// the stack itself shed (429) was passed by the engine.
+// requests a virtual cluster refused with cluster.ErrNoReplicas, every
+// replica down. A request the stack itself shed (429) was passed by the
+// engine.
 type ChaosStats struct {
 	Delayed int64 `json:"delayed"`
 	Errored int64 `json:"errored"`
 	Reset   int64 `json:"reset"`
 	Passed  int64 `json:"passed"`
-	// Rerouted counts requests the virtual cluster served off their
-	// shard owner after a replica kill (zero for single-target runs).
+	// Rerouted is the virtual cluster tier's own reroute counter
+	// (spatial_cluster_reroutes_total): requests routed away from their
+	// shard owner, zero for single-target runs.
 	Rerouted int64 `json:"rerouted"`
 }
 

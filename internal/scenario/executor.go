@@ -16,7 +16,7 @@ import (
 var Epoch = time.Date(2024, 7, 1, 0, 0, 0, 0, time.UTC)
 
 // target is the deterministic service model a run drives: the single
-// closed-form VirtualTarget or the sharded VirtualCluster.
+// closed-form VirtualTarget or the VirtualCluster tier.
 type target interface {
 	// SetFault installs (or clears, with nil) the phase fault.
 	SetFault(*Fault)
@@ -51,8 +51,9 @@ type Record struct {
 
 // Run executes the scenario timeline end to end in its deterministic
 // world: a fake clock at Epoch that the executor advances tick by tick,
-// the virtual target (a virtual cluster when sc.Cluster is set), the
-// workload stream and its sensors — everything seeded from sc.Seed. A
+// the virtual target (a virtual cluster when sc.Cluster is set, whose
+// heartbeats the executor sweeps every heartbeatEvery), the workload
+// stream and its sensors — everything seeded from sc.Seed. A
 // 30-second scenario completes in milliseconds, and two calls with the
 // same scenario produce identical records, which is what the smoke tests
 // pin down to byte-identical scorecards.
@@ -61,15 +62,18 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 		return nil, err
 	}
 	clk := clock.NewFake(Epoch)
-	var tgt target
-	if c := sc.Cluster; c != nil {
-		tgt = NewVirtualCluster(c.Replicas, sc.Seed, sc.Workload)
-	} else {
-		tgt = NewVirtualTarget(sc.Seed)
-	}
 	stream, err := BuildWorkload(sc.Workload, sc.Seed)
 	if err != nil {
 		return nil, err
+	}
+	var tgt target = NewVirtualTarget(sc.Seed)
+	var sweep func() // the cluster's heartbeat sweep; nil for one target
+	if c := sc.Cluster; c != nil {
+		vc, err := NewVirtualCluster(clk, c.Replicas, sc.Seed, sc.Workload, stream.model)
+		if err != nil {
+			return nil, err
+		}
+		tgt, sweep = vc, vc.TickHeartbeat
 	}
 	sensors := sensor.NewManager(nil)
 	sensors.UseClock(clk)
@@ -84,6 +88,7 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 	rec := &Record{Scenario: sc, Start: clk.Now()}
 	var samples []loadgen.Sample
 	nextSensor := rec.Start.Add(sensorEvery)
+	nextBeat := rec.Start.Add(heartbeatEvery)
 
 	for _, phase := range sc.Phases {
 		if ctx.Err() != nil {
@@ -110,6 +115,12 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 			n := int(acc)
 			acc -= float64(n)
 			tickStart := clk.Now()
+			// A due heartbeat sweep runs before the tick's requests, so a
+			// replica restarted at this instant rejoins before they route.
+			if sweep != nil && !nextBeat.After(tickStart) {
+				sweep()
+				nextBeat = nextBeat.Add(heartbeatEvery)
+			}
 
 			for i := 0; i < n; i++ {
 				lat, err := tgt.Sample(rps)

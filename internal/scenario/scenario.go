@@ -31,6 +31,9 @@ const (
 	tick = 100 * time.Millisecond
 	// sensorEvery is the sensor sampling period.
 	sensorEvery = 500 * time.Millisecond
+	// heartbeatEvery is a virtual cluster's heartbeat interval: the
+	// executor sweeps the tier's heartbeats at this period.
+	heartbeatEvery = time.Second
 	// sloWindow is the SLO evaluation bucket.
 	sloWindow = time.Second
 	// errorBudget is the fraction of the run allowed to violate the SLO
@@ -154,12 +157,12 @@ const (
 	FaultErrorBurst FaultKind = "error-burst"
 	// FaultReplicaKill kills the shard owner of the virtual cluster tier.
 	// Unlike the other kinds the kill persists past the phase — only
-	// FaultReplicaRestart revives it — so a campaign can measure rerouted
+	// FaultReplicaRestart undoes it — so a campaign can run failed-over
 	// traffic across several phases before scoring the recovery.
 	// Requires Scenario.Cluster.
 	FaultReplicaKill FaultKind = "replica-kill"
-	// FaultReplicaRestart revives every killed replica. Requires
-	// Scenario.Cluster.
+	// FaultReplicaRestart restarts every killed replica; each rejoins the
+	// ring at the tier's next heartbeat sweep. Requires Scenario.Cluster.
 	FaultReplicaRestart FaultKind = "replica-restart"
 )
 
@@ -247,10 +250,10 @@ func (a Adversarial) validate() error {
 }
 
 // ClusterSpec sizes the virtual replica tier a scenario runs against.
-// When set, Run swaps the single VirtualTarget for a
-// VirtualCluster: shard-aware routing over N replicas, so replica-kill
-// and replica-restart faults become meaningful and the scorecard's
-// Faults.Rerouted counts failover traffic.
+// When set, Run swaps the single VirtualTarget for a VirtualCluster: the
+// real cluster tier over N replicas, so replica-kill and replica-restart
+// faults become meaningful and the scorecard's Faults.Rerouted counts
+// the tier's reroutes.
 type ClusterSpec struct {
 	// Replicas is the member count (>= 2; there is nothing to fail over
 	// to with one).

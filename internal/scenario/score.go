@@ -159,19 +159,11 @@ func bucketize(rec *Record, slo SLO) []*window {
 	sort.Slice(out, func(i, j int) bool { return out[i].start.Before(out[j].start) })
 	for _, w := range out {
 		sort.Slice(w.lats, func(i, j int) bool { return w.lats[i] < w.lats[j] })
-		p95 := percentileDur(w.lats, 0.95)
+		p95 := loadgen.Percentile(w.lats, 0.95)
 		errRate := float64(w.errs) / float64(w.count)
 		w.violated = p95 > slo.LatencyP95 || errRate > slo.MaxErrorRate
 	}
 	return out
-}
-
-// percentileDur is the nearest-rank percentile of a sorted slice.
-func percentileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // disruptionWindow returns the [start, end) union bounds of the phases
@@ -252,7 +244,7 @@ func phaseScores(rec *Record, windows []*window) []PhaseScore {
 			}
 		}
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		ps.P95Ns = percentileDur(lats, 0.95).Nanoseconds()
+		ps.P95Ns = loadgen.Percentile(lats, 0.95).Nanoseconds()
 		for _, w := range windows {
 			if w.violated && !w.start.Before(m.Start) && w.start.Before(m.End) {
 				ps.SLOViolationSeconds += sloWindow.Seconds()

@@ -1,134 +1,124 @@
 package scenario
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
+	"repro/internal/ml"
+	"repro/internal/serving"
 )
 
-// VirtualCluster is the sharded counterpart of VirtualTarget: N virtual
-// replicas behind the same bounded-load consistent-hash ring the real
-// internal/cluster tier routes with. Every request for the scenario's
-// routing key lands on its shard owner until a replica-kill fault takes
-// the owner out, at which point the ring walk reroutes to the next live
-// member and the Rerouted counter ticks — the deterministic stand-in
-// for the cluster failover the real tier performs. Kills persist across
-// SetFault(nil) (phase boundaries) until a replica-restart fault
-// revives the member, so a campaign can hold a replica down across
-// several phases and score the recovery after the restart.
+// VirtualCluster is the sharded counterpart of VirtualTarget: the real
+// internal/cluster tier on the run's fake clock, over N real replicas
+// whose predictions a per-replica VirtualTarget answers. Routing,
+// failover and rejoin are the tier's own: a replica-kill fault kills the
+// shard owner, the next request fails over through Cluster.Predict's
+// markDown-and-retry, and a restarted replica comes back only when a
+// heartbeat sweep (TickHeartbeat, which the executor calls) re-probes it
+// and anti-entropy resyncs its registry. Kills persist across
+// SetFault(nil) (phase boundaries) until a replica-restart fault.
 type VirtualCluster struct {
-	key  string
-	ids  []string
-	ring *cluster.Ring
-
-	mu       sync.Mutex
-	replicas []*VirtualTarget
-	down     []bool
-	rerouted int64
-	dead     int64 // requests refused because every replica was down
+	*cluster.Cluster
+	key      string
+	replicas []*virtualReplica
+	dead     atomic.Int64 // requests refused with every replica down
 }
 
-// NewVirtualCluster builds n virtual replicas ("replica-0"...) sharing
-// one routing key. Each replica draws from its own seed+index stream so
-// routing decides which stream advances and determinism survives
-// failover.
-func NewVirtualCluster(n int, seed int64, key string) *VirtualCluster {
-	vc := &VirtualCluster{
-		key:      key,
-		ids:      make([]string, n),
-		replicas: make([]*VirtualTarget, n),
-		down:     make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		vc.ids[i] = fmt.Sprintf("replica-%d", i)
-	}
-	// Ring.Walk reports indices into the ring's sorted ID list; keep
-	// vc.ids in that exact order so the indices line up.
-	sort.Strings(vc.ids)
-	for i := 0; i < n; i++ {
-		vc.replicas[i] = NewVirtualTarget(seed + int64(i))
-	}
-	vc.ring = cluster.NewRing(vc.ids, 0)
-	return vc
+// virtualReplica is a real cluster.Replica whose Predict is answered by
+// its own VirtualTarget instead of the serving runtime: the request row
+// carries the offered load, the answer row the modelled latency in
+// nanoseconds.
+type virtualReplica struct {
+	*cluster.Replica
+	model *VirtualTarget
 }
 
-// pickLocked walks the ring from the shard owner to the first live
-// member. rerouted is true when that member is not the owner.
-func (vc *VirtualCluster) pickLocked() (idx int, rerouted bool) {
-	owner := vc.ring.Owner(vc.key)
-	idx = -1
-	vc.ring.Walk(vc.key, func(i int) bool {
-		if vc.down[i] {
-			return true
+// Predict fails with ErrReplicaDown while the replica is killed, else
+// resolves the request on the replica's latency/shedding model.
+func (r *virtualReplica) Predict(_ context.Context, _ string, rows [][]float64) ([][]float64, []int, error) {
+	if r.Runtime() == nil {
+		return nil, nil, fmt.Errorf("replica %s: %w", r.ID(), cluster.ErrReplicaDown)
+	}
+	lat, err := r.model.Sample(rows[0][0])
+	return [][]float64{{float64(lat)}}, nil, err
+}
+
+// NewVirtualCluster joins n replicas ("replica-0"...) to a tier on clk
+// and registers model under name, the routing key every request
+// carries. Replica i draws from its own seed+i stream, so routing
+// decides which stream advances and determinism survives failover.
+func NewVirtualCluster(clk clock.Clock, n int, seed int64, name string, model ml.Classifier) (*VirtualCluster, error) {
+	tier := cluster.New(cluster.Config{HeartbeatInterval: heartbeatEvery, Clock: clk})
+	vc := &VirtualCluster{Cluster: tier, key: name}
+	for i := 0; i < n; i++ {
+		r := &virtualReplica{
+			Replica: cluster.NewReplica(fmt.Sprintf("replica-%d", i), serving.Config{Clock: clk}),
+			model:   NewVirtualTarget(seed + int64(i)),
 		}
-		idx = i
-		return false
-	})
-	if idx < 0 {
-		return -1, false
+		if err := tier.Join(r); err != nil {
+			return nil, err
+		}
+		vc.replicas = append(vc.replicas, r)
 	}
-	return idx, idx != owner
+	if _, err := tier.Register(name, model); err != nil {
+		return nil, err
+	}
+	return vc, nil
 }
 
-// SetFault installs the phase fault. Replica faults mutate the tier's
-// membership (and stick until reversed): a kill takes out the member
-// serving the routing key, a restart revives every member. Every other
-// kind — including nil at phase end — is forwarded to all replicas so
-// the latency/error overlays apply to whichever member serves.
+// SetFault installs the phase fault. Replica faults act on the tier's
+// replicas (and stick until reversed): a kill crashes the current shard
+// owner, a restart brings every killed replica back. Every other kind —
+// including nil at phase end — is forwarded to all replicas so the
+// latency/error overlays apply to whichever member serves.
 func (vc *VirtualCluster) SetFault(f *Fault) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
 	if f != nil && f.clusterFault() {
-		if f.Kind == FaultReplicaKill {
-			if idx, _ := vc.pickLocked(); idx >= 0 {
-				vc.down[idx] = true
+		owner := vc.Owner(vc.key)
+		for _, r := range vc.replicas {
+			switch {
+			case f.Kind == FaultReplicaRestart:
+				r.Restart()
+			case r.ID() == owner:
+				r.Kill()
 			}
-		} else {
-			clear(vc.down)
 		}
 		// A replica fault replaces the transient overlay for the phase.
 		f = nil
 	}
 	for _, r := range vc.replicas {
-		r.SetFault(f)
+		r.model.SetFault(f)
 	}
 }
 
-// Sample routes one request through the ring and resolves it on the
-// serving replica's latency/shedding model.
+// Sample routes one request through the tier and returns the serving
+// replica's modelled latency and fate. With every replica down the tier
+// refuses it with cluster.ErrNoReplicas.
 func (vc *VirtualCluster) Sample(offeredRPS float64) (time.Duration, error) {
-	vc.mu.Lock()
-	idx, rerouted := vc.pickLocked()
-	if idx < 0 {
-		vc.dead++
-		vc.mu.Unlock()
-		return virtualBase / 10, ErrInjectedReset
+	out, _, err := vc.Predict(context.Background(), vc.key, [][]float64{{offeredRPS}})
+	if errors.Is(err, cluster.ErrNoReplicas) {
+		vc.dead.Add(1)
+		return virtualBase / 10, err
 	}
-	if rerouted {
-		vc.rerouted++
-	}
-	r := vc.replicas[idx]
-	vc.mu.Unlock()
-	return r.Sample(offeredRPS)
+	return time.Duration(out[0][0]), err
 }
 
-// Stats sums the per-replica injection counters and adds the tier-level
-// reroute/refusal counts.
+// Stats sums the per-replica injection counters, counts the tier's
+// refusals as Reset, and reads Rerouted off the tier's own reroute
+// counter.
 func (vc *VirtualCluster) Stats() ChaosStats {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
 	var out ChaosStats
 	for _, r := range vc.replicas {
-		s := r.Stats()
+		s := r.model.Stats()
 		out.Delayed += s.Delayed
 		out.Errored += s.Errored
-		out.Reset += s.Reset
 		out.Passed += s.Passed
 	}
-	out.Reset += vc.dead
-	out.Rerouted = vc.rerouted
+	out.Reset = vc.dead.Load()
+	out.Rerouted = int64(vc.Telemetry().Counter("spatial_cluster_reroutes_total", "").With().Value())
 	return out
 }

@@ -3,72 +3,103 @@ package scenario
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/cluster"
+	"repro/internal/ml"
 )
 
-// servingMember names the live member the routing key reaches now, or ""
-// when the whole tier is down.
-func servingMember(vc *VirtualCluster) string {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if idx, _ := vc.pickLocked(); idx >= 0 {
-		return vc.ids[idx]
+// newTestCluster builds an n-replica virtual cluster on a fake clock
+// with a small model registered under "model".
+func newTestCluster(t *testing.T, n int) (*VirtualCluster, *clock.Fake) {
+	t.Helper()
+	model := ml.NewLogReg(ml.DefaultLogRegConfig())
+	if err := model.Fit(syntheticTable(1)); err != nil {
+		t.Fatal(err)
 	}
-	return ""
+	clk := clock.NewFake(Epoch)
+	vc, err := NewVirtualCluster(clk, n, 1, "model", model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vc, clk
 }
 
-// TestVirtualClusterFailover drives the tier directly: killing the shard
-// owner reroutes every subsequent request, the kill sticks across phase
-// boundaries (SetFault(nil)), and only a restart revives the member.
+// replicaUp reports the tier's view of one replica.
+func replicaUp(t *testing.T, vc *VirtualCluster, id string) bool {
+	t.Helper()
+	for _, r := range vc.Status().Replicas {
+		if r.ID == id {
+			return r.Up
+		}
+	}
+	t.Fatalf("replica %q not in status", id)
+	return false
+}
+
+// TestVirtualClusterFailover drives the real tier directly: the first
+// request after the shard owner is killed fails over and is served, the
+// kill sticks across phase boundaries (SetFault(nil)), a restarted
+// owner rejoins the ring only at the next heartbeat sweep, and with
+// every replica killed the tier refuses with cluster.ErrNoReplicas.
 func TestVirtualClusterFailover(t *testing.T) {
-	vc := NewVirtualCluster(3, 1, "model")
-	owner := servingMember(vc)
+	vc, clk := newTestCluster(t, 3)
+	owner := vc.Owner("model")
 	if owner == "" {
 		t.Fatal("fresh cluster has no owner")
 	}
 	if _, err := vc.Sample(10); err != nil {
 		t.Fatalf("warm sample: %v", err)
 	}
-	if got := vc.Stats().Rerouted; got != 0 {
-		t.Fatalf("%d reroutes before any kill", got)
-	}
 
 	vc.SetFault(&Fault{Kind: FaultReplicaKill})
-	next := servingMember(vc)
-	if next == owner || next == "" {
-		t.Fatalf("owner after kill: %q (was %q)", next, owner)
-	}
 	if _, err := vc.Sample(10); err != nil {
 		t.Fatalf("sample after kill: %v", err)
 	}
-	vc.SetFault(nil) // phase boundary: the kill must persist
-	if got := servingMember(vc); got != next {
-		t.Fatalf("kill did not survive SetFault(nil): owner %q, want %q", got, next)
+	if replicaUp(t, vc, owner) {
+		t.Fatalf("killed owner %s still up after a request failed over", owner)
 	}
+	if got := vc.Stats().Rerouted; got == 0 {
+		t.Fatal("failover counted no reroute")
+	}
+
+	vc.SetFault(nil) // phase boundary: the kill must persist
+	clk.Advance(heartbeatEvery)
+	vc.TickHeartbeat()
 	if _, err := vc.Sample(10); err != nil {
 		t.Fatal(err)
 	}
-	if got := vc.Stats().Rerouted; got != 2 {
-		t.Fatalf("rerouted = %d after two off-owner samples, want 2", got)
+	if replicaUp(t, vc, owner) || vc.Owner("model") == owner {
+		t.Fatalf("kill of %s did not survive SetFault(nil) and a sweep", owner)
 	}
 
 	vc.SetFault(&Fault{Kind: FaultReplicaRestart})
-	if got := servingMember(vc); got != owner {
-		t.Fatalf("restart did not restore the owner: %q, want %q", got, owner)
+	if slices.Contains(vc.Status().RingMembers, owner) {
+		t.Fatalf("restarted %s rejoined the ring before any heartbeat sweep", owner)
+	}
+	clk.Advance(heartbeatEvery)
+	vc.TickHeartbeat()
+	if !slices.Contains(vc.Status().RingMembers, owner) {
+		t.Fatalf("restarted %s not back in the ring after a sweep: %v", owner, vc.Status().RingMembers)
+	}
+	if got := vc.Owner("model"); got != owner {
+		t.Fatalf("owner after rejoin %q, want %q", got, owner)
 	}
 
-	// Killing the owner three times takes the whole tier down: every
-	// request is then refused with ErrInjectedReset, counted in Reset.
+	// Three kills, each followed by the request that finds it, take the
+	// whole tier down: the last request is refused, counted in Reset.
+	var err error
+	var before ChaosStats
 	for i := 0; i < 3; i++ {
 		vc.SetFault(&Fault{Kind: FaultReplicaKill})
+		before = vc.Stats()
+		_, err = vc.Sample(10)
 	}
-	if got := servingMember(vc); got != "" {
-		t.Fatalf("dead tier still names owner %q", got)
-	}
-	before := vc.Stats()
-	if _, err := vc.Sample(10); !errors.Is(err, ErrInjectedReset) {
-		t.Fatalf("sample on a fully dead tier: %v, want ErrInjectedReset", err)
+	if !errors.Is(err, cluster.ErrNoReplicas) {
+		t.Fatalf("sample on a fully dead tier: %v, want cluster.ErrNoReplicas", err)
 	}
 	if got := vc.Stats(); got.Reset != before.Reset+1 || got.Passed != before.Passed {
 		t.Fatalf("refusal counted as %+v (was %+v), want one more Reset", got, before)
@@ -78,7 +109,7 @@ func TestVirtualClusterFailover(t *testing.T) {
 // TestVirtualClusterTransientFaults forwards non-replica faults to the
 // serving member like the single-target model.
 func TestVirtualClusterTransientFaults(t *testing.T) {
-	vc := NewVirtualCluster(2, 1, "model")
+	vc, _ := newTestCluster(t, 2)
 	vc.SetFault(&Fault{Kind: FaultErrorBurst, Rate: 1})
 	if _, err := vc.Sample(10); err == nil {
 		t.Fatal("error burst did not fail the request")
