@@ -100,12 +100,17 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=GatewayProxy -benchtime=1x ./internal/gateway/
 
 # Deterministic chaos/attack/drift campaigns: run every built-in
-# scenario against the virtual world (fake clock, seeded faults), write
-# one scorecard JSON per scenario into scorecards/, and fail unless they
-# equal the committed goldens byte for byte.
+# scenario on the real cluster tier over modelled replicas (fake clock,
+# seeded faults), write one scorecard JSON per scenario into
+# scorecards/, and fail unless they equal the committed goldens byte for
+# byte. Then rerun the whole set twice off the golden seeds (-seed 42)
+# and fail unless the two runs agree byte for byte.
 scenario-smoke:
 	$(GO) run ./cmd/spatial-scenario -smoke -out scorecards
 	diff -r scorecards internal/scenario/testdata
+	$(GO) run ./cmd/spatial-scenario -smoke -seed 42 -out scorecards-seed42-a
+	$(GO) run ./cmd/spatial-scenario -smoke -seed 42 -out scorecards-seed42-b
+	diff -r scorecards-seed42-a scorecards-seed42-b
 
 # Cluster failover on real components: three in-process replicas behind
 # the real gateway, a cluster-wide 2PC promote, then kill the shard

@@ -8,9 +8,10 @@
 //	spatial-scenario -run flash-crowd-poison -out scorecard.json
 //	spatial-scenario -smoke -out scorecards/
 //
-// A scenario runs against the deterministic virtual world (fake clock,
-// closed-form service model): a 30-second campaign finishes in
-// milliseconds and the scorecard bytes reproduce exactly across runs.
+// Every campaign runs on the real cluster tier (internal/cluster) over
+// replicas a closed-form service model answers, on a fake clock: one
+// replica unless the scenario sets more. A 30-second campaign finishes
+// in milliseconds and the scorecard bytes reproduce exactly across runs.
 // The scenarios are the eight built-ins of scenario.Builtins; -smoke
 // runs all of them, and -seed reruns one at another seed.
 package main

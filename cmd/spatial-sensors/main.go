@@ -133,7 +133,7 @@ func run(args []string) error {
 			acc, err := holdoutAccuracy(ctx, mlc, *modelID, test)
 			return acc, nil, err
 		}),
-		Threshold: sensor.Threshold{Min: minAccuracy},
+		Min: minAccuracy,
 	}); err != nil {
 		return err
 	}

@@ -134,7 +134,7 @@ func run() error {
 			}
 			return float64(correct) / float64(len(test.Y)), nil, nil
 		}),
-		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(0.8)},
+		Min: sensor.Float64Ptr(0.8),
 	})
 	if err != nil {
 		return err

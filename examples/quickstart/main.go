@@ -101,7 +101,7 @@ func run() error {
 		Collector: sensor.CollectorFunc(func(context.Context) (float64, map[string]float64, error) {
 			return accuracy, nil, nil
 		}),
-		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(0.8)},
+		Min: sensor.Float64Ptr(0.8),
 	}); err != nil {
 		return err
 	}

@@ -37,8 +37,9 @@ func StealModel(victim ml.Classifier, surrogate ml.Classifier, queries [][]float
 	}
 
 	stolen := dataset.New("stolen", featureNames, classNames)
-	for _, q := range queries {
-		if err := stolen.Append(q, ml.Predict(victim, q)); err != nil {
+	labels := ml.ArgmaxAll(ml.PredictProbaAll(victim, queries))
+	for i, q := range queries {
+		if err := stolen.Append(q, labels[i]); err != nil {
 			return StealResult{}, fmt.Errorf("label query: %w", err)
 		}
 	}
@@ -47,8 +48,9 @@ func StealModel(victim ml.Classifier, surrogate ml.Classifier, queries [][]float
 	}
 
 	agree := 0
-	for _, x := range evalOn {
-		if ml.Predict(victim, x) == ml.Predict(surrogate, x) {
+	want := ml.ArgmaxAll(ml.PredictProbaAll(victim, evalOn))
+	for i, got := range ml.ArgmaxAll(ml.PredictProbaAll(surrogate, evalOn)) {
+		if got == want[i] {
 			agree++
 		}
 	}

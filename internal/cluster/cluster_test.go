@@ -210,8 +210,14 @@ func TestAllReplicasDown(t *testing.T) {
 }
 
 // TestClusterMetricsFamilies asserts the satellite metric families exist
-// with replica-bounded labels and sane values.
+// with replica-bounded labels and sane values. It also pins the reroute
+// family's exported name: the end-to-end benchmark reads it by that
+// literal for cluster.reroute_share, and a registry lookup under any
+// other spelling would create an empty family instead of failing.
 func TestClusterMetricsFamilies(t *testing.T) {
+	if want := "spatial_cluster_reroutes_total"; telemetry.FamClusterReroutes != want {
+		t.Fatalf("FamClusterReroutes = %q, want %q", telemetry.FamClusterReroutes, want)
+	}
 	tel := telemetry.NewRegistry()
 	tier := newTestTier(t, 3, Config{Telemetry: tel, RPCTimeout: 10 * time.Second})
 	c := tier.cluster
@@ -225,7 +231,7 @@ func TestClusterMetricsFamilies(t *testing.T) {
 
 	found := make(map[string]int)
 	upByReplica := make(map[string]float64)
-	var replBytes, ringMoves float64
+	var replBytes, ringMoves, reroutes float64
 	for _, fam := range tel.Gather() {
 		found[fam.Name] = len(fam.Series)
 		switch fam.Name {
@@ -239,6 +245,8 @@ func TestClusterMetricsFamilies(t *testing.T) {
 			}
 		case telemetry.FamClusterRingMoves:
 			ringMoves = fam.Series[0].Value
+		case telemetry.FamClusterReroutes:
+			reroutes = fam.Series[0].Value
 		}
 	}
 	for _, name := range []string{
@@ -246,6 +254,7 @@ func TestClusterMetricsFamilies(t *testing.T) {
 		telemetry.FamClusterRingMoves,
 		telemetry.FamClusterReplicationBytes,
 		telemetry.FamClusterHeartbeatAge,
+		telemetry.FamClusterReroutes,
 	} {
 		if found[name] == 0 {
 			t.Fatalf("family %s missing from Gather (have %v)", name, found)
@@ -266,6 +275,9 @@ func TestClusterMetricsFamilies(t *testing.T) {
 	}
 	if ringMoves <= 0 {
 		t.Fatalf("ring moves %v, want > 0 after demotion rebuild", ringMoves)
+	}
+	if reroutes <= 0 {
+		t.Fatalf("reroutes %v, want > 0 after a failover", reroutes)
 	}
 }
 

@@ -28,7 +28,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	return &metrics{
 		ringMoves: reg.Counter(telemetry.FamClusterRingMoves,
 			"Vnode ownership moves across consistent-hash ring rebuilds.").With(),
-		reroutes: reg.Counter("spatial_cluster_reroutes_total",
+		reroutes: reg.Counter(telemetry.FamClusterReroutes,
 			"Requests routed away from their shard owner (saturated or down).").With(),
 		up: reg.Gauge(telemetry.FamClusterReplicaUp,
 			"1 while the replica's heartbeat is fresh, 0 when expired or killed.", "replica"),

@@ -212,7 +212,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		Collector: sensor.CollectorFunc(func(context.Context) (float64, map[string]float64, error) {
 			return acc, nil, nil
 		}),
-		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(0.5)},
+		Min: sensor.Float64Ptr(0.5),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"repro/internal/dataset"
+	"repro/internal/mat"
 	"repro/internal/ml"
 )
 
@@ -49,8 +50,8 @@ func MembershipInference(model ml.Classifier, members, nonMembers *dataset.Table
 	}
 	confidences := func(t *dataset.Table) []float64 {
 		out := make([]float64, t.Len())
-		for i, x := range t.X {
-			out[i] = model.PredictProba(x)[t.Y[i]]
+		for i, p := range ml.PredictProbaAll(model, t.X) {
+			out[i] = p[t.Y[i]]
 		}
 		return out
 	}
@@ -58,8 +59,8 @@ func MembershipInference(model ml.Classifier, members, nonMembers *dataset.Table
 	nonMemberConf := confidences(nonMembers)
 
 	res := MembershipResult{
-		MeanMemberConf:    mean(memberConf),
-		MeanNonMemberConf: mean(nonMemberConf),
+		MeanMemberConf:    mat.Mean(memberConf),
+		MeanNonMemberConf: mat.Mean(nonMemberConf),
 	}
 
 	// Sweep candidate thresholds (every observed confidence).
@@ -94,17 +95,6 @@ func fracAtLeast(vals []float64, thr float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(vals))
-}
-
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
 }
 
 // PrivacyScore converts an attack advantage into a [0, 1] sensor value

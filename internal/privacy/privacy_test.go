@@ -3,6 +3,7 @@ package privacy
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -238,5 +239,73 @@ func TestDPReducesMembershipAdvantage(t *testing.T) {
 	}
 	if private.Advantage >= leaky.Advantage {
 		t.Fatalf("DP training did not reduce leakage: %.3f vs %.3f", private.Advantage, leaky.Advantage)
+	}
+}
+
+// membershipOracle is MembershipInference with one PredictProba call per
+// row and a left-to-right mean: the per-row reference the batch scoring
+// path must match bit for bit.
+func membershipOracle(model ml.Classifier, members, nonMembers *dataset.Table) MembershipResult {
+	confidences := func(t *dataset.Table) []float64 {
+		out := make([]float64, t.Len())
+		for i, x := range t.X {
+			out[i] = model.PredictProba(x)[t.Y[i]]
+		}
+		return out
+	}
+	mean := func(vals []float64) float64 {
+		var s float64
+		for _, v := range vals {
+			s += v
+		}
+		return s / float64(len(vals))
+	}
+	memberConf, nonMemberConf := confidences(members), confidences(nonMembers)
+	res := MembershipResult{MeanMemberConf: mean(memberConf), MeanNonMemberConf: mean(nonMemberConf)}
+	candidates := append(append([]float64(nil), memberConf...), nonMemberConf...)
+	sort.Float64s(candidates)
+	best := -1.0
+	for _, thr := range candidates {
+		if adv := fracAtLeast(memberConf, thr) - fracAtLeast(nonMemberConf, thr); adv > best {
+			best, res.Threshold = adv, thr
+		}
+	}
+	best = max(best, 0)
+	res.Advantage, res.AttackAccuracy = best, 0.5+best/2
+	return res
+}
+
+// TestMembershipInferenceMatchesPerRow holds the batch-scored attack to
+// the per-row oracle on the two model families with batch kernels (an
+// MLP and a random forest): every field of the result, bit for bit.
+func TestMembershipInferenceMatchesPerRow(t *testing.T) {
+	data := noisyBlobs(4, 300)
+	train, test, err := data.StratifiedSplit(rand.New(rand.NewSource(4)), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn := ml.NewMLP(ml.MLPConfig{Hidden: []int{16, 8}, LearningRate: 0.05, Momentum: 0.9, Epochs: 20, BatchSize: 16, Seed: 4})
+	rf := ml.NewForest(ml.ForestConfig{Trees: 15, MinLeaf: 1, MaxFeatures: -1, Seed: 4})
+	for _, m := range []ml.Classifier{nn, rf} {
+		if _, ok := m.(ml.BatchPredictor); !ok {
+			t.Fatalf("%s has no batch kernel; the comparison would test nothing", m.Name())
+		}
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		got, err := MembershipInference(m, train, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := membershipOracle(m, train, test)
+		bits := func(r MembershipResult) [5]uint64 {
+			return [5]uint64{
+				math.Float64bits(r.Advantage), math.Float64bits(r.AttackAccuracy), math.Float64bits(r.Threshold),
+				math.Float64bits(r.MeanMemberConf), math.Float64bits(r.MeanNonMemberConf),
+			}
+		}
+		if bits(got) != bits(want) {
+			t.Fatalf("%s: batch-scored result %+v, per-row oracle %+v", m.Name(), got, want)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func Builtins() []Scenario {
 			Workload:    WorkloadSynthetic,
 			Seed:        8,
 			SLO:         SLO{LatencyP95: 250 * time.Millisecond, MaxErrorRate: 0.02},
-			Cluster:     &ClusterSpec{Replicas: 3},
+			Replicas:    3,
 			Phases: []Phase{
 				{Name: "baseline", Duration: 6 * time.Second,
 					Shape: Shape{Kind: ShapeSteady, BaseRPS: 40}},

@@ -8,7 +8,7 @@ import (
 
 // ChaosStats counts what the fault engine did to each request: Delayed,
 // Errored, Reset and Passed partition the requests. Reset counts the
-// requests a virtual cluster refused with cluster.ErrNoReplicas, every
+// requests the cluster tier refused with cluster.ErrNoReplicas, every
 // replica down. A request the stack itself shed (429) was passed by the
 // engine.
 type ChaosStats struct {
@@ -16,13 +16,13 @@ type ChaosStats struct {
 	Errored int64 `json:"errored"`
 	Reset   int64 `json:"reset"`
 	Passed  int64 `json:"passed"`
-	// Rerouted is the virtual cluster tier's own reroute counter
-	// (spatial_cluster_reroutes_total): requests routed away from their
-	// shard owner, zero for single-target runs.
+	// Rerouted is the cluster tier's own reroute counter
+	// (telemetry.FamClusterReroutes): requests routed away from their
+	// shard owner, zero while every request reaches its owner.
 	Rerouted int64 `json:"rerouted"`
 }
 
-// chaosCore is the fault decision engine of the virtual targets: a
+// chaosCore is the fault decision engine of the modelled replicas: a
 // settable latency or error-burst Fault plus a seeded RNG so a fixed seed
 // reproduces the same per-request decisions. Its counters partition the
 // requests it decided: each is passed, delayed or errored, exactly once.

@@ -15,17 +15,6 @@ import (
 // whole Records — not just scorecards — reproduce across machines.
 var Epoch = time.Date(2024, 7, 1, 0, 0, 0, 0, time.UTC)
 
-// target is the deterministic service model a run drives: the single
-// closed-form VirtualTarget or the VirtualCluster tier.
-type target interface {
-	// SetFault installs (or clears, with nil) the phase fault.
-	SetFault(*Fault)
-	// Stats snapshots the injection counters.
-	Stats() ChaosStats
-	// Sample resolves one request at the given offered load.
-	Sample(offeredRPS float64) (time.Duration, error)
-}
-
 // PhaseMark records one executed phase's window on the run timeline.
 type PhaseMark struct {
 	Name        string
@@ -51,7 +40,7 @@ type Record struct {
 
 // Run executes the scenario timeline end to end in its deterministic
 // world: a fake clock at Epoch that the executor advances tick by tick,
-// the virtual target (a virtual cluster when sc.Cluster is set, whose
+// the cluster tier over max(sc.Replicas, 1) modelled replicas (whose
 // heartbeats the executor sweeps every heartbeatEvery), the workload
 // stream and its sensors — everything seeded from sc.Seed. A
 // 30-second scenario completes in milliseconds, and two calls with the
@@ -62,18 +51,13 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 		return nil, err
 	}
 	clk := clock.NewFake(Epoch)
-	stream, err := BuildWorkload(sc.Workload, sc.Seed)
+	stream, err := buildWorkload(sc.Workload, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	var tgt target = NewVirtualTarget(sc.Seed)
-	var sweep func() // the cluster's heartbeat sweep; nil for one target
-	if c := sc.Cluster; c != nil {
-		vc, err := NewVirtualCluster(clk, c.Replicas, sc.Seed, sc.Workload, stream.model)
-		if err != nil {
-			return nil, err
-		}
-		tgt, sweep = vc, vc.TickHeartbeat
+	tier, err := newVirtualCluster(clk, max(sc.Replicas, 1), sc.Seed, sc.Workload, stream.model)
+	if err != nil {
+		return nil, err
 	}
 	sensors := sensor.NewManager(nil)
 	sensors.UseClock(clk)
@@ -94,7 +78,7 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 		if ctx.Err() != nil {
 			break
 		}
-		tgt.SetFault(phase.Fault)
+		tier.SetFault(phase.Fault)
 		mark := PhaseMark{
 			Name:        phase.Name,
 			Start:       clk.Now(),
@@ -117,13 +101,13 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 			tickStart := clk.Now()
 			// A due heartbeat sweep runs before the tick's requests, so a
 			// replica restarted at this instant rejoins before they route.
-			if sweep != nil && !nextBeat.After(tickStart) {
-				sweep()
+			if !nextBeat.After(tickStart) {
+				tier.TickHeartbeat()
 				nextBeat = nextBeat.Add(heartbeatEvery)
 			}
 
 			for i := 0; i < n; i++ {
-				lat, err := tgt.Sample(rps)
+				lat, err := tier.Sample(rps)
 				samples = append(samples, loadgen.Sample{
 					// Spread arrivals across the tick so SLO windows
 					// see a smooth series.
@@ -158,9 +142,9 @@ func Run(ctx context.Context, sc Scenario) (*Record, error) {
 		mark.End = clk.Now()
 		rec.Marks = append(rec.Marks, mark)
 	}
-	tgt.SetFault(nil)
+	tier.SetFault(nil)
 	rec.End = clk.Now()
 	rec.Results = &loadgen.Results{Samples: samples, Wall: rec.End.Sub(rec.Start)}
-	rec.Chaos = tgt.Stats()
+	rec.Chaos = tier.Stats()
 	return rec, ctx.Err()
 }

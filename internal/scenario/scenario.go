@@ -7,11 +7,12 @@
 // stories into eight built-in scenarios (Builtins): a Scenario is a named
 // timeline of phases, each combining a traffic shape (steady, ramp,
 // diurnal, flash-crowd, heavy-tail), an optional injected fault (induced
-// latency, error bursts, a replica kill and restart on the virtual
-// cluster), and an optional adversarial action reusing internal/attack
-// and internal/drift (label-flip poison wave, FGSM burst, covariate-shift
-// ramp). The executor walks the timeline on a clock.Fake against a
-// closed-form model of the serving stack, recording internal/loadgen
+// latency, error bursts, a replica kill and restart), and an optional
+// adversarial action reusing internal/attack and internal/drift
+// (label-flip poison wave, FGSM burst, covariate-shift ramp). The
+// executor walks the timeline on a clock.Fake against the real
+// internal/cluster tier over replicas a closed-form model of the serving
+// stack answers, recording internal/loadgen
 // samples — so every scenario runs deterministically, in milliseconds —
 // and the scorer reduces the run to a machine-readable scorecard
 // (detection delay, sheds, SLO-violation seconds, error-budget burn,
@@ -31,7 +32,7 @@ const (
 	tick = 100 * time.Millisecond
 	// sensorEvery is the sensor sampling period.
 	sensorEvery = 500 * time.Millisecond
-	// heartbeatEvery is a virtual cluster's heartbeat interval: the
+	// heartbeatEvery is the cluster tier's heartbeat interval: the
 	// executor sweeps the tier's heartbeats at this period.
 	heartbeatEvery = time.Second
 	// sloWindow is the SLO evaluation bucket.
@@ -147,7 +148,7 @@ func (s Shape) validate() error {
 // FaultKind names an injected infrastructure fault.
 type FaultKind string
 
-// Fault kinds the virtual targets' fault engine injects in front of the
+// Fault kinds the replicas' fault engine injects in front of the
 // modelled service.
 const (
 	// FaultLatency adds Latency (±Jitter) to a Rate fraction of requests.
@@ -155,14 +156,14 @@ const (
 	// FaultErrorBurst answers a Rate fraction of requests with 503
 	// without touching the upstream.
 	FaultErrorBurst FaultKind = "error-burst"
-	// FaultReplicaKill kills the shard owner of the virtual cluster tier.
+	// FaultReplicaKill kills the shard owner of the cluster tier.
 	// Unlike the other kinds the kill persists past the phase — only
 	// FaultReplicaRestart undoes it — so a campaign can run failed-over
-	// traffic across several phases before scoring the recovery.
-	// Requires Scenario.Cluster.
+	// traffic across several phases before scoring the recovery. On a
+	// one-replica tier every request is refused until the restart.
 	FaultReplicaKill FaultKind = "replica-kill"
 	// FaultReplicaRestart restarts every killed replica; each rejoins the
-	// ring at the tier's next heartbeat sweep. Requires Scenario.Cluster.
+	// ring at the tier's next heartbeat sweep.
 	FaultReplicaRestart FaultKind = "replica-restart"
 )
 
@@ -249,31 +250,14 @@ func (a Adversarial) validate() error {
 	return nil
 }
 
-// ClusterSpec sizes the virtual replica tier a scenario runs against.
-// When set, Run swaps the single VirtualTarget for a VirtualCluster: the
-// real cluster tier over N replicas, so replica-kill and replica-restart
-// faults become meaningful and the scorecard's Faults.Rerouted counts
-// the tier's reroutes.
-type ClusterSpec struct {
-	// Replicas is the member count (>= 2; there is nothing to fail over
-	// to with one).
-	Replicas int
-}
-
-func (c ClusterSpec) validate() error {
-	if c.Replicas < 2 {
-		return fmt.Errorf("cluster needs >= 2 replicas, got %d", c.Replicas)
-	}
-	return nil
-}
-
 // Phase is one segment of a scenario timeline.
 type Phase struct {
 	Name     string
 	Duration time.Duration
 	Shape    Shape
-	// Fault, when set, is installed on the virtual target (or cluster)
-	// for the phase and cleared at its end.
+	// Fault, when set, is installed on the cluster tier for the phase
+	// and cleared at its end (a replica kill persists; see
+	// FaultReplicaKill).
 	Fault *Fault
 	// Adversarial, when set, perturbs the data stream for the phase.
 	Adversarial *Adversarial
@@ -305,10 +289,10 @@ type Scenario struct {
 	// byte-identical scorecards.
 	Seed int64
 	SLO  SLO
-	// Cluster, when set, runs the scenario against a virtual replica
-	// tier instead of a single virtual target (see ClusterSpec).
-	Cluster *ClusterSpec
-	Phases  []Phase
+	// Replicas sizes the cluster tier the scenario runs against; zero
+	// means one replica, on which a replica-kill is a whole-tier outage.
+	Replicas int
+	Phases   []Phase
 }
 
 // Duration sums the phase durations.
@@ -339,11 +323,6 @@ func (sc Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario %q: unknown workload %q", sc.Name, sc.Workload)
 	}
-	if sc.Cluster != nil {
-		if err := sc.Cluster.validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-	}
 	seen := make(map[string]bool, len(sc.Phases))
 	for i, p := range sc.Phases {
 		if p.Name == "" {
@@ -362,9 +341,6 @@ func (sc Scenario) Validate() error {
 		if p.Fault != nil {
 			if err := p.Fault.validate(); err != nil {
 				return fmt.Errorf("scenario %q: phase %q: %w", sc.Name, p.Name, err)
-			}
-			if p.Fault.clusterFault() && sc.Cluster == nil {
-				return fmt.Errorf("scenario %q: phase %q: fault %q needs a cluster spec", sc.Name, p.Name, p.Fault.Kind)
 			}
 		}
 		if p.Adversarial != nil {

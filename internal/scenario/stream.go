@@ -42,7 +42,7 @@ const (
 // differ wildly across workloads (the 151-feature fall table rejects a
 // fifth of its features on any 64-row resample; the synthetic table
 // almost none), so fixed thresholds either false-alarm or miss. Instead
-// NewStream emits calBatches clean probe batches, records the worst
+// newStream emits calBatches clean probe batches, records the worst
 // clean score of each sensor, and sets the alert line that margin below
 // it — an alert is then evidence of something the clean baseline never
 // does.
@@ -73,10 +73,10 @@ type Stream struct {
 	last *dataset.Table
 }
 
-// NewStream fits the drift reference and wires the model. The reference
+// newStream fits the drift reference and wires the model. The reference
 // table must be standardized (or otherwise scale-homogeneous): the
 // covariate-shift action offsets features in standard-deviation units.
-func NewStream(reference *dataset.Table, model ml.GradientClassifier, seed int64) (*Stream, error) {
+func newStream(reference *dataset.Table, model ml.GradientClassifier, seed int64) (*Stream, error) {
 	if model == nil || model.NumClasses() == 0 {
 		return nil, fmt.Errorf("scenario: stream needs a trained model")
 	}
@@ -249,7 +249,7 @@ func (s *Stream) RegisterSensors(m *sensor.Manager) error {
 		Property:  sensor.PropPerformance,
 		Interval:  sensorEvery,
 		Collector: s.DriftCollector(),
-		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(s.driftAlert)},
+		Min:       sensor.Float64Ptr(s.driftAlert),
 	}); err != nil {
 		return err
 	}
@@ -258,15 +258,15 @@ func (s *Stream) RegisterSensors(m *sensor.Manager) error {
 		Property:  sensor.PropResilience,
 		Interval:  sensorEvery,
 		Collector: s.AgreementCollector(),
-		Threshold: sensor.Threshold{Min: sensor.Float64Ptr(s.agreeAlert)},
+		Min:       sensor.Float64Ptr(s.agreeAlert),
 	})
 }
 
-// BuildWorkload constructs the stream for a scenario's named workload:
+// buildWorkload constructs the stream for a scenario's named workload:
 // generate the dataset, standardize features (so covariate shifts and
 // FGSM budgets are in comparable units), train the white-box model, and
 // fit the drift reference on a held-out split.
-func BuildWorkload(name string, seed int64) (*Stream, error) {
+func buildWorkload(name string, seed int64) (*Stream, error) {
 	var table *dataset.Table
 	switch name {
 	case WorkloadSynthetic:
@@ -306,7 +306,7 @@ func BuildWorkload(name string, seed int64) (*Stream, error) {
 	if err := model.Fit(table); err != nil {
 		return nil, fmt.Errorf("scenario: train workload model: %w", err)
 	}
-	return NewStream(table, model, seed)
+	return newStream(table, model, seed)
 }
 
 // syntheticTable builds the small separable table used by

@@ -7,7 +7,7 @@ import (
 
 func TestBuildWorkloadKinds(t *testing.T) {
 	for _, wl := range []string{WorkloadSynthetic, WorkloadFall, WorkloadNetTraffic} {
-		s, err := BuildWorkload(wl, 3)
+		s, err := buildWorkload(wl, 3)
 		if err != nil {
 			t.Fatalf("%q: %v", wl, err)
 		}
@@ -17,14 +17,14 @@ func TestBuildWorkloadKinds(t *testing.T) {
 		}
 	}
 	for _, wl := range []string{"martian", ""} {
-		if _, err := BuildWorkload(wl, 3); err == nil {
+		if _, err := buildWorkload(wl, 3); err == nil {
 			t.Fatalf("workload %q accepted", wl)
 		}
 	}
 }
 
 func TestStreamAdversarialActionsMoveSensors(t *testing.T) {
-	s, err := BuildWorkload(WorkloadSynthetic, 5)
+	s, err := buildWorkload(WorkloadSynthetic, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestStreamAdversarialActionsMoveSensors(t *testing.T) {
 
 func TestStreamEmitDeterministic(t *testing.T) {
 	emit := func() [][]float64 {
-		s, err := BuildWorkload(WorkloadSynthetic, 9)
+		s, err := buildWorkload(WorkloadSynthetic, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

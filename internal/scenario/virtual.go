@@ -16,19 +16,19 @@ const (
 	virtualCapacity = 150.0
 )
 
-// VirtualTarget is the deterministic service model scenarios run
-// against: the fault engine (chaosCore) in front of a closed-form
-// latency/shedding curve standing in for the gateway + serving stack.
+// virtualTarget is one replica's deterministic service model: the fault
+// engine (chaosCore) in front of a closed-form latency/shedding curve
+// standing in for the gateway + serving stack.
 // Under clock.Fake with a fixed seed every Sample sequence — latencies,
 // sheds, injected faults — reproduces bit-for-bit, which is what makes
 // scorecards byte-identical across runs.
-type VirtualTarget struct {
+type virtualTarget struct {
 	*chaosCore
 }
 
-// NewVirtualTarget builds the model with the given seed.
-func NewVirtualTarget(seed int64) *VirtualTarget {
-	return &VirtualTarget{newChaosCore(seed)}
+// newVirtualTarget builds the model with the given seed.
+func newVirtualTarget(seed int64) *virtualTarget {
+	return &virtualTarget{newChaosCore(seed)}
 }
 
 // Sample resolves one request at the given offered load. The installed
@@ -38,7 +38,7 @@ func NewVirtualTarget(seed int64) *VirtualTarget {
 // 429s and served latency stays clamped at 5·base — the "flat latency,
 // rising sheds" signature a healthy overloaded stack shows (a collapsing
 // one would instead explode the percentiles).
-func (v *VirtualTarget) Sample(offeredRPS float64) (time.Duration, error) {
+func (v *virtualTarget) Sample(offeredRPS float64) (time.Duration, error) {
 	d := v.decide()
 	if d.errored {
 		return virtualBase / 2, &loadgen.StatusError{Code: http.StatusServiceUnavailable}

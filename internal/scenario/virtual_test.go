@@ -10,7 +10,7 @@ import (
 )
 
 func TestVirtualTargetLoadCurve(t *testing.T) {
-	v := NewVirtualTarget(1)
+	v := newVirtualTarget(1)
 
 	// Light load: latency near base, no errors.
 	for i := 0; i < 50; i++ {
@@ -58,7 +58,7 @@ func TestVirtualTargetLoadCurve(t *testing.T) {
 }
 
 func TestVirtualTargetFaults(t *testing.T) {
-	v := NewVirtualTarget(2)
+	v := newVirtualTarget(2)
 
 	v.SetFault(&Fault{Kind: FaultErrorBurst, Rate: 1})
 	var se *loadgen.StatusError
@@ -86,7 +86,7 @@ func TestVirtualTargetFaults(t *testing.T) {
 
 func TestVirtualTargetDeterministic(t *testing.T) {
 	run := func() []time.Duration {
-		v := NewVirtualTarget(7)
+		v := newVirtualTarget(7)
 		out := make([]time.Duration, 100)
 		for i := range out {
 			lat, _ := v.Sample(225)

@@ -11,18 +11,21 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ml"
 	"repro/internal/serving"
+	"repro/internal/telemetry"
 )
 
-// VirtualCluster is the sharded counterpart of VirtualTarget: the real
+// virtualCluster is the world every scenario runs in: the real
 // internal/cluster tier on the run's fake clock, over N real replicas
-// whose predictions a per-replica VirtualTarget answers. Routing,
+// whose predictions a per-replica virtualTarget answers. Routing,
 // failover and rejoin are the tier's own: a replica-kill fault kills the
 // shard owner, the next request fails over through Cluster.Predict's
 // markDown-and-retry, and a restarted replica comes back only when a
 // heartbeat sweep (TickHeartbeat, which the executor calls) re-probes it
 // and anti-entropy resyncs its registry. Kills persist across
-// SetFault(nil) (phase boundaries) until a replica-restart fault.
-type VirtualCluster struct {
+// SetFault(nil) (phase boundaries) until a replica-restart fault. A
+// one-replica tier routes every request to replica-0, whose seed+0
+// stream is the scenario's own.
+type virtualCluster struct {
 	*cluster.Cluster
 	key      string
 	replicas []*virtualReplica
@@ -30,12 +33,12 @@ type VirtualCluster struct {
 }
 
 // virtualReplica is a real cluster.Replica whose Predict is answered by
-// its own VirtualTarget instead of the serving runtime: the request row
+// its own virtualTarget instead of the serving runtime: the request row
 // carries the offered load, the answer row the modelled latency in
 // nanoseconds.
 type virtualReplica struct {
 	*cluster.Replica
-	model *VirtualTarget
+	model *virtualTarget
 }
 
 // Predict fails with ErrReplicaDown while the replica is killed, else
@@ -48,17 +51,17 @@ func (r *virtualReplica) Predict(_ context.Context, _ string, rows [][]float64) 
 	return [][]float64{{float64(lat)}}, nil, err
 }
 
-// NewVirtualCluster joins n replicas ("replica-0"...) to a tier on clk
+// newVirtualCluster joins n replicas ("replica-0"...) to a tier on clk
 // and registers model under name, the routing key every request
 // carries. Replica i draws from its own seed+i stream, so routing
 // decides which stream advances and determinism survives failover.
-func NewVirtualCluster(clk clock.Clock, n int, seed int64, name string, model ml.Classifier) (*VirtualCluster, error) {
+func newVirtualCluster(clk clock.Clock, n int, seed int64, name string, model ml.Classifier) (*virtualCluster, error) {
 	tier := cluster.New(cluster.Config{HeartbeatInterval: heartbeatEvery, Clock: clk})
-	vc := &VirtualCluster{Cluster: tier, key: name}
+	vc := &virtualCluster{Cluster: tier, key: name}
 	for i := 0; i < n; i++ {
 		r := &virtualReplica{
 			Replica: cluster.NewReplica(fmt.Sprintf("replica-%d", i), serving.Config{Clock: clk}),
-			model:   NewVirtualTarget(seed + int64(i)),
+			model:   newVirtualTarget(seed + int64(i)),
 		}
 		if err := tier.Join(r); err != nil {
 			return nil, err
@@ -76,7 +79,7 @@ func NewVirtualCluster(clk clock.Clock, n int, seed int64, name string, model ml
 // owner, a restart brings every killed replica back. Every other kind —
 // including nil at phase end — is forwarded to all replicas so the
 // latency/error overlays apply to whichever member serves.
-func (vc *VirtualCluster) SetFault(f *Fault) {
+func (vc *virtualCluster) SetFault(f *Fault) {
 	if f != nil && f.clusterFault() {
 		owner := vc.Owner(vc.key)
 		for _, r := range vc.replicas {
@@ -98,7 +101,7 @@ func (vc *VirtualCluster) SetFault(f *Fault) {
 // Sample routes one request through the tier and returns the serving
 // replica's modelled latency and fate. With every replica down the tier
 // refuses it with cluster.ErrNoReplicas.
-func (vc *VirtualCluster) Sample(offeredRPS float64) (time.Duration, error) {
+func (vc *virtualCluster) Sample(offeredRPS float64) (time.Duration, error) {
 	out, _, err := vc.Predict(context.Background(), vc.key, [][]float64{{offeredRPS}})
 	if errors.Is(err, cluster.ErrNoReplicas) {
 		vc.dead.Add(1)
@@ -110,7 +113,7 @@ func (vc *VirtualCluster) Sample(offeredRPS float64) (time.Duration, error) {
 // Stats sums the per-replica injection counters, counts the tier's
 // refusals as Reset, and reads Rerouted off the tier's own reroute
 // counter.
-func (vc *VirtualCluster) Stats() ChaosStats {
+func (vc *virtualCluster) Stats() ChaosStats {
 	var out ChaosStats
 	for _, r := range vc.replicas {
 		s := r.model.Stats()
@@ -119,6 +122,6 @@ func (vc *VirtualCluster) Stats() ChaosStats {
 		out.Passed += s.Passed
 	}
 	out.Reset = vc.dead.Load()
-	out.Rerouted = int64(vc.Telemetry().Counter("spatial_cluster_reroutes_total", "").With().Value())
+	out.Rerouted = int64(vc.Telemetry().Counter(telemetry.FamClusterReroutes, "").With().Value())
 	return out
 }

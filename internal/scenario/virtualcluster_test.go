@@ -14,14 +14,14 @@ import (
 
 // newTestCluster builds an n-replica virtual cluster on a fake clock
 // with a small model registered under "model".
-func newTestCluster(t *testing.T, n int) (*VirtualCluster, *clock.Fake) {
+func newTestCluster(t *testing.T, n int) (*virtualCluster, *clock.Fake) {
 	t.Helper()
 	model := ml.NewLogReg(ml.DefaultLogRegConfig())
 	if err := model.Fit(syntheticTable(1)); err != nil {
 		t.Fatal(err)
 	}
 	clk := clock.NewFake(Epoch)
-	vc, err := NewVirtualCluster(clk, n, 1, "model", model)
+	vc, err := newVirtualCluster(clk, n, 1, "model", model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func newTestCluster(t *testing.T, n int) (*VirtualCluster, *clock.Fake) {
 }
 
 // replicaUp reports the tier's view of one replica.
-func replicaUp(t *testing.T, vc *VirtualCluster, id string) bool {
+func replicaUp(t *testing.T, vc *virtualCluster, id string) bool {
 	t.Helper()
 	for _, r := range vc.Status().Replicas {
 		if r.ID == id {
@@ -120,28 +120,71 @@ func TestVirtualClusterTransientFaults(t *testing.T) {
 	}
 }
 
-// TestClusterFaultValidation rejects replica faults without a cluster
-// spec and a cluster too small to fail over.
-func TestClusterFaultValidation(t *testing.T) {
-	base := Scenario{
-		Name: "v", Seed: 1, Workload: WorkloadSynthetic,
-		SLO: SLO{LatencyP95: 100 * time.Millisecond},
-		Phases: []Phase{{
-			Name: "p", Duration: time.Second,
-			Shape: Shape{Kind: ShapeSteady, BaseRPS: 10},
-			Fault: &Fault{Kind: FaultReplicaKill},
-		}},
+// TestOneReplicaOutageCampaign runs a replica kill and restart on the
+// one-replica tier every scenario gets by default: with nothing to fail
+// over to, the kill phase is a whole-tier outage booked as Reset, the
+// restarted replica rejoins at the next heartbeat sweep (half a second
+// into the restart phase here), the run records a recovery, and two
+// runs give byte-identical scorecards.
+func TestOneReplicaOutageCampaign(t *testing.T) {
+	steady := Shape{Kind: ShapeSteady, BaseRPS: 20}
+	sc := Scenario{
+		Name: "one-replica-outage", Seed: 11, Workload: WorkloadSynthetic,
+		SLO: SLO{LatencyP95: 150 * time.Millisecond, MaxErrorRate: 0.05},
+		Phases: []Phase{
+			{Name: "baseline", Duration: 3 * time.Second, Shape: steady},
+			{Name: "outage", Duration: 2500 * time.Millisecond, Shape: steady,
+				Fault: &Fault{Kind: FaultReplicaKill}},
+			{Name: "restart", Duration: 1500 * time.Millisecond, Shape: steady,
+				Fault: &Fault{Kind: FaultReplicaRestart}},
+			{Name: "cooldown", Duration: 3 * time.Second, Shape: steady},
+		},
 	}
-	if err := base.Validate(); err == nil {
-		t.Fatal("replica fault without cluster spec validated")
+	run := func() (*Record, []byte, Scorecard) {
+		rec, err := Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		card := Score(rec)
+		raw, err := card.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, raw, card
 	}
-	base.Cluster = &ClusterSpec{Replicas: 3}
-	if err := base.Validate(); err != nil {
-		t.Fatalf("valid cluster scenario rejected: %v", err)
+	rec, raw1, card := run()
+	_, raw2, _ := run()
+	if string(raw1) != string(raw2) {
+		t.Fatalf("one-replica outage scorecards differ across seeded runs:\n%s\n%s", raw1, raw2)
 	}
-	base.Cluster.Replicas = 1
-	if err := base.Validate(); err == nil {
-		t.Fatal("single-replica cluster validated")
+
+	kill, restart := rec.Marks[1], rec.Marks[2]
+	rejoin := rec.Start // the first heartbeat sweep at or after the restart
+	for rejoin.Before(restart.Start) {
+		rejoin = rejoin.Add(heartbeatEvery)
+	}
+	var refused, killed int64
+	for _, s := range rec.Results.Samples {
+		down := !s.Start.Before(kill.Start) && s.Start.Before(rejoin)
+		if down != errors.Is(s.Err, cluster.ErrNoReplicas) {
+			t.Fatalf("request at %v: err %v, want refused=%v (rejoin at %v)",
+				s.Start.Sub(rec.Start), s.Err, down, rejoin.Sub(rec.Start))
+		}
+		if down {
+			refused++
+		}
+		if down && s.Start.Before(kill.End) {
+			killed++
+		}
+	}
+	if killed == 0 || refused == killed {
+		t.Fatalf("refused %d requests, %d in the kill phase: want some in each of the kill phase and the restart before the sweep", refused, killed)
+	}
+	if got := rec.Chaos; got.Reset != refused || got.Passed != int64(len(rec.Results.Samples))-refused {
+		t.Fatalf("chaos %+v: want Reset %d of %d requests", got, refused, len(rec.Results.Samples))
+	}
+	if card.RecoveryNs < 0 {
+		t.Fatalf("no recovery recorded after the restart phase (verdict %s: %v)", card.Verdict, card.Reasons)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestSamplingIntervalBoundsDetectionDelay(t *testing.T) {
 				}
 				return 0.95, nil, nil
 			}),
-			Threshold: Threshold{Min: Float64Ptr(0.9)},
+			Min: Float64Ptr(0.9),
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -57,20 +57,6 @@ func (f CollectorFunc) Collect(ctx context.Context) (float64, map[string]float64
 	return f(ctx)
 }
 
-// Threshold bounds acceptable sensor values from below; a reading under
-// Min raises an alert. A nil Min leaves the sensor unbounded.
-type Threshold struct {
-	Min *float64
-}
-
-// check returns an alert message for out-of-range values, or "".
-func (t Threshold) check(v float64) string {
-	if t.Min != nil && v < *t.Min {
-		return fmt.Sprintf("value %.4g below minimum %.4g", v, *t.Min)
-	}
-	return ""
-}
-
 // Sink consumes readings (e.g. the dashboard ingest API).
 type Sink interface {
 	Publish(ctx context.Context, r Reading) error
@@ -92,8 +78,17 @@ type Sensor struct {
 	Interval time.Duration
 	// Collector produces the measurement.
 	Collector Collector
-	// Threshold optionally raises alerts.
-	Threshold Threshold
+	// Min, when set, bounds acceptable values from below: a reading
+	// under it raises an alert. Nil leaves the sensor unbounded.
+	Min *float64
+}
+
+// check returns an alert message for a value under Min, or "".
+func (s *Sensor) check(v float64) string {
+	if s.Min != nil && v < *s.Min {
+		return fmt.Sprintf("value %.4g below minimum %.4g", v, *s.Min)
+	}
+	return ""
 }
 
 func (s *Sensor) validate() error {
@@ -375,7 +370,7 @@ func (m *Manager) CollectOnce(ctx context.Context, name string) (Reading, error)
 		Detail:   detail,
 		Time:     clk.Now(),
 	}
-	if msg := s.Threshold.check(value); msg != "" {
+	if msg := s.check(value); msg != "" {
 		r.Alert = true
 		r.AlertMsg = msg
 		if sm != nil {

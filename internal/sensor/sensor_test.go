@@ -85,7 +85,7 @@ func TestThresholdAlerts(t *testing.T) {
 		Name:      "acc",
 		Property:  PropPerformance,
 		Collector: constCollector(0.42),
-		Threshold: Threshold{Min: Float64Ptr(0.9)},
+		Min:       Float64Ptr(0.9),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestThresholdAlerts(t *testing.T) {
 		Name:      "imp",
 		Property:  PropResilience,
 		Collector: constCollector(0.8),
-		Threshold: Threshold{Min: Float64Ptr(0.5)},
+		Min:       Float64Ptr(0.5),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +202,11 @@ func TestCollectorErrorsAreCounted(t *testing.T) {
 }
 
 func TestThresholdCheck(t *testing.T) {
-	none := Threshold{}
+	none := Sensor{}
 	if msg := none.check(123); msg != "" {
 		t.Fatalf("unbounded threshold alerted: %s", msg)
 	}
-	floor := Threshold{Min: Float64Ptr(0)}
+	floor := Sensor{Min: Float64Ptr(0)}
 	if msg := floor.check(0.5); msg != "" {
 		t.Fatalf("in-range value alerted: %s", msg)
 	}

@@ -12,6 +12,9 @@ const (
 	// FamClusterRingMoves counts vnode ownership moves across ring
 	// rebuilds (the rebalance cost of membership churn).
 	FamClusterRingMoves = "spatial_cluster_ring_moves_total"
+	// FamClusterReroutes counts requests routed away from their shard
+	// owner, because it was saturated or down.
+	FamClusterReroutes = "spatial_cluster_reroutes_total"
 	// FamClusterReplicationBytes counts model-envelope bytes pushed to
 	// replicas by promote-time replication and anti-entropy resync.
 	FamClusterReplicationBytes = "spatial_cluster_replication_bytes_total"
